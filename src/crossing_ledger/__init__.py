@@ -9,16 +9,7 @@ densest 3-planar drawings.
 
 __version__ = "0.1.0"
 
-from .drawing import (
-    DrawingSpec,
-    FaceWalk,
-    PlanarizedMap,
-    Violation,
-    build_map,
-    faces_of,
-    restrict,
-    spec_violations,
-)
+from .drawing import DrawingSpec, build_map, restrict
 from .errors import (
     BadHint,
     BadN,
@@ -32,33 +23,10 @@ from .errors import (
     ParseError,
     UnsupportedK,
 )
-from .validate import (
-    ValidationReport,
-    check_homotopy,
-    check_k_planar,
-    check_sanity,
-    check_spec,
-    validate_drawing,
-)
-from .skeleton import (
-    ConflictGraph,
-    SkeletonDecomposition,
-    conflict_graph,
-    decompose_with,
-    extract_skeleton,
-    skeleton_faces,
-)
-from .segments import (
-    FaceProfile,
-    SegmentPiece,
-    classify_middle,
-    classify_stick,
-    decompose,
-    face_profiles,
-)
+from .validate import check_homotopy, check_k_planar, check_sanity, validate_drawing
+from .skeleton import conflict_graph, decompose_with, extract_skeleton
+from .segments import decompose, face_profiles
 from .audit import (
-    AssociationResult,
-    AuditReport,
     associate,
     bounds_table,
     density_report,
@@ -67,8 +35,6 @@ from .audit import (
     structural_predicates,
 )
 from .generator import (
-    FrameSpec,
-    HexGadget,
     chords_interleave,
     frame_spec,
     generate_optimal,
@@ -87,41 +53,23 @@ from .figures import export_figure
 __all__ = [
     "__version__",
     "DrawingSpec",
-    "FaceWalk",
-    "PlanarizedMap",
-    "Violation",
     "build_map",
-    "faces_of",
     "restrict",
-    "spec_violations",
-    "ValidationReport",
     "check_homotopy",
     "check_k_planar",
     "check_sanity",
-    "check_spec",
     "validate_drawing",
-    "ConflictGraph",
-    "SkeletonDecomposition",
     "conflict_graph",
     "decompose_with",
     "extract_skeleton",
-    "skeleton_faces",
-    "FaceProfile",
-    "SegmentPiece",
-    "classify_middle",
-    "classify_stick",
     "decompose",
     "face_profiles",
-    "AssociationResult",
-    "AuditReport",
     "associate",
     "bounds_table",
     "density_report",
     "k_bound",
     "overfull_triangles",
     "structural_predicates",
-    "FrameSpec",
-    "HexGadget",
     "chords_interleave",
     "frame_spec",
     "generate_optimal",

@@ -14,14 +14,14 @@ from typing import TextIO
 
 from . import __version__
 from .audit import density_report
-from .drawing import DrawingSpec, build_map
+from .drawing import DrawingSpec, PlanarizedMap, build_map
 from .errors import CrossingLedgerError
 from .figures import export_figure
 from .generator import generate_optimal
 from .interchange import emit_drawing, emit_report, parse_text, report_document
 from .segments import decompose, face_profiles
 from .skeleton import extract_skeleton
-from .validate import check_homotopy, check_k_planar, check_sanity, merge_reports
+from .validate import ValidationReport, check_homotopy, check_k_planar, check_sanity, merge_reports
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,12 +93,24 @@ def _write(text: str, path: str | None, stdout: TextIO) -> None:
         stdout.write(text)
 
 
+def _validate(pmap: PlanarizedMap, k: int) -> ValidationReport:
+    # The same stages as validate_drawing, called through this module's names
+    # so that a caller can wrap each stage (the benchmark times them this way).
+    return merge_reports(check_sanity(pmap), check_homotopy(pmap), check_k_planar(pmap, k))
+
+
+def _violation_lines(report: dict) -> list[str]:
+    return [
+        f"VIOLATION [{v['rule']}] {', '.join(v['subjects'])}: {v['detail']}"
+        for v in report["violations"]
+    ]
+
+
 def _render_validation(report: dict, out: list[str]) -> None:
     out.append(f"k: {report['k']}")
     worst = max(report["per_edge_crossings"].values(), default=0)
     out.append(f"max crossings per edge: {worst}")
-    for v in report["violations"]:
-        out.append(f"VIOLATION [{v['rule']}] {', '.join(v['subjects'])}: {v['detail']}")
+    out.extend(_violation_lines(report))
     for w in report["warnings"]:
         out.append(f"warning: {w}")
     out.append("verdict: " + ("ok" if report["ok"] else "violations found"))
@@ -172,10 +184,7 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
 
         if args.command == "validate":
             spec = _read_spec(args.file, stdin)
-            pmap = build_map(spec)
-            report = merge_reports(
-                check_sanity(pmap), check_homotopy(pmap), check_k_planar(pmap, args.k)
-            )
+            report = _validate(build_map(spec), args.k)
             doc = report_document(spec, {"validation": report.to_dict()})
             if args.format == "json":
                 _write(emit_report(doc), None, stdout)
@@ -219,9 +228,7 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
         if args.command == "audit":
             spec = _read_spec(args.file, stdin)
             pmap = build_map(spec)
-            validation = merge_reports(
-                check_sanity(pmap), check_homotopy(pmap), check_k_planar(pmap, args.k)
-            )
+            validation = _validate(pmap, args.k)
             dec = extract_skeleton(pmap, args.mode)
             pieces = decompose(dec)
             profiles = face_profiles(dec, pieces)
@@ -236,8 +243,7 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
             else:
                 lines = []
                 _render_audit(report.to_dict(), lines)
-                for v in validation.to_dict()["violations"]:
-                    lines.append(f"VIOLATION [{v['rule']}] {', '.join(v['subjects'])}: {v['detail']}")
+                lines.extend(_violation_lines(validation.to_dict()))
                 _write("\n".join(lines) + "\n", None, stdout)
             return EXIT_OK if (report.ok and validation.ok) else EXIT_VERDICT
 

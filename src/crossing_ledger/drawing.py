@@ -21,7 +21,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -71,6 +71,10 @@ class DrawingSpec:
     ids from input documents.  Instances are immutable and stored in a
     canonical order (sorted ids, rotation lists anchored at their smallest
     entry) so that equality and serialization are stable.
+
+    :meth:`build` is the only constructor and the one place the drawing rules
+    are checked, so every spec is valid by construction: it raises a typed
+    :class:`InvariantError` naming the first broken rule.
     """
 
     vertices: tuple[str, ...]
@@ -147,13 +151,15 @@ class DrawingSpec:
 
         # Canonical order everywhere; every edge gets a chain entry.
         full_chains = {e: chain_map.get(e, ()) for e in known_edges}
-        return DrawingSpec(
+        spec = DrawingSpec(
             vertices=tuple(sorted(verts)),
             edges=tuple(sorted(edge_rows)),
             chains={e: full_chains[e] for e in sorted(full_chains)},
             crossings={c: cross_map[c] for c in sorted(cross_map)},
             rotations={n: rot_map[n] for n in sorted(rot_map)},
         )
+        _check_rules(spec)
+        return spec
 
     # -- views -------------------------------------------------------------
 
@@ -178,79 +184,54 @@ class DrawingSpec:
         }
 
 
-def spec_violations(spec: DrawingSpec) -> list[Violation]:
-    """Check the semantic invariants of a spec and list every broken rule."""
-    out: list[Violation] = []
-    ends = {e: (a, b) for e, a, b in spec.edges}
+def _check_rules(spec: DrawingSpec) -> None:
+    """Raise on the first broken drawing rule of a spec whose ids all resolve.
 
-    positions: dict[str, list[str]] = {c: [] for c in spec.crossings}
+    Crossings are checked first (each joins two distinct edges and sits once
+    on each of their chains), then the rotation at every vertex (exactly the
+    incident edge ends), then the rotation at every crossing (the four ends
+    of its two edges, alternating).
+    """
+    owners: dict[str, list[str]] = {c: [] for c in spec.crossings}
     for e, cs in spec.chains.items():
         for c in cs:
-            positions[c].append(e)
+            owners[c].append(e)
     for c, (e, f) in spec.crossings.items():
         if e == f:
-            out.append(Violation("self-crossing", (c, e), f"crossing {c} joins edge {e} with itself"))
-            continue
-        owners = positions[c]
-        if sorted(owners) != sorted((e, f)):
-            out.append(
-                Violation(
-                    "crossing-degree",
-                    (c,),
-                    f"crossing {c} must appear once in the chains of {e} and {f}; found in {sorted(owners)}",
-                )
+            raise InvariantError("self-crossing", f"crossing {c} joins edge {e} with itself")
+        if owners[c] not in ([e, f], [f, e]):
+            raise DanglingCrossing(
+                "crossing-degree",
+                f"crossing {c} must appear once in the chains of {e} and {f}; found in {sorted(owners[c])}",
             )
 
-    expected_at_vertex: dict[str, Counter] = {v: Counter() for v in spec.vertices}
-    for e, (a, b) in ends.items():
-        expected_at_vertex[a][(e, PLUS)] += 1
-        expected_at_vertex[b][(e, MINUS)] += 1
-    for v in spec.vertices:
+    ends: dict[str, list[RotationEntry]] = {v: [] for v in spec.vertices}
+    for e, a, b in spec.edges:
+        ends[a].append((e, PLUS))
+        ends[b].append((e, MINUS))
+    for v, want in ends.items():
         rot = spec.rotations.get(v, ())
-        if Counter(rot) != expected_at_vertex[v]:
-            out.append(
-                Violation(
-                    "rotation-at-vertex",
-                    (v,),
-                    f"rotation at {v} must list exactly the incident edge ends "
-                    f"{sorted(expected_at_vertex[v])}; found {list(rot)}",
-                )
+        if sorted(rot) != sorted(want):
+            raise InvalidRotation(
+                "rotation-at-vertex",
+                f"rotation at {v} must list exactly the incident edge ends "
+                f"{sorted(want)}; found {list(rot)}",
             )
 
     for c, (e, f) in spec.crossings.items():
-        if e == f:
-            continue
         rot = spec.rotations.get(c)
         if rot is None:
-            out.append(Violation("rotation-at-crossing", (c,), f"crossing {c} has no rotation"))
-            continue
+            raise InvalidRotation("rotation-at-crossing", f"crossing {c} has no rotation")
         want = {(e, PLUS), (e, MINUS), (f, PLUS), (f, MINUS)}
         if len(rot) != 4 or set(rot) != want:
-            out.append(
-                Violation(
-                    "rotation-at-crossing",
-                    (c,),
-                    f"rotation at {c} must contain the four ends of {e} and {f}; found {list(rot)}",
-                )
+            raise InvalidRotation(
+                "rotation-at-crossing",
+                f"rotation at {c} must contain the four ends of {e} and {f}; found {list(rot)}",
             )
-            continue
         if rot[0][0] == rot[1][0]:
-            out.append(
-                Violation(
-                    "rotation-alternation",
-                    (c,),
-                    f"rotation at {c} does not alternate between {e} and {f}",
-                )
+            raise InvalidRotation(
+                "rotation-alternation", f"rotation at {c} does not alternate between {e} and {f}"
             )
-    return out
-
-
-_RULE_EXCEPTIONS = {
-    "crossing-degree": DanglingCrossing,
-    "rotation-at-vertex": InvalidRotation,
-    "rotation-at-crossing": InvalidRotation,
-    "rotation-alternation": InvalidRotation,
-}
 
 
 @dataclass(frozen=True)
@@ -266,11 +247,6 @@ class FaceWalk:
     def length(self) -> int:
         return len(self.darts)
 
-    @property
-    def steps(self) -> tuple[tuple[str, tuple[str, int]], ...]:
-        """(node reached, segment arrived by) pairs, in walk order."""
-        return tuple((n, (d[0], d[1])) for n, d in zip(self.nodes, self.darts))
-
     def to_dict(self) -> dict:
         return {
             "face": self.face_id,
@@ -283,17 +259,15 @@ class FaceWalk:
 class PlanarizedMap:
     """Immutable planarization of a drawing, with faces computed.
 
+    The spec already satisfies the drawing rules (see :class:`DrawingSpec`);
+    construction adds only the sphere check, raising :class:`NonSpherical`
+    when face tracing or the per-component Euler formula fails.
+
     Construction is single-threaded; built instances are safe to share
     between threads.
     """
 
-    def __init__(self, spec: DrawingSpec, _skip_checks: bool = False):
-        if not _skip_checks:
-            problems = spec_violations(spec)
-            if problems:
-                first = min(problems, key=lambda p: (p.rule, p.subjects))
-                exc = _RULE_EXCEPTIONS.get(first.rule, InvariantError)
-                raise exc(first.rule, first.detail + f" ({len(problems)} problem(s) total)")
+    def __init__(self, spec: DrawingSpec):
         self.spec = spec
         self._ends = {e: (a, b) for e, a, b in spec.edges}
         self._kind = {v: "vertex" for v in spec.vertices}
@@ -510,12 +484,8 @@ def _dart_key(d: Dart) -> tuple[str, int, int]:
 
 
 def build_map(spec: DrawingSpec) -> PlanarizedMap:
-    """Planarize a drawing; raises if the spec breaks a structural invariant."""
+    """Planarize a drawing; raises :class:`NonSpherical` unless it embeds in the sphere."""
     return PlanarizedMap(spec)
-
-
-def faces_of(pmap: PlanarizedMap) -> list[FaceWalk]:
-    return list(pmap.faces)
 
 
 def restrict(pmap: PlanarizedMap, keep: Iterable[str]) -> PlanarizedMap:

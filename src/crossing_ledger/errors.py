@@ -30,10 +30,6 @@ class NonSpherical(CrossingLedgerError):
     """The rotation system does not describe a sphere embedding (Euler check failed)."""
 
 
-class SelfLoopDegenerate(CrossingLedgerError):
-    """A self-loop chain does not close up into a curve; cannot occur on valid maps."""
-
-
 class ParseError(CrossingLedgerError):
     """An interchange document is malformed."""
 

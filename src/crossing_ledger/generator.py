@@ -122,9 +122,6 @@ class HexGadget:
     def crossing_counts(self) -> dict[str, int]:
         return {e: len(cs) for e, cs in self.chains.items()}
 
-    def crossing_pairs(self) -> list[tuple[str, str]]:
-        return sorted(tuple(sorted(pair)) for pair in self.crossings.values())
-
 
 def _strict_mode(strict: bool | None) -> bool:
     if strict is not None:

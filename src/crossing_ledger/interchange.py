@@ -16,14 +16,18 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .drawing import DrawingSpec, spec_violations
-from .errors import InvariantError, ParseError
+from .drawing import DrawingSpec
+from .errors import ParseError
 
 _FIELDS = ("vertices", "edges", "chains", "crossings", "rotations")
 
 
 def spec_from_document(doc: Any) -> DrawingSpec:
-    """Validate a parsed JSON value and build the canonical spec from it."""
+    """Check the document's shape and build the canonical spec from it.
+
+    Shape errors raise :class:`ParseError`; :meth:`DrawingSpec.build` checks
+    the ids and the drawing rules.
+    """
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     missing = [k for k in _FIELDS if k not in doc]
@@ -55,18 +59,13 @@ def spec_from_document(doc: Any) -> DrawingSpec:
             if not isinstance(item, list) or len(item) != 2:
                 raise ParseError(f"rotation entries at {node} must be [edge, '+'|'-']")
 
-    spec = DrawingSpec.build(
+    return DrawingSpec.build(
         vertices=vertices,
         edges=edges,
         chains=doc["chains"],
         crossings=doc["crossings"],
         rotations=doc["rotations"],
     )
-    problems = spec_violations(spec)
-    if problems:
-        first = problems[0]
-        raise InvariantError(first.rule, first.detail)
-    return spec
 
 
 def parse_text(text: str) -> DrawingSpec:
@@ -78,7 +77,12 @@ def parse_text(text: str) -> DrawingSpec:
 
 
 def parse_drawing(path: str | Path) -> DrawingSpec:
-    """Load an interchange file; the result satisfies every drawing invariant."""
+    """Load an interchange file.
+
+    Raises :class:`ParseError` for an unreadable file or a malformed
+    document, and a typed :class:`InvariantError` naming the rule for a
+    drawing that breaks one (see :meth:`DrawingSpec.build`).
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -87,9 +87,6 @@ class _MisSolver:
             self.nbr[index[e]] = m
         self.full = (1 << self.n) - 1
 
-    def greedy_size(self) -> int:
-        return len(self.greedy_set())
-
     def greedy_set(self) -> list[int]:
         """Delete the max-degree vertex (ties by smallest id) until independent."""
         alive = self.full
@@ -156,7 +153,7 @@ class _MisSolver:
         return self.max_size(mask, floor=need - 1) >= need
 
     def lexicographically_smallest_maximum(self) -> list[str]:
-        target = self.max_size(floor=self.greedy_size())
+        target = self.max_size(floor=len(self.greedy_set()))
         chosen: list[int] = []
         cand = self.full
         for i in range(self.n):
@@ -273,7 +270,3 @@ def decompose_with(pmap: PlanarizedMap, skeleton_edges) -> SkeletonDecomposition
     if unknown:
         raise KeyError(f"not edges of this map: {sorted(unknown)}")
     return _assemble(pmap, conflict_graph(pmap), kept, mode="manual", certificate=False)
-
-
-def skeleton_faces(dec: SkeletonDecomposition) -> list[FaceWalk]:
-    return list(dec.skeleton_map.faces)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .drawing import DrawingSpec, PlanarizedMap, Violation, spec_violations
-from .errors import SelfLoopDegenerate
+from .drawing import PlanarizedMap, Violation
+from .errors import InvariantError
 
 
 @dataclass(frozen=True)
@@ -53,25 +53,19 @@ def check_k_planar(pmap: PlanarizedMap, k: int) -> ValidationReport:
     return ValidationReport(k, counts, violations, ())
 
 
-def check_spec(spec: DrawingSpec) -> ValidationReport:
-    """Spec-level sanity: report structural invariant breaks instead of raising."""
-    return ValidationReport(None, {}, tuple(spec_violations(spec)), ())
-
-
 def check_sanity(pmap: PlanarizedMap) -> ValidationReport:
-    """Re-verify the drawing invariants on a built map.
+    """Warn about edge pairs that cross each other more than once.
 
-    Built maps satisfy them by construction, so the violation list is a
-    defensive re-check; repeated crossings between one edge pair are policy
-    warnings, not violations.
+    Repeated crossings are legal, so they are warnings, never violations.
+    The drawing rules themselves need no check here: every map is built
+    from a valid :class:`DrawingSpec`.
     """
-    violations = tuple(spec_violations(pmap.spec))
     warnings = []
     for pair, count in sorted(pmap.pair_crossing_counts().items(), key=lambda kv: sorted(kv[0])):
         if count > 1:
             e, f = sorted(pair)
             warnings.append(f"edges {e} and {f} cross each other {count} times")
-    return ValidationReport(None, pmap.edge_crossing_counts(), violations, tuple(warnings))
+    return ValidationReport(None, pmap.edge_crossing_counts(), (), tuple(warnings))
 
 
 # -- homotopy ----------------------------------------------------------------
@@ -148,8 +142,8 @@ def check_homotopy(pmap: PlanarizedMap) -> ValidationReport:
         if len(regions) != 2:
             # A loop cannot cross itself, so its curve is simple and must cut
             # the sphere in two; anything else is an internal inconsistency.
-            raise SelfLoopDegenerate(
-                f"self-loop {e} cut the sphere into {len(regions)} regions"
+            raise InvariantError(
+                "self-loop-degenerate", f"self-loop {e} cut the sphere into {len(regions)} regions"
             )
         for region in regions:
             if not _vertices_strictly_inside(pmap, region, {v}, component):

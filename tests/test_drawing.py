@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from crossing_ledger import (
+    DanglingCrossing,
     DrawingSpec,
     InvalidRotation,
     InvariantError,
     NonSpherical,
     build_map,
-    faces_of,
+    parse_text,
     restrict,
 )
 from crossing_ledger.generator import generate_optimal, theta_frame
+
+REJECTED = Path(__file__).parent / "golden" / "inputs"
 
 
 def test_triangle_two_faces(triangle_spec):
@@ -84,7 +90,7 @@ def test_faces_of_cycle():
             f"v{i}": [(f"e{i}", "+"), (f"e{(i - 1) % 6}", "-")] for i in range(6)
         },
     )
-    walks = faces_of(build_map(spec))
+    walks = build_map(spec).faces
     assert sorted(w.length for w in walks) == [6, 6]
 
 
@@ -155,6 +161,27 @@ def test_dangling_crossing_rejected():
                 },
             )
         )
+
+
+@pytest.mark.parametrize(
+    "rule, error",
+    [
+        ("self-crossing", InvariantError),
+        ("crossing-degree", DanglingCrossing),
+        ("rotation-at-vertex", InvalidRotation),
+        ("rotation-at-crossing", InvalidRotation),
+        ("rotation-alternation", InvalidRotation),
+    ],
+)
+def test_broken_rule_raises_typed_error(rule, error):
+    # One golden-corpus input per rule; each breaks that rule and no other.
+    text = (REJECTED / f"{rule}.json").read_text(encoding="utf-8")
+    for make in (lambda: DrawingSpec.build(**json.loads(text)), lambda: parse_text(text)):
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error
+        assert info.value.rule == rule
+        assert str(info.value).startswith(f"{rule}: ")
 
 
 def test_torus_rotation_rejected():

@@ -11,7 +11,6 @@ from crossing_ledger import (
     conflict_graph,
     decompose_with,
     extract_skeleton,
-    skeleton_faces,
 )
 from crossing_ledger.generator import generate_optimal
 from crossing_ledger.skeleton import _MisSolver
@@ -84,7 +83,7 @@ def test_generated_skeleton_size_and_shape():
         pmap = build_map(generate_optimal(n))
         dec = extract_skeleton(pmap, "exact")
         assert len(dec.skeleton_edges) == 3 * n - 6
-        assert all(f.length == 3 for f in skeleton_faces(dec))
+        assert all(f.length == 3 for f in dec.faces)
         assert dec.skeleton_map.crossing_ids == ()
         assert dec.optimal_certificate
 

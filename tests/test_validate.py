@@ -5,7 +5,6 @@ from crossing_ledger import (
     check_homotopy,
     check_k_planar,
     check_sanity,
-    check_spec,
     restrict,
     validate_drawing,
 )
@@ -120,19 +119,6 @@ def test_sanity_warns_on_double_crossing(double_crossing_spec):
     report = check_sanity(pmap)
     assert report.ok  # warning, not violation
     assert any("cross each other 2 times" in w for w in report.warnings)
-
-
-def test_spec_level_self_crossing_reported():
-    spec = DrawingSpec.build(
-        vertices=["v1", "v2"],
-        edges=[("e", "v1", "v2")],
-        chains={"e": ["x"]},
-        crossings={"x": ["e", "e"]},
-        rotations={"v1": [("e", "+")], "v2": [("e", "-")]},
-    )
-    report = check_spec(spec)
-    assert not report.ok
-    assert any(v.rule == "self-crossing" for v in report.violations)
 
 
 def test_crossing_parallel_pair_warns_instead_of_guessing():
