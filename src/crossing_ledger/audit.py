@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedK
+from .errors import InvariantError, UnsupportedK
 from .segments import FaceProfile, SegmentPiece
 from .skeleton import SkeletonDecomposition
 
@@ -64,9 +64,15 @@ def bounds_table() -> dict:
 
 
 def k_bound(n: int, k: int) -> int:
-    """Maximum edge count of a drawing on ``n`` vertices with crossing budget ``k``."""
+    """Maximum edge count of a drawing on ``n`` vertices with crossing budget ``k``.
+
+    The bound is stated for ``n >= 3``; fewer vertices raise
+    :class:`InvariantError` with rule ``bound-vertex-count``.
+    """
     if n < 3:
-        raise ValueError("n must be at least 3")
+        raise InvariantError(
+            "bound-vertex-count", f"the edge-count bound needs at least 3 vertices; got {n}"
+        )
     if k not in BOUND_TABLE:
         raise UnsupportedK(k, n, SQRT_COEFFICIENT * math.sqrt(k) * n)
     return BOUND_TABLE[k].max_edges(n)

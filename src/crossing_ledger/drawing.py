@@ -447,9 +447,17 @@ class PlanarizedMap:
     def rotation(self, node: str) -> tuple[Dart, ...]:
         return self._rot[node]
 
+    def rotation_index(self, d: Dart) -> int:
+        """Position of an outgoing dart in the rotation at its tail."""
+        return self._rot_index[d][1]
+
     def face_of_dart(self, d: Dart) -> tuple[str, int]:
         idx, pos = self._dart_face[d]
         return (self._faces[idx].face_id, pos)
+
+    def face_index_of_dart(self, d: Dart) -> int:
+        """Index into :attr:`faces` of the face to the right of a dart."""
+        return self._dart_face[d][0]
 
     def segment_count(self) -> int:
         return sum(len(seq) - 1 for seq in self._node_seq.values())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .drawing import DrawingSpec, FaceWalk, PlanarizedMap, build_map
+from .drawing import DrawingSpec, FaceWalk, build_map
 from .errors import BadN, NotHexagon
 
 STRICT_ENV_VAR = "CROSSING_LEDGER_MODE"
@@ -273,6 +273,32 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _relabel(template: HexGadget, corners: tuple[str, ...], prefix: str) -> HexGadget:
+    """The template gadget with its ids moved under ``prefix`` and its corners replaced.
+
+    Corners map by position, so the result equals :func:`hexagon_gadget` on a
+    face whose anchored walk visits ``corners``.
+    """
+    cut = len(template.prefix)
+
+    def rename(x: str) -> str:
+        return prefix + x[cut:]
+
+    def entries(rot):
+        return tuple((rename(e), d) for e, d in rot)
+
+    corner_of = dict(zip(template.corners, corners))
+    return HexGadget(
+        prefix=prefix,
+        corners=corners,
+        edges=tuple((rename(e), corner_of[a], corner_of[b]) for e, a, b in template.edges),
+        chains={rename(e): tuple(map(rename, cs)) for e, cs in template.chains.items()},
+        crossings={rename(c): (rename(e), rename(f)) for c, (e, f) in template.crossings.items()},
+        crossing_rotations={rename(c): entries(r) for c, r in template.crossing_rotations.items()},
+        corner_insertions={k: entries(r) for k, r in template.corner_insertions.items()},
+    )
+
+
 def generate_optimal(n: int, strict: bool | None = None) -> DrawingSpec:
     """Drawing on n vertices with 11n/2 - 11 edges, none crossed over 3 times."""
     fs = frame_spec(n, strict)
@@ -284,31 +310,35 @@ def generate_optimal(n: int, strict: bool | None = None) -> DrawingSpec:
     chains: dict[str, list] = {e: list(cs) for e, cs in frame.chains.items()}
     crossings: dict[str, tuple[str, str]] = {}
     rotations: dict[str, list] = {node: list(rot) for node, rot in frame.rotations.items()}
+    # node -> frame rotation position -> gadget entries spliced in after it.
+    splices: dict[str, dict[int, tuple[tuple[str, str], ...]]] = {}
 
     u = fs.poles[0]
-    for q, face in enumerate(sorted(fmap.faces, key=lambda f: f.face_id)):
-        gadget = hexagon_gadget(face, anchor=u, prefix=f"G{q}")
+    faces = sorted(fmap.faces, key=lambda f: f.face_id)
+    # Every frame face is a hexagon, so one exact computation serves them all.
+    template = hexagon_gadget(faces[0], anchor=u, prefix="G0")
+    for q, face in enumerate(faces):
+        offset = face.nodes.index(u)
+        gadget = _relabel(template, face.nodes[offset:] + face.nodes[:offset], f"G{q}")
         edges.extend(gadget.edges)
         chains.update({e: list(cs) for e, cs in gadget.chains.items()})
         crossings.update(gadget.crossings)
         rotations.update({c: list(r) for c, r in gadget.crossing_rotations.items()})
 
         # The walk dart arriving at corner occurrence k and the one leaving it
-        # flank the corner's wedge; splice the gadget entries between them.
-        offset = face.nodes.index(u)
+        # flank the corner's wedge, and the second follows the reversal of the
+        # first in the frame rotation; splice the gadget entries between them.
         for k in range(6):
             inserted = gadget.corner_insertions[k]
             if not inserted:
                 continue
-            node = gadget.corners[k]
-            d_in = face.darts[(offset + k) % 6]
-            d_out = face.darts[(offset + k + 1) % 6]
-            opening = _entry_of_dart(fmap, fmap.twin(d_in))
-            closing = _entry_of_dart(fmap, d_out)
-            rot = rotations[node]
-            i = rot.index(opening)
-            assert rot[(i + 1) % len(rot)] == closing
-            rotations[node] = rot[: i + 1] + list(inserted) + rot[i + 1:]
+            opening = fmap.twin(face.darts[(offset + k) % 6])
+            splices.setdefault(gadget.corners[k], {})[fmap.rotation_index(opening)] = inserted
+
+    for node, after in splices.items():
+        rotations[node] = [
+            x for i, entry in enumerate(frame.rotations[node]) for x in (entry, *after.get(i, ()))
+        ]
 
     return DrawingSpec.build(
         vertices=vertices,
@@ -317,7 +347,3 @@ def generate_optimal(n: int, strict: bool | None = None) -> DrawingSpec:
         crossings=crossings,
         rotations=rotations,
     )
-
-
-def _entry_of_dart(pmap: PlanarizedMap, d) -> tuple[str, str]:
-    return (d[0], "+" if d[2] == 1 else "-")

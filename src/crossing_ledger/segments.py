@@ -271,7 +271,7 @@ class _Resolver:
         floating inside the face).
         """
         rot = self.full.rotation(vertex)
-        i = rot.index(out_dart)
+        i = self.full.rotation_index(out_dart)
         for step in range(1, len(rot) + 1):
             d = rot[(i + step) % len(rot)]
             if d[0] in self.skeleton_set:

@@ -87,6 +87,52 @@ def one_sided_parallel_spec() -> DrawingSpec:
 
 
 @pytest.fixture
+def crossing_parallel_spec() -> DrawingSpec:
+    """Parallel pair crossing each other once: a figure-eight with three regions."""
+    return DrawingSpec.build(
+        vertices=["u", "v"],
+        edges=[("e1", "u", "v"), ("e2", "u", "v")],
+        chains={"e1": ["x"], "e2": ["x"]},
+        crossings={"x": ["e1", "e2"]},
+        rotations={
+            "u": [("e1", "+"), ("e2", "+")],
+            "v": [("e1", "-"), ("e2", "-")],
+            "x": [("e1", "+"), ("e2", "-"), ("e1", "-"), ("e2", "+")],
+        },
+    )
+
+
+@pytest.fixture
+def lonely_loop_spec() -> DrawingSpec:
+    """Self-loop at u with a vertex on one side only; fails the homotopy rule."""
+    return DrawingSpec.build(
+        vertices=["u", "w"],
+        edges=[("loop", "u", "u"), ("g", "u", "w")],
+        rotations={
+            "u": [("loop", "+"), ("g", "+"), ("loop", "-")],
+            "w": [("g", "-")],
+        },
+    )
+
+
+@pytest.fixture
+def pierced_loop_spec() -> DrawingSpec:
+    """Self-loop at u crossed by an edge whose ends lie on either side of it."""
+    return DrawingSpec.build(
+        vertices=["u", "w", "x"],
+        edges=[("loop", "u", "u"), ("g", "w", "x")],
+        chains={"loop": ["c"], "g": ["c"]},
+        crossings={"c": ["loop", "g"]},
+        rotations={
+            "u": [("loop", "+"), ("loop", "-")],
+            "w": [("g", "+")],
+            "x": [("g", "-")],
+            "c": [("loop", "+"), ("g", "+"), ("loop", "-"), ("g", "-")],
+        },
+    )
+
+
+@pytest.fixture
 def double_crossing_spec() -> DrawingSpec:
     """Two edges crossing each other twice (legal, but warned about)."""
     return DrawingSpec.build(

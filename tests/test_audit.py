@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from crossing_ledger import (
+    InvariantError,
     UnsupportedK,
     associate,
     bounds_table,
@@ -165,6 +166,12 @@ def test_bound_values_at_twenty():
 def test_bound_small_and_odd():
     assert k_bound(3, 1) == 4
     assert k_bound(7, 3) == 27  # floor of 27.5
+
+
+def test_bound_below_three_vertices_is_a_typed_error():
+    with pytest.raises(InvariantError) as exc:
+        k_bound(2, 3)
+    assert exc.value.rule == "bound-vertex-count"
 
 
 def test_bound_matches_density_report_source():

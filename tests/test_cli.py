@@ -35,6 +35,12 @@ def test_generate_strict_rejects_bad_parity():
     assert "divisible" in err
 
 
+def test_audit_of_two_vertices_exits_with_error_line(bigon_spec):
+    code, out, err = _run(["audit", "--k", "3", "-"], stdin_text=emit_drawing(bigon_spec))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bound-vertex-count: ")
+
+
 def test_validate_exit_codes(ladder_spec, triangle_spec):
     code, out, _ = _run(["validate", "--k", "3", "-"], stdin_text=emit_drawing(ladder_spec))
     assert code == 2

@@ -16,7 +16,7 @@ from crossing_ledger import (
     theta_frame,
     validate_drawing,
 )
-from crossing_ledger.generator import _DIAGONALS, STRICT_ENV_VAR, STRICT_ENV_VALUE
+from crossing_ledger.generator import _DIAGONALS, STRICT_ENV_VAR, STRICT_ENV_VALUE, _relabel
 
 # Crossing-partner sequences along each diagonal, frozen from the convex
 # hexagon: chords cross exactly when their corner indices interleave, and the
@@ -112,6 +112,16 @@ def test_gadget_chain_orders_frozen():
             other = e2 if e1 == f"G.{slot}" else e1
             partners.append(int(other.split(".")[1]))
         assert partners == expected, slot
+
+
+def test_relabelled_template_equals_gadget_of_every_face():
+    # generate_optimal computes the gadget of the first face only and relabels it.
+    for n in (6, 8, 10, 30, 54, 102):
+        faces = sorted(build_map(theta_frame(n)).faces, key=lambda f: f.face_id)
+        template = hexagon_gadget(faces[0], anchor="u", prefix="G0")
+        for q, face in enumerate(faces):
+            gadget = hexagon_gadget(face, anchor="u", prefix=f"G{q}")
+            assert _relabel(template, gadget.corners, f"G{q}") == gadget
 
 
 def test_short_triple_is_independent():

@@ -82,17 +82,9 @@ def test_simple_graph_is_vacuously_fine(square_diagonals_spec):
     assert report.ok and not report.warnings
 
 
-def test_self_loop_needs_both_sides_inhabited():
+def test_self_loop_needs_both_sides_inhabited(lonely_loop_spec):
     # loop at u with one vertex inside and none outside
-    lonely = DrawingSpec.build(
-        vertices=["u", "w"],
-        edges=[("loop", "u", "u"), ("g", "u", "w")],
-        rotations={
-            "u": [("loop", "+"), ("g", "+"), ("loop", "-")],
-            "w": [("g", "-")],
-        },
-    )
-    report = check_homotopy(build_map(lonely))
+    report = check_homotopy(build_map(lonely_loop_spec))
     assert not report.ok
     assert report.violations[0].rule == "homotopic-loop"
 
@@ -121,44 +113,26 @@ def test_sanity_warns_on_double_crossing(double_crossing_spec):
     assert any("cross each other 2 times" in w for w in report.warnings)
 
 
-def test_crossing_parallel_pair_warns_instead_of_guessing():
+def test_crossing_parallel_pair_warns_instead_of_guessing(crossing_parallel_spec):
     # a parallel pair whose members cross each other once: the joint curve is
     # a figure-eight, so no two-region verdict is possible
-    spec = DrawingSpec.build(
-        vertices=["u", "v"],
-        edges=[("e1", "u", "v"), ("e2", "u", "v")],
-        chains={"e1": ["x"], "e2": ["x"]},
-        crossings={"x": ["e1", "e2"]},
-        rotations={
-            "u": [("e1", "+"), ("e2", "+")],
-            "v": [("e1", "-"), ("e2", "-")],
-            "x": [("e1", "+"), ("e2", "-"), ("e1", "-"), ("e2", "+")],
-        },
-    )
-    report = check_homotopy(build_map(spec))
+    report = check_homotopy(build_map(crossing_parallel_spec))
     assert report.ok
     assert any("cross each other" in w for w in report.warnings)
 
 
-def test_self_loop_with_a_crossing():
-    # loop at u pierced by an ordinary edge; one lobe holds w, the loop's two
-    # sides hold w and x
-    spec = DrawingSpec.build(
-        vertices=["u", "w", "x"],
-        edges=[("loop", "u", "u"), ("g", "w", "x")],
-        chains={"loop": ["c"], "g": ["c"]},
-        crossings={"c": ["loop", "g"]},
-        rotations={
-            "u": [("loop", "+"), ("loop", "-")],
-            "w": [("g", "+")],
-            "x": [("g", "-")],
-            "c": [("loop", "+"), ("g", "+"), ("loop", "-"), ("g", "-")],
-        },
-    )
-    pmap = build_map(spec)
+def test_self_loop_with_a_crossing(pierced_loop_spec):
+    # loop at u pierced by an ordinary edge; the loop's two sides hold w and x
+    pmap = build_map(pierced_loop_spec)
     report = check_homotopy(pmap)
     assert report.ok
     assert check_k_planar(pmap, 1).ok
+
+
+def test_tight_family_at_scale_passes_every_check():
+    pmap = build_map(generate_optimal(802))
+    for report in (check_sanity(pmap), check_homotopy(pmap), check_k_planar(pmap, 3)):
+        assert report.ok and not report.warnings
 
 
 def test_removing_an_edge_never_adds_violations(ladder_spec):
