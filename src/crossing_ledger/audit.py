@@ -12,6 +12,7 @@ checks report; nothing here ever transforms the drawing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,7 +228,10 @@ def associate(
             continue
         mapping[face_id] = target
 
-    # Resolve pairs of triangles that claimed the same partner.
+    # Resolve pairs of triangles that claimed the same partner.  ``claimed``
+    # counts the sources mapped to each partner; before resolution several
+    # can share one, so it is a multiset and not a set.
+    claimed = Counter(mapping.values())
     claims: dict[str, list[str]] = {}
     for src, dst in sorted(mapping.items()):
         claims.setdefault(dst, []).append(src)
@@ -244,6 +248,7 @@ def associate(
             )
             for s in srcs[1:]:
                 del mapping[s]
+                claimed[target] -= 1
             continue
         keep, move = sorted(srcs)
         tprof = by_id[target]
@@ -257,7 +262,7 @@ def associate(
             cprof = by_id.get(cand)
             if (
                 cprof is not None
-                and cand not in mapping.values()
+                and not claimed[cand]
                 and cand not in mapping
                 and cprof.stick_count <= 2
                 and cand != target
@@ -274,8 +279,11 @@ def associate(
                 )
             )
             del mapping[move]
+            claimed[target] -= 1
             continue
         mapping[move] = fallback
+        claimed[target] -= 1
+        claimed[fallback] += 1
         notes.append(
             f"{move} re-routed from {target} to {fallback} (both {keep} and {move} "
             f"claimed {target})"

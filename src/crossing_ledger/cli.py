@@ -185,8 +185,8 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
         if args.command == "validate":
             spec = _read_spec(args.file, stdin)
             report = _validate(build_map(spec), args.k)
-            doc = report_document(spec, {"validation": report.to_dict()})
             if args.format == "json":
+                doc = report_document(spec, {"validation": report.to_dict()})
                 _write(emit_report(doc), None, stdout)
             else:
                 lines: list[str] = []
@@ -206,8 +206,8 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
                     "pieces": [p.to_dict() for p in pieces],
                     "faces": [p.to_dict() for p in profiles],
                 }
-            doc = report_document(spec, sections)
             if args.format == "json":
+                doc = report_document(spec, sections)
                 _write(emit_report(doc), None, stdout)
             else:
                 lines = [
@@ -233,12 +233,12 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
             pieces = decompose(dec)
             profiles = face_profiles(dec, pieces)
             report = density_report(dec, profiles, pieces, k=args.k)
-            doc = report_document(
-                spec,
-                {"validation": validation.to_dict(), "audit": report.to_dict()},
-                include_drawing=False,
-            )
             if args.format == "json":
+                doc = report_document(
+                    spec,
+                    {"validation": validation.to_dict(), "audit": report.to_dict()},
+                    include_drawing=False,
+                )
                 _write(emit_report(doc), None, stdout)
             else:
                 lines = []

@@ -3,13 +3,23 @@
 Topology is the contract; geometry here is cosmetic.  The SVG layout pins a
 chosen outer face on a circle and relaxes every other node to the average of
 its rotation neighbors (fixed iteration count, so output is deterministic).
+
+The SVG is byte-stable, and the coordinates are printed to two decimals,
+where the last bit of a value and the sign of zero can show (``-0.00`` and
+``0.00`` differ).  So the order of the Gauss–Seidel updates is part of the
+output contract: free nodes in sorted order within each sweep, each node's
+neighbours in rotation order with repeats kept, summed left to right by
+``sum`` (which starts from the integer 0) and divided by the integer degree.
+``tests/_layout_oracle.py`` keeps the original dict-based layout, and
+``tests/test_layout_oracle.py`` checks that the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
-from .drawing import PlanarizedMap
+from .drawing import FaceWalk, PlanarizedMap
 from .errors import BadHint
 
 
@@ -36,33 +46,35 @@ def _to_dot(pmap: PlanarizedMap) -> str:
 
 
 def _layout_component(
-    pmap: PlanarizedMap, nodes: list[str], outer_face_id: str, iterations: int = 300
+    pmap: PlanarizedMap, nodes: list[str], outer: FaceWalk, iterations: int = 300
 ) -> dict[str, tuple[float, float]]:
-    outer = pmap.face(outer_face_id)
-    pinned: dict[str, tuple[float, float]] = {}
-    distinct: list[str] = []
-    for node in outer.nodes:
-        if node not in distinct:
-            distinct.append(node)
+    index = {node: i for i, node in enumerate(nodes)}
+    xs = [0.0] * len(nodes)
+    ys = [0.0] * len(nodes)
+    distinct = list(dict.fromkeys(outer.nodes))
     r = 100.0
     for i, node in enumerate(distinct):
         angle = 2 * math.pi * i / len(distinct)
-        pinned[node] = (r * math.cos(angle), r * math.sin(angle))
+        xs[index[node]] = r * math.cos(angle)
+        ys[index[node]] = r * math.sin(angle)
 
-    pos = {node: pinned.get(node, (0.0, 0.0)) for node in nodes}
-    free = [node for node in nodes if node not in pinned]
-    neighbors = {
-        node: [pmap.head(d) for d in pmap.rotation(node)] for node in nodes
-    }
+    # One (index, getter, degree) per free node, in ``nodes`` order.  The
+    # getter returns the neighbours' coordinates in rotation order, repeats
+    # kept; a slice keeps the one-neighbour case a sequence.  Every node here
+    # lies on a face, so it has at least one neighbour.
+    pinned = set(distinct)
+    sweep = []
+    for i, node in enumerate(nodes):
+        if node in pinned:
+            continue
+        nbrs = [index[pmap.head(d)] for d in pmap.rotation(node)]
+        get = itemgetter(*nbrs) if len(nbrs) > 1 else itemgetter(slice(nbrs[0], nbrs[0] + 1))
+        sweep.append((i, get, len(nbrs)))
     for _ in range(iterations):
-        for node in free:
-            nbrs = neighbors[node]
-            if not nbrs:
-                continue
-            x = sum(pos[v][0] for v in nbrs) / len(nbrs)
-            y = sum(pos[v][1] for v in nbrs) / len(nbrs)
-            pos[node] = (x, y)
-    return pos
+        for i, get, k in sweep:
+            xs[i] = sum(get(xs)) / k
+            ys[i] = sum(get(ys)) / k
+    return dict(zip(nodes, zip(xs, ys)))
 
 
 def _to_svg(pmap: PlanarizedMap, outer_face_hint: str | None = None) -> str:
@@ -76,19 +88,21 @@ def _to_svg(pmap: PlanarizedMap, outer_face_hint: str | None = None) -> str:
     for c in pmap.crossing_ids:
         comp_nodes.setdefault(pmap.component_of(c), []).append(c)
 
+    comp_faces: dict[int, list[FaceWalk]] = {}
+    for f in pmap.faces:
+        comp_faces.setdefault(pmap.component_of(f.nodes[0]), []).append(f)
+
     pos: dict[str, tuple[float, float]] = {}
     offset = 0.0
     for comp in sorted(comp_nodes):
         nodes = sorted(comp_nodes[comp])
-        faces = [f for f in pmap.faces if pmap.component_of(f.nodes[0]) == comp]
+        faces = comp_faces.get(comp)
         if not faces:  # isolated vertex
             pos[nodes[0]] = (offset, 0.0)
             offset += 60.0
             continue
-        if outer_face_hint is not None and any(f.face_id == outer_face_hint for f in faces):
-            outer = outer_face_hint
-        else:
-            outer = max(faces, key=lambda f: (f.length, f.face_id)).face_id
+        hinted = [f for f in faces if f.face_id == outer_face_hint]
+        outer = hinted[0] if hinted else max(faces, key=lambda f: (f.length, f.face_id))
         local = _layout_component(pmap, nodes, outer)
         for node, (x, y) in local.items():
             pos[node] = (x + offset + 100.0, y)

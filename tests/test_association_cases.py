@@ -2,11 +2,20 @@
 
 The pairing logic is a pure function of face profiles and stick pieces, so
 the corner cases (2+1 placements, nonconformant inputs, claim conflicts) are
-exercised directly on hand-built inputs rather than full drawings.
+exercised directly on hand-built inputs rather than full drawings.  The
+claim bookkeeping is checked against the linear-scan version it replaced,
+kept in ``_association_oracle``.
 """
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
+import _association_oracle as oracle
+
+from crossing_ledger import build_map, decompose, extract_skeleton, face_profiles, generate_optimal
 from crossing_ledger.audit import associate
 from crossing_ledger.segments import CrossedRef, FaceProfile, SegmentPiece
 
@@ -158,3 +167,57 @@ def test_non_triangular_profile_disables_association():
     )
     result = associate([prof], [])
     assert not result.applicable
+
+
+def _random_sticks(rng, face):
+    # (corner, crossed side) per stick: mostly the two conformant shapes of a
+    # 3-stick triangle, sometimes a partner-sized triangle or a random mix.
+    kind = rng.random()
+    if kind < 0.35:
+        corner, side = rng.randrange(3), rng.randrange(3)
+        spec = [(corner, side)] * 3
+    elif kind < 0.7:
+        two, one = rng.sample(range(3), 2)
+        spec = [(two, rng.randrange(3)), (two, rng.randrange(3)), (one, (one + 2) % 3)]
+    elif kind < 0.9:
+        spec = [(rng.randrange(3), rng.randrange(3)) for _ in range(rng.randrange(3))]
+    else:
+        spec = [(rng.choice((0, 1, 2, None)), rng.randrange(3)) for _ in range(3)]
+    return [_stick(f"{face}s{j}#0", c, side, face) for j, (c, side) in enumerate(spec)]
+
+
+def _random_case(rng):
+    # Triangles with random neighbours among few faces, so that partners are
+    # often claimed twice or more and re-routing competes for fallbacks.
+    names = [f"F{i}" for i in range(rng.randint(2, 12))]
+    profiles, pieces = [], []
+    for face in names:
+        sticks = _random_sticks(rng, face)
+        tau = [sum(1 for s in sticks if s.occurrence == c) for c in range(3)]
+        neighbors = [rng.choice(names) for _ in range(3)]
+        profiles.append(
+            _triangle(face, ("a", "b", "c"), neighbors, tau, [s.piece_id for s in sticks])
+        )
+        pieces += sticks
+    return profiles, pieces
+
+
+def test_agrees_with_linear_scan_oracle_on_random_profiles():
+    rng = random.Random(20161)
+    rerouted = 0
+    for _ in range(3000):
+        profiles, pieces = _random_case(rng)
+        result = associate(profiles, pieces)
+        assert result == oracle.associate(profiles, pieces)
+        rerouted += len(result.notes)
+    assert rerouted > 50
+
+
+@pytest.mark.parametrize("n", range(6, 104, 2))
+def test_agrees_with_linear_scan_oracle_on_tight_family(n):
+    dec = extract_skeleton(build_map(generate_optimal(n)), "exact")
+    pieces = decompose(dec)
+    profiles = face_profiles(dec, pieces)
+    result = associate(profiles, pieces)
+    assert result == oracle.associate(profiles, pieces)
+    assert len(result.notes) == (n - 2) // 2

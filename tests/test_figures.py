@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -34,6 +35,14 @@ def test_svg_outer_face_hint(square_diagonals_spec):
     export_figure(pmap, "svg", outer_face_hint=pmap.faces[0].face_id)
     with pytest.raises(BadHint):
         export_figure(pmap, "svg", outer_face_hint="f99")
+
+
+def test_svg_of_the_benchmark_drawing_is_pinned():
+    # The SVG the ``render`` benchmark exports, as the dict-based layout wrote it.
+    text = export_figure(build_map(generate_optimal(202)), "svg")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "181966dcc7f8f52847c4a32a98a5125a049edfebcf682426a493c05a9e2df52a"
+    )
 
 
 def test_svg_is_deterministic(square_diagonals_spec):
