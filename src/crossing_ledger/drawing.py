@@ -420,12 +420,6 @@ class PlanarizedMap:
     def faces(self) -> tuple[FaceWalk, ...]:
         return self._faces
 
-    def face(self, face_id: str) -> FaceWalk:
-        for f in self._faces:
-            if f.face_id == face_id:
-                return f
-        raise KeyError(face_id)
-
     def node_kind(self, node: str) -> str:
         return self._kind[node]
 

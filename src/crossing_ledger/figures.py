@@ -8,8 +8,10 @@ The SVG is byte-stable, and the coordinates are printed to two decimals,
 where the last bit of a value and the sign of zero can show (``-0.00`` and
 ``0.00`` differ).  So the order of the Gauss–Seidel updates is part of the
 output contract: free nodes in sorted order within each sweep, each node's
-neighbours in rotation order with repeats kept, summed left to right by
-``sum`` (which starts from the integer 0) and divided by the integer degree.
+neighbours in rotation order with repeats kept, added one at a time from
+left to right to the integer 0, and the total divided by the integer degree.
+Plain float additions give the same bits on every Python version.  The x and
+y axes never read each other, so all sweeps of x run before those of y.
 ``tests/_layout_oracle.py`` keeps the original dict-based layout, and
 ``tests/test_layout_oracle.py`` checks that the two agree bit for bit.
 """
@@ -17,7 +19,7 @@ neighbours in rotation order with repeats kept, summed left to right by
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from typing import Callable
 
 from .drawing import FaceWalk, PlanarizedMap
 from .errors import BadHint
@@ -45,6 +47,41 @@ def _to_dot(pmap: PlanarizedMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Bounds on the generated sweep code: free nodes per compiled function, and
+# terms per addition chain.  Python's compiler recurses once per term of a
+# chain, so an unbounded chain at a high-degree node (a pole of the tight
+# family has degree 2n) raises RecursionError; the node bound keeps the size
+# of each compiled function, and the memory its compilation takes, small.
+_NODES_PER_FUNCTION = 128
+_TERMS_PER_SUM = 32
+
+
+def _compile_sweep(sweep: list[tuple[int, list[int]]]) -> list[Callable[[list[float]], None]]:
+    """One Gauss–Seidel sweep as straight-line functions over a coordinate list.
+
+    ``sweep`` holds, in update order, each free node's index and its
+    neighbours' indices.  Calling the returned functions in order on a list
+    ``c`` sets ``c[i] = (0 + c[a] + c[b] + ...) / k`` for every entry, with
+    ``k`` the number of neighbours.  A longer sum is folded left to right
+    through a temporary, ``_TERMS_PER_SUM`` terms per statement.  Only
+    integers reach the generated source.
+    """
+    funcs = []
+    for start in range(0, len(sweep), _NODES_PER_FUNCTION):
+        lines = ["def sweep(c):"]
+        for i, nbrs in sweep[start : start + _NODES_PER_FUNCTION]:
+            terms = [f"c[{j}]" for j in nbrs]
+            total = "0"
+            while len(terms) > _TERMS_PER_SUM:
+                lines.append(f"    t = {' + '.join([total, *terms[:_TERMS_PER_SUM]])}")
+                total, terms = "t", terms[_TERMS_PER_SUM:]
+            lines.append(f"    c[{i}] = ({' + '.join([total, *terms])}) / {len(nbrs)}")
+        namespace: dict = {}
+        exec(compile("\n".join(lines), "<layout sweep>", "exec"), namespace)
+        funcs.append(namespace["sweep"])
+    return funcs
+
+
 def _layout_component(
     pmap: PlanarizedMap, nodes: list[str], outer: FaceWalk, iterations: int = 300
 ) -> dict[str, tuple[float, float]]:
@@ -58,22 +95,20 @@ def _layout_component(
         xs[index[node]] = r * math.cos(angle)
         ys[index[node]] = r * math.sin(angle)
 
-    # One (index, getter, degree) per free node, in ``nodes`` order.  The
-    # getter returns the neighbours' coordinates in rotation order, repeats
-    # kept; a slice keeps the one-neighbour case a sequence.  Every node here
-    # lies on a face, so it has at least one neighbour.
+    # Free nodes in ``nodes`` order, each with its neighbours in rotation
+    # order, repeats kept.  Every node here lies on a face, so it has at
+    # least one neighbour.
     pinned = set(distinct)
-    sweep = []
-    for i, node in enumerate(nodes):
-        if node in pinned:
-            continue
-        nbrs = [index[pmap.head(d)] for d in pmap.rotation(node)]
-        get = itemgetter(*nbrs) if len(nbrs) > 1 else itemgetter(slice(nbrs[0], nbrs[0] + 1))
-        sweep.append((i, get, len(nbrs)))
-    for _ in range(iterations):
-        for i, get, k in sweep:
-            xs[i] = sum(get(xs)) / k
-            ys[i] = sum(get(ys)) / k
+    sweep = [
+        (i, [index[pmap.head(d)] for d in pmap.rotation(node)])
+        for i, node in enumerate(nodes)
+        if node not in pinned
+    ]
+    funcs = _compile_sweep(sweep)
+    for coords in (xs, ys):
+        for _ in range(iterations):
+            for f in funcs:
+                f(coords)
     return dict(zip(nodes, zip(xs, ys)))
 
 

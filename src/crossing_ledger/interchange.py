@@ -6,14 +6,20 @@ drawing description, in this order: ``vertices``, ``edges``, ``chains``,
 is the canonical anchor, and the emitter always anchors at the smallest
 entry, so emitting is byte-stable and emit-then-parse is the identity on
 canonical specs.
+
+:func:`emit_drawing` writes that text directly from the spec's tuples, in
+exactly the bytes ``json.dumps(spec.to_doc(), indent=2) + "\n"`` gives;
+``tests/test_emit_oracle.py`` keeps that call as the oracle.  Reports hold
+arbitrary sections, so :func:`emit_report` uses ``json.dumps`` itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from . import __version__
 from .drawing import DrawingSpec
@@ -90,9 +96,45 @@ def parse_drawing(path: str | Path) -> DrawingSpec:
     return parse_text(text)
 
 
+# The opening, separating and closing whitespace of a block at each nesting
+# depth of the canonical layout (two spaces per level, one item per line).
+_LAYOUT = [("\n" + "  " * (d + 1), ",\n" + "  " * (d + 1), "\n" + "  " * d) for d in range(4)]
+
+
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array (or, with ``"{}"``, object) of encoded items at ``depth``."""
+    if not items:
+        return brackets
+    opening, separator, closing = _LAYOUT[depth]
+    return brackets[0] + opening + separator.join(items) + closing + brackets[1]
+
+
+def _strings(values: Iterable[str], depth: int) -> str:
+    return _block(list(map(_quote, values)), depth)
+
+
 def emit_drawing(spec: DrawingSpec) -> str:
-    """Canonical interchange text for a spec (documented key order, 2-space indent)."""
-    return json.dumps(spec.to_doc(), indent=2) + "\n"
+    """Canonical interchange text for a spec (documented key order, 2-space indent).
+
+    Written field by field from the spec's tuples, with ``json``'s own ASCII
+    string encoder, in the bytes ``json.dumps(spec.to_doc(), indent=2)``
+    gives; that call is the test oracle.
+    """
+    fields = (
+        _strings(spec.vertices, 1),
+        _block([_strings(row, 2) for row in spec.edges], 1),
+        _block([f"{_quote(e)}: {_strings(cs, 2)}" for e, cs in spec.chains.items()], 1, "{}"),
+        _block([f"{_quote(c)}: {_strings(p, 2)}" for c, p in spec.crossings.items()], 1, "{}"),
+        _block(
+            [
+                f"{_quote(node)}: {_block([_strings(entry, 3) for entry in rot], 2)}"
+                for node, rot in spec.rotations.items()
+            ],
+            1,
+            "{}",
+        ),
+    )
+    return _block([f"{_quote(k)}: {v}" for k, v in zip(_FIELDS, fields)], 0, "{}") + "\n"
 
 
 def input_digest(spec: DrawingSpec) -> str:

@@ -7,6 +7,11 @@ in a dict of tuples and looks neighbours up on every update, and ``to_svg``
 (the old ``_to_svg``) rescans every face for every component.
 ``tests/test_layout_oracle.py`` checks that both give the same coordinates
 bit for bit, the sign of zero included, and the same SVG.
+
+Two edits since: neighbour coordinates are added one at a time from the
+integer 0, where the code had ``sum``, because ``sum`` of floats is
+compensated from Python 3.12 on (on 3.10 and 3.11 the two are the same
+operations); and the outer face is found by scanning ``pmap.faces``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from crossing_ledger.errors import BadHint
 def _layout_component(
     pmap: PlanarizedMap, nodes: list[str], outer_face_id: str, iterations: int = 300
 ) -> dict[str, tuple[float, float]]:
-    outer = pmap.face(outer_face_id)
+    outer = next(f for f in pmap.faces if f.face_id == outer_face_id)
     pinned: dict[str, tuple[float, float]] = {}
     distinct: list[str] = []
     for node in outer.nodes:
@@ -41,9 +46,11 @@ def _layout_component(
             nbrs = neighbors[node]
             if not nbrs:
                 continue
-            x = sum(pos[v][0] for v in nbrs) / len(nbrs)
-            y = sum(pos[v][1] for v in nbrs) / len(nbrs)
-            pos[node] = (x, y)
+            x = y = 0
+            for v in nbrs:
+                x = x + pos[v][0]
+                y = y + pos[v][1]
+            pos[node] = (x / len(nbrs), y / len(nbrs))
     return pos
 
 

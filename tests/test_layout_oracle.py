@@ -6,6 +6,8 @@ bit or in the sign of zero fails the test, as it could show in the SVG.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,7 @@ from conftest import spec_from
 from test_properties import random_drawings
 
 from crossing_ledger import DrawingSpec, build_map, export_figure, generate_optimal
-from crossing_ledger.figures import _layout_component
+from crossing_ledger.figures import _compile_sweep, _layout_component
 
 FIXTURES = (
     "triangle_spec",
@@ -138,3 +140,109 @@ def test_random_straight_line_drawings(spec):
     _check(pmap)
     for outer in pmap.faces:
         _agree(pmap, outer)
+
+
+def _reference_sweep(coords: list, sweep: list) -> None:
+    """One Gauss–Seidel sweep, each sum added up from the integer 0 in order."""
+    for i, nbrs in sweep:
+        total = 0
+        for j in nbrs:
+            total = total + coords[j]
+        coords[i] = total / len(nbrs)
+
+
+def _kernel_agrees(coords: list, sweep: list) -> list:
+    got, want = list(coords), list(coords)
+    for f in _compile_sweep(sweep):
+        f(got)
+    _reference_sweep(want, sweep)
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    return got
+
+
+def test_kernel_sum_starts_from_integer_zero():
+    # -0.0 + -0.0 is -0.0, but 0 + -0.0 + -0.0 is 0.0.
+    got = _kernel_agrees([1.0, -0.0, -0.0], [(0, [1, 2])])
+    assert repr(got[0]) == "0.0"
+
+
+def test_kernel_adds_left_to_right_in_update_order():
+    # (1 + 1e100) - 1e100 is 0, the reverse order gives 1; node 1 reads the
+    # value node 0 got in the same sweep.
+    got = _kernel_agrees([5.0, 5.0, 1.0, 1e100, -1e100], [(0, [2, 3, 4]), (1, [0, 0])])
+    assert got[:2] == [0.0, 0.0]
+
+
+def test_kernel_long_sums_are_split_and_folded_in_order():
+    # 6400 terms of mixed magnitude, so that any other association or order
+    # of the additions would show; an unsplit chain this long makes the
+    # compiler raise RecursionError.
+    rng = random.Random(6400)
+    coords = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(6401)]
+    nbrs = [rng.randrange(1, 6401) for _ in range(6400)]
+    _kernel_agrees(coords, [(0, nbrs), *((i, [0, i + 1]) for i in range(1, 300))])
+
+
+def test_kernel_compiles_nothing_without_free_nodes():
+    assert _compile_sweep([]) == []
+
+
+def test_free_hub_of_degree_6400():
+    # A wheel with the rim outside: the hub is the one free node and takes
+    # the mean of 6400 pinned rim vertices.
+    k = 6400
+    rim = [f"r{i:04d}" for i in range(k)]
+    edges = [(f"e{i:04d}", rim[i], rim[(i + 1) % k]) for i in range(k)]
+    edges += [(f"s{i:04d}", "hub", rim[i]) for i in range(k)]
+    rotations = {"hub": [(f"s{i:04d}", "+") for i in range(k)]}
+    for i in range(k):
+        rotations[rim[i]] = [(f"e{i:04d}", "+"), (f"s{i:04d}", "-"), (f"e{(i - 1) % k:04d}", "-")]
+    spec = DrawingSpec.build(
+        vertices=["hub", *rim],
+        edges=edges,
+        chains={e: [] for e, _, _ in edges},
+        crossings={},
+        rotations=rotations,
+    )
+    pmap = build_map(spec)
+    (outer,) = _default_outer_faces(pmap)
+    assert outer.length == k
+    _agree(pmap, outer)
+
+
+def test_component_without_free_nodes():
+    # A triangle and a disjoint edge: every node lies on its component's
+    # outer face, so nothing is relaxed.
+    spec = spec_from(
+        {"v1": (0, 0), "v2": (4, 0), "v3": (2, 3), "w1": (10, 0), "w2": (12, 0)},
+        [("a", "v1", "v2"), ("b", "v2", "v3"), ("c", "v3", "v1"), ("d", "w1", "w2")],
+    )
+    pmap = build_map(spec)
+    for outer in _default_outer_faces(pmap):
+        assert set(outer.nodes) == {
+            node
+            for node in (*pmap.vertices, *pmap.crossing_ids)
+            if pmap.component_of(node) == pmap.component_of(outer.nodes[0])
+        }
+    _check(pmap)
+
+
+def test_ids_with_code_characters():
+    # Ids never reach the generated sweep code, only indices do.
+    hub = 'p")#(\'\\'
+    spec = spec_from(
+        {"v)1": (0, 0), "#v2": (8, 0), "'v3'": (4, 6), hub: (4, 2), '"v4"': (6, -3)},
+        [
+            ("a)", "v)1", "#v2"),
+            ("#b", "#v2", "'v3'"),
+            ('c"', "'v3'", "v)1"),
+            ("d#)", hub, "v)1"),
+            ("e'", hub, "#v2"),
+            ('f"(', hub, "'v3'"),
+            ("g\\", '"v4"', "'v3'"),
+        ],
+    )
+    pmap = build_map(spec)
+    assert pmap.crossing_ids
+    _check(pmap)
+    _check_every_hint(pmap)
