@@ -5,91 +5,85 @@ rules (crossing budget, non-homotopic multi-edges), extract the largest
 crossing-free substructure, decompose the remaining edges into sticks and
 middle parts, audit edge-density bounds, and generate the tight family of
 densest 3-planar drawings.
+
+Each public name loads its module on first access (PEP 562), so importing
+the package costs almost nothing and a caller pays only for what it uses.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .drawing import DrawingSpec, build_map, restrict
-from .errors import (
-    BadHint,
-    BadN,
-    BudgetExceeded,
-    CrossingLedgerError,
-    DanglingCrossing,
-    InvalidRotation,
-    InvariantError,
-    NonSpherical,
-    NotHexagon,
-    ParseError,
-    UnsupportedK,
-)
-from .validate import check_homotopy, check_k_planar, check_sanity, validate_drawing
-from .skeleton import conflict_graph, decompose_with, extract_skeleton
-from .segments import decompose, face_profiles
-from .audit import (
-    associate,
-    bounds_table,
-    density_report,
-    k_bound,
-    overfull_triangles,
-    structural_predicates,
-)
-from .generator import (
-    chords_interleave,
-    frame_spec,
-    generate_optimal,
-    hexagon_gadget,
-    theta_frame,
-)
-from .interchange import (
-    emit_drawing,
-    input_digest,
-    parse_drawing,
-    parse_text,
-    report_document,
-)
-from .figures import export_figure
+# Public name -> the module that defines it, in the order of ``__all__``.
+_EXPORTS = {
+    "DrawingSpec": "drawing",
+    "build_map": "drawing",
+    "restrict": "drawing",
+    "check_homotopy": "validate",
+    "check_k_planar": "validate",
+    "check_sanity": "validate",
+    "validate_drawing": "validate",
+    "conflict_graph": "skeleton",
+    "decompose_with": "skeleton",
+    "extract_skeleton": "skeleton",
+    "decompose": "segments",
+    "face_profiles": "segments",
+    "associate": "audit",
+    "bounds_table": "audit",
+    "density_report": "audit",
+    "k_bound": "audit",
+    "overfull_triangles": "audit",
+    "structural_predicates": "audit",
+    "chords_interleave": "generator",
+    "frame_spec": "generator",
+    "generate_optimal": "generator",
+    "hexagon_gadget": "generator",
+    "theta_frame": "generator",
+    "emit_drawing": "interchange",
+    "input_digest": "interchange",
+    "parse_drawing": "interchange",
+    "parse_text": "interchange",
+    "report_document": "interchange",
+    "export_figure": "figures",
+    "BadHint": "errors",
+    "BadN": "errors",
+    "BudgetExceeded": "errors",
+    "CrossingLedgerError": "errors",
+    "DanglingCrossing": "errors",
+    "InvalidRotation": "errors",
+    "InvariantError": "errors",
+    "NonSpherical": "errors",
+    "NotHexagon": "errors",
+    "ParseError": "errors",
+    "UnsupportedK": "errors",
+}
 
-__all__ = [
-    "__version__",
-    "DrawingSpec",
-    "build_map",
-    "restrict",
-    "check_homotopy",
-    "check_k_planar",
-    "check_sanity",
-    "validate_drawing",
-    "conflict_graph",
-    "decompose_with",
-    "extract_skeleton",
-    "decompose",
-    "face_profiles",
-    "associate",
-    "bounds_table",
-    "density_report",
-    "k_bound",
-    "overfull_triangles",
-    "structural_predicates",
-    "chords_interleave",
-    "frame_spec",
-    "generate_optimal",
-    "hexagon_gadget",
-    "theta_frame",
-    "emit_drawing",
-    "input_digest",
-    "parse_drawing",
-    "parse_text",
-    "report_document",
-    "export_figure",
-    "BadHint",
-    "BadN",
-    "BudgetExceeded",
-    "CrossingLedgerError",
-    "DanglingCrossing",
-    "InvalidRotation",
-    "InvariantError",
-    "NonSpherical",
-    "NotHexagon",
-    "ParseError",
-    "UnsupportedK",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def _lazy(table: dict[str, str], namespace: dict):
+    """A module ``__getattr__`` that imports ``table[name]`` on first access.
+
+    ``table`` maps each name to the package module that defines it; the
+    value is stored in ``namespace``, the module's globals, so later lookups
+    skip the hook, and a caller may replace it there.
+    """
+
+    def __getattr__(name: str):
+        try:
+            module = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        value = namespace[name] = getattr(import_module(f".{module}", __name__), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(_EXPORTS, globals())
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

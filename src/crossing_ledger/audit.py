@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, UnsupportedK
+from .errors import BadArgument, InvariantError, UnsupportedK
 from .segments import FaceProfile, SegmentPiece
 from .skeleton import SkeletonDecomposition
 
@@ -605,7 +605,7 @@ def density_report(
     on this input) rather than silently trusted.
     """
     if k not in (3, 4):
-        raise ValueError("density audit supports crossing budgets 3 and 4")
+        raise BadArgument(f"density audit supports crossing budgets 3 and 4; got {k}")
     pmap = dec.full_map
     n = len(pmap.vertices)
     edge_count = len(pmap.edge_ids)

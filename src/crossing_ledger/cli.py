@@ -4,24 +4,62 @@ Subcommands: ``generate``, ``validate``, ``analyze``, ``audit``, ``export``.
 Exit codes: 0 success, 1 usage or parse failure, 2 a rule-violation verdict.
 Drawings are read from a file argument or stdin (``-``), so subcommands
 compose in pipelines.
+
+The library stages are attributes of this module, named in ``_STAGES``, that
+load on first use, so each subcommand imports only the modules it runs
+(``_MODULES``).  ``run`` calls every stage through those names, so a caller
+that replaces one (the benchmark's ``perfbench/layers.py`` wraps each in a
+timing span) sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import TextIO
+from importlib import import_module
+from typing import TYPE_CHECKING, TextIO
 
-from . import __version__
-from .audit import density_report
-from .drawing import DrawingSpec, PlanarizedMap, build_map
+from . import __version__, _lazy
 from .errors import CrossingLedgerError
-from .figures import export_figure
-from .generator import generate_optimal
-from .interchange import emit_drawing, emit_report, parse_text, report_document
-from .segments import decompose, face_profiles
-from .skeleton import extract_skeleton
-from .validate import ValidationReport, check_homotopy, check_k_planar, check_sanity, merge_reports
+
+if TYPE_CHECKING:
+    from .drawing import DrawingSpec, PlanarizedMap
+    from .validate import ValidationReport
+
+# Stage name -> the module that defines it.
+_STAGES = {
+    "generate_optimal": "generator",
+    "parse_text": "interchange",
+    "emit_drawing": "interchange",
+    "report_document": "interchange",
+    "emit_report": "interchange",
+    "build_map": "drawing",
+    "check_sanity": "validate",
+    "check_homotopy": "validate",
+    "check_k_planar": "validate",
+    "merge_reports": "validate",
+    "extract_skeleton": "skeleton",
+    "decompose": "segments",
+    "face_profiles": "segments",
+    "density_report": "audit",
+    "export_figure": "figures",
+}
+
+__getattr__ = _lazy(_STAGES, globals())
+
+# The modules each subcommand runs.  ``run`` imports them before it reads a
+# drawing: in a pipeline such as ``generate | audit`` the imports then overlap
+# the upstream process instead of following it.
+_MODULES = {
+    "generate": ("generator", "interchange"),
+    "export": ("interchange", "figures"),
+    "validate": ("interchange", "validate"),
+    "analyze": ("interchange", "skeleton", "segments"),
+    "audit": ("interchange", "validate", "skeleton", "segments", "audit"),
+}
+
+# This module, also when it runs as ``python -m crossing_ledger.cli``.
+_stage = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,9 +118,9 @@ def _build_parser() -> _Parser:
 
 def _read_spec(path: str, stdin: TextIO) -> DrawingSpec:
     if path == "-":
-        return parse_text(stdin.read())
+        return _stage.parse_text(stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+        return _stage.parse_text(fh.read())
 
 
 def _write(text: str, path: str | None, stdout: TextIO) -> None:
@@ -96,7 +134,9 @@ def _write(text: str, path: str | None, stdout: TextIO) -> None:
 def _validate(pmap: PlanarizedMap, k: int) -> ValidationReport:
     # The same stages as validate_drawing, called through this module's names
     # so that a caller can wrap each stage (the benchmark times them this way).
-    return merge_reports(check_sanity(pmap), check_homotopy(pmap), check_k_planar(pmap, k))
+    return _stage.merge_reports(
+        _stage.check_sanity(pmap), _stage.check_homotopy(pmap), _stage.check_k_planar(pmap, k)
+    )
 
 
 def _violation_lines(report: dict) -> list[str]:
@@ -170,24 +210,27 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
+    for module in _MODULES[args.command]:
+        import_module(f".{module}", __package__)
+
     try:
         if args.command == "generate":
-            spec = generate_optimal(args.n, strict=True if args.strict_paper else None)
-            _write(emit_drawing(spec), args.output, stdout)
+            spec = _stage.generate_optimal(args.n, strict=True if args.strict_paper else None)
+            _write(_stage.emit_drawing(spec), args.output, stdout)
             return EXIT_OK
 
         if args.command == "export":
             spec = _read_spec(args.file, stdin)
-            text = export_figure(build_map(spec), args.figure, args.outer_face)
+            text = _stage.export_figure(_stage.build_map(spec), args.figure, args.outer_face)
             _write(text, args.output, stdout)
             return EXIT_OK
 
         if args.command == "validate":
             spec = _read_spec(args.file, stdin)
-            report = _validate(build_map(spec), args.k)
+            report = _validate(_stage.build_map(spec), args.k)
             if args.format == "json":
-                doc = report_document(spec, {"validation": report.to_dict()})
-                _write(emit_report(doc), None, stdout)
+                doc = _stage.report_document(spec, {"validation": report.to_dict()})
+                _write(_stage.emit_report(doc), None, stdout)
             else:
                 lines: list[str] = []
                 _render_validation(report.to_dict(), lines)
@@ -196,19 +239,19 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
 
         if args.command == "analyze":
             spec = _read_spec(args.file, stdin)
-            pmap = build_map(spec)
-            dec = extract_skeleton(pmap, args.mode)
+            pmap = _stage.build_map(spec)
+            dec = _stage.extract_skeleton(pmap, args.mode)
             sections: dict = {"skeleton": dec.to_dict()}
             if args.segments:
-                pieces = decompose(dec)
-                profiles = face_profiles(dec, pieces)
+                pieces = _stage.decompose(dec)
+                profiles = _stage.face_profiles(dec, pieces)
                 sections["segments"] = {
                     "pieces": [p.to_dict() for p in pieces],
                     "faces": [p.to_dict() for p in profiles],
                 }
             if args.format == "json":
-                doc = report_document(spec, sections)
-                _write(emit_report(doc), None, stdout)
+                doc = _stage.report_document(spec, sections)
+                _write(_stage.emit_report(doc), None, stdout)
             else:
                 lines = [
                     f"skeleton ({dec.mode}): {len(dec.skeleton_edges)} of "
@@ -227,19 +270,19 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
 
         if args.command == "audit":
             spec = _read_spec(args.file, stdin)
-            pmap = build_map(spec)
+            pmap = _stage.build_map(spec)
             validation = _validate(pmap, args.k)
-            dec = extract_skeleton(pmap, args.mode)
-            pieces = decompose(dec)
-            profiles = face_profiles(dec, pieces)
-            report = density_report(dec, profiles, pieces, k=args.k)
+            dec = _stage.extract_skeleton(pmap, args.mode)
+            pieces = _stage.decompose(dec)
+            profiles = _stage.face_profiles(dec, pieces)
+            report = _stage.density_report(dec, profiles, pieces, k=args.k)
             if args.format == "json":
-                doc = report_document(
+                doc = _stage.report_document(
                     spec,
                     {"validation": validation.to_dict(), "audit": report.to_dict()},
                     include_drawing=False,
                 )
-                _write(emit_report(doc), None, stdout)
+                _write(_stage.emit_report(doc), None, stdout)
             else:
                 lines = []
                 _render_audit(report.to_dict(), lines)

@@ -64,3 +64,11 @@ class NotHexagon(CrossingLedgerError):
 
 class BadHint(CrossingLedgerError):
     """The outer-face hint does not name a face of the map."""
+
+
+class BadArgument(CrossingLedgerError, ValueError):
+    """An argument lies outside the values the function documents.
+
+    Also a ``ValueError``, so a caller that catches the ``ValueError`` these
+    arguments used to raise still catches it.
+    """

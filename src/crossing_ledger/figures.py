@@ -22,7 +22,7 @@ import math
 from typing import Callable
 
 from .drawing import FaceWalk, PlanarizedMap
-from .errors import BadHint
+from .errors import BadArgument, BadHint
 
 
 def export_figure(pmap: PlanarizedMap, format: str, outer_face_hint: str | None = None) -> str:
@@ -30,7 +30,7 @@ def export_figure(pmap: PlanarizedMap, format: str, outer_face_hint: str | None 
         return _to_dot(pmap)
     if format == "svg":
         return _to_svg(pmap, outer_face_hint)
-    raise ValueError(f"unknown figure format {format!r}")
+    raise BadArgument(f"unknown figure format {format!r}")
 
 
 def _to_dot(pmap: PlanarizedMap) -> str:

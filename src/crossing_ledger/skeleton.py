@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .drawing import FaceWalk, PlanarizedMap, restrict
-from .errors import BudgetExceeded, InvariantError
+from .errors import BadArgument, BudgetExceeded, InvariantError
 
 DEFAULT_EXACT_BUDGET = 24
 
@@ -236,7 +236,7 @@ def extract_skeleton(
     that turned out conflict-free so the result is maximal.
     """
     if mode not in ("exact", "greedy"):
-        raise ValueError(f"unknown skeleton mode {mode!r}")
+        raise BadArgument(f"unknown skeleton mode {mode!r}")
     conflicts = conflict_graph(pmap)
     kept = {e for e in conflicts.nodes if not conflicts.adjacency[e]}
     components = [c for c in conflicts.components() if len(c) > 1]

@@ -6,6 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .drawing import PlanarizedMap, Violation
+from .errors import BadArgument
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def merge_reports(*reports: ValidationReport) -> ValidationReport:
 def check_k_planar(pmap: PlanarizedMap, k: int) -> ValidationReport:
     """List every edge whose chain exceeds the crossing budget k."""
     if k < 1:
-        raise ValueError("k must be a positive integer")
+        raise BadArgument(f"k must be a positive integer; got {k}")
     counts = pmap.edge_crossing_counts()
     violations = tuple(
         Violation("k-planar", (e,), f"edge {e} is crossed {c} times; limit is {k}")

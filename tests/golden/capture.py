@@ -4,6 +4,12 @@ Run from the repository root, only when a change is meant to alter output:
 
     PYTHONPATH=src python tests/golden/capture.py
 
+With ``--check`` it rewrites nothing: it replays the corpus, prints every
+case whose outcome differs, and exits 1 if there is one.  Neither mode needs
+pytest, so the corpus replays under any installed Python:
+
+    PYTHONPATH=src python3.13 tests/golden/capture.py --check
+
 Every case is one ``crossing_ledger.cli.run`` call.  The manifest records
 its argv, its stdin (an input file, or the stdout of an earlier case), the
 exit code, stderr, and the SHA-256 and byte length of stdout.  Outputs up to
@@ -13,16 +19,18 @@ failing replay shows a readable diff.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 GOLDEN = Path(__file__).resolve().parent
 sys.path.insert(0, str(GOLDEN.parent))
 
-import conftest  # noqa: E402
+import _fixtures  # noqa: E402
 
 from crossing_ledger import emit_drawing  # noqa: E402
 from crossing_ledger.cli import run  # noqa: E402
@@ -89,7 +97,7 @@ ALTERNATING = (("e", "+"), ("f", "+"), ("e", "-"), ("f", "-"))
 
 def rejected_documents() -> dict[str, str]:
     """One document per semantic rule, a torus rotation, and malformed JSON."""
-    triangle = conftest.triangle_spec.__wrapped__().to_doc()
+    triangle = _fixtures.triangle_spec().to_doc()
     triangle["rotations"]["v1"] = [["a", "+"]]  # drops the c entry
     docs = {
         "self-crossing": {
@@ -129,7 +137,7 @@ def case_plan() -> tuple[dict[str, str], list[dict]]:
             cases.append({"id": f"n{n}.{suffix}", "argv": argv + ["-"], "stdin": {"case": source}})
     for name in FIXTURES:
         stem = name.removesuffix("_spec")
-        inputs[f"{stem}.json"] = emit_drawing(getattr(conftest, name).__wrapped__())
+        inputs[f"{stem}.json"] = emit_drawing(getattr(_fixtures, name)())
         for suffix, argv in ANALYSES:
             cases.append(
                 {"id": f"{stem}.{suffix}", "argv": argv + ["-"], "stdin": {"file": f"{stem}.json"}}
@@ -157,38 +165,75 @@ def replay(argv: list[str], stdin: str) -> tuple[int | str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
+def replay_all(cases: list[dict], read_input: Callable[[str], str]) -> dict[str, tuple]:
+    """Case id -> (exit code, stdout, stderr), replaying the cases in order.
+
+    A case's stdin is empty, an input file read by ``read_input``, or the
+    stdout of an earlier case.
+    """
+    results: dict[str, tuple] = {}
+    for case in cases:
+        source = case["stdin"]
+        if source is None:
+            stdin = ""
+        elif "case" in source:
+            stdin = results[source["case"]][1]
+        else:
+            stdin = read_input(source["file"])
+        results[case["id"]] = replay(case["argv"], stdin)
+    return results
+
+
+def outcome(code: int | str, out: str, err: str) -> dict:
+    """The manifest fields that record one case's outcome."""
+    data = out.encode("utf-8")
+    return {
+        "exit": code,
+        "stderr": err,
+        "stdout_sha256": hashlib.sha256(data).hexdigest(),
+        "stdout_bytes": len(data),
+    }
+
+
+def capture() -> int:
     inputs, cases = case_plan()
     (GOLDEN / "inputs").mkdir(exist_ok=True)
     (GOLDEN / "expected").mkdir(exist_ok=True)
     for name, text in inputs.items():
         (GOLDEN / "inputs" / name).write_bytes(text.encode("utf-8"))
 
-    stdout_of: dict[str, str] = {}
     manifest = []
-    for case in cases:
-        source = case["stdin"]
-        if source is None:
-            stdin = ""
-        elif "case" in source:
-            stdin = stdout_of[source["case"]]
-        else:
-            stdin = inputs[source["file"]]
-        code, out, err = replay(case["argv"], stdin)
-        stdout_of[case["id"]] = out
-        data = out.encode("utf-8")
-        entry = dict(case, exit=code, stderr=err)
-        entry["stdout_sha256"] = hashlib.sha256(data).hexdigest()
-        entry["stdout_bytes"] = len(data)
-        if 0 < len(data) <= VERBATIM_LIMIT:
+    for case, (code, out, err) in zip(cases, replay_all(cases, inputs.__getitem__).values()):
+        entry = dict(case, **outcome(code, out, err))
+        if 0 < entry["stdout_bytes"] <= VERBATIM_LIMIT:
             entry["stdout_file"] = f"{case['id']}.out"
-            (GOLDEN / "expected" / entry["stdout_file"]).write_bytes(data)
+            (GOLDEN / "expected" / entry["stdout_file"]).write_bytes(out.encode("utf-8"))
         manifest.append(entry)
 
     text = json.dumps(manifest, indent=1) + "\n"
     (GOLDEN / "manifest.json").write_text(text, encoding="utf-8")
     print(f"{len(manifest)} cases, {len(inputs)} input files")
     return 0
+
+
+def check() -> int:
+    cases = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+    results = replay_all(
+        cases, lambda name: (GOLDEN / "inputs" / name).read_bytes().decode("utf-8")
+    )
+    bad = 0
+    for case in cases:
+        if any(case[k] != v for k, v in outcome(*results[case["id"]]).items()):
+            bad += 1
+            print(f"MISMATCH {case['id']}")
+    print(f"{len(cases)} cases, {bad} mismatches")
+    return 1 if bad else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true", help="replay the corpus; rewrite nothing")
+    return check() if ap.parse_args(argv).check else capture()
 
 
 if __name__ == "__main__":

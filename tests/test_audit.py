@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from crossing_ledger import (
+    CrossingLedgerError,
     InvariantError,
     UnsupportedK,
     associate,
@@ -227,3 +228,10 @@ def test_stickless_face_counts(far_middle_spec):
     # 2 of 4 non-bridges untouched is not a strict minority
     assert not verdicts["stickless_uncrossed_minority"].holds
     assert not verdicts["stick_present"].holds
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_density_report_rejects_an_untabulated_budget(triangle_spec, k):
+    dec, pieces, profiles = _pipeline(triangle_spec)
+    with pytest.raises(CrossingLedgerError, match=f"budgets 3 and 4; got {k}"):
+        density_report(dec, profiles, pieces, k=k)

@@ -1,9 +1,9 @@
 """The benchmark's in-process audit must stay the CLI's audit.
 
-``perfbench/`` times the library through the names ``crossing_ledger.cli``
-imports (``perfbench/layers.py``) and replays the CLI audit order in
-``perfbench/geom.py``; its CLI workloads run ``perfbench/traced_cli.py`` for
-their traces.  These smoke tests keep all three in step with the CLI, so a
+``perfbench/`` times the library through the stage names of
+``crossing_ledger.cli`` (``perfbench/layers.py``) and replays the CLI audit
+order in ``perfbench/geom.py``; its CLI workloads run
+``perfbench/traced_cli.py`` for their traces.  These smoke tests keep all three in step with the CLI, so a
 refactor of the CLI cannot silently break the benchmark.
 """
 
@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from crossing_ledger import cli
 from crossing_ledger.cli import run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,6 +47,7 @@ def test_perfbench_audit_matches_cli(monkeypatch):
 
 
 def _traced_cli(argv, stdin_text, marker):
+    """Stdout and spans of one ``perfbench/traced_cli.py`` process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PERFBENCH.parent / "src"), *filter(None, [env.get("PYTHONPATH")])]
@@ -61,19 +63,58 @@ def _traced_cli(argv, stdin_text, marker):
     )
     lines = [line for line in proc.stderr.splitlines() if line.startswith(marker)]
     assert len(lines) == 1
-    return proc.stdout, {span[0] for span in json.loads(lines[0][len(marker):])}
+    return proc.stdout, json.loads(lines[0][len(marker):])
 
 
 def test_traced_cli_process_matches_cli(monkeypatch):
     # The render and tight_pipe workloads read their traces from processes
-    # running perfbench/traced_cli.py; their output must be the CLI's.
+    # running perfbench/traced_cli.py; their output must be the CLI's, and
+    # the stages the CLI loads on first use must still be timed.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     marker = importlib.import_module("traced_cli").SPANS_MARKER
+    tracing = importlib.import_module("tracing")
     text = _cli(["generate", "--n", "54"])
-    for argv, span in (
-        (["export", "--figure", "svg", "-"], "figures.export_svg"),
-        (["audit", "--k", "3", "-"], "audit.density"),
+    for argv, stdin_text, expected in (
+        (["generate", "--n", "54"], "", {"generator.generate", "interchange.emit"}),
+        (["export", "--figure", "svg", "-"], text, {"figures.export_svg"}),
+        (["audit", "--k", "3", "-"], text, {"validate.homotopy", "audit.density"}),
+        (
+            ["analyze", "--skeleton", "--segments", "--format", "json", "-"],
+            text,
+            {"interchange.parse", "skeleton.extract", "segments.decompose", "interchange.emit"},
+        ),
     ):
-        stdout, spans = _traced_cli(argv, text, marker)
-        assert stdout == _cli(argv, text)
-        assert span in spans
+        stdout, spans = _traced_cli(argv, stdin_text, marker)
+        assert stdout == _cli(argv, stdin_text)
+        assert expected <= {span[0] for span in spans}
+        if argv[0] == "analyze":
+            counts = tracing.merge_counts(span[4] for span in spans)
+            assert counts["interchange.report_bytes"] == len(stdout.encode("utf-8")) > 0
+
+
+def test_every_layer_is_called_through_cli_names(monkeypatch):
+    # perfbench/layers.py replaces these names on crossing_ledger.cli; the CLI
+    # must call the replacement, also for stages it has not loaded yet.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    calls: set[str] = set()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.add(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    names = [*layers.LAYERS, "merge_reports"]
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    text = _cli(["generate", "--n", "6"])
+    for argv in (
+        ["validate", "--k", "3", "--format", "json", "-"],
+        ["analyze", "--skeleton", "--segments", "--format", "json", "-"],
+        ["audit", "--k", "3", "-"],
+        ["export", "--figure", "svg", "-"],
+    ):
+        _cli(argv, text)
+    assert calls == set(names)

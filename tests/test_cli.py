@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from crossing_ledger import emit_drawing
 from crossing_ledger.cli import run
 
@@ -139,3 +141,11 @@ def test_reports_are_byte_stable():
     _, a, _ = _run(["audit", "--k", "3", "--format", "json", "-"], stdin_text=drawing)
     _, b, _ = _run(["audit", "--k", "3", "--format", "json", "-"], stdin_text=drawing)
     assert a == b
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_validate_rejects_a_budget_below_one(triangle_spec, k):
+    # A typed error, so one error line and exit 1 rather than a traceback.
+    code, out, err = _run(["validate", "--k", k, "-"], stdin_text=emit_drawing(triangle_spec))
+    assert (code, out) == (1, "")
+    assert err == f"error: k must be a positive integer; got {k}\n"

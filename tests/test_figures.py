@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from crossing_ledger import BadHint, build_map, export_figure
+from crossing_ledger import BadHint, CrossingLedgerError, build_map, export_figure
 from crossing_ledger.figures import _layout_component
 from crossing_ledger.generator import generate_optimal
 
@@ -71,5 +71,7 @@ def test_svg_is_deterministic(square_diagonals_spec):
 
 
 def test_unknown_format_rejected(triangle_spec):
-    with pytest.raises(ValueError):
+    # A typed error, and still the ValueError it was before it was typed.
+    with pytest.raises(CrossingLedgerError, match="unknown figure format 'png'") as exc:
         export_figure(build_map(triangle_spec), "png")
+    assert isinstance(exc.value, ValueError)

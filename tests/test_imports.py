@@ -1,0 +1,197 @@
+"""The package loads its modules on first use; the public API is unchanged.
+
+Each CLI subcommand imports only the library modules it runs, and imports
+them before it reads its input, so that in a pipeline the imports overlap the
+upstream process.  The footprint tests run the CLI as
+``python -m crossing_ledger.cli`` does, in a fresh process, and name the
+exact set of ``crossing_ledger`` modules loaded when it reads stdin and when
+it exits, so a stray top-level import shows up here.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import crossing_ledger
+from crossing_ledger import emit_drawing, generate_optimal
+from crossing_ledger.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ALL = [
+    "__version__",
+    "DrawingSpec",
+    "build_map",
+    "restrict",
+    "check_homotopy",
+    "check_k_planar",
+    "check_sanity",
+    "validate_drawing",
+    "conflict_graph",
+    "decompose_with",
+    "extract_skeleton",
+    "decompose",
+    "face_profiles",
+    "associate",
+    "bounds_table",
+    "density_report",
+    "k_bound",
+    "overfull_triangles",
+    "structural_predicates",
+    "chords_interleave",
+    "frame_spec",
+    "generate_optimal",
+    "hexagon_gadget",
+    "theta_frame",
+    "emit_drawing",
+    "input_digest",
+    "parse_drawing",
+    "parse_text",
+    "report_document",
+    "export_figure",
+    "BadHint",
+    "BadN",
+    "BudgetExceeded",
+    "CrossingLedgerError",
+    "DanglingCrossing",
+    "InvalidRotation",
+    "InvariantError",
+    "NonSpherical",
+    "NotHexagon",
+    "ParseError",
+    "UnsupportedK",
+]
+
+# Runs the CLI as ``python -m crossing_ledger.cli`` does.  It prints the
+# loaded package modules to stderr when the CLI reads stdin, after the marker
+# "read ", and again as the last line when the process exits.
+_RUN_AS_MAIN = """
+import atexit, io, json, runpy, sys
+
+def loaded():
+    return json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "crossing_ledger"))
+
+class Stdin(io.StringIO):
+    def read(self, *args):
+        sys.stderr.write("read " + loaded() + "\\n")
+        return super().read(*args)
+
+sys.stdin = Stdin(sys.stdin.read())
+atexit.register(lambda: sys.stderr.write(loaded() + "\\n"))
+runpy.run_module("crossing_ledger.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _fresh_process(args: list[str], code: str = _RUN_AS_MAIN, stdin: str = "") -> tuple:
+    """(exit code, stdout, modules loaded at exit, at each read of stdin)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    *lines, modules = proc.stderr.splitlines()
+    reads = [set(json.loads(line[5:])) for line in lines if line.startswith("read ")]
+    return proc.returncode, proc.stdout, set(json.loads(modules)), reads
+
+
+def _package(*modules: str) -> set[str]:
+    return {"crossing_ledger", "crossing_ledger.errors", *(f"crossing_ledger.{m}" for m in modules)}
+
+
+FOOTPRINTS = [
+    (["--version"], _package()),
+    (["generate", "--n", "10"], _package("drawing", "generator", "interchange")),
+    (["export", "--figure", "svg", "-"], _package("drawing", "figures", "interchange")),
+    (["export", "--figure", "dot", "-"], _package("drawing", "figures", "interchange")),
+    (["validate", "--k", "3", "-"], _package("drawing", "interchange", "validate")),
+    (
+        ["analyze", "--skeleton", "--segments", "--format", "json", "-"],
+        _package("drawing", "interchange", "skeleton", "segments"),
+    ),
+    (
+        ["audit", "--k", "3", "-"],
+        _package("drawing", "interchange", "validate", "skeleton", "segments", "audit"),
+    ),
+]
+
+
+def _in_process(argv: list[str], stdin: str) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):  # argparse prints --version to sys.stdout
+        try:
+            code = run(argv, stdin=io.StringIO(stdin), stdout=out, stderr=io.StringIO())
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv, modules", FOOTPRINTS, ids=[" ".join(a) for a, _ in FOOTPRINTS])
+def test_subcommand_footprint(argv, modules):
+    drawing = emit_drawing(generate_optimal(10))
+    code, out, loaded, reads = _fresh_process(argv, stdin=drawing)
+    assert loaded == modules
+    assert reads == ([modules] if argv[-1] == "-" else [])
+    # Run as __main__, the CLI gives what run() gives in this process.
+    assert (code, out) == _in_process(argv, drawing)
+
+
+def test_import_package_loads_nothing_else():
+    code = "import sys, json, crossing_ledger; sys.stderr.write(json.dumps(sorted(sys.modules)))"
+    _, _, loaded, _ = _fresh_process([], code)
+    assert {m for m in loaded if m.startswith("crossing_ledger")} == {"crossing_ledger"}
+
+
+def test_one_name_loads_its_module():
+    code = (
+        "import sys, json, crossing_ledger; crossing_ledger.emit_drawing; "
+        "sys.stderr.write(json.dumps(sorted(sys.modules)))"
+    )
+    _, _, loaded, _ = _fresh_process([], code)
+    assert {m for m in loaded if m.startswith("crossing_ledger")} == _package(
+        "drawing", "interchange"
+    )
+
+
+def test_all_is_unchanged():
+    assert crossing_ledger.__all__ == ALL
+
+
+def test_star_import_gives_all():
+    namespace: dict = {}
+    exec("from crossing_ledger import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ALL)
+
+
+@pytest.mark.parametrize("name", ALL[1:])
+def test_name_is_its_module_attribute(name):
+    value = getattr(crossing_ledger, name)
+    assert getattr(importlib.import_module(value.__module__), name) is value
+    assert hasattr(crossing_ledger, name)
+
+
+def test_dir_lists_all():
+    assert set(ALL) <= set(dir(crossing_ledger))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        crossing_ledger.no_such_name  # noqa: B018
+    assert not hasattr(crossing_ledger, "no_such_name")
+    from crossing_ledger import cli
+
+    with pytest.raises(AttributeError, match="no_such_stage"):
+        cli.no_such_stage  # noqa: B018

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import _layout_oracle as oracle
-from conftest import spec_from
+from _fixtures import spec_from
 from test_properties import random_drawings
 
 from crossing_ledger import DrawingSpec, build_map, export_figure, generate_optimal

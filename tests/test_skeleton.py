@@ -7,6 +7,7 @@ import pytest
 
 from crossing_ledger import (
     BudgetExceeded,
+    CrossingLedgerError,
     build_map,
     conflict_graph,
     decompose_with,
@@ -165,3 +166,8 @@ def test_extraction_is_deterministic():
     a = extract_skeleton(build_map(generate_optimal(10)), "exact")
     b = extract_skeleton(build_map(generate_optimal(10)), "exact")
     assert a.skeleton_edges == b.skeleton_edges
+
+
+def test_unknown_mode_is_a_typed_error(triangle_spec):
+    with pytest.raises(CrossingLedgerError, match="unknown skeleton mode 'fast'"):
+        extract_skeleton(build_map(triangle_spec), "fast")

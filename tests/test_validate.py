@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import pytest
+
 from crossing_ledger import (
+    CrossingLedgerError,
     build_map,
     check_homotopy,
     check_k_planar,
@@ -141,3 +144,9 @@ def test_removing_an_edge_never_adds_violations(ladder_spec):
     sub = restrict(pmap, [e for e in pmap.edge_ids if e != "h0"])
     after = {v.subjects for v in validate_drawing(sub, 3).violations}
     assert after <= before
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_budget_below_one_is_a_typed_error(triangle_spec, k):
+    with pytest.raises(CrossingLedgerError, match=f"positive integer; got {k}"):
+        check_k_planar(build_map(triangle_spec), k)
