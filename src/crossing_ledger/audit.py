@@ -84,7 +84,7 @@ def k_bound(n: int, k: int) -> int:
 
 def overfull_triangles(profiles: list[FaceProfile], cap: int = 3) -> list[str]:
     """Triangular faces holding more sticks than the cap allows (empty list = pass)."""
-    return [p.face for p in profiles if p.size == 3 and p.stick_count > cap]
+    return [p.face for p in profiles if p.is_triangle and p.stick_count > cap]
 
 
 # -- association ------------------------------------------------------------------
@@ -137,7 +137,7 @@ def associate(
     crossing budget forces to hold at most two sticks; if that face is not
     free, the input is not a conformant drawing and the conflict is reported.
     """
-    if any(p.size != 3 for p in profiles):
+    if not all(p.is_triangle for p in profiles):
         return AssociationResult(
             applicable=False,
             mapping={},
@@ -349,11 +349,12 @@ class PredicateReport:
 
 
 def _skeleton_connected(dec: SkeletonDecomposition) -> bool:
-    skel = dec.skeleton_map
-    if not skel.vertices:
-        return True
-    root = skel.component_of(skel.vertices[0])
-    return all(skel.component_of(v) == root for v in skel.vertices)
+    """One skeleton component spans every vertex: embedded alone, each component
+    has V - E + W = 2 over its vertices, edges and walks."""
+    n = len(dec.full_map.vertices)
+    touched = {v for face in dec.faces for v in face.nodes}
+    walks = sum(len(face.walks) for face in dec.faces)
+    return n <= 1 or (len(touched) == n and n - len(dec.skeleton_edges) + walks == 2)
 
 
 def structural_predicates(
@@ -372,7 +373,7 @@ def structural_predicates(
     faces: dict[str, tuple[PredicateVerdict, ...]] = {}
 
     for prof in profiles:
-        if prof.size == 3:
+        if prof.is_triangle:
             continue
         sticks = [pieces_by_id[s] for s in prof.sticks]
         middles = [pieces_by_id[m] for m in prof.middles]
@@ -499,7 +500,7 @@ def structural_predicates(
 
     return PredicateReport(
         skeleton_connected=_skeleton_connected(dec),
-        skeleton_triangulated=all(p.size == 3 for p in profiles),
+        skeleton_triangulated=all(p.is_triangle for p in profiles),
         faces=faces,
     )
 
@@ -613,8 +614,8 @@ def density_report(
     cap = k
 
     connected = _skeleton_connected(dec)
-    triangulated = all(p.size == 3 for p in profiles)
-    triangles = [p for p in profiles if p.size == 3]
+    triangulated = all(p.is_triangle for p in profiles)
+    triangles = [p for p in profiles if p.is_triangle]
     t_p = len(triangles)
     counts: dict[int, int] = {i: 0 for i in range(cap + 1)}
     overflow = 0

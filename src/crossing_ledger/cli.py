@@ -75,9 +75,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Version(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):  # noqa: D102 - argparse hook
+        raise _Answer(f"{parser.prog} {__version__}\n")
+
+
+class _Answer(Exception):
+    """Output that ends the run early: ``--version`` is answered on ``run``'s
+    own ``stdout`` instead of by argparse's print-and-exit."""
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="crossing-ledger", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "--version", action=_Version, nargs=0, help="show program's version number and exit"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a densest drawing for the given vertex count")
@@ -209,13 +221,16 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
     except _UsageError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except _Answer as answer:
+        stdout.write(str(answer))
+        return EXIT_OK
 
     for module in _MODULES[args.command]:
         import_module(f".{module}", __package__)
 
     try:
         if args.command == "generate":
-            spec = _stage.generate_optimal(args.n, strict=True if args.strict_paper else None)
+            spec = _stage.generate_optimal(args.n, strict=args.strict_paper)
             _write(_stage.emit_drawing(spec), args.output, stdout)
             return EXIT_OK
 
@@ -257,7 +272,7 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
                     f"skeleton ({dec.mode}): {len(dec.skeleton_edges)} of "
                     f"{len(pmap.edge_ids)} edges",
                     "skeleton edges: " + " ".join(dec.skeleton_edges),
-                    f"faces: {len(dec.skeleton_map.faces)}",
+                    f"faces: {len(dec.faces)}",
                 ]
                 if args.segments:
                     for prof in sections["segments"]["faces"]:
@@ -290,10 +305,7 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
                 _write("\n".join(lines) + "\n", None, stdout)
             return EXIT_OK if (report.ok and validation.ok) else EXIT_VERDICT
 
-    except CrossingLedgerError as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CrossingLedgerError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

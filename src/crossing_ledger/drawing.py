@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    BadArgument,
     DanglingCrossing,
     InvalidRotation,
     InvariantError,
@@ -167,12 +168,6 @@ class DrawingSpec:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e for e, _, _ in self.edges)
 
-    def endpoints(self, edge: str) -> tuple[str, str]:
-        for e, a, b in self.edges:
-            if e == edge:
-                return (a, b)
-        raise KeyError(edge)
-
     def to_doc(self) -> dict:
         """Plain-dict form with the documented field order."""
         return {
@@ -236,16 +231,28 @@ def _check_rules(spec: DrawingSpec) -> None:
 
 @dataclass(frozen=True)
 class FaceWalk:
-    """A face boundary walk; vertices and edges may repeat on non-simple faces."""
+    """A face boundary: one closed walk, or several concatenated with their lengths
+    in ``walks``; vertices and edges may repeat on non-simple faces."""
 
     face_id: str
     darts: tuple[Dart, ...]
     nodes: tuple[str, ...]
     edges: tuple[str, ...]
+    walks: tuple[int, ...]
 
     @property
     def length(self) -> int:
         return len(self.darts)
+
+    def walk_length(self, *positions: int | None) -> int | None:
+        """Length of the walk holding every position given (None is skipped);
+        None if they lie on different walks."""
+        start = 0
+        for length in self.walks:
+            if all(p is None or start <= p < start + length for p in positions):
+                return length
+            start += length
+        return None
 
     def to_dict(self) -> dict:
         return {
@@ -253,6 +260,7 @@ class FaceWalk:
             "length": self.length,
             "nodes": list(self.nodes),
             "edges": list(self.edges),
+            **({"walks": list(self.walks)} if len(self.walks) > 1 else {}),
         }
 
 
@@ -270,8 +278,6 @@ class PlanarizedMap:
     def __init__(self, spec: DrawingSpec):
         self.spec = spec
         self._ends = {e: (a, b) for e, a, b in spec.edges}
-        self._kind = {v: "vertex" for v in spec.vertices}
-        self._kind.update({c: "crossing" for c in spec.crossings})
 
         # Node sequence of every edge: end_a, crossings in chain order, end_b.
         self._node_seq: dict[str, tuple[str, ...]] = {}
@@ -300,10 +306,9 @@ class PlanarizedMap:
 
     def _decode_entry(self, node: str, entry: RotationEntry) -> Dart:
         e, d = entry
-        if self._kind[node] == "crossing":
+        if node in self.spec.crossings:
             p = self._chain_pos[(node, e)]
             return (e, p + 1, 1) if d == PLUS else (e, p, -1)
-        a, b = self._ends[e]
         if d == PLUS:
             return (e, 0, 1)
         return (e, len(self._node_seq[e]) - 2, -1)
@@ -332,6 +337,7 @@ class PlanarizedMap:
                     darts=tuple(walk),
                     nodes=tuple(self.head(x) for x in walk),
                     edges=tuple(x[0] for x in walk),
+                    walks=(len(walk),),
                 )
             )
         return tuple(faces), dart_face
@@ -339,7 +345,7 @@ class PlanarizedMap:
     def _compute_components(self) -> dict[str, int]:
         comp: dict[str, int] = {}
         n = 0
-        for node in sorted(self._kind):
+        for node in sorted((*self.spec.vertices, *self.spec.crossings)):
             if node in comp:
                 continue
             comp[node] = n
@@ -420,9 +426,6 @@ class PlanarizedMap:
     def faces(self) -> tuple[FaceWalk, ...]:
         return self._faces
 
-    def node_kind(self, node: str) -> str:
-        return self._kind[node]
-
     def endpoints(self, edge: str) -> tuple[str, str]:
         return self._ends[edge]
 
@@ -434,9 +437,6 @@ class PlanarizedMap:
 
     def crossing_edges(self, crossing: str) -> tuple[str, str]:
         return self.spec.crossings[crossing]
-
-    def chain_position(self, crossing: str, edge: str) -> int:
-        return self._chain_pos[(crossing, edge)]
 
     def rotation(self, node: str) -> tuple[Dart, ...]:
         return self._rot[node]
@@ -499,7 +499,7 @@ def restrict(pmap: PlanarizedMap, keep: Iterable[str]) -> PlanarizedMap:
     keep_set = {str(e) for e in keep}
     unknown = keep_set - set(pmap.edge_ids)
     if unknown:
-        raise KeyError(f"not edges of this map: {sorted(unknown)}")
+        raise BadArgument(f"not edges of this map: {sorted(unknown)}")
 
     spec = pmap.spec
     kept_crossings = {

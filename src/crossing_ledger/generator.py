@@ -15,16 +15,12 @@ same drawing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 from .drawing import DrawingSpec, FaceWalk, build_map
 from .errors import BadN, NotHexagon
-
-STRICT_ENV_VAR = "CROSSING_LEDGER_MODE"
-STRICT_ENV_VALUE = "strict-paper"
 
 # Corner coordinates in walk order (the walk runs clockwise, so the face
 # interior lies to the right of each boundary dart, matching map orientation).
@@ -123,16 +119,10 @@ class HexGadget:
         return {e: len(cs) for e, cs in self.chains.items()}
 
 
-def _strict_mode(strict: bool | None) -> bool:
-    if strict is not None:
-        return strict
-    return os.environ.get(STRICT_ENV_VAR, "") == STRICT_ENV_VALUE
-
-
-def frame_spec(n: int, strict: bool | None = None) -> FrameSpec:
+def frame_spec(n: int, strict: bool = False) -> FrameSpec:
     if n < 6 or n % 2 != 0:
         raise BadN(f"n must be an even integer >= 6; got {n}")
-    if _strict_mode(strict) and (n - 2) % 4 != 0:
+    if strict and (n - 2) % 4 != 0:
         raise BadN(f"strict mode requires n-2 divisible by 4; got n={n}")
     m = (n - 2) // 2
     return FrameSpec(
@@ -143,7 +133,7 @@ def frame_spec(n: int, strict: bool | None = None) -> FrameSpec:
     )
 
 
-def theta_frame(n: int, strict: bool | None = None) -> DrawingSpec:
+def theta_frame(n: int, strict: bool = False) -> DrawingSpec:
     """Plane frame with (n-2)/2 hexagonal faces and 3(n-2)/2 edges."""
     fs = frame_spec(n, strict)
     u, w = fs.poles
@@ -190,7 +180,6 @@ def hexagon_gadget(
     # Proper crossings among the diagonals, with exact positions.
     crossing_ids: dict[tuple[int, int], str] = {}
     params: dict[int, list[tuple[Fraction, str]]] = {slot: [] for slot in range(8)}
-    points: dict[str, tuple[Fraction, Fraction]] = {}
     counter = 0
     for i in range(8):
         for j in range(i + 1, 8):
@@ -206,10 +195,6 @@ def hexagon_gadget(
             s = _intersection_param(p3, p4, p1, p2)
             params[i].append((t, cid))
             params[j].append((s, cid))
-            points[cid] = (
-                p1[0] + t * (p2[0] - p1[0]),
-                p1[1] + t * (p2[1] - p1[1]),
-            )
 
     chains = {
         edge_ids[slot]: tuple(cid for _, cid in sorted(params[slot]))
@@ -299,7 +284,7 @@ def _relabel(template: HexGadget, corners: tuple[str, ...], prefix: str) -> HexG
     )
 
 
-def generate_optimal(n: int, strict: bool | None = None) -> DrawingSpec:
+def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
     """Drawing on n vertices with 11n/2 - 11 edges, none crossed over 3 times."""
     fs = frame_spec(n, strict)
     frame = theta_frame(n, strict)

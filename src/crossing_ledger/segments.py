@@ -4,7 +4,7 @@ Every edge outside the skeleton crosses at least one skeleton edge; cutting
 its chain at exactly those crossings yields two sticks (the end pieces) and
 0, 1, or 2 middle parts.  Each piece lies inside one skeleton face, and its
 attachment data is resolved at the level of boundary *occurrences* so that
-non-simple faces (repeated vertices or edges on the walk) are handled
+non-simple faces (repeated vertices or edges, several walks) are handled
 correctly.  Crossings with other residual edges never cut a piece; they are
 recorded as intra-face crossings.
 """
@@ -79,6 +79,7 @@ class FaceProfile:
     size: int
     walk_nodes: tuple[str, ...]
     walk_edges: tuple[str, ...]
+    walks: tuple[int, ...]
     neighbors: tuple[str, ...]
     type_tuple: tuple[int, ...]
     sticks: tuple[str, ...]
@@ -91,6 +92,11 @@ class FaceProfile:
     stick_middle_pairs: tuple[tuple[str, str], ...]
     opposite_flags: dict[tuple[str, str], bool]
     warnings: tuple[str, ...] = ()
+
+    @property
+    def is_triangle(self) -> bool:
+        """One boundary walk of length 3; a face of several walks never is."""
+        return self.walks == (3,)
 
     @property
     def stick_count(self) -> int:
@@ -114,6 +120,7 @@ class FaceProfile:
             "size": self.size,
             "nodes": list(self.walk_nodes),
             "edges": list(self.walk_edges),
+            **({"walks": list(self.walks)} if len(self.walks) > 1 else {}),
             "type": list(self.type_tuple),
             "sticks": list(self.sticks),
             "middles": list(self.middles),
@@ -130,19 +137,22 @@ class FaceProfile:
 # -- classification ------------------------------------------------------------
 
 
-def classify_stick(occurrence: int | None, crossed_position: int, walk_length: int) -> str:
-    """Short iff one boundary direction passes exactly one other vertex occurrence."""
-    if occurrence is None:
-        return LONG  # emanates from a vertex with no boundary occurrence
+def classify_stick(occurrence: int | None, crossed_position: int, walk_length: int | None) -> str:
+    """Short iff one boundary direction passes exactly one other vertex occurrence;
+    a ``walk_length`` of None means the positions lie on different walks."""
+    if occurrence is None or walk_length is None:
+        return LONG  # no boundary occurrence on the walk of the crossed side
     forward = (crossed_position - occurrence) % walk_length == 2
     backward = (occurrence - crossed_position) % walk_length == 1
     return SHORT if (forward or backward) else LONG
 
 
-def stick_orientation(occurrence: int | None, crossed_position: int, walk_length: int) -> str | None:
+def stick_orientation(
+    occurrence: int | None, crossed_position: int, walk_length: int | None
+) -> str | None:
     """Right sticks exit across the next-but-one boundary edge, left sticks across
     the previous one; on triangles the two coincide, so no orientation."""
-    if occurrence is None or walk_length < 4:
+    if occurrence is None or walk_length is None or walk_length < 4:
         return None
     if (crossed_position - occurrence) % walk_length == 2:
         return RIGHT
@@ -151,8 +161,10 @@ def stick_orientation(occurrence: int | None, crossed_position: int, walk_length
     return None
 
 
-def classify_middle(entry_position: int, exit_position: int, walk_length: int) -> str:
+def classify_middle(entry_position: int, exit_position: int, walk_length: int | None) -> str:
     """Short iff the two crossed boundary occurrences are walk-adjacent."""
+    if walk_length is None:
+        return FAR  # the crossed sides lie on different walks of the face
     gap = (entry_position - exit_position) % walk_length
     return SHORT if gap in (1, walk_length - 1) else FAR
 
@@ -161,74 +173,13 @@ def classify_middle(entry_position: int, exit_position: int, walk_length: int) -
 
 
 class _Resolver:
-    """Maps full-map geometry onto the skeleton map's faces and occurrences."""
+    """Resolves a piece's full-map darts to boundary occurrences of its host face,
+    through the decomposition's own lookups; positions index the walks concatenated."""
 
     def __init__(self, dec: SkeletonDecomposition):
+        self.dec = dec
         self.full = dec.full_map
-        self.skel = dec.skeleton_map
         self.skeleton_set = set(dec.skeleton_edges)
-        self._host_by_face = self._refine_faces()
-        self._walk_len = {f.face_id: f.length for f in self.skel.faces}
-
-    def _skel_dart(self, d: Dart) -> Dart:
-        # A skeleton edge is crossing-free in the skeleton map: one segment.
-        return (d[0], 0, d[2])
-
-    def _refine_faces(self) -> dict[str, str]:
-        """full-map face id -> skeleton face id containing it."""
-        full = self.full
-        parent: dict[str, str] = {f.face_id: f.face_id for f in full.faces}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        # Residual segments do not separate skeleton faces: union across them.
-        for face in full.faces:
-            for d in face.darts:
-                if d[0] not in self.skeleton_set and d[2] == 1:
-                    a, _ = full.face_of_dart(d)
-                    b, _ = full.face_of_dart(full.twin(d))
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-
-        rep_to_host: dict[str, str] = {}
-        for face in full.faces:
-            rep = find(face.face_id)
-            for d in face.darts:
-                if d[0] not in self.skeleton_set:
-                    continue
-                host = self.skel.face_of_dart(self._skel_dart(d))[0]
-                if rep_to_host.setdefault(rep, host) != host:
-                    # One drawing region bounded by several skeleton components:
-                    # the rotation system does not record their relative
-                    # placement, so pieces in it have no well-defined host.
-                    raise InvariantError(
-                        "skeleton-disconnected-region",
-                        "a region of the drawing is bounded by more than one "
-                        "skeleton component; segment decomposition requires "
-                        "each region to close up within a single component",
-                    )
-        out = {}
-        for face in full.faces:
-            rep = find(face.face_id)
-            if rep not in rep_to_host:
-                raise InvariantError(
-                    "decompose-hostless",
-                    f"face {face.face_id} is not bounded by any skeleton edge",
-                )
-            out[face.face_id] = rep_to_host[rep]
-        return out
-
-    def walk_length(self, face_id: str) -> int:
-        return self._walk_len[face_id]
-
-    def host_of_dart(self, d: Dart) -> str:
-        fid, _ = self.full.face_of_dart(d)
-        return self._host_by_face[fid]
 
     def boundary_ref(self, d_arrive: Dart, host: str) -> CrossedRef:
         """The skeleton-edge occurrence a piece runs into.
@@ -252,37 +203,32 @@ class _Resolver:
                 "decompose-misaligned",
                 f"expected a skeleton dart next to {after}; found {boundary_dart}",
             )
-        face_id, pos = self.skel.face_of_dart(self._skel_dart(boundary_dart))
+        pos = self._position(boundary_dart, host, f"crossed occurrence of {boundary_dart[0]}")
+        return CrossedRef(crossing=crossing, edge=boundary_dart[0], position=pos)
+
+    def _position(self, d: Dart, host: str, what: str) -> int:
+        face_id, pos = self.dec.face_of_dart(d)
         if face_id != host:
             raise InvariantError(
                 "decompose-host-mismatch",
-                f"crossed occurrence of {boundary_dart[0]} resolves to {face_id}, "
-                f"but the piece lives in {host}",
+                f"{what} resolves to {face_id}, but the piece lives in {host}",
             )
-        return CrossedRef(crossing=crossing, edge=boundary_dart[0], position=pos)
+        return pos
 
     def stick_occurrence(self, vertex: str, out_dart: Dart, host: str) -> int | None:
         """Boundary occurrence of ``vertex`` whose corner wedge hosts the stick.
 
-        Scanning the full rotation counterclockwise from the stick's outgoing
-        dart, the first skeleton dart reached is the wedge's outgoing walk
-        dart; the occurrence sits one walk position before it.  Returns None
-        when the vertex lies on no skeleton edge (isolated in the skeleton,
-        floating inside the face).
+        Scanning the full rotation clockwise from the stick's outgoing dart,
+        the first skeleton dart reached is the reversal of the walk dart that
+        enters the wedge; the occurrence is that walk dart's position.
+        Returns None when the vertex lies on no skeleton edge (isolated in
+        the skeleton, floating inside the face).
         """
         rot = self.full.rotation(vertex)
         i = self.full.rotation_index(out_dart)
-        for step in range(1, len(rot) + 1):
-            d = rot[(i + step) % len(rot)]
+        for d in rot[i::-1] + rot[:i:-1]:
             if d[0] in self.skeleton_set:
-                face_id, pos = self.skel.face_of_dart(self._skel_dart(d))
-                if face_id != host:
-                    raise InvariantError(
-                        "decompose-host-mismatch",
-                        f"wedge of stick at {vertex} resolves to {face_id}, "
-                        f"but the piece lives in {host}",
-                    )
-                return (pos - 1) % self.walk_length(face_id)
+                return self._position(self.full.twin(d), host, f"wedge of stick at {vertex}")
         return None
 
 
@@ -294,16 +240,16 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
     skeleton, not a property of the drawing.
     """
     resolver = _Resolver(dec)
+    faces = {f.face_id: f for f in dec.faces}
     full = dec.full_map
-    skeleton_set = set(dec.skeleton_edges)
 
-    spans: list[dict] = []
+    spans: list[tuple[str, int, int, int, bool]] = []  # (edge, index, lo, hi, last)
     piece_at_crossing: dict[tuple[str, str], str] = {}
     for e in dec.residual_edges:
         chain = full.chain(e)
         cuts = [
             i for i, c in enumerate(chain)
-            if _other_edge(full.crossing_edges(c), e) in skeleton_set
+            if _other_edge(full.crossing_edges(c), e) in resolver.skeleton_set
         ]
         if not cuts:
             raise InvariantError(
@@ -313,57 +259,38 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
         boundaries = [-1] + cuts + [len(chain)]
         for idx in range(len(boundaries) - 1):
             lo, hi = boundaries[idx], boundaries[idx + 1]
-            intra = [chain[j] for j in range(lo + 1, min(hi, len(chain)))]
-            piece_id = f"{e}#{idx}"
-            for c in intra:
-                piece_at_crossing[(c, e)] = piece_id
-            spans.append(
-                {
-                    "piece_id": piece_id,
-                    "edge": e,
-                    "index": idx,
-                    "lo": lo,
-                    "hi": hi,
-                    "kind": STICK if idx in (0, len(boundaries) - 2) else MIDDLE,
-                    "side": "a" if idx == 0 else ("b" if idx == len(boundaries) - 2 else None),
-                    "intra": tuple(intra),
-                    "chain_len": len(chain),
-                }
-            )
+            for c in chain[lo + 1:hi]:
+                piece_at_crossing[(c, e)] = f"{e}#{idx}"
+            spans.append((e, idx, lo, hi, idx == len(boundaries) - 2))
 
     pieces: list[SegmentPiece] = []
-    for span in spans:
-        e, lo, hi = span["edge"], span["lo"], span["hi"]
+    for e, idx, lo, hi, last in spans:
+        chain = full.chain(e)
+        kind = STICK if idx == 0 or last else MIDDLE
         warnings: list[str] = []
         vertex: str | None = None
         occ: int | None = None
 
-        if span["kind"] == STICK and span["side"] == "a":
-            vertex = full.endpoints(e)[0]
-            out_dart: Dart = (e, 0, 1)
-            arrive: Dart = (e, hi, 1)
-            host = resolver.host_of_dart(out_dart)
-            crossed = (resolver.boundary_ref(arrive, host),)
-            occ = resolver.stick_occurrence(vertex, out_dart, host)
-        elif span["kind"] == STICK:
-            vertex = full.endpoints(e)[1]
-            out_dart = (e, span["chain_len"], -1)
-            arrive = (e, lo + 1, -1)
-            host = resolver.host_of_dart(out_dart)
+        if kind == STICK:
+            # The stick leaves ``vertex`` along ``out_dart`` and reaches its cut along ``arrive``.
+            vertex = full.endpoints(e)[0 if idx == 0 else 1]
+            out_dart: Dart = (e, 0, 1) if idx == 0 else (e, len(chain), -1)
+            arrive: Dart = (e, hi, 1) if idx == 0 else (e, lo + 1, -1)
+            host = dec.host_of_dart(out_dart)
             crossed = (resolver.boundary_ref(arrive, host),)
             occ = resolver.stick_occurrence(vertex, out_dart, host)
         else:
             depart: Dart = (e, lo + 1, 1)
             arrive = (e, hi, 1)
-            host = resolver.host_of_dart(depart)
+            host = dec.host_of_dart(depart)
             crossed = (resolver.entry_ref(depart, host), resolver.boundary_ref(arrive, host))
             if crossed[0].edge == crossed[1].edge:
                 warnings.append(
                     f"middle part of {e} crosses two occurrences of edge {crossed[0].edge}"
                 )
 
-        walk_len = resolver.walk_length(host)
-        if span["kind"] == STICK:
+        walk_len = faces[host].walk_length(occ, *(ref.position for ref in crossed))
+        if kind == STICK:
             classification = classify_stick(occ, crossed[0].position, walk_len)
             orientation = stick_orientation(occ, crossed[0].position, walk_len)
             if occ is None:
@@ -377,21 +304,21 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
 
         pieces.append(
             SegmentPiece(
-                piece_id=span["piece_id"],
+                piece_id=f"{e}#{idx}",
                 edge=e,
-                index=span["index"],
-                kind=span["kind"],
+                index=idx,
+                kind=kind,
                 host_face=host,
                 emanates_from=vertex,
                 occurrence=occ,
                 crossed=crossed,
                 classification=classification,
                 orientation=orientation,
-                intra_crossings=span["intra"],
+                intra_crossings=chain[lo + 1:hi],
                 intra_pieces=tuple(
                     sorted(
                         piece_at_crossing[(c, _other_edge(full.crossing_edges(c), e))]
-                        for c in span["intra"]
+                        for c in chain[lo + 1:hi]
                     )
                 ),
                 warnings=tuple(warnings),
@@ -415,13 +342,12 @@ def _other_edge(pair: tuple[str, str], edge: str) -> str:
 
 def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> list[FaceProfile]:
     """Per-face summary: type tuple, bridges, passing-through edges, crossings."""
-    skel = dec.skeleton_map
-    by_face: dict[str, list[SegmentPiece]] = {f.face_id: [] for f in skel.faces}
+    by_face: dict[str, list[SegmentPiece]] = {f.face_id: [] for f in dec.faces}
     for p in pieces:
         by_face[p.host_face].append(p)
 
     profiles = []
-    for face in skel.faces:
+    for face in dec.faces:
         members = by_face[face.face_id]
         sticks = sorted((p for p in members if p.kind == STICK), key=lambda p: p.piece_id)
         middles = sorted((p for p in members if p.kind == MIDDLE), key=lambda p: p.piece_id)
@@ -443,7 +369,7 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
         crossed_by_passing = {ref.edge for p in middles for ref in p.crossed}
         uncrossed = tuple(sorted(e for e in non_bridges if e not in crossed_by_passing))
 
-        neighbors = tuple(skel.face_of_dart(skel.twin(d))[0] for d in face.darts)
+        neighbors = tuple(dec.face_of_dart(dec.full_map.twin(d))[0] for d in face.darts)
 
         ss_pairs: set[tuple[str, str]] = set()
         sm_pairs: set[tuple[str, str]] = set()
@@ -474,6 +400,7 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
                 size=face.length,
                 walk_nodes=face.nodes,
                 walk_edges=face.edges,
+                walks=face.walks,
                 neighbors=neighbors,
                 type_tuple=tuple(tau),
                 sticks=tuple(p.piece_id for p in sticks),

@@ -5,14 +5,15 @@ crossing-conflict graph; the skeleton is a maximum such set (exact mode) or
 a good one (greedy mode).  Exact search runs branch-and-bound per connected
 conflict component with a greedy lower bound and a degree-based upper bound,
 then reconstructs the lexicographically smallest maximum so results are
-byte-stable.
+byte-stable.  The skeleton's faces are regions of the drawing's own map,
+each bounded by one or more walks (see :class:`SkeletonDecomposition`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import FaceWalk, PlanarizedMap, restrict
+from .drawing import Dart, FaceWalk, PlanarizedMap
 from .errors import BadArgument, BudgetExceeded, InvariantError
 
 DEFAULT_EXACT_BUDGET = 24
@@ -171,18 +172,31 @@ class _MisSolver:
 
 @dataclass(frozen=True)
 class SkeletonDecomposition:
-    """A chosen crossing-free edge set with its inherited sub-drawing."""
+    """A chosen crossing-free edge set and the faces it cuts the drawing into.
+
+    A skeleton face is a region of the full map, its faces joined across
+    residual segments, bounded by one closed walk over skeleton darts or by
+    several when it touches several skeleton components.  Walk darts are
+    written ``(edge, 0, dir)``, as in the skeleton's own map; a position
+    indexes the face's walks concatenated.
+    """
 
     full_map: PlanarizedMap
-    skeleton_map: PlanarizedMap
     skeleton_edges: tuple[str, ...]
     residual_edges: tuple[str, ...]
     mode: str
     optimal_certificate: bool
+    faces: tuple[FaceWalk, ...]
+    occurrences: dict[tuple[str, int], tuple[str, int]]
+    hosts: tuple[str, ...]
 
-    @property
-    def faces(self) -> tuple[FaceWalk, ...]:
-        return self.skeleton_map.faces
+    def face_of_dart(self, d: Dart) -> tuple[str, int]:
+        """(face id, position) of the walk dart along edge ``d[0]`` in direction ``d[2]``."""
+        return self.occurrences[(d[0], d[2])]
+
+    def host_of_dart(self, d: Dart) -> str:
+        """Id of the skeleton face holding the full-map face right of ``d``."""
+        return self.hosts[self.full_map.face_index_of_dart(d)]
 
     def to_dict(self) -> dict:
         return {
@@ -191,8 +205,71 @@ class SkeletonDecomposition:
             "skeleton_edges": list(self.skeleton_edges),
             "residual_edges": list(self.residual_edges),
             "skeleton_size": len(self.skeleton_edges),
-            "faces": [f.to_dict() for f in self.skeleton_map.faces],
+            "faces": [f.to_dict() for f in self.faces],
         }
+
+
+def _skeleton_faces(pmap: PlanarizedMap, kept: set[str], residual: tuple[str, ...]):
+    """(faces, occurrences, hosts) of a :class:`SkeletonDecomposition`.
+
+    Walks are the face orbits of the skeleton's rotation system, which is the
+    full rotation restricted to skeleton darts, started in the order
+    :func:`~crossing_ledger.drawing.restrict` traces faces.  A walk lies in the
+    region of the full face right of its first dart; regions are numbered in
+    the order of their first walk.
+    """
+
+    def step(d: Dart) -> Dart:
+        # Arrive at the far end, then turn to the next skeleton dart counterclockwise.
+        back = (d[0], len(pmap.chain(d[0])), -1) if d[2] == 1 else (d[0], 0, 1)
+        rot, i = pmap.rotation(pmap.tail(back)), pmap.rotation_index(back)
+        while True:  # ``back`` is a skeleton dart, so this stops at it at the latest
+            i = (i + 1) % len(rot)
+            if rot[i][0] in kept:
+                return rot[i]
+
+    parent = list(range(len(pmap.faces)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # Residual segments do not separate skeleton faces: union across them.
+    face_of = pmap.face_index_of_dart
+    for e in residual:
+        for seg in range(len(pmap.chain(e)) + 1):
+            parent[find(face_of((e, seg, 1)))] = find(face_of((e, seg, -1)))
+
+    regions: dict[int, list[list[Dart]]] = {}
+    seen: set[Dart] = set()
+    for e in sorted(kept):
+        for d in ((e, 0, 1), (e, len(pmap.chain(e)), -1)):
+            walk: list[Dart] = []
+            if d not in seen:
+                regions.setdefault(find(face_of(d)), []).append(walk)
+            while d not in seen:
+                seen.add(d)
+                walk.append((d[0], 0, d[2]))
+                d = step(d)
+
+    faces, occurrences, host_of_root = [], {}, {}
+    for root, walks in regions.items():
+        fid = host_of_root[root] = f"f{len(faces)}"
+        darts = tuple(d for walk in walks for d in walk)
+        occurrences.update({(d[0], d[2]): (fid, pos) for pos, d in enumerate(darts)})
+        nodes = tuple(pmap.endpoints(d[0])[1 if d[2] == 1 else 0] for d in darts)
+        edges = tuple(d[0] for d in darts)
+        faces.append(FaceWalk(fid, darts, nodes, edges, tuple(len(walk) for walk in walks)))
+
+    hosts = tuple(host_of_root.get(find(i)) for i in range(len(pmap.faces)))
+    if None in hosts:
+        face = pmap.faces[hosts.index(None)].face_id
+        raise InvariantError(
+            "decompose-hostless", f"face {face} is not bounded by any skeleton edge"
+        )
+    return tuple(faces), occurrences, hosts
 
 
 def _check_decomposition(conflicts: ConflictGraph, kept: set[str]) -> None:
@@ -213,12 +290,7 @@ def _assemble(
     skeleton = tuple(sorted(kept))
     residual = tuple(sorted(set(pmap.edge_ids) - kept))
     return SkeletonDecomposition(
-        full_map=pmap,
-        skeleton_map=restrict(pmap, skeleton),
-        skeleton_edges=skeleton,
-        residual_edges=residual,
-        mode=mode,
-        optimal_certificate=certificate,
+        pmap, skeleton, residual, mode, certificate, *_skeleton_faces(pmap, kept, residual)
     )
 
 
@@ -268,5 +340,5 @@ def decompose_with(pmap: PlanarizedMap, skeleton_edges) -> SkeletonDecomposition
     kept = {str(e) for e in skeleton_edges}
     unknown = kept - set(pmap.edge_ids)
     if unknown:
-        raise KeyError(f"not edges of this map: {sorted(unknown)}")
+        raise BadArgument(f"not edges of this map: {sorted(unknown)}")
     return _assemble(pmap, conflict_graph(pmap), kept, mode="manual", certificate=False)

@@ -237,3 +237,24 @@ def mutual_stick_triangle_spec() -> DrawingSpec:
         ("z3", "v3", "w2"),
     ]
     return spec_from(points, edges)
+
+
+def loop_around_edge_spec() -> DrawingSpec:
+    """Self-loop at u around a separate edge v-w; an edge from x outside crosses in to v.
+
+    Valid, 3-planar and non-simple.  The skeleton is the loop and v-w, two
+    components, so the face inside the loop is bounded by two walks.
+    """
+    return DrawingSpec.build(
+        vertices=["u", "v", "w", "x"],
+        edges=[("a", "u", "u"), ("g", "v", "w"), ("z", "x", "v")],
+        chains={"a": ["c"], "z": ["c"]},
+        crossings={"c": ["a", "z"]},
+        rotations={
+            "u": [("a", "+"), ("a", "-")],
+            "v": [("g", "+"), ("z", "-")],
+            "w": [("g", "-")],
+            "x": [("z", "+")],
+            "c": [("a", "+"), ("z", "+"), ("a", "-"), ("z", "-")],
+        },
+    )

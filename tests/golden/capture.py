@@ -50,6 +50,7 @@ FIXTURES = (
     "far_middle_spec",
     "four_stick_triangle_spec",
     "mutual_stick_triangle_spec",
+    "loop_around_edge_spec",
 )
 
 # Per valid input: (case suffix, argv before the "-" stdin argument).

@@ -14,7 +14,6 @@ from _geom import DegenerateGeometry, drawing_doc
 
 from crossing_ledger import (
     DrawingSpec,
-    InvariantError,
     associate,
     build_map,
     check_homotopy,
@@ -79,7 +78,7 @@ def test_criterion_3_skeleton_matches_triangulation_result():
     for n in range(6, 51, 4):
         dec = extract_skeleton(build_map(generate_optimal(n)), "exact")
         ok = ok and len(dec.skeleton_edges) == 3 * n - 6
-        ok = ok and all(f.length == 3 for f in dec.skeleton_map.faces)
+        ok = ok and all(f.length == 3 for f in dec.faces)
     _verdict(3, "exact skeleton has 3n-6 edges and only 3-walk faces, n=6..50", ok)
 
 
@@ -208,7 +207,6 @@ def test_criterion_8_randomized_property_suite():
     rng = random.Random(0xC0FFEE)
     instances = 0
     failures = 0
-    skipped_decompose = 0
     while instances < 1000:
         spec = _random_spec(rng)
         if spec is None:
@@ -224,16 +222,8 @@ def test_criterion_8_randomized_property_suite():
             assert sum(f.length for f in sub.faces) == 2 * sub.segment_count()
             # stick count = twice the residual edges
             dec = extract_skeleton(pmap, "exact")
-            try:
-                pieces = decompose(dec)
-            except InvariantError as exc:
-                if exc.rule != "skeleton-disconnected-region":
-                    raise
-                skipped_decompose += 1
-                pieces = None
-            if pieces is not None:
-                sticks = [p for p in pieces if p.kind == "stick"]
-                assert len(sticks) == 2 * len(dec.residual_edges)
+            sticks = [p for p in decompose(dec) if p.kind == "stick"]
+            assert len(sticks) == 2 * len(dec.residual_edges)
             # k-planarity is monotone in k
             verdicts = [check_k_planar(pmap, k).ok for k in range(1, 7)]
             assert verdicts == sorted(verdicts)
@@ -242,7 +232,6 @@ def test_criterion_8_randomized_property_suite():
     ok = failures == 0
     _verdict(
         8,
-        f"1000 randomized instances, {failures} failures "
-        f"({skipped_decompose} with no single-component decomposition)",
+        f"1000 randomized instances, {failures} failures",
         ok,
     )

@@ -26,6 +26,7 @@ def _triangle(face, nodes, neighbors, tau, stick_ids):
         size=3,
         walk_nodes=tuple(nodes),
         walk_edges=(f"{face}_a", f"{face}_b", f"{face}_c"),
+        walks=(3,),
         neighbors=tuple(neighbors),
         type_tuple=tuple(tau),
         sticks=tuple(stick_ids),
@@ -153,6 +154,7 @@ def test_non_triangular_profile_disables_association():
         size=4,
         walk_nodes=("a", "b", "c", "d"),
         walk_edges=("e1", "e2", "e3", "e4"),
+        walks=(4,),
         neighbors=("X", "X", "X", "X"),
         type_tuple=(0, 0, 0, 0),
         sticks=(),

@@ -15,6 +15,7 @@ from crossing_ledger import (
     face_profiles,
     k_bound,
     overfull_triangles,
+    restrict,
     structural_predicates,
     validate_drawing,
 )
@@ -127,7 +128,7 @@ def test_ledger_chains_consistently():
 def test_density_report_on_plain_triangulation():
     # planar octahedron-like fixture: no sticks at all
     dec, pieces, profiles = _pipeline(generate_optimal(6))
-    sub_map = dec.skeleton_map  # the triangulated skeleton alone is planar
+    sub_map = restrict(dec.full_map, dec.skeleton_edges)  # the triangulated skeleton alone is planar
     dec2 = extract_skeleton(sub_map, "exact")
     pieces2 = decompose(dec2)
     profiles2 = face_profiles(dec2, pieces2)

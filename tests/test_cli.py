@@ -15,6 +15,10 @@ def _run(argv, stdin_text=""):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_version_is_written_to_the_given_stdout():
+    assert _run(["--version"]) == (0, "crossing-ledger 0.1.0\n", "")
+
+
 def test_generate_then_audit_pipeline():
     code, drawing, _ = _run(["generate", "--n", "6"])
     assert code == 0

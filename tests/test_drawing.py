@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from crossing_ledger import (
+    CrossingLedgerError,
     DanglingCrossing,
     DrawingSpec,
     InvalidRotation,
@@ -78,7 +79,7 @@ def test_restrict_generated_skeleton_is_triangulated():
 
 def test_restrict_rejects_unknown_edges(triangle_spec):
     pmap = build_map(triangle_spec)
-    with pytest.raises(KeyError):
+    with pytest.raises(CrossingLedgerError, match=r"not edges of this map: \['nope'\]"):
         restrict(pmap, ["nope"])
 
 

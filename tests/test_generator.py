@@ -16,7 +16,7 @@ from crossing_ledger import (
     theta_frame,
     validate_drawing,
 )
-from crossing_ledger.generator import _DIAGONALS, STRICT_ENV_VAR, STRICT_ENV_VALUE, _relabel
+from crossing_ledger.generator import _DIAGONALS, _relabel
 
 # Crossing-partner sequences along each diagonal, frozen from the convex
 # hexagon: chords cross exactly when their corner indices interleave, and the
@@ -59,14 +59,19 @@ def test_bad_n_rejected():
             theta_frame(n)
 
 
-def test_strict_mode_parity(monkeypatch):
+def test_strict_mode_parity():
     theta_frame(8)  # fine by default
     with pytest.raises(BadN):
         theta_frame(8, strict=True)
     theta_frame(10, strict=True)  # 10 - 2 = 8, divisible by 4
-    monkeypatch.setenv(STRICT_ENV_VAR, STRICT_ENV_VALUE)
+
+
+def test_strict_mode_is_an_argument_only(monkeypatch):
+    # No environment variable switches strict mode on behind the caller's back.
+    monkeypatch.setenv("CROSSING_LEDGER_MODE", "strict-paper")
+    assert len(generate_optimal(8).edges) == 33
     with pytest.raises(BadN):
-        theta_frame(8)
+        generate_optimal(8, strict=True)
 
 
 def test_gadget_matches_interleave_oracle():
@@ -155,7 +160,7 @@ def test_generated_skeleton_agrees_with_structure():
         pmap = build_map(generate_optimal(n))
         dec = extract_skeleton(pmap, "exact")
         assert len(dec.skeleton_edges) == 3 * n - 6
-        assert all(f.length == 3 for f in dec.skeleton_map.faces)
+        assert all(f.length == 3 for f in dec.faces)
 
 
 def test_generation_is_deterministic():

@@ -10,7 +10,6 @@ it exits, so a stray top-level import shows up here.
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import io
 import json
@@ -131,11 +130,7 @@ FOOTPRINTS = [
 
 def _in_process(argv: list[str], stdin: str) -> tuple:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):  # argparse prints --version to sys.stdout
-        try:
-            code = run(argv, stdin=io.StringIO(stdin), stdout=out, stderr=io.StringIO())
-        except SystemExit as exc:
-            code = exc.code
+    code = run(argv, stdin=io.StringIO(stdin), stdout=out, stderr=io.StringIO())
     return code, out.getvalue()
 
 

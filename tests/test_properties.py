@@ -8,7 +8,6 @@ from _geom import DegenerateGeometry, drawing_doc
 
 from crossing_ledger import (
     DrawingSpec,
-    InvariantError,
     build_map,
     check_k_planar,
     decompose,
@@ -76,11 +75,7 @@ def test_restrict_keeps_euler_and_dart_partition(spec, rng):
 def test_stick_count_is_twice_residual(spec):
     pmap = build_map(spec)
     dec = extract_skeleton(pmap, "exact")
-    try:
-        pieces = decompose(dec)
-    except InvariantError as exc:
-        assume(exc.rule != "skeleton-disconnected-region")
-        raise
+    pieces = decompose(dec)
     sticks = [p for p in pieces if p.kind == "stick"]
     assert len(sticks) == 2 * len(dec.residual_edges)
     profiles = face_profiles(dec, pieces)
@@ -118,5 +113,5 @@ def test_skeleton_modes_agree_on_feasibility(spec):
     exact = extract_skeleton(pmap, "exact")
     greedy = extract_skeleton(pmap, "greedy")
     assert len(greedy.skeleton_edges) <= len(exact.skeleton_edges)
-    assert exact.skeleton_map.crossing_ids == ()
-    assert greedy.skeleton_map.crossing_ids == ()
+    assert restrict(pmap, exact.skeleton_edges).crossing_ids == ()
+    assert restrict(pmap, greedy.skeleton_edges).crossing_ids == ()

@@ -12,6 +12,7 @@ from crossing_ledger import (
     conflict_graph,
     decompose_with,
     extract_skeleton,
+    restrict,
 )
 from crossing_ledger.generator import generate_optimal
 from crossing_ledger.skeleton import _MisSolver
@@ -85,7 +86,7 @@ def test_generated_skeleton_size_and_shape():
         dec = extract_skeleton(pmap, "exact")
         assert len(dec.skeleton_edges) == 3 * n - 6
         assert all(f.length == 3 for f in dec.faces)
-        assert dec.skeleton_map.crossing_ids == ()
+        assert restrict(pmap, dec.skeleton_edges).crossing_ids == ()
         assert dec.optimal_certificate
 
 
@@ -160,6 +161,12 @@ def test_manual_decomposition(uncrossed_stick_spec):
     assert dec.residual_edges == ("f1",)
     with pytest.raises(Exception):
         decompose_with(pmap, ["c1", "c3", "c4", "f1", "c2"])  # c2 crosses f1
+
+
+def test_decompose_with_rejects_unknown_edges(triangle_spec):
+    pmap = build_map(triangle_spec)
+    with pytest.raises(CrossingLedgerError, match=r"not edges of this map: \['nope'\]"):
+        decompose_with(pmap, ["a", "b", "c", "nope"])
 
 
 def test_extraction_is_deterministic():
