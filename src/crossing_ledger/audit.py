@@ -25,38 +25,27 @@ SQRT_COEFFICIENT = 4.1208
 
 # -- bound table ---------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class BoundEntry:
-    k: int
-    coefficient: Fraction
-    constant: int
-    note: str
-
-    def max_edges(self, n: int) -> int:
-        return math.floor(self.coefficient * n - self.constant)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "coefficient": str(self.coefficient),
-            "constant": self.constant,
-            "formula": f"{self.coefficient}*n - {self.constant}",
-            "note": self.note,
-        }
-
-
-BOUND_TABLE: dict[int, BoundEntry] = {
-    1: BoundEntry(1, Fraction(4), 8, "tight for drawings with at most one crossing per edge"),
-    2: BoundEntry(2, Fraction(5), 10, "tight for drawings with at most two crossings per edge"),
-    3: BoundEntry(3, Fraction(11, 2), 11, "tight; met with equality by the generated family"),
-    4: BoundEntry(4, Fraction(6), 12, "conditional on a fully triangulated substructure"),
+# k -> (coefficient, constant, note): at most ``coefficient*n - constant`` edges.
+BOUND_TABLE: dict[int, tuple[Fraction, int, str]] = {
+    1: (Fraction(4), 8, "tight for drawings with at most one crossing per edge"),
+    2: (Fraction(5), 10, "tight for drawings with at most two crossings per edge"),
+    3: (Fraction(11, 2), 11, "tight; met with equality by the generated family"),
+    4: (Fraction(6), 12, "conditional on a fully triangulated substructure"),
 }
 
 
 def bounds_table() -> dict:
     return {
-        "entries": [BOUND_TABLE[k].to_dict() for k in sorted(BOUND_TABLE)],
+        "entries": [
+            {
+                "k": k,
+                "coefficient": str(coefficient),
+                "constant": constant,
+                "formula": f"{coefficient}*n - {constant}",
+                "note": note,
+            }
+            for k, (coefficient, constant, note) in sorted(BOUND_TABLE.items())
+        ],
         "informational": {
             "formula": f"{SQRT_COEFFICIENT}*sqrt(k)*n",
             "note": "generic estimate for any crossing budget; not derived here",
@@ -68,15 +57,20 @@ def k_bound(n: int, k: int) -> int:
     """Maximum edge count of a drawing on ``n`` vertices with crossing budget ``k``.
 
     The bound is stated for ``n >= 3``; fewer vertices raise
-    :class:`InvariantError` with rule ``bound-vertex-count``.
+    :class:`InvariantError` with rule ``bound-vertex-count``.  A budget below
+    1 raises :class:`BadArgument`, and one with no tabulated bound
+    :class:`UnsupportedK`.
     """
     if n < 3:
         raise InvariantError(
             "bound-vertex-count", f"the edge-count bound needs at least 3 vertices; got {n}"
         )
+    if k < 1:
+        raise BadArgument(f"k must be a positive integer; got {k}")
     if k not in BOUND_TABLE:
         raise UnsupportedK(k, n, SQRT_COEFFICIENT * math.sqrt(k) * n)
-    return BOUND_TABLE[k].max_edges(n)
+    coefficient, constant, _ = BOUND_TABLE[k]
+    return math.floor(coefficient * n - constant)
 
 
 # -- triangle stick cap ----------------------------------------------------------
@@ -357,6 +351,12 @@ def _skeleton_connected(dec: SkeletonDecomposition) -> bool:
     return n <= 1 or (len(touched) == n and n - len(dec.skeleton_edges) + walks == 2)
 
 
+def _no_offenders(name: str, offenders: list, ok_detail: str, label: str) -> PredicateVerdict:
+    """A predicate that holds iff ``offenders`` is empty, and lists them if not."""
+    detail = f"{label}: {offenders}" if offenders else ok_detail
+    return PredicateVerdict(name, not offenders, detail)
+
+
 def structural_predicates(
     dec: SkeletonDecomposition,
     profiles: list[FaceProfile],
@@ -377,39 +377,16 @@ def structural_predicates(
             continue
         sticks = [pieces_by_id[s] for s in prof.sticks]
         middles = [pieces_by_id[m] for m in prof.middles]
-        verdicts: list[PredicateVerdict] = []
-
-        uncrossed_sticks = [s.piece_id for s in sticks if not s.intra_crossings]
-        verdicts.append(
-            PredicateVerdict(
-                "sticks_crossed",
-                not uncrossed_sticks,
-                "every stick is crossed inside the face"
-                if not uncrossed_sticks
-                else f"uncrossed stick(s): {uncrossed_sticks}",
-            )
-        )
-
-        far_middles = [m.piece_id for m in middles if m.classification != "short"]
-        verdicts.append(
-            PredicateVerdict(
-                "middles_short",
-                not far_middles,
-                "every middle part crosses consecutive boundary edges"
-                if not far_middles
-                else f"far middle part(s): {far_middles}",
-            )
-        )
-
-        long_sticks = [s.piece_id for s in sticks if s.classification != "short"]
-        verdicts.append(
-            PredicateVerdict(
-                "sticks_short",
-                not long_sticks,
-                "every stick is short" if not long_sticks else f"long stick(s): {long_sticks}",
-            )
-        )
-
+        verdicts = [
+            _no_offenders("sticks_crossed", [s.piece_id for s in sticks if not s.intra_crossings],
+                       "every stick is crossed inside the face", "uncrossed stick(s)"),
+            _no_offenders("middles_short",
+                       [m.piece_id for m in middles if m.classification != "short"],
+                       "every middle part crosses consecutive boundary edges",
+                       "far middle part(s)"),
+            _no_offenders("sticks_short", [s.piece_id for s in sticks if s.classification != "short"],
+                       "every stick is short", "long stick(s)"),
+        ]
         if not sticks:
             ok = 2 * prof.uncrossed_count < prof.non_bridge_count
             verdicts.append(
@@ -421,81 +398,39 @@ def structural_predicates(
                     + ("" if ok else "; at least half untouched"),
                 )
             )
-
         verdicts.append(
-            PredicateVerdict(
-                "stick_present",
-                bool(sticks),
-                f"face holds {len(sticks)} stick(s)",
-            )
+            PredicateVerdict("stick_present", bool(sticks), f"face holds {len(sticks)} stick(s)")
         )
 
         # three mutually crossing sticks
-        triple = None
+        triple = []
         stick_ids = [s.piece_id for s in sticks]
-        crossing_graph = {
-            s.piece_id: set(s.intra_pieces) & set(stick_ids) for s in sticks
-        }
+        crossing_graph = {s.piece_id: set(s.intra_pieces) for s in sticks}
         for i, a in enumerate(stick_ids):
             for b in stick_ids[i + 1:]:
                 if b not in crossing_graph[a]:
                     continue
                 for c in stick_ids:
                     if c > b and c in crossing_graph[a] and c in crossing_graph[b]:
-                        triple = (a, b, c)
+                        triple = [a, b, c]
                         break
-        verdicts.append(
-            PredicateVerdict(
-                "no_three_mutually_crossing_sticks",
-                triple is None,
-                "no stick triple pairwise crosses"
-                if triple is None
-                else f"mutually crossing sticks: {list(triple)}",
-            )
-        )
 
-        wrong_count = [s.piece_id for s in sticks if len(s.intra_crossings) != 1]
-        verdicts.append(
-            PredicateVerdict(
-                "sticks_crossed_once",
-                not wrong_count,
-                "every stick is crossed exactly once inside the face"
-                if not wrong_count
-                else f"stick(s) with crossing count != 1: {wrong_count}",
-            )
-        )
-
-        verdicts.append(
-            PredicateVerdict(
-                "no_stick_middle_crossings",
-                not prof.stick_middle_pairs,
-                "sticks never cross middle parts"
-                if not prof.stick_middle_pairs
-                else f"stick-middle crossing(s): {[list(p) for p in prof.stick_middle_pairs]}",
-            )
-        )
-
-        non_opposite = [
-            list(pair) for pair, opp in sorted(prof.opposite_flags.items()) if not opp
+        non_opposite = [list(pair) for pair, opp in sorted(prof.opposite_flags.items()) if not opp]
+        verdicts += [
+            _no_offenders("no_three_mutually_crossing_sticks", triple,
+                       "no stick triple pairwise crosses", "mutually crossing sticks"),
+            _no_offenders("sticks_crossed_once",
+                       [s.piece_id for s in sticks if len(s.intra_crossings) != 1],
+                       "every stick is crossed exactly once inside the face",
+                       "stick(s) with crossing count != 1"),
+            _no_offenders("no_stick_middle_crossings", [list(p) for p in prof.stick_middle_pairs],
+                       "sticks never cross middle parts", "stick-middle crossing(s)"),
+            _no_offenders("stick_crossings_opposite", non_opposite,
+                       "every stick-stick crossing pairs a left with a right stick",
+                       "non-opposite stick crossing(s)"),
+            PredicateVerdict("two_sticks", len(sticks) == 2,
+                             f"face holds {len(sticks)} stick(s); exactly two expected"),
         ]
-        verdicts.append(
-            PredicateVerdict(
-                "stick_crossings_opposite",
-                not non_opposite,
-                "every stick-stick crossing pairs a left with a right stick"
-                if not non_opposite
-                else f"non-opposite stick crossing(s): {non_opposite}",
-            )
-        )
-
-        verdicts.append(
-            PredicateVerdict(
-                "two_sticks",
-                len(sticks) == 2,
-                f"face holds {len(sticks)} stick(s); exactly two expected",
-            )
-        )
-
         faces[prof.face] = tuple(verdicts)
 
     return PredicateReport(
@@ -599,11 +534,16 @@ def density_report(
 ) -> AuditReport:
     """Replay the counting argument and compare the edge count to the bound.
 
-    The full inequality chain needs a connected, fully triangulated skeleton;
-    otherwise only the raw counts and the bound comparison are reported and
-    the chain is marked inapplicable.  With ``k=4`` the chain uses the
-    conditional pairing assumption, which is recorded (with its truth value
-    on this input) rather than silently trusted.
+    The ledger is two chains, each step's right-hand side the next step's
+    left-hand side: the residual edges ``|E| - |E_p|``, counted as sticks per
+    skeleton triangle, up to a multiple of the triangle count ``t_p``; then
+    ``|E|`` up to the bound, ``11*n/2 - 11`` for ``k=3`` or ``6*n - 12`` for
+    ``k=4``.  The chains need a connected, fully triangulated skeleton with no
+    triangle over the stick cap; otherwise only the raw counts and the bound
+    comparison are reported and the chain is marked inapplicable.  With
+    ``k=4`` the first chain uses the conditional pairing assumption, which is
+    recorded (with its truth value on this input) rather than silently
+    trusted.
     """
     if k not in (3, 4):
         raise BadArgument(f"density audit supports crossing budgets 3 and 4; got {k}")
@@ -613,17 +553,11 @@ def density_report(
     skeleton_count = len(dec.skeleton_edges)
     cap = k
 
-    connected = _skeleton_connected(dec)
-    triangulated = all(p.is_triangle for p in profiles)
     triangles = [p for p in profiles if p.is_triangle]
     t_p = len(triangles)
-    counts: dict[int, int] = {i: 0 for i in range(cap + 1)}
-    overflow = 0
-    for p in triangles:
-        if p.stick_count <= cap:
-            counts[p.stick_count] += 1
-        else:
-            overflow += 1
+    sizes = Counter(p.stick_count for p in triangles)
+    counts = {i: sizes[i] for i in range(cap + 1)}
+    weighted = sum(i * c for i, c in counts.items())
     cap_violations = tuple(sorted(overfull_triangles(profiles, cap)))
 
     association = (
@@ -633,42 +567,40 @@ def density_report(
     )
 
     predicates = structural_predicates(dec, profiles, pieces)
-
-    chain_applicable = connected and triangulated and not cap_violations and overflow == 0
+    connected = predicates.skeleton_connected
+    triangulated = predicates.skeleton_triangulated
+    chain_applicable = connected and triangulated and not cap_violations
     t_expected = 2 * n - 4 if (connected and triangulated) else None
 
     total_sticks = sum(p.stick_count for p in profiles)
     residual = edge_count - skeleton_count
-    stick_identity: bool | None = None
-    if triangulated:
-        weighted = sum(i * counts[i] for i in counts)
-        stick_identity = weighted == 2 * residual and total_sticks == 2 * residual
+    stick_identity = (weighted == total_sticks == 2 * residual) if triangulated else None
 
     ledger: list[LedgerStep] = []
     assumptions: list[str] = []
 
-    def step(label, lhs, lv, rel, rhs, rv):
-        lv, rv = Fraction(lv), Fraction(rv)
-        holds = lv == rv if rel == "=" else lv <= rv
-        ledger.append(LedgerStep(label, lhs, lv, rel, rhs, rv, rv - lv, holds))
+    def chain(lhs, value, *steps):
+        # Each step is (label, relation, rhs, rhs_value); its right-hand side
+        # is the left-hand side of the step after it.
+        lv = Fraction(value)
+        for label, rel, rhs, rv in steps:
+            rv = Fraction(rv)
+            holds = lv == rv if rel == "=" else lv <= rv
+            ledger.append(LedgerStep(label, lhs, lv, rel, rhs, rv, rv - lv, holds))
+            lhs, lv = rhs, rv
 
+    t0 = counts[0]
     if chain_applicable and k == 3:
-        t0, t1, t2, t3 = counts[0], counts[1], counts[2], counts[3]
-        step("residual edges as sticks", "|E| - |E_p|", residual, "=",
-             "(t1 + 2*t2 + 3*t3)/2", Fraction(t1 + 2 * t2 + 3 * t3, 2))
-        step("regroup", "(t1 + 2*t2 + 3*t3)/2",
-             Fraction(t1 + 2 * t2 + 3 * t3, 2), "=",
-             "(t_p - t0) + (t3 - t1)/2", Fraction(2 * (t_p - t0) + t3 - t1, 2))
-        step("drop t0 and t1", "(t_p - t0) + (t3 - t1)/2",
-             Fraction(2 * (t_p - t0) + t3 - t1, 2), "<=",
-             "t_p + t3/2", Fraction(2 * t_p + t3, 2))
-        step("pairing bound t3 <= t_p/2", "t_p + t3/2",
-             Fraction(2 * t_p + t3, 2), "<=", "5*t_p/4", Fraction(5 * t_p, 4))
-        step("add the skeleton", "|E|", edge_count, "<=",
-             "|E_p| + 5*t_p/4", skeleton_count + Fraction(5 * t_p, 4))
-        step("triangulated skeleton size", "|E_p| + 5*t_p/4",
-             skeleton_count + Fraction(5 * t_p, 4), "=",
-             "11*n/2 - 11", Fraction(11 * n, 2) - 11)
+        t1, t3 = counts[1], counts[3]
+        chain("|E| - |E_p|", residual,
+              ("residual edges as sticks", "=", "(t1 + 2*t2 + 3*t3)/2", Fraction(weighted, 2)),
+              ("regroup", "=", "(t_p - t0) + (t3 - t1)/2",
+               Fraction(2 * (t_p - t0) + t3 - t1, 2)),
+              ("drop t0 and t1", "<=", "t_p + t3/2", Fraction(2 * t_p + t3, 2)),
+              ("pairing bound t3 <= t_p/2", "<=", "5*t_p/4", Fraction(5 * t_p, 4)))
+        chain("|E|", edge_count,
+              ("add the skeleton", "<=", "|E_p| + 5*t_p/4", skeleton_count + Fraction(5 * t_p, 4)),
+              ("triangulated skeleton size", "=", "11*n/2 - 11", Fraction(11 * n, 2) - 11))
     elif chain_applicable and k == 4:
         t1, t2, t4 = counts[1], counts[2], counts[4]
         cond = t4 <= t1 + t2
@@ -676,20 +608,16 @@ def density_report(
             f"t4 <= t1 + t2 assumed (holds on this input: {cond}); "
             "no pairing construction exists for k=4"
         )
-        weighted = sum(i * counts[i] for i in counts)
-        step("residual edges as sticks", "|E| - |E_p|", residual, "=",
-             "(t1 + 2*t2 + 3*t3 + 4*t4)/2", Fraction(weighted, 2))
-        step("conditional pairing", "(t1 + 2*t2 + 3*t3 + 4*t4)/2",
-             Fraction(weighted, 2), "<=",
-             "3*(t1 + t2 + t3 + t4)/2",
-             Fraction(3 * (counts[1] + counts[2] + counts[3] + counts[4]), 2))
-        step("all triangles", "3*(t1 + t2 + t3 + t4)/2",
-             Fraction(3 * (counts[1] + counts[2] + counts[3] + counts[4]), 2), "<=",
-             "3*t_p/2", Fraction(3 * t_p, 2))
-        step("add the skeleton", "|E|", edge_count, "<=",
-             "|E_p| + 3*t_p/2", skeleton_count + Fraction(3 * t_p, 2))
-        step("triangulated skeleton size", "|E_p| + 3*t_p/2",
-             skeleton_count + Fraction(3 * t_p, 2), "=", "6*n - 12", 6 * n - 12)
+        chain("|E| - |E_p|", residual,
+              ("residual edges as sticks", "=", "(t1 + 2*t2 + 3*t3 + 4*t4)/2",
+               Fraction(weighted, 2)),
+              # No triangle is over the cap here, so t1 + t2 + t3 + t4 = t_p - t0.
+              ("conditional pairing", "<=", "3*(t1 + t2 + t3 + t4)/2",
+               Fraction(3 * (t_p - t0), 2)),
+              ("all triangles", "<=", "3*t_p/2", Fraction(3 * t_p, 2)))
+        chain("|E|", edge_count,
+              ("add the skeleton", "<=", "|E_p| + 3*t_p/2", skeleton_count + Fraction(3 * t_p, 2)),
+              ("triangulated skeleton size", "=", "6*n - 12", 6 * n - 12))
 
     bound = k_bound(n, k)
     if edge_count > bound:

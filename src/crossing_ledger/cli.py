@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 from importlib import import_module
+from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 from . import __version__, _lazy
-from .errors import CrossingLedgerError
+from .errors import CrossingLedgerError, ParseError
 
 if TYPE_CHECKING:
     from .drawing import DrawingSpec, PlanarizedMap
@@ -74,6 +75,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
 
+    def print_help(self, file=None):  # noqa: D102 - argparse hook
+        raise _Answer(self.format_help())
+
 
 class _Version(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):  # noqa: D102 - argparse hook
@@ -81,8 +85,8 @@ class _Version(argparse.Action):
 
 
 class _Answer(Exception):
-    """Output that ends the run early: ``--version`` is answered on ``run``'s
-    own ``stdout`` instead of by argparse's print-and-exit."""
+    """Output that ends the run early: ``--version`` and ``-h`` are answered on
+    ``run``'s own ``stdout`` instead of by argparse's print-and-exit."""
 
 
 def _build_parser() -> _Parser:
@@ -129,10 +133,11 @@ def _build_parser() -> _Parser:
 
 
 def _read_spec(path: str, stdin: TextIO) -> DrawingSpec:
-    if path == "-":
-        return _stage.parse_text(stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return _stage.parse_text(fh.read())
+    try:
+        text = stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return _stage.parse_text(text)
 
 
 def _write(text: str, path: str | None, stdout: TextIO) -> None:

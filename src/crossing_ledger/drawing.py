@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -64,14 +65,30 @@ def _anchor_rotation(entries: Sequence[RotationEntry]) -> tuple[RotationEntry, .
     return tuple(entries[pivot:]) + tuple(entries[:pivot])
 
 
+def _check_ids(*groups: Iterable) -> None:
+    """Refuse an id that is neither a string nor an integer (a bool is not one)."""
+    if not {str, int}.issuperset(map(type, chain(*groups))):
+        for v in chain(*groups):
+            if not isinstance(v, (str, int)) or isinstance(v, bool):
+                raise InvariantError("id-type", f"ids are strings or integers; got {v!r}")
+
+
+def _check_rows(rows: list, size: int, rule: str) -> None:
+    """Refuse a row that is not a list or tuple of ``size`` entries."""
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != size:
+            raise InvariantError(rule, f"expected a list of {size} entries; got {row!r}")
+
+
 @dataclass(frozen=True)
 class DrawingSpec:
     """Canonical combinatorial description of a drawing.
 
     All identifiers are strings; the :meth:`build` factory coerces integer
-    ids from input documents.  Instances are immutable and stored in a
-    canonical order (sorted ids, rotation lists anchored at their smallest
-    entry) so that equality and serialization are stable.
+    ids from input documents and refuses ids of any other type.  Instances
+    are immutable and stored in a canonical order (sorted ids, rotation lists
+    anchored at their smallest entry) so that equality and serialization are
+    stable.
 
     :meth:`build` is the only constructor and the one place the drawing rules
     are checked, so every spec is valid by construction: it raises a typed
@@ -92,6 +109,13 @@ class DrawingSpec:
         crossings: Mapping | None = None,
         rotations: Mapping | None = None,
     ) -> "DrawingSpec":
+        vertices, edges = list(vertices), list(edges)
+        chains, crossings, rotations = chains or {}, crossings or {}, rotations or {}
+        _check_rows(edges, 3, "edge-row")
+        entries = [entry for rot in rotations.values() for entry in rot]
+        _check_rows(entries, 2, "rotation-entry")
+        _check_ids(vertices, *edges, chains, *chains.values(), crossings, *crossings.values(),
+                   rotations, [e for e, _ in entries])
         verts = [str(v) for v in vertices]
         edge_rows = [(str(e), str(a), str(b)) for e, a, b in edges]
         if len(set(verts)) != len(verts):
@@ -102,16 +126,16 @@ class DrawingSpec:
             dup = sorted(e for e, c in Counter(edge_ids).items() if c > 1)
             raise InvariantError("duplicate-edge-id", f"edge ids repeat: {dup}")
 
-        chain_map = {str(e): tuple(str(c) for c in cs) for e, cs in (chains or {}).items()}
+        chain_map = {str(e): tuple(str(c) for c in cs) for e, cs in chains.items()}
         cross_map = {}
-        for c, pair in (crossings or {}).items():
+        for c, pair in crossings.items():
             pair = tuple(str(x) for x in pair)
             if len(pair) != 2:
                 raise InvariantError("crossing-pair", f"crossing {c} must list two edges")
             cross_map[str(c)] = pair
         rot_map = {
             str(node): _anchor_rotation([(str(e), str(d)) for e, d in rot])
-            for node, rot in (rotations or {}).items()
+            for node, rot in rotations.items()
         }
 
         vert_set = set(verts)

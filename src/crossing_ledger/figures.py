@@ -54,6 +54,7 @@ def _to_dot(pmap: PlanarizedMap) -> str:
 # of each compiled function, and the memory its compilation takes, small.
 _NODES_PER_FUNCTION = 128
 _TERMS_PER_SUM = 32
+_SWEEPS = 300  # Gauss–Seidel sweeps per axis: the layout's fixed iteration count
 
 
 def _compile_sweep(sweep: list[tuple[int, list[int]]]) -> list[Callable[[list[float]], None]]:
@@ -83,7 +84,7 @@ def _compile_sweep(sweep: list[tuple[int, list[int]]]) -> list[Callable[[list[fl
 
 
 def _layout_component(
-    pmap: PlanarizedMap, nodes: list[str], outer: FaceWalk, iterations: int = 300
+    pmap: PlanarizedMap, nodes: list[str], outer: FaceWalk
 ) -> dict[str, tuple[float, float]]:
     index = {node: i for i, node in enumerate(nodes)}
     xs = [0.0] * len(nodes)
@@ -106,7 +107,7 @@ def _layout_component(
     ]
     funcs = _compile_sweep(sweep)
     for coords in (xs, ys):
-        for _ in range(iterations):
+        for _ in range(_SWEEPS):
             for f in funcs:
                 f(coords)
     return dict(zip(nodes, zip(xs, ys)))

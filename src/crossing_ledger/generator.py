@@ -28,17 +28,15 @@ _HEX_POINTS = ((0, 4), (3, 2), (3, -2), (0, -4), (-3, -2), (-3, 2))
 
 # Diagonal slots: the six short diagonals then the two long ones.
 _DIAGONALS = ((0, 2), (1, 3), (2, 4), (3, 5), (4, 0), (5, 1), (0, 3), (1, 4))
-SHORT_DIAGONAL_SLOTS = tuple(range(6))
-LONG_DIAGONAL_SLOTS = (6, 7)
 
 
-def chords_interleave(a: int, b: int, c: int, d: int, size: int = 6) -> bool:
-    """Two chords of a convex polygon cross iff their endpoints interleave."""
+def chords_interleave(a: int, b: int, c: int, d: int) -> bool:
+    """Two chords of a convex hexagon cross iff their endpoints interleave."""
     if len({a, b, c, d}) < 4:
         return False
 
     def inside(x: int, lo: int, hi: int) -> bool:
-        return (x - lo) % size < (hi - lo) % size and x != lo
+        return (x - lo) % 6 < (hi - lo) % 6 and x != lo
 
     return inside(c, a, b) != inside(d, a, b)
 

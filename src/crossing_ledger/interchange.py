@@ -94,7 +94,7 @@ def parse_drawing(path: str | Path) -> DrawingSpec:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_text(text)
 

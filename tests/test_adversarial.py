@@ -1,0 +1,199 @@
+"""Every public function, given arguments of the right type but out of range,
+returns or raises a ``CrossingLedgerError``; never a raw Python exception.
+
+Out of range means: crossing budgets at or below zero and very large ones,
+unknown skeleton modes and figure formats, face hints that name no face,
+search budgets at or below zero, unknown or empty edge subsets, vertex
+counts the construction cannot realise, and malformed documents and files
+(ids that are neither strings nor integers, rows of the wrong length, bytes
+that are not UTF-8).  Arguments of a wrong Python type are out of scope.
+The examples are derandomised and few, so the module runs in seconds.
+"""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import _fixtures
+from test_properties import random_drawings
+
+from crossing_ledger import (
+    CrossingLedgerError,
+    DrawingSpec,
+    associate,
+    bounds_table,
+    build_map,
+    check_homotopy,
+    check_k_planar,
+    check_sanity,
+    chords_interleave,
+    conflict_graph,
+    decompose,
+    decompose_with,
+    density_report,
+    emit_drawing,
+    export_figure,
+    extract_skeleton,
+    face_profiles,
+    frame_spec,
+    generate_optimal,
+    hexagon_gadget,
+    input_digest,
+    k_bound,
+    overfull_triangles,
+    parse_drawing,
+    parse_text,
+    report_document,
+    restrict,
+    structural_predicates,
+    theta_frame,
+    validate_drawing,
+)
+
+ADVERSARIAL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+FIXTURES = [getattr(_fixtures, name) for name in dir(_fixtures) if name.endswith("_spec")]
+
+specs = st.one_of(st.sampled_from(FIXTURES).map(lambda make: make()), random_drawings())
+budgets_k = st.one_of(st.integers(-3, 6), st.integers(10**6, 10**12))
+words = st.text("abcxyz+-#.0", max_size=4)
+
+# Values a JSON document can hold, to put where an id or a row belongs.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | words,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(words, inner, max_size=2),
+    max_leaves=5,
+)
+ids = st.one_of(words, st.integers(-2, 2), json_values)
+
+
+def returns_or_typed(call, *args):
+    """Call; a ``CrossingLedgerError`` is an answer, any other exception fails."""
+    try:
+        call(*args)
+    except CrossingLedgerError:
+        pass
+
+
+@ADVERSARIAL
+@given(
+    spec=specs,
+    k=budgets_k,
+    mode=st.one_of(st.sampled_from(["exact", "greedy"]), words),
+    budget=st.integers(-2, 30),
+    data=st.data(),
+)
+def test_map_and_skeleton_functions(spec, k, mode, budget, data):
+    pmap = build_map(spec)
+    edges = list(pmap.edge_ids)
+    keep = data.draw(st.lists(st.one_of(st.sampled_from(edges), words), max_size=len(edges)))
+    fmt = data.draw(st.one_of(st.sampled_from(["dot", "svg"]), words))
+    face_ids = [f.face_id for f in pmap.faces]
+    hint = data.draw(st.one_of(st.none(), st.sampled_from(face_ids), words))
+
+    for check in (check_sanity, check_homotopy, conflict_graph):
+        check(pmap)
+    returns_or_typed(check_k_planar, pmap, k)
+    returns_or_typed(validate_drawing, pmap, k)
+    for subset in (keep, []):
+        returns_or_typed(restrict, pmap, subset)
+        returns_or_typed(decompose_with, pmap, subset)
+    returns_or_typed(extract_skeleton, pmap, mode, budget)
+    returns_or_typed(export_figure, pmap, fmt, hint)
+    for face in pmap.faces:
+        anchor = data.draw(st.one_of(st.none(), st.sampled_from(face.nodes), words))
+        returns_or_typed(hexagon_gadget, face, anchor, data.draw(words))
+    emit_drawing(spec)
+    report_document(spec, {}, include_drawing=data.draw(st.booleans()))
+    input_digest(spec)
+
+
+@ADVERSARIAL
+@given(spec=specs, k=budgets_k, cap=st.integers(-3, 10))
+def test_audit_functions(spec, k, cap):
+    pmap = build_map(spec)
+    try:
+        dec = extract_skeleton(pmap)
+    except CrossingLedgerError:
+        return
+    pieces = decompose(dec)
+    profiles = face_profiles(dec, pieces)
+    returns_or_typed(density_report, dec, profiles, pieces, k)
+    returns_or_typed(k_bound, len(pmap.vertices), k)
+    overfull_triangles(profiles, cap)
+    associate(profiles, pieces)
+    structural_predicates(dec, profiles, pieces)
+    bounds_table()
+
+
+@ADVERSARIAL
+@given(
+    n=st.integers(-8, 40),
+    k=budgets_k,
+    strict=st.booleans(),
+    ends=st.lists(st.integers(-8, 14), min_size=4, max_size=4),
+)
+def test_generator_and_bound_functions(n, k, strict, ends):
+    for make in (frame_spec, theta_frame, generate_optimal):
+        returns_or_typed(make, n, strict)
+    returns_or_typed(k_bound, n, k)
+    chords_interleave(*ends)
+
+
+@ADVERSARIAL
+@given(
+    vertices=st.lists(ids, max_size=4),
+    edges=st.lists(st.lists(ids, max_size=4), max_size=3),
+    chains=st.dictionaries(words, st.lists(ids, max_size=3), max_size=2),
+    crossings=st.dictionaries(words, st.lists(ids, max_size=3), max_size=2),
+    rotations=st.dictionaries(
+        words, st.lists(st.lists(st.one_of(ids, st.sampled_from("+-")), max_size=3), max_size=3),
+        max_size=3,
+    ),
+)
+def test_malformed_documents(vertices, edges, chains, crossings, rotations):
+    doc = {
+        "vertices": vertices,
+        "edges": edges,
+        "chains": chains,
+        "crossings": crossings,
+        "rotations": rotations,
+    }
+    returns_or_typed(DrawingSpec.build, vertices, edges, chains, crossings, rotations)
+    returns_or_typed(parse_text, json.dumps(doc))
+
+
+@ADVERSARIAL
+@given(
+    spec=st.sampled_from(FIXTURES).map(lambda make: make()),
+    field=st.sampled_from(["vertices", "edges", "chains", "crossings", "rotations"]),
+    value=json_values,
+    cut=st.integers(0, 400),
+)
+def test_corrupted_document_text(spec, field, value, cut):
+    doc = spec.to_doc()
+    doc[field] = value
+    text = json.dumps(doc)
+    returns_or_typed(parse_text, text)
+    returns_or_typed(parse_text, emit_drawing(spec)[:cut])
+
+
+@ADVERSARIAL
+@given(prefix=st.sampled_from([b"", b"\xd0\xff", b"\xef\xbb\xbf", b"\xff\xfe"]),
+       body=st.binary(max_size=12))
+def test_malformed_files(prefix, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawing.json"
+        path.write_bytes(prefix + body)
+        returns_or_typed(parse_drawing, path)
+        returns_or_typed(parse_drawing, str(path))
+        returns_or_typed(parse_drawing, tmp)
+        returns_or_typed(parse_drawing, Path(tmp) / "absent.json")

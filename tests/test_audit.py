@@ -19,6 +19,7 @@ from crossing_ledger import (
     structural_predicates,
     validate_drawing,
 )
+from crossing_ledger.errors import BadArgument
 from crossing_ledger.generator import generate_optimal
 
 
@@ -179,6 +180,12 @@ def test_bound_below_three_vertices_is_a_typed_error():
 def test_bound_matches_density_report_source():
     for n in (6, 10, 50, 102):
         assert k_bound(n, 3) == (11 * n - 22) // 2
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_bound_below_budget_one_is_a_bad_argument(k):
+    with pytest.raises(BadArgument, match=f"^k must be a positive integer; got {k}$"):
+        k_bound(20, k)
 
 
 def test_unsupported_k_carries_informational_estimate():

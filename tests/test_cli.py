@@ -19,6 +19,13 @@ def test_version_is_written_to_the_given_stdout():
     assert _run(["--version"]) == (0, "crossing-ledger 0.1.0\n", "")
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["audit", "-h"], ["generate", "--help"]])
+def test_help_is_written_to_the_given_stdout(argv):
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: crossing-ledger", *argv[:-1]]) + " [-h]")
+
+
 def test_generate_then_audit_pipeline():
     code, drawing, _ = _run(["generate", "--n", "6"])
     assert code == 0
@@ -133,6 +140,23 @@ def test_parse_error_exit_one():
     code, _, err = _run(["validate", "--k", "3", "-"], stdin_text="{broken")
     assert code == 1
     assert "invalid JSON" in err
+
+
+def test_non_utf8_file_is_one_error_line(tmp_path):
+    target = tmp_path / "bad.json"
+    target.write_bytes(b"\xd0\xff{}")
+    code, out, err = _run(["validate", "--k", "3", str(target)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {target}: ")
+    assert err.count("\n") == 1
+
+
+def test_id_of_another_type_is_one_error_line():
+    doc = {"vertices": [["a"], {"b": 1}], "edges": [], "chains": {}, "crossings": {},
+           "rotations": {}}
+    code, out, err = _run(["validate", "--k", "3", "-"], stdin_text=json.dumps(doc))
+    assert (code, out) == (1, "")
+    assert err == "error: id-type: ids are strings or integers; got ['a']\n"
 
 
 def test_missing_file_exit_one(tmp_path):

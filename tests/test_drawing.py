@@ -198,6 +198,32 @@ def test_torus_rotation_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "kwargs, rule",
+    [
+        ({"vertices": ["a"], "edges": [("e", "a")]}, "edge-row"),
+        ({"vertices": ["a", "b"], "edges": ["eab"]}, "edge-row"),
+        ({"vertices": ["a", "b"], "edges": [("e", "a", ("b",))]}, "id-type"),
+        ({"vertices": [False], "edges": []}, "id-type"),
+        ({"vertices": ["a"], "edges": [], "chains": {"e": [["x"]]}}, "id-type"),
+        ({"vertices": ["a"], "edges": [], "crossings": {"x": ["e", 2.0]}}, "id-type"),
+        ({"vertices": ["a"], "edges": [], "rotations": {"a": [("e", "+", "+")]}}, "rotation-entry"),
+        ({"vertices": ["a"], "edges": [], "rotations": {"a": [(None, "+")]}}, "id-type"),
+    ],
+)
+def test_malformed_ids_and_rows_raise_typed_errors(kwargs, rule):
+    with pytest.raises(InvariantError) as info:
+        DrawingSpec.build(**kwargs)
+    assert info.value.rule == rule
+
+
+def test_integer_ids_are_accepted_by_build():
+    spec = DrawingSpec.build(
+        vertices=[1, 2], edges=[(3, 1, 2)], rotations={1: [(3, "+")], 2: [(3, "-")]}
+    )
+    assert spec.edges == (("3", "1", "2"),)
+
+
 def test_duplicate_edge_id_rejected():
     with pytest.raises(InvariantError):
         DrawingSpec.build(

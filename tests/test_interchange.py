@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -109,3 +110,21 @@ def test_parse_drawing_from_file(tmp_path, triangle_spec):
     assert parse_drawing(target) == triangle_spec
     with pytest.raises(ParseError):
         parse_drawing(tmp_path / "missing.json")
+
+
+def test_parse_drawing_of_non_utf8_file_is_a_parse_error(tmp_path):
+    from crossing_ledger import parse_drawing
+
+    target = tmp_path / "bad.json"
+    target.write_bytes(b"\xd0\xff{}")
+    with pytest.raises(ParseError, match="^" + re.escape(f"cannot read {target}: 'utf-8' codec")):
+        parse_drawing(target)
+
+
+@pytest.mark.parametrize("bad", [["a"], {"b": 1}, True, 1.5, None])
+def test_id_of_another_type_is_an_invariant_error(bad):
+    doc = {"vertices": ["a", bad], "edges": [], "chains": {}, "crossings": {}, "rotations": {}}
+    with pytest.raises(InvariantError) as info:
+        parse_text(json.dumps(doc))
+    assert info.value.rule == "id-type"
+    assert str(info.value).endswith(f"got {bad!r}")
