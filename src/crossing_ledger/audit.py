@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BadArgument, InvariantError, UnsupportedK
 from .segments import FaceProfile, SegmentPiece
@@ -84,8 +84,7 @@ def overfull_triangles(profiles: list[FaceProfile], cap: int = 3) -> list[str]:
 # -- association ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagnosis:
+class Diagnosis(NamedTuple):
     faces: tuple[str, ...]
     kind: str
     detail: str
@@ -94,8 +93,7 @@ class Diagnosis:
         return {"faces": list(self.faces), "kind": self.kind, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class AssociationResult:
+class AssociationResult(NamedTuple):
     applicable: bool
     mapping: dict[str, str]
     notes: tuple[str, ...]
@@ -113,6 +111,19 @@ class AssociationResult:
             "notes": list(self.notes),
             "diagnoses": [d.to_dict() for d in self.diagnoses],
         }
+
+
+class _PiecesById(dict):
+    """Pieces by id.  Looking up an id that is not there raises
+    :class:`BadArgument`: the profiles name a piece the given pieces lack.
+    The check costs nothing on lookups that succeed."""
+
+    def __init__(self, pieces: list[SegmentPiece]):
+        super().__init__({p.piece_id: p for p in pieces})
+
+    def __missing__(self, piece_id: str):
+        raise BadArgument(f"the profiles name piece {piece_id!r}, "
+                          "which is not among the given pieces")
 
 
 def associate(
@@ -140,7 +151,7 @@ def associate(
         )
 
     by_id = {p.face: p for p in profiles}
-    pieces_by_id = {p.piece_id: p for p in pieces}
+    pieces_by_id = _PiecesById(pieces)
     mapping: dict[str, str] = {}
     notes: list[str] = []
     diagnoses: list[Diagnosis] = []
@@ -307,8 +318,7 @@ def associate(
 # -- structural predicates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredicateVerdict:
+class PredicateVerdict(NamedTuple):
     name: str
     holds: bool
     detail: str
@@ -317,8 +327,7 @@ class PredicateVerdict:
         return {"name": self.name, "holds": self.holds, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class PredicateReport:
+class PredicateReport(NamedTuple):
     skeleton_connected: bool
     skeleton_triangulated: bool
     faces: dict[str, tuple[PredicateVerdict, ...]]
@@ -369,7 +378,7 @@ def structural_predicates(
     certifies the input is not a crossing-minimal densest drawing; nothing is
     ever repaired.
     """
-    pieces_by_id = {p.piece_id: p for p in pieces}
+    pieces_by_id = _PiecesById(pieces)
     faces: dict[str, tuple[PredicateVerdict, ...]] = {}
 
     for prof in profiles:
@@ -443,8 +452,7 @@ def structural_predicates(
 # -- density report ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerStep:
+class LedgerStep(NamedTuple):
     label: str
     lhs: str
     lhs_value: Fraction
@@ -467,8 +475,7 @@ class LedgerStep:
         }
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     k: int
     n: int
     edge_count: int

@@ -21,9 +21,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadArgument,
@@ -40,8 +39,7 @@ PLUS = "+"
 MINUS = "-"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken rule, with the ids it concerns."""
 
     rule: str
@@ -80,8 +78,7 @@ def _check_rows(rows: list, size: int, rule: str) -> None:
             raise InvariantError(rule, f"expected a list of {size} entries; got {row!r}")
 
 
-@dataclass(frozen=True)
-class DrawingSpec:
+class DrawingSpec(NamedTuple):
     """Canonical combinatorial description of a drawing.
 
     All identifiers are strings; the :meth:`build` factory coerces integer
@@ -253,8 +250,7 @@ def _check_rules(spec: DrawingSpec) -> None:
             )
 
 
-@dataclass(frozen=True)
-class FaceWalk:
+class FaceWalk(NamedTuple):
     """A face boundary: one closed walk, or several concatenated with their lengths
     in ``walks``; vertices and edges may repeat on non-simple faces."""
 

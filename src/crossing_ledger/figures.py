@@ -9,8 +9,12 @@ where the last bit of a value and the sign of zero can show (``-0.00`` and
 ``0.00`` differ).  So the order of the Gauss–Seidel updates is part of the
 output contract: free nodes in sorted order within each sweep, each node's
 neighbours in rotation order with repeats kept, added one at a time from
-left to right to the integer 0, and the total divided by the integer degree.
-Plain float additions give the same bits on every Python version.  The x and
+left to right to ``0.0``, and the total divided by the degree written as a
+float literal (``k.0``).  These give the bits that the integers 0 and ``k``
+of the test oracle give, since Python converts such an int exactly to the same
+double before it adds or divides (``0 + -0.0`` and ``0.0 + -0.0`` are both
+``+0.0``); as floats they let CPython take its float-only addition.  Plain
+float additions give the same bits on every Python version.  The x and
 y axes never read each other, so all sweeps of x run before those of y.
 ``tests/_layout_oracle.py`` keeps the original dict-based layout, and
 ``tests/test_layout_oracle.py`` checks that the two agree bit for bit.
@@ -62,21 +66,22 @@ def _compile_sweep(sweep: list[tuple[int, list[int]]]) -> list[Callable[[list[fl
 
     ``sweep`` holds, in update order, each free node's index and its
     neighbours' indices.  Calling the returned functions in order on a list
-    ``c`` sets ``c[i] = (0 + c[a] + c[b] + ...) / k`` for every entry, with
-    ``k`` the number of neighbours.  A longer sum is folded left to right
+    ``c`` sets ``c[i] = (0.0 + c[a] + c[b] + ...) / k.0`` for every entry,
+    with ``k`` the number of neighbours.  The leading ``0.0`` turns a lone
+    ``-0.0`` term into ``+0.0``.  A longer sum is folded left to right
     through a temporary, ``_TERMS_PER_SUM`` terms per statement.  Only
-    integers reach the generated source.
+    integer indices and float literals reach the generated source.
     """
     funcs = []
     for start in range(0, len(sweep), _NODES_PER_FUNCTION):
         lines = ["def sweep(c):"]
         for i, nbrs in sweep[start : start + _NODES_PER_FUNCTION]:
             terms = [f"c[{j}]" for j in nbrs]
-            total = "0"
+            total = "0.0"
             while len(terms) > _TERMS_PER_SUM:
                 lines.append(f"    t = {' + '.join([total, *terms[:_TERMS_PER_SUM]])}")
                 total, terms = "t", terms[_TERMS_PER_SUM:]
-            lines.append(f"    c[{i}] = ({' + '.join([total, *terms])}) / {len(nbrs)}")
+            lines.append(f"    c[{i}] = ({' + '.join([total, *terms])}) / {len(nbrs)}.0")
         namespace: dict = {}
         exec(compile("\n".join(lines), "<layout sweep>", "exec"), namespace)
         funcs.append(namespace["sweep"])

@@ -15,9 +15,9 @@ same drawing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from .drawing import DrawingSpec, FaceWalk, build_map
 from .errors import BadN, NotHexagon
@@ -78,8 +78,7 @@ def _ccw_sort(vectors: list[tuple]) -> list[int]:
     return sorted(range(len(vectors)), key=cmp_to_key(cmp))
 
 
-@dataclass(frozen=True)
-class FrameSpec:
+class FrameSpec(NamedTuple):
     """Shape parameters of the all-hexagonal frame."""
 
     n: int
@@ -96,8 +95,7 @@ class FrameSpec:
         return self.m
 
 
-@dataclass(frozen=True)
-class HexGadget:
+class HexGadget(NamedTuple):
     """Eight diagonals for one hexagonal face, as a partial drawing.
 
     ``corner_insertions`` lists, per corner occurrence, the rotation entries

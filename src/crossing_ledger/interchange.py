@@ -18,7 +18,6 @@ their oracles.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -152,6 +151,8 @@ def emit_drawing(spec: DrawingSpec) -> str:
 
 
 def input_digest(spec: DrawingSpec) -> str:
+    import hashlib  # loaded here: only JSON reports carry a digest
+
     return "sha256:" + hashlib.sha256(emit_drawing(spec).encode("utf-8")).hexdigest()
 
 

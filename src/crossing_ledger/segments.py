@@ -11,7 +11,7 @@ recorded as intra-face crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .drawing import Dart
 from .errors import InvariantError
@@ -26,8 +26,7 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class CrossedRef:
+class CrossedRef(NamedTuple):
     """One boundary crossing of a piece: which edge, at which walk position."""
 
     crossing: str
@@ -38,8 +37,7 @@ class CrossedRef:
         return {"crossing": self.crossing, "edge": self.edge, "position": self.position}
 
 
-@dataclass(frozen=True)
-class SegmentPiece:
+class SegmentPiece(NamedTuple):
     piece_id: str
     edge: str
     index: int
@@ -71,8 +69,7 @@ class SegmentPiece:
         }
 
 
-@dataclass(frozen=True)
-class FaceProfile:
+class FaceProfile(NamedTuple):
     """Everything the density audit needs to know about one skeleton face."""
 
     face: str

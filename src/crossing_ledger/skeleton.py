@@ -11,7 +11,7 @@ each bounded by one or more walks (see :class:`SkeletonDecomposition`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .drawing import Dart, FaceWalk, PlanarizedMap
 from .errors import BadArgument, BudgetExceeded, InvariantError
@@ -19,8 +19,7 @@ from .errors import BadArgument, BudgetExceeded, InvariantError
 DEFAULT_EXACT_BUDGET = 24
 
 
-@dataclass(frozen=True)
-class ConflictGraph:
+class ConflictGraph(NamedTuple):
     """Edges of the drawing as nodes; adjacency means "these two edges cross"."""
 
     nodes: tuple[str, ...]
@@ -170,8 +169,7 @@ class _MisSolver:
         return [self.ids[i] for i in chosen]
 
 
-@dataclass(frozen=True)
-class SkeletonDecomposition:
+class SkeletonDecomposition(NamedTuple):
     """A chosen crossing-free edge set and the faces it cuts the drawing into.
 
     A skeleton face is a region of the full map, its faces joined across

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .drawing import PlanarizedMap, Violation
 from .errors import BadArgument
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     k: int | None
     per_edge_crossings: dict[str, int]
     violations: tuple[Violation, ...]

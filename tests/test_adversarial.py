@@ -4,7 +4,8 @@ returns or raises a ``CrossingLedgerError``; never a raw Python exception.
 Out of range means: crossing budgets at or below zero and very large ones,
 unknown skeleton modes and figure formats, face hints that name no face,
 search budgets at or below zero, unknown or empty edge subsets, vertex
-counts the construction cannot realise, and malformed documents and files
+counts the construction cannot realise, face profiles audited with pieces
+that are not theirs, and malformed documents and files
 (ids that are neither strings nor integers, rows of the wrong length, bytes
 that are not UTF-8).  Arguments of a wrong Python type are out of scope.
 The examples are derandomised and few, so the module runs in seconds.
@@ -116,9 +117,17 @@ def test_map_and_skeleton_functions(spec, k, mode, budget, data):
     input_digest(spec)
 
 
+def _pieces_of(spec) -> list:
+    """The pieces of ``spec``'s default skeleton, or none if it has no skeleton."""
+    try:
+        return decompose(extract_skeleton(build_map(spec)))
+    except CrossingLedgerError:
+        return []
+
+
 @ADVERSARIAL
-@given(spec=specs, k=budgets_k, cap=st.integers(-3, 10))
-def test_audit_functions(spec, k, cap):
+@given(spec=specs, k=budgets_k, cap=st.integers(-3, 10), data=st.data())
+def test_audit_functions(spec, k, cap, data):
     pmap = build_map(spec)
     try:
         dec = extract_skeleton(pmap)
@@ -132,6 +141,13 @@ def test_audit_functions(spec, k, cap):
     associate(profiles, pieces)
     structural_predicates(dec, profiles, pieces)
     bounds_table()
+
+    # Pieces that are not the profiles' own: a subset, or another drawing's.
+    subsets = st.lists(st.sampled_from(pieces), max_size=len(pieces)) if pieces else st.just([])
+    others = data.draw(st.one_of(subsets, specs.map(_pieces_of)))
+    returns_or_typed(density_report, dec, profiles, others, 3)
+    returns_or_typed(associate, profiles, others)
+    returns_or_typed(structural_predicates, dec, profiles, others)
 
 
 @ADVERSARIAL

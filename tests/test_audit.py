@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from crossing_ledger import (
@@ -98,6 +100,29 @@ def test_mutually_crossing_sticks_diagnosed(mutual_stick_triangle_spec):
     diag = result.diagnoses[0]
     assert diag.kind == "optimality-violation"
     assert diag.faces == (inner.face,)
+
+
+def test_a_piece_the_audit_reads_must_be_given(far_middle_spec):
+    # A stick or middle part the audit reads but ``pieces`` lacks is a typed
+    # error naming it (it was a raw KeyError).  The tight family's audit reads
+    # the sticks of its 3-stick triangles, in face order.
+    dec, pieces, profiles = _pipeline(generate_optimal(6))
+    heavy = min((p for p in profiles if p.stick_count == 3), key=lambda p: p.face)
+    first = heavy.sticks[0]
+    message = re.escape(f"piece '{first}', which is not among the given pieces")
+    for wrong in ([], [p for p in pieces if p.piece_id != first]):
+        with pytest.raises(BadArgument, match=message):
+            associate(profiles, wrong)
+        with pytest.raises(BadArgument, match=message):
+            density_report(dec, profiles, wrong, 3)
+
+    # The predicates read the pieces of non-triangular faces.
+    dec, pieces, profiles = _pipeline(far_middle_spec)
+    first = next(i for p in profiles if not p.is_triangle for i in (*p.sticks, *p.middles))
+    message = re.escape(f"piece '{first}', which is not among the given pieces")
+    for wrong in ([], [p for p in pieces if p.piece_id != first]):
+        with pytest.raises(BadArgument, match=message):
+            structural_predicates(dec, profiles, wrong)
 
 
 # -- density report ----------------------------------------------------------

@@ -5,8 +5,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from _layout_pins import LAYOUT_DIGESTS, layout_digest
 from crossing_ledger import BadHint, CrossingLedgerError, build_map, export_figure
-from crossing_ledger.figures import _layout_component
 from crossing_ledger.generator import generate_optimal
 
 
@@ -46,23 +46,10 @@ def test_svg_of_the_benchmark_drawing_is_pinned():
     )
 
 
-@pytest.mark.parametrize(
-    "n, digest",
-    [
-        (6, "cd3620e7fbddba420aad5bccff15e98672c2e1a321f16d26d9fe8d96b82690ed"),
-        (54, "66ced921096fd44e6cbb04be04e64927120926bbc4a7088a6252d0023b030e93"),
-        (202, "9cc49e8ef5e7e0d7db9b97a43e2cbfffab535506224e40588ff80af5ee5fb4d6"),
-    ],
-)
+@pytest.mark.parametrize("n, digest", LAYOUT_DIGESTS)
 def test_layout_coordinates_are_pinned(n, digest):
-    # Every bit of every coordinate, with the default outer face, as the
-    # ``sum``-based layout gave them on Python 3.11.  Plain float additions
-    # from the integer 0 give the same bits on every Python version.
-    pmap = build_map(generate_optimal(n))
-    outer = max(pmap.faces, key=lambda f: (f.length, f.face_id))
-    nodes = sorted((*pmap.vertices, *pmap.crossing_ids))
-    positions = _layout_component(pmap, nodes, outer)
-    assert hashlib.sha256(repr(sorted(positions.items())).encode()).hexdigest() == digest
+    # Plain float additions from zero give the same bits on every Python version.
+    assert layout_digest(n) == digest
 
 
 def test_svg_is_deterministic(square_diagonals_spec):

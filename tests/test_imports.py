@@ -5,7 +5,10 @@ them before it reads its input, so that in a pipeline the imports overlap the
 upstream process.  The footprint tests run the CLI as
 ``python -m crossing_ledger.cli`` does, in a fresh process, and name the
 exact set of ``crossing_ledger`` modules loaded when it reads stdin and when
-it exits, so a stray top-level import shows up here.
+it exits, so a stray top-level import shows up here.  They also pin three
+standard-library modules: no subcommand loads ``dataclasses`` or ``inspect``
+(several milliseconds of start-up), and ``hashlib`` is loaded, after the
+input is read, only to digest the input of a JSON report.
 """
 
 from __future__ import annotations
@@ -70,14 +73,20 @@ ALL = [
     "UnsupportedK",
 ]
 
+# Standard-library modules whose loading the footprints pin.
+WATCHED = ("dataclasses", "hashlib", "inspect")
+
 # Runs the CLI as ``python -m crossing_ledger.cli`` does.  It prints the
-# loaded package modules to stderr when the CLI reads stdin, after the marker
-# "read ", and again as the last line when the process exits.
-_RUN_AS_MAIN = """
+# loaded package modules and watched modules to stderr when the CLI reads
+# stdin, after the marker "read ", and again as the last line when the
+# process exits.
+_RUN_AS_MAIN = f"""
 import atexit, io, json, runpy, sys
 
 def loaded():
-    return json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "crossing_ledger"))
+    return json.dumps(sorted(
+        m for m in sys.modules if m.partition(".")[0] == "crossing_ledger" or m in {WATCHED}
+    ))
 
 class Stdin(io.StringIO):
     def read(self, *args):
@@ -111,20 +120,32 @@ def _package(*modules: str) -> set[str]:
     return {"crossing_ledger", "crossing_ledger.errors", *(f"crossing_ledger.{m}" for m in modules)}
 
 
+_AUDIT = _package("drawing", "interchange", "validate", "skeleton", "segments", "audit")
+
+# argv, the modules loaded when stdin is read, the watched modules loaded after.
 FOOTPRINTS = [
-    (["--version"], _package()),
-    (["generate", "--n", "10"], _package("drawing", "generator", "interchange")),
-    (["export", "--figure", "svg", "-"], _package("drawing", "figures", "interchange")),
-    (["export", "--figure", "dot", "-"], _package("drawing", "figures", "interchange")),
-    (["validate", "--k", "3", "-"], _package("drawing", "interchange", "validate")),
+    (["--version"], _package(), set()),
+    (["generate", "--n", "10"], _package("drawing", "generator", "interchange"), set()),
+    (["export", "--figure", "svg", "-"], _package("drawing", "figures", "interchange"), set()),
+    (["export", "--figure", "dot", "-"], _package("drawing", "figures", "interchange"), set()),
+    (["validate", "--k", "3", "-"], _package("drawing", "interchange", "validate"), set()),
+    (
+        ["validate", "--k", "3", "--format", "json", "-"],
+        _package("drawing", "interchange", "validate"),
+        {"hashlib"},
+    ),
+    (
+        ["analyze", "--skeleton", "--segments", "-"],
+        _package("drawing", "interchange", "skeleton", "segments"),
+        set(),
+    ),
     (
         ["analyze", "--skeleton", "--segments", "--format", "json", "-"],
         _package("drawing", "interchange", "skeleton", "segments"),
+        {"hashlib"},
     ),
-    (
-        ["audit", "--k", "3", "-"],
-        _package("drawing", "interchange", "validate", "skeleton", "segments", "audit"),
-    ),
+    (["audit", "--k", "3", "-"], _AUDIT, set()),
+    (["audit", "--k", "3", "--format", "json", "-"], _AUDIT, {"hashlib"}),
 ]
 
 
@@ -134,11 +155,14 @@ def _in_process(argv: list[str], stdin: str) -> tuple:
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("argv, modules", FOOTPRINTS, ids=[" ".join(a) for a, _ in FOOTPRINTS])
-def test_subcommand_footprint(argv, modules):
+@pytest.mark.parametrize(
+    "argv, modules, stdlib", FOOTPRINTS, ids=[" ".join(a) for a, _, _ in FOOTPRINTS]
+)
+def test_subcommand_footprint(argv, modules, stdlib):
     drawing = emit_drawing(generate_optimal(10))
     code, out, loaded, reads = _fresh_process(argv, stdin=drawing)
-    assert loaded == modules
+    assert code == 0
+    assert loaded == modules | stdlib
     assert reads == ([modules] if argv[-1] == "-" else [])
     # Run as __main__, the CLI gives what run() gives in this process.
     assert (code, out) == _in_process(argv, drawing)

@@ -6,6 +6,7 @@ bit or in the sign of zero fails the test, as it could show in the SVG.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -164,6 +165,23 @@ def test_kernel_sum_starts_from_integer_zero():
     # -0.0 + -0.0 is -0.0, but 0 + -0.0 + -0.0 is 0.0.
     got = _kernel_agrees([1.0, -0.0, -0.0], [(0, [1, 2])])
     assert repr(got[0]) == "0.0"
+
+
+def test_kernel_one_neighbour_at_negative_zero_gets_positive_zero():
+    # A node whose one neighbour holds -0.0: the oracle's 0 + -0.0 is +0.0,
+    # and so is the kernel's 0.0 + -0.0; divided by 1 it stays +0.0.
+    got = _kernel_agrees([7.0, -0.0], [(0, [1])])
+    assert math.copysign(1.0, got[0]) == 1.0
+
+
+def test_kernel_exact_cancellation_gives_positive_zero():
+    # Terms that cancel exactly sum to +0.0 in either order, and with a
+    # trailing -0.0; the quotient keeps the sign.
+    got = _kernel_agrees(
+        [7.0, 7.0, 7.0, 2.5, -2.5, -0.0], [(0, [3, 4]), (1, [4, 3]), (2, [3, 4, 5])]
+    )
+    assert [math.copysign(1.0, v) for v in got[:3]] == [1.0, 1.0, 1.0]
+    assert got[:3] == [0.0, 0.0, 0.0]
 
 
 def test_kernel_adds_left_to_right_in_update_order():
