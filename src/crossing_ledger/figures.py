@@ -84,7 +84,7 @@ def _compile_sweep(sweep: list[tuple[int, list[int]]]) -> list[Callable[[list[fl
             lines.append(f"    c[{i}] = ({' + '.join([total, *terms])}) / {len(nbrs)}.0")
         namespace: dict = {}
         exec(compile("\n".join(lines), "<layout sweep>", "exec"), namespace)
-        funcs.append(namespace["sweep"])
+        funcs.append(namespace.pop("sweep"))  # no function <-> namespace cycle
     return funcs
 
 

@@ -81,6 +81,8 @@ def parse_text(text: str) -> DrawingSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # json's decoder recurses once per nested array or object
+        raise ParseError("document nests too deeply to parse") from exc
     return spec_from_document(doc)
 
 

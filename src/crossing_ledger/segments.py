@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .drawing import Dart
-from .errors import InvariantError
+from .errors import BadArgument, InvariantError
 from .skeleton import SkeletonDecomposition
 
 STICK = "stick"
@@ -338,10 +338,21 @@ def _other_edge(pair: tuple[str, str], edge: str) -> str:
 
 
 def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> list[FaceProfile]:
-    """Per-face summary: type tuple, bridges, passing-through edges, crossings."""
+    """Per-face summary: type tuple, bridges, passing-through edges, crossings.
+
+    ``pieces`` are ``decompose(dec)``'s.  A piece that names a face, a
+    boundary position or a crossing piece that ``dec`` and ``pieces`` lack
+    raises :class:`BadArgument`; the checks cost nothing on pieces that match.
+    """
     by_face: dict[str, list[SegmentPiece]] = {f.face_id: [] for f in dec.faces}
     for p in pieces:
-        by_face[p.host_face].append(p)
+        try:
+            by_face[p.host_face].append(p)
+        except KeyError:
+            raise BadArgument(
+                f"piece {p.piece_id!r} lies in face {p.host_face!r}, "
+                "which is not a face of this decomposition"
+            ) from None
 
     profiles = []
     for face in dec.faces:
@@ -355,7 +366,13 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
             if p.occurrence is None:
                 warnings.append(f"stick {p.piece_id} floats (no boundary occurrence)")
             else:
-                tau[p.occurrence] += 1
+                try:
+                    tau[p.occurrence] += 1
+                except IndexError:
+                    raise BadArgument(
+                        f"stick {p.piece_id!r} names position {p.occurrence} "
+                        f"of face {face.face_id}, whose boundary has {face.length}"
+                    ) from None
 
         edge_occurrences: dict[str, int] = {}
         for e in face.edges:
@@ -374,9 +391,16 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
         for p in members:
             for q_id in p.intra_pieces:
                 a, b = sorted((p.piece_id, q_id))
-                if kinds[a] == STICK and kinds[b] == STICK:
+                try:
+                    kind_a, kind_b = kinds[a], kinds[b]
+                except KeyError:
+                    raise BadArgument(
+                        f"piece {p.piece_id!r} crosses piece {q_id!r}, which is not "
+                        f"among the given pieces of face {face.face_id}"
+                    ) from None
+                if kind_a == STICK and kind_b == STICK:
                     ss_pairs.add((a, b))
-                elif STICK in (kinds[a], kinds[b]):
+                elif STICK in (kind_a, kind_b):
                     sm_pairs.add((a, b))
         by_id = {p.piece_id: p for p in members}
         opposite = {

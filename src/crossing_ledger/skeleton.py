@@ -119,33 +119,27 @@ class _MisSolver:
         return n - (edges + max_deg - 1) // max_deg
 
     def max_size(self, mask: int | None = None, floor: int = 0) -> int:
-        best = floor
-        start = self.full if mask is None else mask
+        return self._search(self.full if mask is None else mask, 0, floor)
 
-        def rec(cand: int, size: int) -> None:
-            nonlocal best
-            if size + self._upper_bound(cand) <= best:
-                return
-            if cand == 0:
-                best = max(best, size)
-                return
-            # branch on the max-degree candidate, smallest index on ties
-            pivot, pivot_deg = -1, -1
-            m = cand
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                d = (cand & self.nbr[i]).bit_count()
-                if d > pivot_deg:
-                    pivot, pivot_deg = i, d
-            if pivot_deg == 0:
-                best = max(best, size + cand.bit_count())
-                return
-            rec(cand & ~(self.nbr[pivot] | (1 << pivot)), size + 1)
-            rec(cand & ~(1 << pivot), size)
-
-        rec(start, 0)
-        return best
+    def _search(self, cand: int, size: int, best: int) -> int:
+        """The larger of ``best`` and ``size`` plus a maximum independent set of ``cand``."""
+        if size + self._upper_bound(cand) <= best:
+            return best
+        if cand == 0:
+            return max(best, size)
+        # branch on the max-degree candidate, smallest index on ties
+        pivot, pivot_deg = -1, -1
+        m = cand
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = (cand & self.nbr[i]).bit_count()
+            if d > pivot_deg:
+                pivot, pivot_deg = i, d
+        if pivot_deg == 0:
+            return max(best, size + cand.bit_count())
+        best = self._search(cand & ~(self.nbr[pivot] | (1 << pivot)), size + 1, best)
+        return self._search(cand & ~(1 << pivot), size, best)
 
     def reaches(self, mask: int, need: int) -> bool:
         if need <= 0:

@@ -4,10 +4,10 @@ returns or raises a ``CrossingLedgerError``; never a raw Python exception.
 Out of range means: crossing budgets at or below zero and very large ones,
 unknown skeleton modes and figure formats, face hints that name no face,
 search budgets at or below zero, unknown or empty edge subsets, vertex
-counts the construction cannot realise, face profiles audited with pieces
-that are not theirs, and malformed documents and files
+counts the construction cannot realise, face profiles built or audited with
+pieces that are not theirs, and malformed documents and files
 (ids that are neither strings nor integers, rows of the wrong length, bytes
-that are not UTF-8).  Arguments of a wrong Python type are out of scope.
+that are not UTF-8, arrays nested deeper than the JSON decoder recurses).  Arguments of a wrong Python type are out of scope.
 The examples are derandomised and few, so the module runs in seconds.
 """
 
@@ -145,6 +145,7 @@ def test_audit_functions(spec, k, cap, data):
     # Pieces that are not the profiles' own: a subset, or another drawing's.
     subsets = st.lists(st.sampled_from(pieces), max_size=len(pieces)) if pieces else st.just([])
     others = data.draw(st.one_of(subsets, specs.map(_pieces_of)))
+    returns_or_typed(face_profiles, dec, others)
     returns_or_typed(density_report, dec, profiles, others, 3)
     returns_or_typed(associate, profiles, others)
     returns_or_typed(structural_predicates, dec, profiles, others)
@@ -200,6 +201,20 @@ def test_corrupted_document_text(spec, field, value, cut):
     text = json.dumps(doc)
     returns_or_typed(parse_text, text)
     returns_or_typed(parse_text, emit_drawing(spec)[:cut])
+
+
+@ADVERSARIAL
+@given(
+    depth=st.one_of(st.integers(1, 2000), st.just(100_000)),
+    brackets=st.sampled_from([("[", "]"), ('{"a": ', "}")]),
+)
+def test_deeply_nested_documents(depth, brackets):
+    opening, closing = brackets
+    text = opening * depth + "0" + closing * depth
+    returns_or_typed(parse_text, text)
+    # The same nesting as the one edge row of an otherwise valid document.
+    doc = {"vertices": ["a"], "edges": [], "chains": {}, "crossings": {}, "rotations": {}}
+    returns_or_typed(parse_text, json.dumps(doc).replace("[]", "[" + text + "]"))
 
 
 @ADVERSARIAL

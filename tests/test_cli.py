@@ -159,6 +159,14 @@ def test_id_of_another_type_is_one_error_line():
     assert err == "error: id-type: ids are strings or integers; got ['a']\n"
 
 
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")])
+def test_deeply_nested_document_is_one_error_line(opening, closing):
+    text = opening * 100_000 + "1" + closing * 100_000
+    code, out, err = _run(["validate", "--k", "3", "-"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err == "error: document nests too deeply to parse\n"
+
+
 def test_missing_file_exit_one(tmp_path):
     code, _, err = _run(["validate", "--k", "3", str(tmp_path / "absent.json")])
     assert code == 1

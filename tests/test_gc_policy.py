@@ -1,0 +1,164 @@
+"""The CLI runs without automatic cyclic garbage collection; the library makes
+no reference cycles.
+
+``cli.run`` turns the collector off for the whole call and gives the caller
+back the state it had, on every way out.  With the collector off, memory
+stays flat only if the library leaves nothing in reference cycles, so a
+cycle test runs every subcommand at two sizes and looks at what a final
+collection finds.  A smoke test runs every subcommand in Python's
+development mode with warnings as errors: a file object left in a cycle
+would be closed only at exit, with a ``ResourceWarning``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import io
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import _fixtures
+from crossing_ledger import emit_drawing, generate_optimal
+from crossing_ledger.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class _Stdin(io.StringIO):
+    """Stdin that records whether automatic collection is on when it is read."""
+
+    collecting: bool | None = None
+
+    def read(self, *args):
+        self.collecting = gc.isenabled()
+        return super().read(*args)
+
+
+class _Broken(_Stdin):
+    def read(self, *args):
+        super().read(*args)
+        raise RuntimeError("stdin broke")
+
+
+@pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+def caller_collects(request):
+    """Automatic collection on or off around the test, as the caller had it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+# argv ("{tmp}" is a fresh directory), stdin, exit code.
+EXITS = {
+    "success": (["generate", "--n", "6"], "", EXIT_OK),
+    "success-reading-stdin": (["audit", "--k", "3", "-"], "n6", EXIT_OK),
+    "verdict": (["validate", "--k", "3", "-"], "bigon", EXIT_VERDICT),
+    "usage-error": (["audit", "--frobnicate"], "", EXIT_USAGE),
+    "version": (["--version"], "", EXIT_OK),
+    "help": (["-h"], "", EXIT_OK),
+    "typed-error": (["validate", "--k", "3", "-"], "{broken", EXIT_USAGE),
+    "os-error-reading": (["validate", "--k", "3", "{tmp}/absent.json"], "", EXIT_USAGE),
+    "os-error-writing": (["generate", "--n", "6", "-o", "{tmp}/absent/out.json"], "", EXIT_USAGE),
+}
+
+
+def _stdin_text(name: str) -> str:
+    if name == "n6":
+        return emit_drawing(generate_optimal(6))
+    if name == "bigon":
+        return emit_drawing(_fixtures.bigon_spec())
+    return name
+
+
+@pytest.mark.parametrize("argv, stdin, code", EXITS.values(), ids=EXITS.keys())
+def test_run_restores_the_callers_state(caller_collects, tmp_path, argv, stdin, code):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    reader = _Stdin(_stdin_text(stdin))
+    assert run(argv, stdin=reader, stdout=io.StringIO(), stderr=io.StringIO()) == code
+    assert gc.isenabled() is caller_collects
+    assert reader.collecting is (False if argv[-1] == "-" else None)
+
+
+def test_run_restores_the_callers_state_when_it_raises(caller_collects):
+    reader = _Broken("{}")
+    with pytest.raises(RuntimeError, match="stdin broke"):
+        run(["validate", "--k", "3", "-"], stdin=reader, stdout=io.StringIO(),
+            stderr=io.StringIO())
+    assert reader.collecting is False
+    assert gc.isenabled() is caller_collects
+
+
+SUBCOMMANDS = [
+    ["generate", "--n", "{n}"],
+    ["validate", "--k", "3", "-"],
+    ["analyze", "--skeleton", "--segments", "--format", "json", "-"],
+    ["audit", "--k", "3", "-"],
+    ["export", "--figure", "svg", "-"],
+]
+
+
+def _garbage(argv: list[str], n: int) -> list:
+    """What a collection finds after ``run(argv)`` on the tight drawing with ``n`` vertices."""
+    argv = [a.replace("{n}", str(n)) for a in argv]
+    stdin = io.StringIO(emit_drawing(generate_optimal(n)))
+    gc.collect()
+    was, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(argv, stdin=stdin, stdout=io.StringIO(), stderr=io.StringIO()) == EXIT_OK
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        if was:
+            gc.enable()
+
+
+def _ours(o) -> bool:
+    """A function, cell or instance defined in the package, argparse's parts aside."""
+    if isinstance(o, (argparse.ArgumentParser, argparse.Action)):
+        return False  # the CLI's parser and its actions, in argparse's own cycles
+    if isinstance(o, types.CellType):
+        return True
+    module = o.__module__ if isinstance(o, types.FunctionType) else type(o).__module__
+    return str(module).partition(".")[0] == "crossing_ledger"
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[a[0] for a in SUBCOMMANDS])
+def test_run_leaves_a_fixed_set_of_cycles(argv):
+    _garbage(argv, 10)  # first use: the subcommand's modules load
+    small, large = _garbage(argv, 10), _garbage(argv, 102)
+    assert len(small) == len(large)
+    assert [o for o in large if _ours(o)] == []
+
+
+def test_every_subcommand_runs_clean_in_dev_mode(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    drawing = tmp_path / "n10.json"
+    steps = [
+        ["generate", "--n", "10", "-o", str(drawing)],
+        ["validate", "--k", "3", str(drawing)],
+        ["analyze", "--skeleton", "--segments", "--format", "json", "-"],
+        ["audit", "--k", "3", "--format", "json", str(drawing)],
+        ["export", "--figure", "svg", "-o", str(tmp_path / "n10.svg"), "-"],
+    ]
+    for argv in steps:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "crossing_ledger.cli", *argv],
+            input=drawing.read_text() if argv[-1] == "-" else "",
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), argv

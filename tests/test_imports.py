@@ -8,7 +8,9 @@ exact set of ``crossing_ledger`` modules loaded when it reads stdin and when
 it exits, so a stray top-level import shows up here.  They also pin three
 standard-library modules: no subcommand loads ``dataclasses`` or ``inspect``
 (several milliseconds of start-up), and ``hashlib`` is loaded, after the
-input is read, only to digest the input of a JSON report.
+input is read, only to digest the input of a JSON report.  And they record
+whether automatic garbage collection is on: ``cli.run`` turns it off for the
+call, so it is off when the CLI reads stdin and back on at exit.
 """
 
 from __future__ import annotations
@@ -77,16 +79,16 @@ ALL = [
 WATCHED = ("dataclasses", "hashlib", "inspect")
 
 # Runs the CLI as ``python -m crossing_ledger.cli`` does.  It prints the
-# loaded package modules and watched modules to stderr when the CLI reads
-# stdin, after the marker "read ", and again as the last line when the
-# process exits.
+# loaded package modules and watched modules, and whether automatic garbage
+# collection is on, to stderr when the CLI reads stdin, after the marker
+# "read ", and again as the last line when the process exits.
 _RUN_AS_MAIN = f"""
-import atexit, io, json, runpy, sys
+import atexit, gc, io, json, runpy, sys
 
 def loaded():
-    return json.dumps(sorted(
+    return json.dumps([sorted(
         m for m in sys.modules if m.partition(".")[0] == "crossing_ledger" or m in {WATCHED}
-    ))
+    ), gc.isenabled()])
 
 class Stdin(io.StringIO):
     def read(self, *args):
@@ -100,7 +102,7 @@ runpy.run_module("crossing_ledger.cli", run_name="__main__", alter_sys=True)
 
 
 def _fresh_process(args: list[str], code: str = _RUN_AS_MAIN, stdin: str = "") -> tuple:
-    """(exit code, stdout, modules loaded at exit, at each read of stdin)."""
+    """(exit code, stdout, the last line of stderr and the rest of each "read " line, as JSON)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
@@ -111,9 +113,9 @@ def _fresh_process(args: list[str], code: str = _RUN_AS_MAIN, stdin: str = "") -
         env=env,
         timeout=120,
     )
-    *lines, modules = proc.stderr.splitlines()
-    reads = [set(json.loads(line[5:])) for line in lines if line.startswith("read ")]
-    return proc.returncode, proc.stdout, set(json.loads(modules)), reads
+    *lines, last = proc.stderr.splitlines()
+    reads = [json.loads(line[5:]) for line in lines if line.startswith("read ")]
+    return proc.returncode, proc.stdout, json.loads(last), reads
 
 
 def _package(*modules: str) -> set[str]:
@@ -160,10 +162,10 @@ def _in_process(argv: list[str], stdin: str) -> tuple:
 )
 def test_subcommand_footprint(argv, modules, stdlib):
     drawing = emit_drawing(generate_optimal(10))
-    code, out, loaded, reads = _fresh_process(argv, stdin=drawing)
+    code, out, at_exit, reads = _fresh_process(argv, stdin=drawing)
     assert code == 0
-    assert loaded == modules | stdlib
-    assert reads == ([modules] if argv[-1] == "-" else [])
+    assert at_exit == [sorted(modules | stdlib), True]
+    assert reads == ([[sorted(modules), False]] if argv[-1] == "-" else [])
     # Run as __main__, the CLI gives what run() gives in this process.
     assert (code, out) == _in_process(argv, drawing)
 

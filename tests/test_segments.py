@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import re
+
+import pytest
+
 from crossing_ledger import (
     build_map,
     decompose,
     extract_skeleton,
     face_profiles,
 )
+from crossing_ledger.errors import BadArgument
 from crossing_ledger.generator import generate_optimal
 from crossing_ledger.segments import FAR, LONG, MIDDLE, SHORT, STICK, classify_middle, classify_stick
 
@@ -195,3 +200,25 @@ def test_sticks_assigned_to_occurrences_not_identities():
         for stick_id in prof.sticks:
             piece = next(p for p in pieces if p.piece_id == stick_id)
             assert prof.walk_nodes[piece.occurrence] == piece.emanates_from
+
+
+def test_profiles_refuse_another_decompositions_pieces():
+    dec, _, _ = _pipeline(generate_optimal(6))
+    _, others, _ = _pipeline(generate_optimal(10))
+    with pytest.raises(BadArgument, match="lies in face 'f12', which is not a face of this"):
+        face_profiles(dec, others)
+
+
+def test_profiles_refuse_pieces_without_a_crossing_partner():
+    dec, pieces, _ = _pipeline(generate_optimal(6))
+    gone = next(q for p in pieces for q in p.intra_pieces)
+    with pytest.raises(BadArgument, match=f"crosses piece {re.escape(repr(gone))}, which is not"):
+        face_profiles(dec, [p for p in pieces if p.piece_id != gone])
+
+
+def test_profiles_refuse_a_stick_beyond_its_face_boundary():
+    dec, pieces, _ = _pipeline(generate_optimal(6))
+    i = next(i for i, p in enumerate(pieces) if p.kind == STICK)
+    pieces[i] = pieces[i]._replace(occurrence=99)
+    with pytest.raises(BadArgument, match="names position 99 of face f[0-9]+, whose boundary has 3"):
+        face_profiles(dec, pieces)
