@@ -258,3 +258,71 @@ def loop_around_edge_spec() -> DrawingSpec:
             "c": [("a", "+"), ("z", "+"), ("a", "-"), ("z", "-")],
         },
     )
+
+
+# Straight-line drawings from the random corpus (``perfbench/corpus.py``, seed
+# 1), pruned to the edges that keep a non-triangular skeleton face whose
+# sticks cross.
+
+
+def opposite_sticks_spec() -> DrawingSpec:
+    """A 4-walk face in which a left stick crosses a right stick."""
+    return spec_from(
+        {
+            "v00": (818, 1529),
+            "v01": (368, 453),
+            "v04": (3623, 2805),
+            "v05": (2249, 967),
+            "v06": (1414, 780),
+        },
+        [
+            ("e005", "v04", "v06"),
+            ("e007", "v00", "v05"),
+            ("e009", "v00", "v06"),
+            ("e021", "v01", "v04"),
+        ],
+    )
+
+
+def mixed_stick_pairs_spec() -> DrawingSpec:
+    """A 6-walk face with one opposite and one non-opposite stick crossing."""
+    return spec_from(
+        {
+            "v00": (3804, 2227),
+            "v01": (3052, 3943),
+            "v02": (2756, 3182),
+            "v03": (3736, 954),
+            "v04": (3962, 2904),
+            "v08": (3012, 1041),
+            "v09": (2352, 3382),
+        },
+        [
+            ("e000", "v00", "v02"),
+            ("e004", "v02", "v08"),
+            ("e005", "v04", "v08"),
+            ("e006", "v01", "v03"),
+            ("e009", "v03", "v09"),
+            ("e014", "v00", "v03"),
+        ],
+    )
+
+
+def two_walk_sticks_spec() -> DrawingSpec:
+    """Two disjoint skeleton edges bound one face of two walks; two long sticks cross."""
+    return spec_from(
+        {
+            "v01": (616, 199),
+            "v02": (3015, 2038),
+            "v04": (3245, 3634),
+            "v06": (2768, 3948),
+            "v08": (448, 1140),
+            "v09": (3849, 1443),
+            "v12": (1502, 2282),
+        },
+        [
+            ("e001", "v04", "v12"),
+            ("e002", "v08", "v09"),
+            ("e004", "v02", "v06"),
+            ("e005", "v01", "v04"),
+        ],
+    )

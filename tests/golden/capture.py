@@ -51,6 +51,9 @@ FIXTURES = (
     "four_stick_triangle_spec",
     "mutual_stick_triangle_spec",
     "loop_around_edge_spec",
+    "opposite_sticks_spec",
+    "mixed_stick_pairs_spec",
+    "two_walk_sticks_spec",
 )
 
 # Per valid input: (case suffix, argv before the "-" stdin argument).
