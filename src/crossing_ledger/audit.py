@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadArgument, InvariantError, UnsupportedK
-from .segments import FaceProfile, SegmentPiece
+from .segments import LEFT, RIGHT, FaceProfile, SegmentPiece
 from .skeleton import SkeletonDecomposition
 
 SQRT_COEFFICIENT = 4.1208
@@ -424,7 +424,10 @@ def structural_predicates(
                         triple = [a, b, c]
                         break
 
-        non_opposite = [list(pair) for pair, opp in sorted(prof.opposite_flags.items()) if not opp]
+        non_opposite = [
+            [a, b] for a, b in prof.stick_stick_pairs
+            if {pieces_by_id[a].orientation, pieces_by_id[b].orientation} != {LEFT, RIGHT}
+        ]
         verdicts += [
             _no_offenders("no_three_mutually_crossing_sticks", triple,
                        "no stick triple pairwise crosses", "mutually crossing sticks"),

@@ -111,6 +111,7 @@ class DrawingSpec(NamedTuple):
         _check_rows(edges, 3, "edge-row")
         entries = [entry for rot in rotations.values() for entry in rot]
         _check_rows(entries, 2, "rotation-entry")
+        _check_rows(list(crossings.values()), 2, "crossing-pair")
         _check_ids(vertices, *edges, chains, *chains.values(), crossings, *crossings.values(),
                    rotations, [e for e, _ in entries])
         verts = [str(v) for v in vertices]
@@ -124,12 +125,7 @@ class DrawingSpec(NamedTuple):
             raise InvariantError("duplicate-edge-id", f"edge ids repeat: {dup}")
 
         chain_map = {str(e): tuple(str(c) for c in cs) for e, cs in chains.items()}
-        cross_map = {}
-        for c, pair in crossings.items():
-            pair = tuple(str(x) for x in pair)
-            if len(pair) != 2:
-                raise InvariantError("crossing-pair", f"crossing {c} must list two edges")
-            cross_map[str(c)] = pair
+        cross_map = {str(c): (str(e), str(f)) for c, (e, f) in crossings.items()}
         rot_map = {
             str(node): _anchor_rotation([(str(e), str(d)) for e, d in rot])
             for node, rot in rotations.items()

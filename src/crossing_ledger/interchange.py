@@ -33,7 +33,8 @@ _FIELDS = ("vertices", "edges", "chains", "crossings", "rotations")
 def spec_from_document(doc: Any) -> DrawingSpec:
     """Check the document's shape and build the canonical spec from it.
 
-    Shape errors raise :class:`ParseError`; :meth:`DrawingSpec.build` checks
+    Shape errors of the document, its fields and its chain and rotation lists
+    raise :class:`ParseError`; :meth:`DrawingSpec.build` checks the rows,
     the ids and the drawing rules.
     """
     if not isinstance(doc, dict):
@@ -48,24 +49,15 @@ def spec_from_document(doc: Any) -> DrawingSpec:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise ParseError("field 'edges' must be a list")
-    for row in edges:
-        if not isinstance(row, list) or len(row) != 3:
-            raise ParseError(f"field 'edges' rows must be [id, end_a, end_b]; got {row!r}")
     for name in ("chains", "crossings", "rotations"):
         if not isinstance(doc[name], dict):
             raise ParseError(f"field '{name}' must be an object")
     for e, cs in doc["chains"].items():
         if not isinstance(cs, list):
             raise ParseError(f"chain of edge {e} must be a list")
-    for c, pair in doc["crossings"].items():
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"crossing {c} must list exactly two edges")
     for node, rot in doc["rotations"].items():
         if not isinstance(rot, list):
             raise ParseError(f"rotation at {node} must be a list")
-        for item in rot:
-            if not isinstance(item, list) or len(item) != 2:
-                raise ParseError(f"rotation entries at {node} must be [edge, '+'|'-']")
 
     return DrawingSpec.build(
         vertices=vertices,

@@ -87,7 +87,6 @@ class FaceProfile(NamedTuple):
     uncrossed_non_bridges: tuple[str, ...]
     stick_stick_pairs: tuple[tuple[str, str], ...]
     stick_middle_pairs: tuple[tuple[str, str], ...]
-    opposite_flags: dict[tuple[str, str], bool]
     warnings: tuple[str, ...] = ()
 
     @property
@@ -134,28 +133,23 @@ class FaceProfile(NamedTuple):
 # -- classification ------------------------------------------------------------
 
 
-def classify_stick(occurrence: int | None, crossed_position: int, walk_length: int | None) -> str:
-    """Short iff one boundary direction passes exactly one other vertex occurrence;
-    a ``walk_length`` of None means the positions lie on different walks."""
-    if occurrence is None or walk_length is None:
-        return LONG  # no boundary occurrence on the walk of the crossed side
-    forward = (crossed_position - occurrence) % walk_length == 2
-    backward = (occurrence - crossed_position) % walk_length == 1
-    return SHORT if (forward or backward) else LONG
-
-
-def stick_orientation(
+def classify_stick(
     occurrence: int | None, crossed_position: int, walk_length: int | None
-) -> str | None:
-    """Right sticks exit across the next-but-one boundary edge, left sticks across
-    the previous one; on triangles the two coincide, so no orientation."""
-    if occurrence is None or walk_length is None or walk_length < 4:
-        return None
+) -> tuple[str, str | None]:
+    """(class, side) of a stick.  Short iff one boundary direction passes exactly
+    one other vertex occurrence: a right stick exits across the next-but-one
+    boundary edge, a left stick across the previous one.  On a walk shorter
+    than 4 (a triangle: the two coincide) a stick has no side; a
+    ``walk_length`` of None means the positions lie on different walks."""
+    if occurrence is None or walk_length is None:
+        return LONG, None  # no boundary occurrence on the walk of the crossed side
     if (crossed_position - occurrence) % walk_length == 2:
-        return RIGHT
-    if (occurrence - crossed_position) % walk_length == 1:
-        return LEFT
-    return None
+        side = RIGHT
+    elif (occurrence - crossed_position) % walk_length == 1:
+        side = LEFT
+    else:
+        return LONG, None
+    return SHORT, side if walk_length >= 4 else None
 
 
 def classify_middle(entry_position: int, exit_position: int, walk_length: int | None) -> str:
@@ -169,64 +163,56 @@ def classify_middle(entry_position: int, exit_position: int, walk_length: int | 
 # -- decomposition ---------------------------------------------------------------
 
 
-class _Resolver:
-    """Resolves a piece's full-map darts to boundary occurrences of its host face,
-    through the decomposition's own lookups; positions index the walks concatenated."""
+def _position(dec: SkeletonDecomposition, d: Dart, host: str, what: str) -> int:
+    """Position of walk dart ``d`` in face ``host``; positions index the walks concatenated."""
+    face_id, pos = dec.face_of_dart(d)
+    if face_id != host:
+        raise InvariantError(
+            "decompose-host-mismatch",
+            f"{what} resolves to {face_id}, but the piece lives in {host}",
+        )
+    return pos
 
-    def __init__(self, dec: SkeletonDecomposition):
-        self.dec = dec
-        self.full = dec.full_map
-        self.skeleton_set = set(dec.skeleton_edges)
 
-    def boundary_ref(self, d_arrive: Dart, host: str) -> CrossedRef:
-        """The skeleton-edge occurrence a piece runs into.
+def _crossed(
+    dec: SkeletonDecomposition, skeleton: set[str], boundary_dart: Dart, crossing: str,
+    host: str, after: Dart,
+) -> CrossedRef:
+    """The skeleton-edge occurrence a piece crosses at one of its ends.
 
-        ``d_arrive`` is the piece's final dart, pointing into the crossing;
-        its walk successor in the full map is the skeleton dart bounding the
-        piece's side, and that dart's position in the skeleton face walk is
-        the crossed occurrence.
-        """
-        nxt = self.full.next_dart(d_arrive)
-        return self._ref(nxt, self.full.head(d_arrive), host, after=d_arrive)
+    ``after`` is the piece's dart at ``crossing`` and ``boundary_dart`` its
+    full-map walk neighbour there: the successor of the dart that arrives, or
+    the predecessor of the dart that departs.  That neighbour is the skeleton
+    dart bounding the piece's side, and its position is the crossed occurrence.
+    """
+    if boundary_dart[0] not in skeleton:
+        raise InvariantError(
+            "decompose-misaligned",
+            f"expected a skeleton dart next to {after}; found {boundary_dart}",
+        )
+    pos = _position(dec, boundary_dart, host, f"crossed occurrence of {boundary_dart[0]}")
+    return CrossedRef(crossing=crossing, edge=boundary_dart[0], position=pos)
 
-    def entry_ref(self, d_depart: Dart, host: str) -> CrossedRef:
-        """Like :meth:`boundary_ref` for the crossing a piece departs from."""
-        prv = self.full.prev_dart(d_depart)
-        return self._ref(prv, self.full.tail(d_depart), host, after=d_depart)
 
-    def _ref(self, boundary_dart: Dart, crossing: str, host: str, after: Dart) -> CrossedRef:
-        if boundary_dart[0] not in self.skeleton_set:
-            raise InvariantError(
-                "decompose-misaligned",
-                f"expected a skeleton dart next to {after}; found {boundary_dart}",
-            )
-        pos = self._position(boundary_dart, host, f"crossed occurrence of {boundary_dart[0]}")
-        return CrossedRef(crossing=crossing, edge=boundary_dart[0], position=pos)
+def _stick_occurrence(
+    dec: SkeletonDecomposition, skeleton: set[str], vertex: str, out_dart: Dart, host: str
+) -> int | None:
+    """Boundary occurrence of ``vertex`` whose corner wedge hosts the stick.
 
-    def _position(self, d: Dart, host: str, what: str) -> int:
-        face_id, pos = self.dec.face_of_dart(d)
-        if face_id != host:
-            raise InvariantError(
-                "decompose-host-mismatch",
-                f"{what} resolves to {face_id}, but the piece lives in {host}",
-            )
-        return pos
-
-    def stick_occurrence(self, vertex: str, out_dart: Dart, host: str) -> int | None:
-        """Boundary occurrence of ``vertex`` whose corner wedge hosts the stick.
-
-        Scanning the full rotation clockwise from the stick's outgoing dart,
-        the first skeleton dart reached is the reversal of the walk dart that
-        enters the wedge; the occurrence is that walk dart's position.
-        Returns None when the vertex lies on no skeleton edge (isolated in
-        the skeleton, floating inside the face).
-        """
-        rot = self.full.rotation(vertex)
-        i = self.full.rotation_index(out_dart)
-        for d in rot[i::-1] + rot[:i:-1]:
-            if d[0] in self.skeleton_set:
-                return self._position(self.full.twin(d), host, f"wedge of stick at {vertex}")
-        return None
+    Scanning the full rotation clockwise from the stick's outgoing dart, in
+    place, the first skeleton dart reached is the reversal of the walk dart
+    that enters the wedge; the occurrence is that walk dart's position.
+    Returns None when the vertex lies on no skeleton edge (isolated in the
+    skeleton, floating inside the face).
+    """
+    full = dec.full_map
+    rot = full.rotation(vertex)
+    i = full.rotation_index(out_dart)
+    for j in range(i, i - len(rot), -1):
+        d = rot[j]
+        if d[0] in skeleton:
+            return _position(dec, full.twin(d), host, f"wedge of stick at {vertex}")
+    return None
 
 
 def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
@@ -236,9 +222,9 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
     edge; that breaks the decomposition contract and indicates a defective
     skeleton, not a property of the drawing.
     """
-    resolver = _Resolver(dec)
     faces = {f.face_id: f for f in dec.faces}
     full = dec.full_map
+    skeleton = set(dec.skeleton_edges)
 
     spans: list[tuple[str, int, int, int, bool]] = []  # (edge, index, lo, hi, last)
     piece_at_crossing: dict[tuple[str, str], str] = {}
@@ -246,7 +232,7 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
         chain = full.chain(e)
         cuts = [
             i for i, c in enumerate(chain)
-            if _other_edge(full.crossing_edges(c), e) in resolver.skeleton_set
+            if _other_edge(full.crossing_edges(c), e) in skeleton
         ]
         if not cuts:
             raise InvariantError(
@@ -274,28 +260,30 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
             out_dart: Dart = (e, 0, 1) if idx == 0 else (e, len(chain), -1)
             arrive: Dart = (e, hi, 1) if idx == 0 else (e, lo + 1, -1)
             host = dec.host_of_dart(out_dart)
-            crossed = (resolver.boundary_ref(arrive, host),)
-            occ = resolver.stick_occurrence(vertex, out_dart, host)
-        else:
-            depart: Dart = (e, lo + 1, 1)
-            arrive = (e, hi, 1)
-            host = dec.host_of_dart(depart)
-            crossed = (resolver.entry_ref(depart, host), resolver.boundary_ref(arrive, host))
-            if crossed[0].edge == crossed[1].edge:
-                warnings.append(
-                    f"middle part of {e} crosses two occurrences of edge {crossed[0].edge}"
-                )
-
-        walk_len = faces[host].walk_length(occ, *(ref.position for ref in crossed))
-        if kind == STICK:
-            classification = classify_stick(occ, crossed[0].position, walk_len)
-            orientation = stick_orientation(occ, crossed[0].position, walk_len)
+            crossed = (
+                _crossed(dec, skeleton, full.next_dart(arrive), full.head(arrive), host, arrive),
+            )
+            occ = _stick_occurrence(dec, skeleton, vertex, out_dart, host)
+            walk_len = faces[host].walk_length(occ, crossed[0].position)
+            classification, orientation = classify_stick(occ, crossed[0].position, walk_len)
             if occ is None:
                 warnings.append(
                     f"stick of {e} emanates from {vertex}, which is not on the host "
                     "face boundary (isolated in the skeleton)"
                 )
         else:
+            depart: Dart = (e, lo + 1, 1)
+            arrive = (e, hi, 1)
+            host = dec.host_of_dart(depart)
+            crossed = (
+                _crossed(dec, skeleton, full.prev_dart(depart), full.tail(depart), host, depart),
+                _crossed(dec, skeleton, full.next_dart(arrive), full.head(arrive), host, arrive),
+            )
+            if crossed[0].edge == crossed[1].edge:
+                warnings.append(
+                    f"middle part of {e} crosses two occurrences of edge {crossed[0].edge}"
+                )
+            walk_len = faces[host].walk_length(crossed[0].position, crossed[1].position)
             classification = classify_middle(crossed[0].position, crossed[1].position, walk_len)
             orientation = None
 
@@ -402,15 +390,6 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
                     ss_pairs.add((a, b))
                 elif STICK in (kind_a, kind_b):
                     sm_pairs.add((a, b))
-        by_id = {p.piece_id: p for p in members}
-        opposite = {
-            pair: (
-                by_id[pair[0]].orientation is not None
-                and by_id[pair[1]].orientation is not None
-                and by_id[pair[0]].orientation != by_id[pair[1]].orientation
-            )
-            for pair in sorted(ss_pairs)
-        }
 
         for p in members:
             warnings.extend(p.warnings)
@@ -432,7 +411,6 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
                 uncrossed_non_bridges=uncrossed,
                 stick_stick_pairs=tuple(sorted(ss_pairs)),
                 stick_middle_pairs=tuple(sorted(sm_pairs)),
-                opposite_flags=opposite,
                 warnings=tuple(warnings),
             )
         )

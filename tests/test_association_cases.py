@@ -37,7 +37,6 @@ def _triangle(face, nodes, neighbors, tau, stick_ids):
         uncrossed_non_bridges=(),
         stick_stick_pairs=(),
         stick_middle_pairs=(),
-        opposite_flags={},
     )
 
 
@@ -165,7 +164,6 @@ def test_non_triangular_profile_disables_association():
         uncrossed_non_bridges=(),
         stick_stick_pairs=(),
         stick_middle_pairs=(),
-        opposite_flags={},
     )
     result = associate([prof], [])
     assert not result.applicable

@@ -207,6 +207,9 @@ def test_torus_rotation_rejected():
         ({"vertices": [False], "edges": []}, "id-type"),
         ({"vertices": ["a"], "edges": [], "chains": {"e": [["x"]]}}, "id-type"),
         ({"vertices": ["a"], "edges": [], "crossings": {"x": ["e", 2.0]}}, "id-type"),
+        ({"vertices": ["a"], "edges": [], "crossings": {"x": "ef"}}, "crossing-pair"),
+        ({"vertices": ["a"], "edges": [], "crossings": {"x": 5}}, "crossing-pair"),
+        ({"vertices": ["a"], "edges": [], "crossings": {"x": ["e"]}}, "crossing-pair"),
         ({"vertices": ["a"], "edges": [], "rotations": {"a": [("e", "+", "+")]}}, "rotation-entry"),
         ({"vertices": ["a"], "edges": [], "rotations": {"a": [(None, "+")]}}, "id-type"),
     ],
@@ -215,6 +218,29 @@ def test_malformed_ids_and_rows_raise_typed_errors(kwargs, rule):
     with pytest.raises(InvariantError) as info:
         DrawingSpec.build(**kwargs)
     assert info.value.rule == rule
+
+
+@pytest.mark.parametrize(
+    "fields, rule",
+    [
+        ({"edges": [["e", "a"]]}, "edge-row"),
+        ({"edges": ["eab"]}, "edge-row"),
+        ({"edges": [{"e": "a"}]}, "edge-row"),
+        ({"crossings": {"x": "ef"}}, "crossing-pair"),
+        ({"crossings": {"x": 5}}, "crossing-pair"),
+        ({"crossings": {"x": ["e", "f", "g"]}}, "crossing-pair"),
+        ({"rotations": {"a": [["e", "+", "+"]]}}, "rotation-entry"),
+        ({"rotations": {"a": ["e+"]}}, "rotation-entry"),
+        ({"vertices": ["a", 1.5]}, "id-type"),
+    ],
+)
+def test_parse_text_refusals_name_the_rule(fields, rule):
+    # The document's rows are checked once, by DrawingSpec.build.
+    doc = {"vertices": ["a", "b"], "edges": [], "chains": {}, "crossings": {}, "rotations": {}}
+    with pytest.raises(InvariantError) as info:
+        parse_text(json.dumps({**doc, **fields}))
+    assert info.value.rule == rule
+    assert str(info.value).startswith(f"{rule}: ")
 
 
 def test_integer_ids_are_accepted_by_build():

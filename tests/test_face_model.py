@@ -25,7 +25,7 @@ from crossing_ledger import (
     restrict,
 )
 from crossing_ledger.audit import _skeleton_connected
-from crossing_ledger.segments import FAR, LONG, classify_middle, classify_stick, stick_orientation
+from crossing_ledger.segments import FAR, LONG, classify_middle, classify_stick
 
 
 def _walks(face):
@@ -128,8 +128,7 @@ def test_disjoint_edges_are_not_a_connected_skeleton():
 
 
 def test_positions_on_different_walks_are_never_adjacent():
-    assert classify_stick(0, 2, None) == LONG
-    assert stick_orientation(0, 2, None) is None
+    assert classify_stick(0, 2, None) == (LONG, None)
     assert classify_middle(0, 1, None) == FAR
     face = extract_skeleton(build_map(_fixtures.ladder_spec()), "exact").faces[0]
     assert face.walk_length(0, 1) == 2

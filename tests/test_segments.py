@@ -12,7 +12,9 @@ from crossing_ledger import (
 )
 from crossing_ledger.errors import BadArgument
 from crossing_ledger.generator import generate_optimal
-from crossing_ledger.segments import FAR, LONG, MIDDLE, SHORT, STICK, classify_middle, classify_stick
+from crossing_ledger.segments import (
+    FAR, LEFT, LONG, MIDDLE, RIGHT, SHORT, STICK, classify_middle, classify_stick,
+)
 
 
 def _pipeline(spec):
@@ -122,13 +124,13 @@ def test_far_middle_fixture(far_middle_spec):
 
 
 def test_classification_rules_directly():
-    # triangle: the only stick placement is short
-    assert classify_stick(0, 2, 3) == SHORT
+    # triangle: the only stick placement is short, and has no side
+    assert classify_stick(0, 2, 3) == (SHORT, None)
     # six-walk: crossing the opposite side is long in both directions
-    assert classify_stick(0, 3, 6) == LONG
-    assert classify_stick(0, 2, 6) == SHORT  # forward
-    assert classify_stick(0, 5, 6) == SHORT  # backward
-    assert classify_stick(None, 2, 6) == LONG
+    assert classify_stick(0, 3, 6) == (LONG, None)
+    assert classify_stick(0, 2, 6) == (SHORT, RIGHT)  # forward
+    assert classify_stick(0, 5, 6) == (SHORT, LEFT)  # backward
+    assert classify_stick(None, 2, 6) == (LONG, None)
     # middles: adjacency of crossed sides
     assert classify_middle(1, 2, 6) == SHORT
     assert classify_middle(1, 4, 6) == FAR
