@@ -126,6 +126,15 @@ class _PiecesById(dict):
                           "which is not among the given pieces")
 
 
+def _split(profiles: list[FaceProfile]) -> tuple[list[FaceProfile], list[FaceProfile]]:
+    """(triangular, non-triangular) profiles, each in the given order."""
+    triangles: list[FaceProfile] = []
+    others: list[FaceProfile] = []
+    for p in profiles:
+        (triangles if p.is_triangle else others).append(p)
+    return triangles, others
+
+
 def associate(
     profiles: list[FaceProfile], pieces: list[SegmentPiece]
 ) -> AssociationResult:
@@ -142,7 +151,14 @@ def associate(
     crossing budget forces to hold at most two sticks; if that face is not
     free, the input is not a conformant drawing and the conflict is reported.
     """
-    if not all(p.is_triangle for p in profiles):
+    return _associate(profiles, not _split(profiles)[1], _PiecesById(pieces))
+
+
+def _associate(
+    profiles: list[FaceProfile], triangulated: bool, pieces_by_id: _PiecesById
+) -> AssociationResult:
+    """:func:`associate`, told whether every profile is a triangle."""
+    if not triangulated:
         return AssociationResult(
             applicable=False,
             mapping={},
@@ -151,7 +167,6 @@ def associate(
         )
 
     by_id = {p.face: p for p in profiles}
-    pieces_by_id = _PiecesById(pieces)
     mapping: dict[str, str] = {}
     notes: list[str] = []
     diagnoses: list[Diagnosis] = []
@@ -378,12 +393,16 @@ def structural_predicates(
     certifies the input is not a crossing-minimal densest drawing; nothing is
     ever repaired.
     """
-    pieces_by_id = _PiecesById(pieces)
+    return _predicates(dec, _split(profiles)[1], _PiecesById(pieces))
+
+
+def _predicates(
+    dec: SkeletonDecomposition, others: list[FaceProfile], pieces_by_id: _PiecesById
+) -> PredicateReport:
+    """:func:`structural_predicates` on the non-triangular profiles ``others``."""
     faces: dict[str, tuple[PredicateVerdict, ...]] = {}
 
-    for prof in profiles:
-        if prof.is_triangle:
-            continue
+    for prof in others:
         sticks = [pieces_by_id[s] for s in prof.sticks]
         middles = [pieces_by_id[m] for m in prof.middles]
         verdicts = [
@@ -447,7 +466,7 @@ def structural_predicates(
 
     return PredicateReport(
         skeleton_connected=_skeleton_connected(dec),
-        skeleton_triangulated=all(p.is_triangle for p in profiles),
+        skeleton_triangulated=not others,
         faces=faces,
     )
 
@@ -563,20 +582,21 @@ def density_report(
     skeleton_count = len(dec.skeleton_edges)
     cap = k
 
-    triangles = [p for p in profiles if p.is_triangle]
+    triangles, others = _split(profiles)
+    pieces_by_id = _PiecesById(pieces)
     t_p = len(triangles)
     sizes = Counter(p.stick_count for p in triangles)
     counts = {i: sizes[i] for i in range(cap + 1)}
     weighted = sum(i * c for i, c in counts.items())
-    cap_violations = tuple(sorted(overfull_triangles(profiles, cap)))
+    cap_violations = tuple(sorted(overfull_triangles(triangles, cap)))
 
     association = (
-        associate(profiles, pieces)
+        _associate(profiles, not others, pieces_by_id)
         if k == 3
         else AssociationResult(False, {}, ("pairing is not constructed for k=4",), ())
     )
 
-    predicates = structural_predicates(dec, profiles, pieces)
+    predicates = _predicates(dec, others, pieces_by_id)
     connected = predicates.skeleton_connected
     triangulated = predicates.skeleton_triangulated
     chain_applicable = connected and triangulated and not cap_violations

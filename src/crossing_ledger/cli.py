@@ -336,7 +336,20 @@ def _run(argv: list[str], stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
 
 
 def main() -> None:  # console entry point
-    sys.exit(run(sys.argv[1:]))
+    """Run the command line in this process and exit with its code.
+
+    Before it exits, the process moves every surviving object into the
+    collector's permanent generation (``gc.freeze``), so the collections that
+    interpreter shutdown runs skip them.  Those collections come after the
+    output is written, so they change nothing a caller sees, yet they walk
+    every loaded module's objects, and in a pipe such as ``generate | audit``
+    the next process waits for them.  ``atexit`` hooks and the flushing of
+    stdio still run.  :func:`run` itself never freezes, so library and test
+    callers keep the collector as they had it.
+    """
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

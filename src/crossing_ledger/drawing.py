@@ -71,6 +71,19 @@ def _check_ids(*groups: Iterable) -> None:
                 raise InvariantError("id-type", f"ids are strings or integers; got {v!r}")
 
 
+def _check_fields(chains, crossings, rotations) -> None:
+    """Refuse a field that is not a mapping, and a chain or rotation that is not a list."""
+    for name, field in (("chains", chains), ("crossings", crossings), ("rotations", rotations)):
+        if not isinstance(field, Mapping):
+            raise InvariantError("field-mapping", f"{name} must be a mapping; got {field!r}")
+    for rule, what, field in (("chain-list", "chain of edge", chains),
+                              ("rotation-list", "rotation at", rotations)):
+        if not {list, tuple}.issuperset(map(type, field.values())):
+            for key, row in field.items():
+                if not isinstance(row, (list, tuple)):
+                    raise InvariantError(rule, f"{what} {key} must be a list; got {row!r}")
+
+
 def _check_rows(rows: list, size: int, rule: str) -> None:
     """Refuse a row that is not a list or tuple of ``size`` entries."""
     for row in rows:
@@ -107,7 +120,10 @@ class DrawingSpec(NamedTuple):
         rotations: Mapping | None = None,
     ) -> "DrawingSpec":
         vertices, edges = list(vertices), list(edges)
-        chains, crossings, rotations = chains or {}, crossings or {}, rotations or {}
+        chains, crossings, rotations = (
+            {} if field is None else field for field in (chains, crossings, rotations)
+        )
+        _check_fields(chains, crossings, rotations)
         _check_rows(edges, 3, "edge-row")
         entries = [entry for rot in rotations.values() for entry in rot]
         _check_rows(entries, 2, "rotation-entry")
@@ -287,6 +303,12 @@ class PlanarizedMap:
     construction adds only the sphere check, raising :class:`NonSpherical`
     when face tracing or the per-component Euler formula fails.
 
+    Every dart's face successor and head node are tabled at construction
+    (``_next``, ``_head``), as is the face to its right (``_dart_face``), so
+    :meth:`next_dart` and :meth:`head` are single lookups.  The package's hot
+    loops read these dicts directly; they are never written after
+    construction.
+
     Construction is single-threaded; built instances are safe to share
     between threads.
     """
@@ -295,22 +317,50 @@ class PlanarizedMap:
         self.spec = spec
         self._ends = {e: (a, b) for e, a, b in spec.edges}
 
-        # Node sequence of every edge: end_a, crossings in chain order, end_b.
+        # Node sequence of every edge: end_a, crossings in chain order, end_b;
+        # and every dart of the edge, made once: forward[e][seg] is
+        # (e, seg, +1) and backward[e][seg] is (e, seg, -1).
         self._node_seq: dict[str, tuple[str, ...]] = {}
-        self._chain_pos: dict[tuple[str, str], int] = {}
+        forward: dict[str, list[Dart]] = {}
+        backward: dict[str, list[Dart]] = {}
+        chain_pos: dict[tuple[str, str], int] = {}
         for e, (a, b) in self._ends.items():
             chain = spec.chains.get(e, ())
             self._node_seq[e] = (a,) + chain + (b,)
+            forward[e] = [(e, seg, 1) for seg in range(len(chain) + 1)]
+            backward[e] = [(e, seg, -1) for seg in range(len(chain) + 1)]
             for i, c in enumerate(chain):
-                self._chain_pos[(c, e)] = i
+                chain_pos[(c, e)] = i
 
+        # One pass over the rotations decodes every outgoing dart d_i at its
+        # node, with its rotation successor d_{i+1}.  The reversal of d_i
+        # arrives at the node, so it heads there and its face successor is
+        # d_{i+1}.
+        crossings = spec.crossings
         self._rot: dict[str, tuple[Dart, ...]] = {}
-        self._rot_index: dict[Dart, tuple[str, int]] = {}
+        outs: list[Dart] = []
+        succs: list[Dart] = []
+        heads: list[str] = []
+        index: list[int] = []
         for node, entries in spec.rotations.items():
-            darts = tuple(self._decode_entry(node, entry) for entry in entries)
+            if node in crossings:
+                darts = tuple([
+                    forward[e][chain_pos[(node, e)] + 1] if d == PLUS
+                    else backward[e][chain_pos[(node, e)]]
+                    for e, d in entries
+                ])
+            else:
+                darts = tuple([forward[e][0] if d == PLUS else backward[e][-1] for e, d in entries])
             self._rot[node] = darts
-            for i, d in enumerate(darts):
-                self._rot_index[d] = (node, i)
+            outs += darts
+            succs += darts[1:] + darts[:1]
+            heads += [node] * len(darts)
+            index += range(len(darts))
+        twins = [backward[e][seg] if direction == 1 else forward[e][seg]
+                 for e, seg, direction in outs]
+        self._rot_index: dict[Dart, int] = dict(zip(outs, index))
+        self._next: dict[Dart, Dart] = dict(zip(twins, succs))
+        self._head: dict[Dart, str] = dict(zip(twins, heads))
         for v in spec.vertices:
             self._rot.setdefault(v, ())
 
@@ -320,39 +370,36 @@ class PlanarizedMap:
 
     # -- construction helpers ---------------------------------------------
 
-    def _decode_entry(self, node: str, entry: RotationEntry) -> Dart:
-        e, d = entry
-        if node in self.spec.crossings:
-            p = self._chain_pos[(node, e)]
-            return (e, p + 1, 1) if d == PLUS else (e, p, -1)
-        if d == PLUS:
-            return (e, 0, 1)
-        return (e, len(self._node_seq[e]) - 2, -1)
-
     def _trace_faces(self) -> tuple[tuple[FaceWalk, ...], dict[Dart, tuple[int, int]]]:
         faces: list[FaceWalk] = []
         dart_face: dict[Dart, tuple[int, int]] = {}
-        all_darts = sorted(self._rot_index, key=_dart_key)
-        for start in all_darts:
+        nxt, head = self._next, self._head
+        # Walks start at darts in (edge, seg, +1 before -1) order; edges
+        # come in id order, as in the spec.
+        starts = (
+            (e, seg, direction)
+            for e, seq in self._node_seq.items()
+            for seg in range(len(seq) - 1)
+            for direction in (1, -1)
+        )
+        for start in starts:
             if start in dart_face:
                 continue
+            index = len(faces)
             walk = []
             d = start
-            while True:
+            while d not in dart_face:
+                dart_face[d] = (index, len(walk))
                 walk.append(d)
-                dart_face[d] = (len(faces), len(walk) - 1)
-                d = self.next_dart(d)
-                if d == start:
-                    break
-                if d in dart_face:
-                    raise NonSpherical(f"face traversal re-entered dart {d}")
-            fid = f"f{len(faces)}"
+                d = nxt[d]
+            if d != start:
+                raise NonSpherical(f"face traversal re-entered dart {d}")
             faces.append(
                 FaceWalk(
-                    face_id=fid,
+                    face_id=f"f{index}",
                     darts=tuple(walk),
-                    nodes=tuple(self.head(x) for x in walk),
-                    edges=tuple(x[0] for x in walk),
+                    nodes=tuple([head[x] for x in walk]),
+                    edges=tuple([x[0] for x in walk]),
                     walks=(len(walk),),
                 )
             )
@@ -360,6 +407,7 @@ class PlanarizedMap:
 
     def _compute_components(self) -> dict[str, int]:
         comp: dict[str, int] = {}
+        rot, head = self._rot, self._head
         n = 0
         for node in sorted((*self.spec.vertices, *self.spec.crossings)):
             if node in comp:
@@ -367,9 +415,8 @@ class PlanarizedMap:
             comp[node] = n
             queue = deque([node])
             while queue:
-                x = queue.popleft()
-                for d in self._rot[x]:
-                    y = self.head(d)
+                for d in rot[queue.popleft()]:
+                    y = head[d]
                     if y not in comp:
                         comp[y] = n
                         queue.append(y)
@@ -401,28 +448,23 @@ class PlanarizedMap:
     # -- dart algebra -------------------------------------------------------
 
     def head(self, d: Dart) -> str:
-        e, seg, direction = d
-        seq = self._node_seq[e]
-        return seq[seg + 1] if direction == 1 else seq[seg]
+        return self._head[d]
 
     def tail(self, d: Dart) -> str:
-        e, seg, direction = d
-        seq = self._node_seq[e]
-        return seq[seg] if direction == 1 else seq[seg + 1]
+        return self._head[(d[0], d[1], -d[2])]
 
     @staticmethod
     def twin(d: Dart) -> Dart:
         return (d[0], d[1], -d[2])
 
     def next_dart(self, d: Dart) -> Dart:
-        node, i = self._rot_index[self.twin(d)]
-        rot = self._rot[node]
-        return rot[(i + 1) % len(rot)]
+        """Successor of ``d`` on its face: the rotation successor of its reversal."""
+        return self._next[d]
 
     def prev_dart(self, d: Dart) -> Dart:
-        node, i = self._rot_index[d]
-        rot = self._rot[node]
-        return self.twin(rot[(i - 1) % len(rot)])
+        """Predecessor of ``d`` on its face: the reversal of its rotation predecessor."""
+        rot = self._rot[self.tail(d)]
+        return self.twin(rot[self._rot_index[d] - 1])
 
     # -- public views -------------------------------------------------------
 
@@ -459,7 +501,7 @@ class PlanarizedMap:
 
     def rotation_index(self, d: Dart) -> int:
         """Position of an outgoing dart in the rotation at its tail."""
-        return self._rot_index[d][1]
+        return self._rot_index[d]
 
     def face_of_dart(self, d: Dart) -> tuple[str, int]:
         idx, pos = self._dart_face[d]
@@ -495,10 +537,6 @@ class PlanarizedMap:
             f"PlanarizedMap(n={len(self.vertices)}, edges={len(self.edge_ids)}, "
             f"crossings={len(self.spec.crossings)}, faces={len(self._faces)})"
         )
-
-
-def _dart_key(d: Dart) -> tuple[str, int, int]:
-    return (d[0], d[1], 0 if d[2] == 1 else 1)
 
 
 def build_map(spec: DrawingSpec) -> PlanarizedMap:

@@ -224,6 +224,7 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
     """
     faces = {f.face_id: f for f in dec.faces}
     full = dec.full_map
+    nxt, head = full._next, full._head
     skeleton = set(dec.skeleton_edges)
 
     spans: list[tuple[str, int, int, int, bool]] = []  # (edge, index, lo, hi, last)
@@ -260,9 +261,7 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
             out_dart: Dart = (e, 0, 1) if idx == 0 else (e, len(chain), -1)
             arrive: Dart = (e, hi, 1) if idx == 0 else (e, lo + 1, -1)
             host = dec.host_of_dart(out_dart)
-            crossed = (
-                _crossed(dec, skeleton, full.next_dart(arrive), full.head(arrive), host, arrive),
-            )
+            crossed = (_crossed(dec, skeleton, nxt[arrive], head[arrive], host, arrive),)
             occ = _stick_occurrence(dec, skeleton, vertex, out_dart, host)
             walk_len = faces[host].walk_length(occ, crossed[0].position)
             classification, orientation = classify_stick(occ, crossed[0].position, walk_len)
@@ -277,7 +276,7 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
             host = dec.host_of_dart(depart)
             crossed = (
                 _crossed(dec, skeleton, full.prev_dart(depart), full.tail(depart), host, depart),
-                _crossed(dec, skeleton, full.next_dart(arrive), full.head(arrive), host, arrive),
+                _crossed(dec, skeleton, nxt[arrive], head[arrive], host, arrive),
             )
             if crossed[0].edge == crossed[1].edge:
                 warnings.append(
@@ -342,6 +341,7 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
                 "which is not a face of this decomposition"
             ) from None
 
+    occurrences = dec.occurrences
     profiles = []
     for face in dec.faces:
         members = by_face[face.face_id]
@@ -371,7 +371,7 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
         crossed_by_passing = {ref.edge for p in middles for ref in p.crossed}
         uncrossed = tuple(sorted(e for e in non_bridges if e not in crossed_by_passing))
 
-        neighbors = tuple(dec.face_of_dart(dec.full_map.twin(d))[0] for d in face.darts)
+        neighbors = tuple([occurrences[(e, -direction)][0] for e, _, direction in face.darts])
 
         ss_pairs: set[tuple[str, str]] = set()
         sm_pairs: set[tuple[str, str]] = set()

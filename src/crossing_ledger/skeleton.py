@@ -211,14 +211,16 @@ def _skeleton_faces(pmap: PlanarizedMap, kept: set[str], residual: tuple[str, ..
     the order of their first walk.
     """
 
+    nxt = pmap._next
+
     def step(d: Dart) -> Dart:
-        # Arrive at the far end, then turn to the next skeleton dart counterclockwise.
-        back = (d[0], len(pmap.chain(d[0])), -1) if d[2] == 1 else (d[0], 0, 1)
-        rot, i = pmap.rotation(pmap.tail(back)), pmap.rotation_index(back)
-        while True:  # ``back`` is a skeleton dart, so this stops at it at the latest
-            i = (i + 1) % len(rot)
-            if rot[i][0] in kept:
-                return rot[i]
+        # Arrive at the far end, then turn to the next skeleton dart
+        # counterclockwise; the reversal of the arriving dart is one, so the
+        # turn stops there at the latest.
+        d = nxt[(d[0], len(pmap.chain(d[0])), 1) if d[2] == 1 else (d[0], 0, -1)]
+        while d[0] not in kept:
+            d = nxt[(d[0], d[1], -d[2])]
+        return d
 
     parent = list(range(len(pmap.faces)))
 

@@ -82,8 +82,8 @@ def _both_sides_inhabited(
     False as soon as a side runs out of faces without one.
     """
     e = min(curve)
-    faces = pmap.faces
-    seeds = (pmap.face_index_of_dart((e, 0, 1)), pmap.face_index_of_dart((e, 0, -1)))
+    faces, dart_face = pmap.faces, pmap._dart_face
+    seeds = (dart_face[(e, 0, 1)][0], dart_face[(e, 0, -1)][0])
     seen = set(seeds)
     sides = [deque([f]) for f in seeds]
     while sides:
@@ -97,7 +97,7 @@ def _both_sides_inhabited(
             for d in face.darts:
                 if d[0] in curve:
                     continue
-                nb = pmap.face_index_of_dart(pmap.twin(d))
+                nb = dart_face[(d[0], d[1], -d[2])][0]
                 if nb not in seen:
                     seen.add(nb)
                     queue.append(nb)

@@ -212,6 +212,17 @@ def test_torus_rotation_rejected():
         ({"vertices": ["a"], "edges": [], "crossings": {"x": "ef"}}, "crossing-pair"),
         ({"vertices": ["a"], "edges": [], "crossings": {"x": 5}}, "crossing-pair"),
         ({"vertices": ["a"], "edges": [], "crossings": {"x": ["e"]}}, "crossing-pair"),
+        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "chains": {"e": 5}}, "chain-list"),
+        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "chains": {"e": "xy"}}, "chain-list"),
+        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "rotations": {"a": 5}},
+         "rotation-list"),
+        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "rotations": {"a": "e+"}},
+         "rotation-list"),
+        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "chains": [("e", ["x"])]},
+         "field-mapping"),
+        ({"vertices": ["a"], "edges": [], "crossings": [("x", ["e", "f"])]}, "field-mapping"),
+        ({"vertices": ["a"], "edges": [], "rotations": [("a", [])]}, "field-mapping"),
+        ({"vertices": ["a"], "edges": [], "crossings": ""}, "field-mapping"),
     ],
 )
 def test_malformed_ids_and_rows_raise_typed_errors(kwargs, rule):

@@ -5,9 +5,15 @@ no reference cycles.
 back the state it had, on every way out.  With the collector off, memory
 stays flat only if the library leaves nothing in reference cycles, so a
 cycle test runs every subcommand at two sizes and looks at what a final
-collection finds.  A smoke test runs every subcommand in Python's
-development mode with warnings as errors: a file object left in a cycle
-would be closed only at exit, with a ``ResourceWarning``.
+collection finds, and fails on any file object there.  A smoke test runs
+every subcommand in Python's development mode with warnings as errors.
+
+``main``, the console entry point, freezes every surviving object before the
+process exits (``gc.freeze``), so shutdown collects nothing: a file object
+left in a cycle would then never be closed, flushed or warned about at exit.
+The cycle test is the guard for that, which is why it writes output files
+too.  Fresh processes check that ``main`` answers as ``run`` does and that it
+freezes, and ``run`` itself must never freeze.
 """
 
 from __future__ import annotations
@@ -70,8 +76,8 @@ EXITS = {
 
 
 def _stdin_text(name: str) -> str:
-    if name == "n6":
-        return emit_drawing(generate_optimal(6))
+    if name in ("n6", "n10"):
+        return emit_drawing(generate_optimal(int(name[1:])))
     if name == "bigon":
         return emit_drawing(_fixtures.bigon_spec())
     return name
@@ -95,18 +101,20 @@ def test_run_restores_the_callers_state_when_it_raises(caller_collects):
     assert gc.isenabled() is caller_collects
 
 
-SUBCOMMANDS = [
-    ["generate", "--n", "{n}"],
-    ["validate", "--k", "3", "-"],
-    ["analyze", "--skeleton", "--segments", "--format", "json", "-"],
-    ["audit", "--k", "3", "-"],
-    ["export", "--figure", "svg", "-"],
-]
+SUBCOMMANDS = {
+    "generate": ["generate", "--n", "{n}"],
+    "validate": ["validate", "--k", "3", "-"],
+    "analyze": ["analyze", "--skeleton", "--segments", "--format", "json", "-"],
+    "audit": ["audit", "--k", "3", "-"],
+    "export": ["export", "--figure", "svg", "-"],
+    "generate-to-file": ["generate", "--n", "{n}", "-o", "{out}"],
+    "export-to-file": ["export", "--figure", "svg", "-o", "{out}", "-"],
+}
 
 
-def _garbage(argv: list[str], n: int) -> list:
+def _garbage(argv: list[str], n: int, out: Path) -> list:
     """What a collection finds after ``run(argv)`` on the tight drawing with ``n`` vertices."""
-    argv = [a.replace("{n}", str(n)) for a in argv]
+    argv = [a.replace("{n}", str(n)).replace("{out}", str(out)) for a in argv]
     stdin = io.StringIO(emit_drawing(generate_optimal(n)))
     gc.collect()
     was, flags = gc.isenabled(), gc.get_debug()
@@ -133,17 +141,23 @@ def _ours(o) -> bool:
     return str(module).partition(".")[0] == "crossing_ledger"
 
 
-@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[a[0] for a in SUBCOMMANDS])
-def test_run_leaves_a_fixed_set_of_cycles(argv):
-    _garbage(argv, 10)  # first use: the subcommand's modules load
-    small, large = _garbage(argv, 10), _garbage(argv, 102)
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS.keys())
+def test_run_leaves_a_fixed_set_of_cycles(argv, tmp_path):
+    out = tmp_path / "out"
+    _garbage(argv, 10, out)  # first use: the subcommand's modules load
+    small, large = _garbage(argv, 10, out), _garbage(argv, 102, out)
     assert len(small) == len(large)
     assert [o for o in large if _ours(o)] == []
+    assert [o for o in small + large if isinstance(o, io.IOBase)] == []
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return env
 
 
 def test_every_subcommand_runs_clean_in_dev_mode(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     drawing = tmp_path / "n10.json"
     steps = [
         ["generate", "--n", "10", "-o", str(drawing)],
@@ -158,7 +172,52 @@ def test_every_subcommand_runs_clean_in_dev_mode(tmp_path):
             input=drawing.read_text() if argv[-1] == "-" else "",
             capture_output=True,
             text=True,
-            env=env,
+            env=_env(),
             timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), argv
+
+
+# argv, stdin, exit code: each subcommand at n=10, a verdict and a usage error.
+MAIN_CASES = {
+    "generate": (["generate", "--n", "10"], "", EXIT_OK),
+    "validate": (["validate", "--k", "3", "-"], "n10", EXIT_OK),
+    "analyze": (["analyze", "--skeleton", "--segments", "--format", "json", "-"], "n10", EXIT_OK),
+    "audit": (["audit", "--k", "3", "-"], "n10", EXIT_OK),
+    "export": (["export", "--figure", "svg", "-"], "n10", EXIT_OK),
+    "verdict": (["validate", "--k", "3", "-"], "bigon", EXIT_VERDICT),
+    "usage-error": (["audit", "--frobnicate"], "", EXIT_USAGE),
+}
+
+
+@pytest.mark.parametrize("argv, stdin, code", MAIN_CASES.values(), ids=MAIN_CASES.keys())
+def test_main_answers_as_run_does(argv, stdin, code):
+    text = _stdin_text(stdin)
+    out = io.StringIO()
+    frozen = gc.get_freeze_count()
+    assert run(argv, stdin=io.StringIO(text), stdout=out, stderr=io.StringIO()) == code
+    assert gc.get_freeze_count() == frozen  # run never freezes
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossing_ledger.cli", *argv],
+        input=text.encode(),
+        capture_output=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out.getvalue().encode())
+
+
+def test_main_freezes_before_exit():
+    # An atexit hook runs after main's freeze; it sees the frozen objects.
+    hook = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+        "runpy.run_module('crossing_ledger.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", hook, "--version"],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    label, count = proc.stderr.split()
+    assert label == "frozen" and int(count) > 0
