@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadArgument,
@@ -50,17 +51,14 @@ class Violation(NamedTuple):
         return {"rule": self.rule, "subjects": list(self.subjects), "detail": self.detail}
 
 
-def _entry_key(entry: RotationEntry) -> tuple[str, int]:
-    return (entry[0], 0 if entry[1] == PLUS else 1)
-
-
-def _anchor_rotation(entries: Sequence[RotationEntry]) -> tuple[RotationEntry, ...]:
+def _anchor_rotation(entries: list[RotationEntry]) -> tuple[RotationEntry, ...]:
     # Rotate the cyclic list so the smallest entry comes first; the cyclic
-    # order itself is untouched.
+    # order itself is untouched.  Every direction is "+" or "-" here, and
+    # "+" < "-", so tuple order puts an edge's "+" end before its "-" end.
     if not entries:
         return ()
-    pivot = min(range(len(entries)), key=lambda i: _entry_key(entries[i]))
-    return tuple(entries[pivot:]) + tuple(entries[:pivot])
+    pivot = entries.index(min(entries))
+    return (*entries[pivot:], *entries[:pivot])
 
 
 def _check_ids(*groups: Iterable) -> None:
@@ -69,6 +67,17 @@ def _check_ids(*groups: Iterable) -> None:
         for v in chain(*groups):
             if not isinstance(v, (str, int)) or isinstance(v, bool):
                 raise InvariantError("id-type", f"ids are strings or integers; got {v!r}")
+
+
+def _string_keys(field: Mapping, value: Callable, rule: str, what: str) -> dict:
+    """``field`` with ``str()`` keys and ``value``-converted values; refuses keys
+    that ``str()`` makes equal (``0`` and ``"0"``), where a dict would keep the
+    later one."""
+    converted = {str(k): value(v) for k, v in field.items()}
+    if len(converted) != len(field):
+        dup = sorted(k for k, c in Counter(map(str, field)).items() if c > 1)
+        raise InvariantError(rule, f"{what} repeat as strings: {dup}")
+    return converted
 
 
 def _check_fields(chains, crossings, rotations) -> None:
@@ -86,6 +95,8 @@ def _check_fields(chains, crossings, rotations) -> None:
 
 def _check_rows(rows: list, size: int, rule: str) -> None:
     """Refuse a row that is not a list or tuple of ``size`` entries."""
+    if {list, tuple}.issuperset(map(type, rows)) and {size}.issuperset(map(len, rows)):
+        return
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != size:
             raise InvariantError(rule, f"expected a list of {size} entries; got {row!r}")
@@ -140,13 +151,22 @@ class DrawingSpec(NamedTuple):
             dup = sorted(e for e, c in Counter(edge_ids).items() if c > 1)
             raise InvariantError("duplicate-edge-id", f"edge ids repeat: {dup}")
 
-        chain_map = {str(e): tuple(str(c) for c in cs) for e, cs in chains.items()}
-        cross_map = {str(c): (str(e), str(f)) for c, (e, f) in crossings.items()}
-        rot_map = {
-            str(node): _anchor_rotation([(str(e), str(d)) for e, d in rot])
-            for node, rot in rotations.items()
-        }
+        chain_map = _string_keys(
+            chains, lambda cs: tuple(map(str, cs)), "duplicate-chain", "chain keys"
+        )
+        cross_map = _string_keys(
+            crossings, lambda pair: (str(pair[0]), str(pair[1])),
+            "duplicate-crossing-id", "crossing ids",
+        )
+        rot_map = _string_keys(
+            rotations, lambda rot: [(str(e), str(d)) for e, d in rot],
+            "duplicate-rotation", "rotation keys",
+        )
+        entries = [entry for rot in rot_map.values() for entry in rot]
 
+        # Each membership rule is tested with one set operation; its loop,
+        # which finds the first offending entry for the message, runs only
+        # when that test fails.
         vert_set = set(verts)
         cross_set = set(cross_map)
         collision = vert_set & cross_set
@@ -156,41 +176,57 @@ class DrawingSpec(NamedTuple):
                 f"ids used both as vertex and crossing: {sorted(collision)}",
             )
         known_edges = set(edge_ids)
-        for e, a, b in edge_rows:
-            for end in (a, b):
-                if end not in vert_set:
-                    raise InvariantError("unknown-vertex", f"edge {e} endpoint {end} undeclared")
-        for e in chain_map:
-            if e not in known_edges:
-                raise InvariantError("unknown-edge", f"chain given for unknown edge {e}")
-        for c, (e, f) in cross_map.items():
-            for x in (e, f):
-                if x not in known_edges:
-                    raise InvariantError("unknown-edge", f"crossing {c} names unknown edge {x}")
-        for e, cs in chain_map.items():
-            for c in cs:
-                if c not in cross_set:
-                    raise InvariantError("unknown-crossing", f"chain of {e} names unknown crossing {c}")
+        if not vert_set.issuperset([end for row in edge_rows for end in row[1:]]):
+            for e, a, b in edge_rows:
+                for end in (a, b):
+                    if end not in vert_set:
+                        raise InvariantError("unknown-vertex", f"edge {e} endpoint {end} undeclared")
+        if not known_edges.issuperset(chain_map):
+            for e in chain_map:
+                if e not in known_edges:
+                    raise InvariantError("unknown-edge", f"chain given for unknown edge {e}")
+        if not known_edges.issuperset(chain.from_iterable(cross_map.values())):
+            for c, (e, f) in cross_map.items():
+                for x in (e, f):
+                    if x not in known_edges:
+                        raise InvariantError("unknown-edge", f"crossing {c} names unknown edge {x}")
+        if not cross_set.issuperset(chain.from_iterable(chain_map.values())):
+            for e, cs in chain_map.items():
+                for c in cs:
+                    if c not in cross_set:
+                        raise InvariantError(
+                            "unknown-crossing", f"chain of {e} names unknown crossing {c}"
+                        )
         for node in rot_map:
             if node not in vert_set and node not in cross_set:
                 raise InvariantError("unknown-node", f"rotation given for unknown node {node}")
-        for node, rot in rot_map.items():
-            for e, d in rot:
-                if e not in known_edges:
-                    raise InvariantError("unknown-edge", f"rotation at {node} names unknown edge {e}")
-                if d not in (PLUS, MINUS):
-                    raise InvariantError(
-                        "rotation-direction", f"rotation at {node} has direction {d!r}"
-                    )
+        if not (
+            known_edges.issuperset(map(itemgetter(0), entries))
+            and {PLUS, MINUS}.issuperset(map(itemgetter(1), entries))
+        ):
+            # The first offending entry in the anchored order, with an
+            # unknown direction sorting after "-".
+            for node, rot in rot_map.items():
+                pivot = min(
+                    range(len(rot)), key=lambda i: (rot[i][0], rot[i][1] != PLUS), default=0
+                )
+                for e, d in rot[pivot:] + rot[:pivot]:
+                    if e not in known_edges:
+                        raise InvariantError(
+                            "unknown-edge", f"rotation at {node} names unknown edge {e}"
+                        )
+                    if d not in (PLUS, MINUS):
+                        raise InvariantError(
+                            "rotation-direction", f"rotation at {node} has direction {d!r}"
+                        )
 
         # Canonical order everywhere; every edge gets a chain entry.
-        full_chains = {e: chain_map.get(e, ()) for e in known_edges}
         spec = DrawingSpec(
             vertices=tuple(sorted(verts)),
             edges=tuple(sorted(edge_rows)),
-            chains={e: full_chains[e] for e in sorted(full_chains)},
+            chains={e: chain_map.get(e, ()) for e in sorted(edge_ids)},
             crossings={c: cross_map[c] for c in sorted(cross_map)},
-            rotations={n: rot_map[n] for n in sorted(rot_map)},
+            rotations={n: _anchor_rotation(rot_map[n]) for n in sorted(rot_map)},
         )
         _check_rules(spec)
         return spec

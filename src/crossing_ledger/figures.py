@@ -18,11 +18,23 @@ float additions give the same bits on every Python version.  The x and
 y axes never read each other, so all sweeps of x run before those of y.
 ``tests/_layout_oracle.py`` keeps the original dict-based layout, and
 ``tests/test_layout_oracle.py`` checks that the two agree bit for bit.
+
+Each component's relaxation (``_compile_relaxation``) holds every
+coordinate in a cell that the generated sweep functions share as closure
+variables, so an update reads and writes a cell, not a list item.  A sweep
+is split into functions of at most ``_NODES_PER_FUNCTION`` free nodes,
+which bounds the memory a compilation takes.  One function per component,
+with every coordinate in a fast local, ran the layout about 10% faster at
+n = 202, but its compilation took memory in proportion to the component:
+the maximum RSS of an ``export --figure svg`` process (CPython 3.11, 2-CPU
+container) was 78 MB, against 45 MB with the bound, for the tight drawing at
+n = 802, and 259 MB against 132 MB at n = 3202.
 """
 
 from __future__ import annotations
 
 import math
+from types import CellType, FunctionType
 from typing import Callable
 
 from .drawing import FaceWalk, PlanarizedMap
@@ -61,31 +73,61 @@ _TERMS_PER_SUM = 32
 _SWEEPS = 300  # Gauss–Seidel sweeps per axis: the layout's fixed iteration count
 
 
-def _compile_sweep(sweep: list[tuple[int, list[int]]]) -> list[Callable[[list[float]], None]]:
-    """One Gauss–Seidel sweep as straight-line functions over a coordinate list.
+def _compile_relaxation(
+    sweep: list[tuple[int, list[int]]], size: int
+) -> Callable[[list[float]], list[float]]:
+    """All ``_SWEEPS`` Gauss–Seidel sweeps of one axis as one function.
 
     ``sweep`` holds, in update order, each free node's index and its
-    neighbours' indices.  Calling the returned functions in order on a list
-    ``c`` sets ``c[i] = (0.0 + c[a] + c[b] + ...) / k.0`` for every entry,
-    with ``k`` the number of neighbours.  The leading ``0.0`` turns a lone
+    neighbours' indices, into a coordinate list of ``size`` entries.  The
+    returned function takes such a list and returns the relaxed coordinates
+    as a new list.  Coordinate ``i`` lives in a cell that every generated
+    function naming it shares as its closure variable ``c<i>``.  A sweep
+    sets ``c<i> = (0.0 + c<a> + c<b> + ...) / k.0`` for every entry, with
+    ``k`` the number of neighbours.  The leading ``0.0`` turns a lone
     ``-0.0`` term into ``+0.0``.  A longer sum is folded left to right
     through a temporary, ``_TERMS_PER_SUM`` terms per statement.  Only
-    integer indices and float literals reach the generated source.
+    integer indices and float literals reach the generated source.  Without
+    free nodes nothing is compiled: the function copies the list.
     """
+    if not sweep:
+        return list
+    cells = [CellType() for _ in range(size)]
     funcs = []
     for start in range(0, len(sweep), _NODES_PER_FUNCTION):
-        lines = ["def sweep(c):"]
-        for i, nbrs in sweep[start : start + _NODES_PER_FUNCTION]:
-            terms = [f"c[{j}]" for j in nbrs]
+        part = sweep[start : start + _NODES_PER_FUNCTION]
+        # ``bind`` only makes the names closure variables of ``sweep``; its
+        # own cells are dropped and the code is closed over the shared ones.
+        used = sorted({j for i, nbrs in part for j in (i, *nbrs)})
+        lines = [
+            f"def bind({', '.join(f'c{j}' for j in used)}):",
+            "    def sweep():",
+            f"        nonlocal {', '.join(f'c{i}' for i, _ in part)}",
+        ]
+        for i, nbrs in part:
+            terms = [f"c{j}" for j in nbrs]
             total = "0.0"
             while len(terms) > _TERMS_PER_SUM:
-                lines.append(f"    t = {' + '.join([total, *terms[:_TERMS_PER_SUM]])}")
+                lines.append(f"        t = {' + '.join([total, *terms[:_TERMS_PER_SUM]])}")
                 total, terms = "t", terms[_TERMS_PER_SUM:]
-            lines.append(f"    c[{i}] = ({' + '.join([total, *terms])}) / {len(nbrs)}.0")
+            lines.append(f"        c{i} = ({' + '.join([total, *terms])}) / {len(nbrs)}.0")
+        lines.append("    return sweep")
         namespace: dict = {}
         exec(compile("\n".join(lines), "<layout sweep>", "exec"), namespace)
-        funcs.append(namespace.pop("sweep"))  # no function <-> namespace cycle
-    return funcs
+        code = namespace.pop("bind")(*used).__code__  # no function <-> namespace cycle
+        closure = tuple(cells[int(name[1:])] for name in code.co_freevars)
+        funcs.append(FunctionType(code, {}, "sweep", None, closure))
+    sweeps = range(_SWEEPS)
+
+    def relax(coords: list[float]) -> list[float]:
+        for cell, value in zip(cells, coords):
+            cell.cell_contents = value
+        for _ in sweeps:
+            for f in funcs:
+                f()
+        return [cell.cell_contents for cell in cells]
+
+    return relax
 
 
 def _layout_component(
@@ -110,12 +152,8 @@ def _layout_component(
         for i, node in enumerate(nodes)
         if node not in pinned
     ]
-    funcs = _compile_sweep(sweep)
-    for coords in (xs, ys):
-        for _ in range(_SWEEPS):
-            for f in funcs:
-                f(coords)
-    return dict(zip(nodes, zip(xs, ys)))
+    relax = _compile_relaxation(sweep, len(nodes))
+    return dict(zip(nodes, zip(relax(xs), relax(ys))))
 
 
 def _to_svg(pmap: PlanarizedMap, outer_face_hint: str | None = None) -> str:

@@ -14,12 +14,21 @@ writer (``_value``) in the bytes ``json.dumps(doc, indent=2) + "\n"`` gives.
 Both quote strings with ``json``'s own ASCII encoder and lay out blocks with
 string joins; ``tests/test_emit_oracle.py`` keeps the ``json.dumps`` calls as
 their oracles.
+
+A report's ``drawing`` section is :func:`emit_drawing`'s text, the same text
+that ``input_digest`` hashes, written once by :func:`report_document` and
+indented one level by :func:`emit_report`: every line after the first gets
+two more spaces per level of depth.  That is exact because nesting under
+``indent=2`` only adds leading spaces to each line, and the ASCII encoder
+writes a newline inside a string as ``\n``, so every newline of the text
+ends a line of the layout.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from operator import eq
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -109,15 +118,40 @@ _LAYOUT = _Layout()
 
 
 def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """A JSON array (or, with ``"{}"``, object) of encoded items at ``depth``."""
+    """A JSON array (or, with ``"{}"``, object) of encoded items at ``depth``.
+
+    ``items`` is used up: its first and last entries take the brackets, so
+    the block is copied once, by the join, and not again next to its items.
+    """
     if not items:
         return brackets
     opening, separator, closing = _LAYOUT[depth]
-    return brackets[0] + opening + separator.join(items) + closing + brackets[1]
+    items[0] = brackets[0] + opening + items[0]
+    items[-1] += closing + brackets[1]
+    return separator.join(items)
 
 
 def _strings(values: Iterable[str], depth: int) -> str:
     return _block(list(map(_quote, values)), depth)
+
+
+class _EntryTemplates(dict):
+    """Direction -> the ``%`` template of a rotation entry ``[edge, direction]``.
+
+    Entries sit at depth 3 of the interchange document, so each is written as
+    ``template % _quote(edge)``.  A spec holds only ``"+"`` and ``"-"``, but
+    the template of any direction string is made on first use, so a spec
+    built by hand is written as the generic writer would write it.
+    """
+
+    def __missing__(self, direction: str) -> str:
+        opening, separator, closing = _LAYOUT[3]
+        quoted = _quote(direction).replace("%", "%%")
+        template = self[direction] = f"[{opening}%s{separator}{quoted}{closing}]"
+        return template
+
+
+_ENTRY = _EntryTemplates()
 
 
 def emit_drawing(spec: DrawingSpec) -> str:
@@ -134,7 +168,7 @@ def emit_drawing(spec: DrawingSpec) -> str:
         _block([f"{_quote(c)}: {_strings(p, 2)}" for c, p in spec.crossings.items()], 1, "{}"),
         _block(
             [
-                f"{_quote(node)}: {_block([_strings(entry, 3) for entry in rot], 2)}"
+                f"{_quote(node)}: {_block([_ENTRY[d] % _quote(e) for e, d in rot], 2)}"
                 for node, rot in spec.rotations.items()
             ],
             1,
@@ -144,20 +178,71 @@ def emit_drawing(spec: DrawingSpec) -> str:
     return _block([f"{_quote(k)}: {v}" for k, v in zip(_FIELDS, fields)], 0, "{}") + "\n"
 
 
-def input_digest(spec: DrawingSpec) -> str:
+def _digest(text: str) -> str:
     import hashlib  # loaded here: only JSON reports carry a digest
 
-    return "sha256:" + hashlib.sha256(emit_drawing(spec).encode("utf-8")).hexdigest()
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def input_digest(spec: DrawingSpec) -> str:
+    return _digest(emit_drawing(spec))
+
+
+class _Drawing(dict):
+    """A report's ``drawing`` section: ``spec.to_doc()``, carrying the spec
+    and its canonical interchange ``text``."""
+
+    __slots__ = ("spec", "text")
+
+    def unedited(self) -> bool:
+        """Whether the section is still its spec's document, key order included.
+
+        Compared field by field and row by row, so no second copy of the
+        document is made.
+        """
+        spec = self.spec
+        return (
+            list(self) == list(_FIELDS)
+            and self["vertices"] == list(spec.vertices)
+            and _same_rows(self["edges"], spec.edges, list)
+            and _same_rows(self["chains"], spec.chains, list)
+            and _same_rows(self["crossings"], spec.crossings, list)
+            and _same_rows(self["rotations"], spec.rotations, lambda rot: list(map(list, rot)))
+        )
+
+
+def _same_rows(section: Any, rows: tuple | dict, convert) -> bool:
+    """Whether ``section`` is ``rows`` as ``to_doc`` writes it: a list of the
+    converted rows, or a dict with the same keys in the same order and the
+    converted values."""
+    if isinstance(rows, dict):
+        if not isinstance(section, dict) or list(section) != list(rows):
+            return False
+        section, rows = section.values(), rows.values()
+    elif not isinstance(section, list) or len(section) != len(rows):
+        return False
+    return all(map(eq, section, map(convert, rows)))
 
 
 def report_document(spec: DrawingSpec, sections: dict[str, Any], include_drawing: bool = True) -> dict:
-    """Assemble a report: tool version, input digest, the drawing, then sections."""
-    doc: dict[str, Any] = {"version": __version__, "input_digest": input_digest(spec)}
-    if include_drawing:
-        doc["drawing"] = spec.to_doc()
-    for name, payload in sections.items():
-        doc[name] = payload
-    return doc
+    """Assemble a report: tool version, input digest, the drawing, then sections.
+
+    The ``drawing`` section equals ``spec.to_doc()``.  It also carries the
+    text that the digest hashes, which :func:`emit_report` writes while the
+    section still equals the spec's document; an edited section is written
+    as it stands.
+    """
+    if not include_drawing:
+        return {"version": __version__, "input_digest": input_digest(spec), **sections}
+    drawing = _Drawing(spec.to_doc())
+    drawing.spec = spec
+    drawing.text = emit_drawing(spec)
+    return {
+        "version": __version__,
+        "input_digest": _digest(drawing.text),
+        "drawing": drawing,
+        **sections,
+    }
 
 
 # json's own encoder: used for floats (NaN and the infinities by name) and to
@@ -181,6 +266,10 @@ def _value(o: Any, depth: int) -> str:
         deeper = depth + 1
         return _block([_quote(v) if type(v) is str else _value(v, deeper) for v in o], depth)
     if isinstance(o, dict):
+        if type(o) is _Drawing and o.unedited():
+            # The canonical text, one level deeper per ``depth``: indenting
+            # only adds leading spaces, and no quoted string holds a newline.
+            return o.text[:-1].replace("\n", "\n" + "  " * depth)
         deeper = depth + 1
         return _block(
             [

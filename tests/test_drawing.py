@@ -198,33 +198,47 @@ def test_torus_rotation_rejected():
         )
 
 
-@pytest.mark.parametrize(
-    "kwargs, rule",
-    [
-        ({"vertices": ["a"], "edges": [("e", "a")]}, "edge-row"),
-        ({"vertices": ["a", "b"], "edges": ["eab"]}, "edge-row"),
-        ({"vertices": ["a", "b"], "edges": [("e", "a", ("b",))]}, "id-type"),
-        ({"vertices": [False], "edges": []}, "id-type"),
-        ({"vertices": ["a"], "edges": [], "chains": {"e": [["x"]]}}, "id-type"),
-        ({"vertices": ["a"], "edges": [], "crossings": {"x": ["e", 2.0]}}, "id-type"),
-        ({"vertices": ["a"], "edges": [], "rotations": {"a": [("e", "+", "+")]}}, "rotation-entry"),
-        ({"vertices": ["a"], "edges": [], "rotations": {"a": [(None, "+")]}}, "id-type"),
-        ({"vertices": ["a"], "edges": [], "crossings": {"x": "ef"}}, "crossing-pair"),
-        ({"vertices": ["a"], "edges": [], "crossings": {"x": 5}}, "crossing-pair"),
-        ({"vertices": ["a"], "edges": [], "crossings": {"x": ["e"]}}, "crossing-pair"),
-        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "chains": {"e": 5}}, "chain-list"),
-        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "chains": {"e": "xy"}}, "chain-list"),
-        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "rotations": {"a": 5}},
-         "rotation-list"),
-        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "rotations": {"a": "e+"}},
-         "rotation-list"),
-        ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "chains": [("e", ["x"])]},
-         "field-mapping"),
-        ({"vertices": ["a"], "edges": [], "crossings": [("x", ["e", "f"])]}, "field-mapping"),
-        ({"vertices": ["a"], "edges": [], "rotations": [("a", [])]}, "field-mapping"),
-        ({"vertices": ["a"], "edges": [], "crossings": ""}, "field-mapping"),
-    ],
-)
+# A 3-star: centre 0, leaves 1, 2 and 3, edges a, b and c.
+STAR = {"vertices": [0, 1, 2, 3], "edges": [("a", 0, 1), ("b", 0, 2), ("c", 0, 3)]}
+STAR_LEAVES = {1: [("a", "-")], 2: [("b", "-")], 3: [("c", "-")]}
+
+# Build arguments that break one rule of the input's form, and that rule.
+# New cases go at the end, so that existing case ids keep their numbers.
+MALFORMED = [
+    ({"vertices": ["a"], "edges": [("e", "a")]}, "edge-row"),
+    ({"vertices": ["a", "b"], "edges": ["eab"]}, "edge-row"),
+    ({"vertices": ["a", "b"], "edges": [("e", "a", ("b",))]}, "id-type"),
+    ({"vertices": [False], "edges": []}, "id-type"),
+    ({"vertices": ["a"], "edges": [], "chains": {"e": [["x"]]}}, "id-type"),
+    ({"vertices": ["a"], "edges": [], "crossings": {"x": ["e", 2.0]}}, "id-type"),
+    ({"vertices": ["a"], "edges": [], "rotations": {"a": [("e", "+", "+")]}}, "rotation-entry"),
+    ({"vertices": ["a"], "edges": [], "rotations": {"a": [(None, "+")]}}, "id-type"),
+    ({"vertices": ["a"], "edges": [], "crossings": {"x": "ef"}}, "crossing-pair"),
+    ({"vertices": ["a"], "edges": [], "crossings": {"x": 5}}, "crossing-pair"),
+    ({"vertices": ["a"], "edges": [], "crossings": {"x": ["e"]}}, "crossing-pair"),
+    ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "chains": {"e": 5}}, "chain-list"),
+    ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "chains": {"e": "xy"}}, "chain-list"),
+    ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "rotations": {"a": 5}},
+     "rotation-list"),
+    ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "rotations": {"a": "e+"}},
+     "rotation-list"),
+    ({"vertices": ["a", "b"], "edges": [("e", "a", "b")], "chains": [("e", ["x"])]},
+     "field-mapping"),
+    ({"vertices": ["a"], "edges": [], "crossings": [("x", ["e", "f"])]}, "field-mapping"),
+    ({"vertices": ["a"], "edges": [], "rotations": [("a", [])]}, "field-mapping"),
+    ({"vertices": ["a"], "edges": [], "crossings": ""}, "field-mapping"),
+    # Keys that str() makes equal: 0 and "0" would name one node twice.
+    ({**STAR, "rotations": {0: [("a", "+"), ("b", "+"), ("c", "+")],
+                            "0": [("a", "+"), ("c", "+"), ("b", "+")], **STAR_LEAVES}},
+     "duplicate-rotation"),
+    ({"vertices": ["u", "v"], "edges": [(1, "u", "v")], "chains": {1: ["x"], "1": []}},
+     "duplicate-chain"),
+    ({"vertices": ["u", "v", "w", "z"], "edges": [("e", "u", "v"), ("f", "w", "z")],
+      "crossings": {7: ["e", "f"], "7": ["f", "e"]}}, "duplicate-crossing-id"),
+]
+
+
+@pytest.mark.parametrize("kwargs, rule", MALFORMED)
 def test_malformed_ids_and_rows_raise_typed_errors(kwargs, rule):
     with pytest.raises(InvariantError) as info:
         DrawingSpec.build(**kwargs)

@@ -14,13 +14,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _fixtures import spec_from
 from golden.capture import replay
 from test_golden import CASES, GOLDEN, _replay as golden_replay
 from test_homotopy_oracle import FIXTURES, GOLDEN_INPUTS
 from test_properties import random_drawings
 
-from crossing_ledger import DrawingSpec, cli, emit_drawing, generate_optimal, parse_text
-from crossing_ledger.interchange import emit_report
+from crossing_ledger import (
+    DrawingSpec,
+    cli,
+    emit_drawing,
+    generate_optimal,
+    input_digest,
+    parse_text,
+    report_document,
+)
+from crossing_ledger import interchange
+from crossing_ledger.interchange import _quote as QUOTE, emit_report
 
 
 def _agree(spec: DrawingSpec) -> str:
@@ -132,6 +142,110 @@ def test_render_report(monkeypatch):
     argv = ["analyze", "--skeleton", "--segments", "--format", "json", "-"]
     (doc,) = _reports(argv, emit_drawing(generate_optimal(202)), monkeypatch)
     assert len(_agree_report(doc)) > 1_000_000
+
+
+# -- the report's drawing section --------------------------------------------------
+
+ESCAPED_IDS = ('a"q', "b\\s", "c\nl", "d\tt", "eé☃\U0001f600")
+
+
+def _escaped_spec() -> DrawingSpec:
+    """A square with both diagonals, crossing once; every vertex and edge id
+    needs escaping, so the chains, crossings and rotations all hold them."""
+    a, b, c, d, e = ESCAPED_IDS
+    return spec_from(
+        {a: (0, 0), b: (4, 0), c: (4, 4), d: (0, 4)},
+        [(f"{a}|{b}", a, b), (f"{b}|{c}", b, c), (f"{c}|{d}", c, d), (f"{d}|{a}", d, a),
+         (e, a, c), (f"{e}/", b, d)],
+    )
+
+
+@pytest.mark.parametrize("make", [_escaped_spec, lambda: generate_optimal(10)])
+def test_drawing_section_is_the_spec_document(make):
+    spec = make()
+    doc = report_document(spec, {"analysis": {"ids": list(ESCAPED_IDS)}})
+    assert doc["drawing"] == spec.to_doc()
+    assert list(doc) == ["version", "input_digest", "drawing", "analysis"]
+    assert doc["input_digest"] == input_digest(spec)
+    text = _agree_report(doc)
+    assert text.isascii()
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_drawing_section_at_any_depth(depth):
+    # Nested in lists and objects, the section is indented like any value.
+    section = report_document(_escaped_spec(), {})["drawing"]
+    doc = section
+    for level in range(depth):
+        doc = [doc, "x"] if level % 2 else {"k": doc, "z": [section]}
+    _agree_report(doc)
+
+
+def _add_vertex(drawing):
+    drawing["vertices"].append("extra")
+
+
+def _reverse_rotation(drawing):
+    drawing["rotations"]["u"].reverse()
+
+
+def _add_key(drawing):
+    drawing["note"] = ["n"]
+
+
+def _move_field(drawing):
+    drawing["vertices"] = drawing.pop("vertices")
+
+
+def _move_chain(drawing):
+    chains = drawing["chains"]
+    first = next(iter(chains))
+    chains[first] = chains.pop(first)
+
+
+def _chains_as_pairs(drawing):
+    drawing["chains"] = list(drawing["chains"].items())
+
+
+def _rows_as_tuples(drawing):
+    # Written as the same arrays, so the report does not change.
+    drawing["edges"] = [tuple(row) for row in drawing["edges"]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_add_vertex, _reverse_rotation, _add_key, _move_field, _move_chain, _chains_as_pairs,
+     _rows_as_tuples],
+)
+def test_edited_drawing_section_is_written_as_it_stands(edit):
+    spec = generate_optimal(6)
+    doc = report_document(spec, {})
+    edit(doc["drawing"])
+    text = _agree_report(doc)
+    assert (text == emit_report(report_document(spec, {}))) == (edit is _rows_as_tuples)
+
+
+def test_report_quotes_no_drawing_string(monkeypatch):
+    # The drawing section is written from its text: emitting the report
+    # quotes its key and nothing of the drawing itself.
+    argv = ["analyze", "--skeleton", "--segments", "--format", "json", "-"]
+    (doc,) = _reports(argv, emit_drawing(generate_optimal(54)), monkeypatch)
+    bare = {k: v for k, v in doc.items() if k != "drawing"}
+    counts = []
+    for report in (doc, bare):
+        quoted = []
+
+        def counting(s, quoted=quoted):
+            quoted.append(s)
+            return QUOTE(s)
+
+        monkeypatch.setattr(interchange, "_quote", counting)
+        emit_report(report)
+        monkeypatch.setattr(interchange, "_quote", QUOTE)
+        counts.append(len(quoted))
+    with_drawing, without = counts
+    assert without > 1000
+    assert with_drawing <= without + 1
 
 
 SPECIAL_STRINGS = ['"', "\\", "\x00", "\x1f", "\x7f", "é", "☃", "\U0001f600", "\ud800", "\udfff", ""]

@@ -6,18 +6,21 @@ bit or in the sign of zero fails the test, as it could show in the SVG.
 
 from __future__ import annotations
 
+import builtins
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import _layout_oracle as oracle
 from _fixtures import spec_from
 from test_properties import random_drawings
 
 from crossing_ledger import DrawingSpec, build_map, export_figure, generate_optimal
-from crossing_ledger.figures import _compile_sweep, _layout_component
+from crossing_ledger import figures
+from crossing_ledger.figures import _compile_relaxation, _layout_component
 
 FIXTURES = (
     "triangle_spec",
@@ -152,11 +155,21 @@ def _reference_sweep(coords: list, sweep: list) -> None:
         coords[i] = total / len(nbrs)
 
 
-def _kernel_agrees(coords: list, sweep: list) -> list:
-    got, want = list(coords), list(coords)
-    for f in _compile_sweep(sweep):
-        f(got)
-    _reference_sweep(want, sweep)
+def _relax(coords: list, sweep: list, sweeps: int, per_function: int) -> list:
+    """``sweeps`` sweeps of the compiled relaxation, split into functions of
+    ``per_function`` free nodes; both bounds are read when it is compiled."""
+    with mock.patch.multiple(figures, _SWEEPS=sweeps, _NODES_PER_FUNCTION=per_function):
+        relax = _compile_relaxation(sweep, len(coords))
+    return relax(list(coords))
+
+
+def _kernel_agrees(
+    coords: list, sweep: list, sweeps: int = 1, per_function: int = figures._NODES_PER_FUNCTION
+) -> list:
+    got = _relax(coords, sweep, sweeps, per_function)
+    want = list(coords)
+    for _ in range(sweeps):
+        _reference_sweep(want, sweep)
     assert [repr(v) for v in got] == [repr(v) for v in want]
     return got
 
@@ -201,8 +214,60 @@ def test_kernel_long_sums_are_split_and_folded_in_order():
     _kernel_agrees(coords, [(0, nbrs), *((i, [0, i + 1]) for i in range(1, 300))])
 
 
-def test_kernel_compiles_nothing_without_free_nodes():
-    assert _compile_sweep([]) == []
+def test_kernel_compiles_nothing_without_free_nodes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a relaxation without free nodes")
+
+    monkeypatch.setattr(builtins, "compile", refuse)
+    coords = [1.0, -0.0, 2.5]
+    relax = _compile_relaxation([], len(coords))
+    got = relax(coords)
+    assert got is not coords
+    assert [repr(v) for v in got] == [repr(v) for v in coords]
+
+
+def test_kernel_runs_every_sweep_of_the_layout():
+    # A path a - b - c with a and c pinned: b takes their mean in one sweep,
+    # and the default relaxation runs _SWEEPS of them.
+    sweep = [(1, [0, 2]), (2, [1])]
+    relax = _compile_relaxation(sweep, 3)
+    want = [4.0, 0.0, 0.0]
+    for _ in range(figures._SWEEPS):
+        _reference_sweep(want, sweep)
+    assert [repr(v) for v in relax([4.0, 0.0, 0.0])] == [repr(v) for v in want]
+
+
+@st.composite
+def relaxations(draw):
+    """Coordinates, a sweep over them, a sweep count and a bound on the free
+    nodes per compiled function.
+
+    More than 256 coordinates, so that closure variables past index 255 take
+    ``EXTENDED_ARG``; repeated neighbours; some sums of more than
+    ``_TERMS_PER_SUM`` terms; and small bounds, so that a function reads
+    coordinates that other functions write in the same sweep.
+    """
+    size = draw(st.integers(257, 400))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e100, -1e100, 5e-324]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    coords = draw(st.lists(values, min_size=size, max_size=size))
+    free = [*draw(st.lists(st.integers(0, size - 2), max_size=40, unique=True)), size - 1]
+    index = st.integers(0, size - 1)
+    sweep = []
+    for i in free:
+        degree = draw(st.sampled_from([1, 2, 3, 6, 33, 70]))
+        nbrs = draw(st.lists(index, min_size=degree, max_size=degree))
+        nbrs += draw(st.lists(st.sampled_from(nbrs), max_size=3))  # repeats
+        sweep.append((i, nbrs))
+    return coords, sweep, draw(st.integers(1, 4)), draw(st.sampled_from([1, 7, 128]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(relaxations())
+def test_kernel_matches_reference_sweeps(case):
+    _kernel_agrees(*case)
 
 
 def test_free_hub_of_degree_6400():
