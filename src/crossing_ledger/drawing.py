@@ -9,9 +9,11 @@ lives on the sphere; no outer face is distinguished.
 
 Conventions used throughout:
 
-* A *dart* is a directed segment side, written ``(edge, seg, dir)`` where
-  ``seg`` indexes the segment along the edge (0 = the piece at ``end_a``) and
-  ``dir`` is ``+1`` toward ``end_b`` or ``-1`` toward ``end_a``.
+* A *dart* is a directed segment side, an ``int``: segments are numbered in
+  edge order, then along each chain from ``end_a``, and segment ``s`` has
+  darts ``2s`` toward ``end_b`` and ``2s + 1`` toward ``end_a``, so the
+  reversal of ``d`` is ``d ^ 1``.  ``describe(d)`` names it ``(edge, seg,
+  dir)``, with ``dir`` ``+1`` toward ``end_b``; ``dart()`` is its inverse.
 * Rotations list outgoing darts counterclockwise.  Faces are the orbits of
   ``next(d) = rotation-successor of the reversal of d``; each face lies to
   the right of its darts.  Orientation is only a bookkeeping choice; every
@@ -20,6 +22,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
 from itertools import chain
 from operator import itemgetter
@@ -33,7 +36,6 @@ from .errors import (
     NonSpherical,
 )
 
-Dart = tuple[str, int, int]
 RotationEntry = tuple[str, str]
 
 PLUS = "+"
@@ -62,11 +64,17 @@ def _anchor_rotation(entries: list[RotationEntry]) -> tuple[RotationEntry, ...]:
 
 
 def _check_ids(*groups: Iterable) -> None:
-    """Refuse an id that is neither a string nor an integer (a bool is not one)."""
-    if not {str, int}.issuperset(map(type, chain(*groups))):
-        for v in chain(*groups):
-            if not isinstance(v, (str, int)) or isinstance(v, bool):
-                raise InvariantError("id-type", f"ids are strings or integers; got {v!r}")
+    """Refuse an id that is not a string or an integer (a bool is not) or not ``str()``-able."""
+    if {str}.issuperset(map(type, chain(*groups))):
+        return
+    for v in chain(*groups):
+        if not isinstance(v, (str, int)) or isinstance(v, bool):
+            raise InvariantError("id-type", f"ids are strings or integers; got {v!r}")
+        try:
+            str(v)
+        except ValueError:  # an int of too many digits
+            limit = sys.get_int_max_str_digits()
+            raise InvariantError("id-digits", f"integer ids have at most {limit} digits") from None
 
 
 def _string_keys(field: Mapping, value: Callable, rule: str, what: str) -> dict:
@@ -303,7 +311,7 @@ class FaceWalk(NamedTuple):
     in ``walks``; vertices and edges may repeat on non-simple faces."""
 
     face_id: str
-    darts: tuple[Dart, ...]
+    darts: tuple[int, ...]
     nodes: tuple[str, ...]
     edges: tuple[str, ...]
     walks: tuple[int, ...]
@@ -339,10 +347,11 @@ class PlanarizedMap:
     construction adds only the sphere check, raising :class:`NonSpherical`
     when face tracing or the per-component Euler formula fails.
 
-    Every dart's face successor and head node are tabled at construction
-    (``_next``, ``_head``), as is the face to its right (``_dart_face``), so
-    :meth:`next_dart` and :meth:`head` are single lookups.  The package's hot
-    loops read these dicts directly; they are never written after
+    Lists indexed by dart table its face successor, head, edge, rotation
+    index, face and walk position (``_next``, ``_head``, ``_dart_edge``,
+    ``_rot_index``, ``_dart_face``, ``_dart_pos``); ``_first`` and ``_last``
+    map an edge to its darts leaving ``end_a`` and ``end_b``.  The package's
+    hot loops read these tables directly; they are never written after
     construction.
 
     Construction is single-threaded; built instances are safe to share
@@ -353,93 +362,85 @@ class PlanarizedMap:
         self.spec = spec
         self._ends = {e: (a, b) for e, a, b in spec.edges}
 
-        # Node sequence of every edge: end_a, crossings in chain order, end_b;
-        # and every dart of the edge, made once: forward[e][seg] is
-        # (e, seg, +1) and backward[e][seg] is (e, seg, -1).
+        # Node sequence of every edge: end_a, crossings in chain order, end_b.
+        # The dart leaving crossing c along e toward end_b is out[(c, e)];
+        # the one toward end_a is one less.
         self._node_seq: dict[str, tuple[str, ...]] = {}
-        forward: dict[str, list[Dart]] = {}
-        backward: dict[str, list[Dart]] = {}
-        chain_pos: dict[tuple[str, str], int] = {}
+        self._first: dict[str, int] = {}
+        self._last: dict[str, int] = {}
+        self._dart_edge: list[str] = []
+        out: dict[tuple[str, str], int] = {}
+        d = 0
         for e, (a, b) in self._ends.items():
             chain = spec.chains.get(e, ())
             self._node_seq[e] = (a,) + chain + (b,)
-            forward[e] = [(e, seg, 1) for seg in range(len(chain) + 1)]
-            backward[e] = [(e, seg, -1) for seg in range(len(chain) + 1)]
-            for i, c in enumerate(chain):
-                chain_pos[(c, e)] = i
+            first = self._first[e] = d
+            for c in chain:
+                d += 2
+                out[(c, e)] = d
+            self._last[e] = d + 1
+            d += 2
+            self._dart_edge += [e] * (d - first)
 
-        # One pass over the rotations decodes every outgoing dart d_i at its
-        # node, with its rotation successor d_{i+1}.  The reversal of d_i
-        # arrives at the node, so it heads there and its face successor is
-        # d_{i+1}.
-        crossings = spec.crossings
-        self._rot: dict[str, tuple[Dart, ...]] = {}
-        outs: list[Dart] = []
-        succs: list[Dart] = []
-        heads: list[str] = []
-        index: list[int] = []
+        # Decode every outgoing dart o at its node.  Its twin o ^ 1 arrives
+        # there: the node is its head, and o's rotation successor its face
+        # successor.
+        crossings, first, last = spec.crossings, self._first, self._last
+        self._rot: dict[str, tuple[int, ...]] = {}
+        self._next = nxt = [0] * d
+        self._head = head = [""] * d
+        self._rot_index = rot_index = [0] * d
         for node, entries in spec.rotations.items():
             if node in crossings:
                 darts = tuple([
-                    forward[e][chain_pos[(node, e)] + 1] if d == PLUS
-                    else backward[e][chain_pos[(node, e)]]
-                    for e, d in entries
+                    out[(node, e)] if sign == PLUS else out[(node, e)] - 1 for e, sign in entries
                 ])
             else:
-                darts = tuple([forward[e][0] if d == PLUS else backward[e][-1] for e, d in entries])
+                darts = tuple([first[e] if sign == PLUS else last[e] for e, sign in entries])
             self._rot[node] = darts
-            outs += darts
-            succs += darts[1:] + darts[:1]
-            heads += [node] * len(darts)
-            index += range(len(darts))
-        twins = [backward[e][seg] if direction == 1 else forward[e][seg]
-                 for e, seg, direction in outs]
-        self._rot_index: dict[Dart, int] = dict(zip(outs, index))
-        self._next: dict[Dart, Dart] = dict(zip(twins, succs))
-        self._head: dict[Dart, str] = dict(zip(twins, heads))
+            for i, (o, s) in enumerate(zip(darts, darts[1:] + darts[:1])):
+                rot_index[o] = i
+                nxt[o ^ 1] = s
+                head[o ^ 1] = node
         for v in spec.vertices:
             self._rot.setdefault(v, ())
 
-        self._faces, self._dart_face = self._trace_faces()
+        self._faces = self._trace_faces()
         self._components = self._compute_components()
         self._check_euler()
 
     # -- construction helpers ---------------------------------------------
 
-    def _trace_faces(self) -> tuple[tuple[FaceWalk, ...], dict[Dart, tuple[int, int]]]:
+    def _trace_faces(self) -> tuple[FaceWalk, ...]:
+        """The face orbits; fills ``_dart_face`` and ``_dart_pos``."""
         faces: list[FaceWalk] = []
-        dart_face: dict[Dart, tuple[int, int]] = {}
-        nxt, head = self._next, self._head
-        # Walks start at darts in (edge, seg, +1 before -1) order; edges
-        # come in id order, as in the spec.
-        starts = (
-            (e, seg, direction)
-            for e, seq in self._node_seq.items()
-            for seg in range(len(seq) - 1)
-            for direction in (1, -1)
-        )
-        for start in starts:
-            if start in dart_face:
+        nxt, head, dart_edge = self._next, self._head, self._dart_edge
+        self._dart_face = dart_face = [-1] * len(nxt)
+        self._dart_pos = dart_pos = [0] * len(nxt)
+        # Walks start at darts 0, 1, 2, ...: (edge, seg, +1 before -1) order.
+        for start in range(len(nxt)):
+            if dart_face[start] >= 0:
                 continue
             index = len(faces)
             walk = []
             d = start
-            while d not in dart_face:
-                dart_face[d] = (index, len(walk))
+            while dart_face[d] < 0:
+                dart_face[d] = index
+                dart_pos[d] = len(walk)
                 walk.append(d)
                 d = nxt[d]
             if d != start:
-                raise NonSpherical(f"face traversal re-entered dart {d}")
+                raise NonSpherical(f"face traversal re-entered dart {self.describe(d)}")
             faces.append(
                 FaceWalk(
                     face_id=f"f{index}",
                     darts=tuple(walk),
                     nodes=tuple([head[x] for x in walk]),
-                    edges=tuple([x[0] for x in walk]),
+                    edges=tuple([dart_edge[x] for x in walk]),
                     walks=(len(walk),),
                 )
             )
-        return tuple(faces), dart_face
+        return tuple(faces)
 
     def _compute_components(self) -> dict[str, int]:
         comp: dict[str, int] = {}
@@ -483,24 +484,37 @@ class PlanarizedMap:
 
     # -- dart algebra -------------------------------------------------------
 
-    def head(self, d: Dart) -> str:
+    def dart(self, edge: str, seg: int, direction: int) -> int:
+        """The dart on ``edge``'s segment ``seg`` toward ``end_b`` (+1) or ``end_a`` (-1)."""
+        d = self._first[edge] + 2 * seg + (direction == -1)
+        if not self._first[edge] <= d <= self._last[edge] or direction not in (1, -1):
+            raise BadArgument(f"no dart {(edge, seg, direction)}")
+        return d
+
+    def describe(self, d: int) -> tuple[str, int, int]:
+        """``(edge, seg, direction)`` of a dart; the inverse of :meth:`dart`."""
+        if not 0 <= d < len(self._next):
+            raise BadArgument(f"no dart {d!r}")
+        e = self._dart_edge[d]
+        return (e, (d - self._first[e]) >> 1, -1 if d & 1 else 1)
+
+    def head(self, d: int) -> str:
         return self._head[d]
 
-    def tail(self, d: Dart) -> str:
-        return self._head[(d[0], d[1], -d[2])]
+    def tail(self, d: int) -> str:
+        return self._head[d ^ 1]
 
     @staticmethod
-    def twin(d: Dart) -> Dart:
-        return (d[0], d[1], -d[2])
+    def twin(d: int) -> int:
+        return d ^ 1
 
-    def next_dart(self, d: Dart) -> Dart:
+    def next_dart(self, d: int) -> int:
         """Successor of ``d`` on its face: the rotation successor of its reversal."""
         return self._next[d]
 
-    def prev_dart(self, d: Dart) -> Dart:
+    def prev_dart(self, d: int) -> int:
         """Predecessor of ``d`` on its face: the reversal of its rotation predecessor."""
-        rot = self._rot[self.tail(d)]
-        return self.twin(rot[self._rot_index[d] - 1])
+        return self._rot[self._head[d ^ 1]][self._rot_index[d] - 1] ^ 1
 
     # -- public views -------------------------------------------------------
 
@@ -532,20 +546,19 @@ class PlanarizedMap:
     def crossing_edges(self, crossing: str) -> tuple[str, str]:
         return self.spec.crossings[crossing]
 
-    def rotation(self, node: str) -> tuple[Dart, ...]:
+    def rotation(self, node: str) -> tuple[int, ...]:
         return self._rot[node]
 
-    def rotation_index(self, d: Dart) -> int:
+    def rotation_index(self, d: int) -> int:
         """Position of an outgoing dart in the rotation at its tail."""
         return self._rot_index[d]
 
-    def face_of_dart(self, d: Dart) -> tuple[str, int]:
-        idx, pos = self._dart_face[d]
-        return (self._faces[idx].face_id, pos)
+    def face_of_dart(self, d: int) -> tuple[str, int]:
+        return (self._faces[self._dart_face[d]].face_id, self._dart_pos[d])
 
-    def face_index_of_dart(self, d: Dart) -> int:
+    def face_index_of_dart(self, d: int) -> int:
         """Index into :attr:`faces` of the face to the right of a dart."""
-        return self._dart_face[d][0]
+        return self._dart_face[d]
 
     def segment_count(self) -> int:
         return sum(len(seq) - 1 for seq in self._node_seq.values())

@@ -7,15 +7,14 @@ edges drawn as the diagonals of a convex hexagon (all six short ones plus
 two long ones), none crossed more than three times.  The total comes to
 3(n-2)/2 + 8(n-2)/2 = 11n/2 - 11 edges.
 
-Gadget combinatorics are computed with exact rational arithmetic on an
-integer-coordinate convex hexagon; crossing order along convex-position
-chords is a combinatorial invariant, so any convex realization gives the
-same drawing.
+Gadget combinatorics are computed in exact integer arithmetic on an
+integer-coordinate convex hexagon (parameters compared by
+cross-multiplication); crossing order along convex-position chords is a
+combinatorial invariant, so any convex realization gives the same drawing.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import NamedTuple
 
@@ -49,17 +48,25 @@ def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _intersection_param(p1, p2, p3, p4) -> Fraction:
-    """Parameter t along p1->p2 of the proper intersection with p3->p4."""
+def _intersection_param(p1, p2, p3, p4) -> tuple[int, int]:
+    """Parameter t along p1->p2 of the proper intersection with p3->p4, as
+    (numerator, positive denominator)."""
     r = _sub(p2, p1)
     s = _sub(p4, p3)
     denom = _cross(r, s)
     if denom == 0:
         raise ValueError("segments are parallel")
-    t = Fraction(_cross(_sub(p3, p1), s), denom)
-    if not 0 < t < 1:
+    num = _cross(_sub(p3, p1), s)
+    if denom < 0:
+        num, denom = -num, -denom
+    if not 0 < num < denom:
         raise ValueError("segments do not properly intersect")
-    return t
+    return num, denom
+
+
+def _param_order(a, b) -> int:
+    """Compare ``(parameter, crossing id)`` entries by parameter, then by id."""
+    return _sign(a[0][0] * b[0][1] - b[0][0] * a[0][1]) or (a[1] > b[1]) - (a[1] < b[1])
 
 
 def _ccw_sort(vectors: list[tuple]) -> list[int]:
@@ -175,7 +182,7 @@ def hexagon_gadget(
 
     # Proper crossings among the diagonals, with exact positions.
     crossing_ids: dict[tuple[int, int], str] = {}
-    params: dict[int, list[tuple[Fraction, str]]] = {slot: [] for slot in range(8)}
+    params: dict[int, list] = {slot: [] for slot in range(8)}
     counter = 0
     for i in range(8):
         for j in range(i + 1, 8):
@@ -193,7 +200,7 @@ def hexagon_gadget(
             params[j].append((s, cid))
 
     chains = {
-        edge_ids[slot]: tuple(cid for _, cid in sorted(params[slot]))
+        edge_ids[slot]: tuple(cid for _, cid in sorted(params[slot], key=cmp_to_key(_param_order)))
         for slot in range(8)
     }
     crossings = {cid: (edge_ids[i], edge_ids[j]) for (i, j), cid in crossing_ids.items()}

@@ -27,6 +27,7 @@ ends a line of the layout.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from operator import eq
 from pathlib import Path
@@ -82,6 +83,9 @@ def parse_text(text: str) -> DrawingSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # int() refuses a number of too many digits
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"a number in the document has more than {limit} digits") from exc
     except RecursionError as exc:  # json's decoder recurses once per nested array or object
         raise ParseError("document nests too deeply to parse") from exc
     return spec_from_document(doc)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .drawing import Dart
 from .errors import BadArgument, InvariantError
 from .skeleton import SkeletonDecomposition
 
@@ -163,7 +162,7 @@ def classify_middle(entry_position: int, exit_position: int, walk_length: int | 
 # -- decomposition ---------------------------------------------------------------
 
 
-def _position(dec: SkeletonDecomposition, d: Dart, host: str, what: str) -> int:
+def _position(dec: SkeletonDecomposition, d: int, host: str, what: str) -> int:
     """Position of walk dart ``d`` in face ``host``; positions index the walks concatenated."""
     face_id, pos = dec.face_of_dart(d)
     if face_id != host:
@@ -175,8 +174,8 @@ def _position(dec: SkeletonDecomposition, d: Dart, host: str, what: str) -> int:
 
 
 def _crossed(
-    dec: SkeletonDecomposition, skeleton: set[str], boundary_dart: Dart, crossing: str,
-    host: str, after: Dart,
+    dec: SkeletonDecomposition, skeleton: set[str], boundary_dart: int, crossing: str,
+    host: str, after: int,
 ) -> CrossedRef:
     """The skeleton-edge occurrence a piece crosses at one of its ends.
 
@@ -185,17 +184,20 @@ def _crossed(
     the predecessor of the dart that departs.  That neighbour is the skeleton
     dart bounding the piece's side, and its position is the crossed occurrence.
     """
-    if boundary_dart[0] not in skeleton:
+    full = dec.full_map
+    edge = full._dart_edge[boundary_dart]
+    if edge not in skeleton:
         raise InvariantError(
             "decompose-misaligned",
-            f"expected a skeleton dart next to {after}; found {boundary_dart}",
+            f"expected a skeleton dart next to {full.describe(after)}; "
+            f"found {full.describe(boundary_dart)}",
         )
-    pos = _position(dec, boundary_dart, host, f"crossed occurrence of {boundary_dart[0]}")
-    return CrossedRef(crossing=crossing, edge=boundary_dart[0], position=pos)
+    pos = _position(dec, boundary_dart, host, f"crossed occurrence of {edge}")
+    return CrossedRef(crossing=crossing, edge=edge, position=pos)
 
 
 def _stick_occurrence(
-    dec: SkeletonDecomposition, skeleton: set[str], vertex: str, out_dart: Dart, host: str
+    dec: SkeletonDecomposition, skeleton: set[str], vertex: str, out_dart: int, host: str
 ) -> int | None:
     """Boundary occurrence of ``vertex`` whose corner wedge hosts the stick.
 
@@ -208,10 +210,11 @@ def _stick_occurrence(
     full = dec.full_map
     rot = full.rotation(vertex)
     i = full.rotation_index(out_dart)
+    dart_edge = full._dart_edge
     for j in range(i, i - len(rot), -1):
         d = rot[j]
-        if d[0] in skeleton:
-            return _position(dec, full.twin(d), host, f"wedge of stick at {vertex}")
+        if dart_edge[d] in skeleton:
+            return _position(dec, d ^ 1, host, f"wedge of stick at {vertex}")
     return None
 
 
@@ -224,7 +227,7 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
     """
     faces = {f.face_id: f for f in dec.faces}
     full = dec.full_map
-    nxt, head = full._next, full._head
+    nxt, head, first = full._next, full._head, full._first
     skeleton = set(dec.skeleton_edges)
 
     spans: list[tuple[str, int, int, int, bool]] = []  # (edge, index, lo, hi, last)
@@ -255,11 +258,13 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
         vertex: str | None = None
         occ: int | None = None
 
+        # Segment ``seg`` of ``e`` has darts f + 2 seg (forward) and f + 2 seg + 1.
+        f = first[e]
         if kind == STICK:
             # The stick leaves ``vertex`` along ``out_dart`` and reaches its cut along ``arrive``.
             vertex = full.endpoints(e)[0 if idx == 0 else 1]
-            out_dart: Dart = (e, 0, 1) if idx == 0 else (e, len(chain), -1)
-            arrive: Dart = (e, hi, 1) if idx == 0 else (e, lo + 1, -1)
+            out_dart = f if idx == 0 else full._last[e]
+            arrive = f + 2 * hi if idx == 0 else f + 2 * lo + 3
             host = dec.host_of_dart(out_dart)
             crossed = (_crossed(dec, skeleton, nxt[arrive], head[arrive], host, arrive),)
             occ = _stick_occurrence(dec, skeleton, vertex, out_dart, host)
@@ -271,8 +276,8 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
                     "face boundary (isolated in the skeleton)"
                 )
         else:
-            depart: Dart = (e, lo + 1, 1)
-            arrive = (e, hi, 1)
+            depart = f + 2 * lo + 2
+            arrive = f + 2 * hi
             host = dec.host_of_dart(depart)
             crossed = (
                 _crossed(dec, skeleton, full.prev_dart(depart), full.tail(depart), host, depart),
@@ -371,7 +376,7 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
         crossed_by_passing = {ref.edge for p in middles for ref in p.crossed}
         uncrossed = tuple(sorted(e for e in non_bridges if e not in crossed_by_passing))
 
-        neighbors = tuple([occurrences[(e, -direction)][0] for e, _, direction in face.darts])
+        neighbors = tuple([occurrences[d ^ 1][0] for d in face.darts])
 
         ss_pairs: set[tuple[str, str]] = set()
         sm_pairs: set[tuple[str, str]] = set()

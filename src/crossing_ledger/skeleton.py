@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .drawing import Dart, FaceWalk, PlanarizedMap
+from .drawing import FaceWalk, PlanarizedMap
 from .errors import BadArgument, BudgetExceeded, InvariantError
 
 DEFAULT_EXACT_BUDGET = 24
@@ -168,9 +168,12 @@ class SkeletonDecomposition(NamedTuple):
 
     A skeleton face is a region of the full map, its faces joined across
     residual segments, bounded by one closed walk over skeleton darts or by
-    several when it touches several skeleton components.  Walk darts are
-    written ``(edge, 0, dir)``, as in the skeleton's own map; a position
-    indexes the face's walks concatenated.
+    several when it touches several skeleton components.  A walk dart is the
+    full-map dart that leaves its skeleton edge's tail: the first segment
+    forward, or the last segment backward.  A position indexes the face's
+    walks concatenated.  ``occurrences`` is indexed by full-map dart: on
+    every segment of a skeleton edge it holds the (face id, position) of
+    the walk dart in the same direction, and on a residual dart None.
     """
 
     full_map: PlanarizedMap
@@ -179,14 +182,15 @@ class SkeletonDecomposition(NamedTuple):
     mode: str
     optimal_certificate: bool
     faces: tuple[FaceWalk, ...]
-    occurrences: dict[tuple[str, int], tuple[str, int]]
+    occurrences: list[tuple[str, int] | None]
     hosts: tuple[str, ...]
 
-    def face_of_dart(self, d: Dart) -> tuple[str, int]:
-        """(face id, position) of the walk dart along edge ``d[0]`` in direction ``d[2]``."""
-        return self.occurrences[(d[0], d[2])]
+    def face_of_dart(self, d: int) -> tuple[str, int]:
+        """(face id, position) of the walk dart on ``d``'s skeleton edge, in
+        ``d``'s direction; ``d`` may lie on any segment of the edge."""
+        return self.occurrences[d]
 
-    def host_of_dart(self, d: Dart) -> str:
+    def host_of_dart(self, d: int) -> str:
         """Id of the skeleton face holding the full-map face right of ``d``."""
         return self.hosts[self.full_map.face_index_of_dart(d)]
 
@@ -211,15 +215,16 @@ def _skeleton_faces(pmap: PlanarizedMap, kept: set[str], residual: tuple[str, ..
     the order of their first walk.
     """
 
-    nxt = pmap._next
+    nxt, dart_edge, first, last = pmap._next, pmap._dart_edge, pmap._first, pmap._last
 
-    def step(d: Dart) -> Dart:
+    def step(d: int) -> int:
         # Arrive at the far end, then turn to the next skeleton dart
         # counterclockwise; the reversal of the arriving dart is one, so the
         # turn stops there at the latest.
-        d = nxt[(d[0], len(pmap.chain(d[0])), 1) if d[2] == 1 else (d[0], 0, -1)]
-        while d[0] not in kept:
-            d = nxt[(d[0], d[1], -d[2])]
+        e = dart_edge[d]
+        d = nxt[first[e] + 1 if d & 1 else last[e] - 1]
+        while dart_edge[d] not in kept:
+            d = nxt[d ^ 1]
         return d
 
     parent = list(range(len(pmap.faces)))
@@ -231,30 +236,36 @@ def _skeleton_faces(pmap: PlanarizedMap, kept: set[str], residual: tuple[str, ..
         return x
 
     # Residual segments do not separate skeleton faces: union across them.
-    face_of = pmap.face_index_of_dart
+    face_of = pmap._dart_face
     for e in residual:
-        for seg in range(len(pmap.chain(e)) + 1):
-            parent[find(face_of((e, seg, 1)))] = find(face_of((e, seg, -1)))
+        for d in range(first[e], last[e], 2):
+            parent[find(face_of[d])] = find(face_of[d + 1])
 
-    regions: dict[int, list[list[Dart]]] = {}
-    seen: set[Dart] = set()
+    regions: dict[int, list[list[int]]] = {}
+    seen: set[int] = set()
     for e in sorted(kept):
-        for d in ((e, 0, 1), (e, len(pmap.chain(e)), -1)):
-            walk: list[Dart] = []
+        for d in (first[e], last[e]):
+            walk: list[int] = []
             if d not in seen:
-                regions.setdefault(find(face_of(d)), []).append(walk)
+                regions.setdefault(find(face_of[d]), []).append(walk)
             while d not in seen:
                 seen.add(d)
-                walk.append((d[0], 0, d[2]))
+                walk.append(d)
                 d = step(d)
 
-    faces, occurrences, host_of_root = [], {}, {}
+    # Every dart of a skeleton edge in one direction (every other dart from
+    # the first of that direction) shares its walk dart's occurrence.
+    occurrences: list[tuple[str, int] | None] = [None] * len(nxt)
+    faces, host_of_root = [], {}
     for root, walks in regions.items():
         fid = host_of_root[root] = f"f{len(faces)}"
         darts = tuple(d for walk in walks for d in walk)
-        occurrences.update({(d[0], d[2]): (fid, pos) for pos, d in enumerate(darts)})
-        nodes = tuple(pmap.endpoints(d[0])[1 if d[2] == 1 else 0] for d in darts)
-        edges = tuple(d[0] for d in darts)
+        for pos, d in enumerate(darts):
+            e = dart_edge[d]
+            lo = first[e] + (d & 1)
+            occurrences[lo:last[e] + 1:2] = [(fid, pos)] * ((last[e] - lo) // 2 + 1)
+        edges = tuple([dart_edge[d] for d in darts])
+        nodes = tuple([pmap.endpoints(e)[(d & 1) ^ 1] for e, d in zip(edges, darts)])
         faces.append(FaceWalk(fid, darts, nodes, edges, tuple(len(walk) for walk in walks)))
 
     hosts = tuple(host_of_root.get(find(i)) for i in range(len(pmap.faces)))

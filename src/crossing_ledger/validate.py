@@ -81,9 +81,9 @@ def _both_sides_inhabited(
     face whose boundary holds a vertex outside ``ends``, and the answer is
     False as soon as a side runs out of faces without one.
     """
-    e = min(curve)
-    faces, dart_face = pmap.faces, pmap._dart_face
-    seeds = (dart_face[(e, 0, 1)][0], dart_face[(e, 0, -1)][0])
+    first = pmap._first[min(curve)]
+    faces, dart_face, dart_edge = pmap.faces, pmap._dart_face, pmap._dart_edge
+    seeds = (dart_face[first], dart_face[first + 1])
     seen = set(seeds)
     sides = [deque([f]) for f in seeds]
     while sides:
@@ -95,9 +95,9 @@ def _both_sides_inhabited(
             if any(x in vertices and x not in ends for x in face.nodes):
                 continue
             for d in face.darts:
-                if d[0] in curve:
+                if dart_edge[d] in curve:
                     continue
-                nb = dart_face[(d[0], d[1], -d[2])][0]
+                nb = dart_face[d ^ 1]
                 if nb not in seen:
                     seen.add(nb)
                     queue.append(nb)
@@ -148,11 +148,13 @@ def check_homotopy(pmap: PlanarizedMap) -> ValidationReport:
     # Bundles of parallel edges, each in the cyclic rotation order at its
     # smaller endpoint (the anchor).
     bundles: dict[tuple[str, str], list[str]] = {}
+    dart_edge = pmap._dart_edge
     for u in pmap.vertices:
         for d in pmap.rotation(u):
-            a, b = pmap.endpoints(d[0])
+            e = dart_edge[d]
+            a, b = pmap.endpoints(e)
             if a != b and u == min(a, b):
-                bundles.setdefault((u, max(a, b)), []).append(d[0])
+                bundles.setdefault((u, max(a, b)), []).append(e)
 
     shared = pmap.pair_crossing_counts()
     for (u, v), ordered in sorted(bundles.items()):

@@ -38,7 +38,7 @@ def _cut_regions(pmap: PlanarizedMap, curve_edges: set[str], component: int) -> 
         while queue:
             cur = queue.popleft()
             for d in cur.darts:
-                if d[0] in curve_edges:
+                if pmap.describe(d)[0] in curve_edges:
                     continue
                 nb, _ = pmap.face_of_dart(pmap.twin(d))
                 if nb not in region_of:
@@ -99,7 +99,8 @@ def check_homotopy(pmap: PlanarizedMap) -> ValidationReport:
     for (u, v), members in sorted(bundles.items()):
         if len(members) < 2:
             continue
-        order = [d[0] for d in pmap.rotation(u) if d[0] in set(members)]
+        around = [pmap.describe(d)[0] for d in pmap.rotation(u)]
+        order = [e for e in around if e in set(members)]
         seen: set[str] = set()
         ordered = [e for e in order if not (e in seen or seen.add(e))]
         pairs = [(ordered[i], ordered[(i + 1) % len(ordered)]) for i in range(len(ordered))]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -157,6 +158,14 @@ def test_id_of_another_type_is_one_error_line():
     code, out, err = _run(["validate", "--k", "3", "-"], stdin_text=json.dumps(doc))
     assert (code, out) == (1, "")
     assert err == "error: id-type: ids are strings or integers; got ['a']\n"
+
+
+def test_number_of_too_many_digits_is_one_error_line():
+    doc = '{"vertices": [%s], "edges": [], "chains": {}, "crossings": {}, "rotations": {}}'
+    code, out, err = _run(["validate", "--k", "3", "-"], stdin_text=doc % ("7" * 5000))
+    assert (code, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: a number in the document has more than {limit} digits\n"
 
 
 @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")])

@@ -235,6 +235,10 @@ MALFORMED = [
      "duplicate-chain"),
     ({"vertices": ["u", "v", "w", "z"], "edges": [("e", "u", "v"), ("f", "w", "z")],
       "crossings": {7: ["e", "f"], "7": ["f", "e"]}}, "duplicate-crossing-id"),
+    # Integers of more digits than str() converts (4300 by default).
+    ({"vertices": [10**5000], "edges": []}, "id-digits"),
+    ({"vertices": ["a", "b"], "edges": [(-(10**5000), "a", "b")]}, "id-digits"),
+    ({"vertices": ["a"], "edges": [], "rotations": {10**5000: []}}, "id-digits"),
 ]
 
 

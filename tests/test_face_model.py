@@ -2,7 +2,9 @@
 
 ``restrict`` planarizes the skeleton alone.  Its faces are exactly the walks
 of the decomposition's faces, and on a connected skeleton they are the
-faces themselves, so it is the oracle here.
+faces themselves, so it is the oracle here.  The two maps number their
+darts apart (a walk dart is a dart of the full map), so walks are compared
+by ``(edge, direction)`` per position.
 """
 
 from __future__ import annotations
@@ -37,20 +39,49 @@ def _walks(face):
     return out
 
 
+def _sides(pmap, darts):
+    """``(edge, direction)`` of each dart."""
+    return tuple((e, direction) for e, _, direction in map(pmap.describe, darts))
+
+
+def _face_key(pmap, face):
+    return (face.face_id, _sides(pmap, face.darts), face.nodes, face.edges, face.walks)
+
+
+def _check_occurrences(pmap, dec):
+    """A walk dart leaves its edge's tail, and every dart of that edge in the
+    same direction resolves to its occurrence; residual darts to None."""
+    skeleton = set(dec.skeleton_edges)
+    walk_darts = {}
+    for face in dec.faces:
+        for pos, d in enumerate(face.darts):
+            e, seg, direction = pmap.describe(d)
+            assert seg == (0 if direction == 1 else len(pmap.chain(e)))
+            walk_darts[(e, direction)] = (face.face_id, pos)
+    assert len(dec.occurrences) == 2 * pmap.segment_count()
+    for d, occurrence in enumerate(dec.occurrences):
+        e, _, direction = pmap.describe(d)
+        assert occurrence == (walk_darts[(e, direction)] if e in skeleton else None)
+        if e in skeleton:
+            assert dec.face_of_dart(d) == occurrence
+
+
 def _check_against_restrict(pmap, dec):
     """The walks are restrict's faces, grouped by region in order of first walk."""
     sub = restrict(pmap, dec.skeleton_edges)
-    index = {f.darts: i for i, f in enumerate(sub.faces)}
-    order = [[index[w] for w in _walks(f)] for f in dec.faces]
+    index = {_sides(sub, f.darts): i for i, f in enumerate(sub.faces)}
+    order = [[index[_sides(pmap, w)] for w in _walks(f)] for f in dec.faces]
     assert sorted(i for walks in order for i in walks) == list(range(len(sub.faces)))
     assert all(walks == sorted(walks) for walks in order)
     assert [walks[0] for walks in order] == sorted(walks[0] for walks in order)
     for face in dec.faces:
-        nodes = tuple(v for w in _walks(face) for v in sub.faces[index[w]].nodes)
+        nodes = tuple(v for w in _walks(face) for v in sub.faces[index[_sides(pmap, w)]].nodes)
         assert face.nodes == nodes
     edge_components = {sub.component_of(sub.endpoints(e)[0]) for e in dec.skeleton_edges}
     if len(edge_components) == 1:
-        assert dec.faces == sub.faces  # ids, darts, nodes, edges and walks
+        # ids, walk sides, nodes, edges and walks
+        assert [_face_key(pmap, f) for f in dec.faces] == [_face_key(sub, f) for f in sub.faces]
+    _check_occurrences(pmap, dec)
     # Connectivity as the skeleton's own map counts components.
     assert _skeleton_connected(dec) == (len({sub.component_of(v) for v in sub.vertices}) <= 1)
 
@@ -65,7 +96,8 @@ def test_tight_family_faces_equal_restrict():
     for n in range(6, 103, 2):
         pmap = build_map(generate_optimal(n))
         dec = extract_skeleton(pmap, "exact")
-        assert dec.faces == restrict(pmap, dec.skeleton_edges).faces
+        sub = restrict(pmap, dec.skeleton_edges)
+        assert [_face_key(pmap, f) for f in dec.faces] == [_face_key(sub, f) for f in sub.faces]
         assert all(f.walks == (3,) for f in dec.faces)
 
 

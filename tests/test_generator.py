@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossing_ledger import (
     BadN,
@@ -16,7 +19,13 @@ from crossing_ledger import (
     theta_frame,
     validate_drawing,
 )
-from crossing_ledger.generator import _DIAGONALS, _relabel
+from crossing_ledger.generator import (
+    _DIAGONALS,
+    _HEX_POINTS,
+    _intersection_param,
+    _param_order,
+    _relabel,
+)
 
 # Crossing-partner sequences along each diagonal, frozen from the convex
 # hexagon: chords cross exactly when their corner indices interleave, and the
@@ -117,6 +126,60 @@ def test_gadget_chain_orders_frozen():
             other = e2 if e1 == f"G.{slot}" else e1
             partners.append(int(other.split(".")[1]))
         assert partners == expected, slot
+
+
+def _fraction_param(p1, p2, p3, p4) -> Fraction:
+    """Parameter along p1->p2 of the crossing with p3->p4, in rationals."""
+    r = (p2[0] - p1[0], p2[1] - p1[1])
+    s = (p4[0] - p3[0], p4[1] - p3[1])
+    q = (p3[0] - p1[0], p3[1] - p1[1])
+    return Fraction(q[0] * s[1] - q[1] * s[0], r[0] * s[1] - r[1] * s[0])
+
+
+def test_gadget_chain_orders_match_rational_oracle():
+    # Along each diagonal, crossings sort by their Fraction parameter, then by id.
+    pmap = build_map(theta_frame(6))
+    gadget = hexagon_gadget(pmap.faces[0], anchor="u", prefix="G")
+    for slot, (a, b) in enumerate(_DIAGONALS):
+        edge = f"G.{slot}"
+        entries = []
+        for cid, pair in gadget.crossings.items():
+            if edge in pair:
+                c, d = _DIAGONALS[int((pair[1] if pair[0] == edge else pair[0]).split(".")[1])]
+                t = _fraction_param(_HEX_POINTS[a], _HEX_POINTS[b], _HEX_POINTS[c], _HEX_POINTS[d])
+                entries.append((t, cid))
+        assert gadget.chains[edge] == tuple(cid for _, cid in sorted(entries)), edge
+
+
+_COORD = st.integers(-50, 50)
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@given(_POINT, _POINT, _POINT, _POINT)
+@settings(max_examples=300, deadline=None)
+def test_intersection_param_is_the_rational_parameter(p1, p2, p3, p4):
+    try:
+        num, den = _intersection_param(p1, p2, p3, p4)
+    except ValueError:
+        r = (p2[0] - p1[0], p2[1] - p1[1])
+        s = (p4[0] - p3[0], p4[1] - p3[1])
+        if r[0] * s[1] != r[1] * s[0]:
+            assert not 0 < _fraction_param(p1, p2, p3, p4) < 1
+        return
+    assert den > 0
+    assert Fraction(num, den) == _fraction_param(p1, p2, p3, p4)
+    assert 0 < Fraction(num, den) < 1
+
+
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12), st.sampled_from("abcd")),
+                max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_param_order_is_fraction_then_id_order(rows):
+    # Equal parameters written differently (1/2, 2/4) tie and fall back to the id.
+    entries = [((num, den), cid) for num, den, cid in rows]
+    got = sorted(entries, key=cmp_to_key(_param_order))
+    want = sorted(entries, key=lambda x: (Fraction(*x[0]), x[1]))
+    assert [(Fraction(*t), cid) for t, cid in got] == [(Fraction(*t), cid) for t, cid in want]
 
 
 def test_relabelled_template_equals_gadget_of_every_face():

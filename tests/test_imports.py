@@ -76,7 +76,7 @@ ALL = [
 ]
 
 # Standard-library modules whose loading the footprints pin.
-WATCHED = ("dataclasses", "hashlib", "inspect")
+WATCHED = ("dataclasses", "fractions", "hashlib", "inspect")
 
 # Runs the CLI as ``python -m crossing_ledger.cli`` does.  It prints the
 # loaded package modules and watched modules, and whether automatic garbage
@@ -122,7 +122,11 @@ def _package(*modules: str) -> set[str]:
     return {"crossing_ledger", "crossing_ledger.errors", *(f"crossing_ledger.{m}" for m in modules)}
 
 
-_AUDIT = _package("drawing", "interchange", "validate", "skeleton", "segments", "audit")
+# The audit's bound ledger computes in exact rationals, so it loads ``fractions``;
+# no other subcommand does.
+_AUDIT = _package("drawing", "interchange", "validate", "skeleton", "segments", "audit") | {
+    "fractions"
+}
 
 # argv, the modules loaded when stdin is read, the watched modules loaded after.
 FOOTPRINTS = [

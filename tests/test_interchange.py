@@ -63,6 +63,13 @@ def test_empty_vertices_is_a_parse_error():
         parse_text(json.dumps(doc))
 
 
+def test_number_of_too_many_digits_is_a_parse_error():
+    # json's int() raises a ValueError that is not a JSONDecodeError.
+    text = '{"vertices": [%s], "edges": [], "chains": {}, "crossings": {}, "rotations": {}}'
+    with pytest.raises(ParseError, match="more than [0-9]+ digits$"):
+        parse_text(text % ("9" * 5000))
+
+
 def test_malformed_json_reports_location():
     with pytest.raises(ParseError, match="line"):
         parse_text("{not json")

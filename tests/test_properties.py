@@ -100,10 +100,10 @@ def test_k_planarity_monotone(spec):
 def test_crossings_have_degree_four(spec):
     pmap = build_map(spec)
     for c in pmap.crossing_ids:
-        rot = pmap.rotation(c)
+        rot = [pmap.describe(d)[0] for d in pmap.rotation(c)]
         assert len(rot) == 4
-        assert rot[0][0] == rot[2][0] and rot[1][0] == rot[3][0]
-        assert rot[0][0] != rot[1][0]
+        assert rot[0] == rot[2] and rot[1] == rot[3]
+        assert rot[0] != rot[1]
 
 
 @given(random_drawings())

@@ -28,11 +28,11 @@ def slice_scan_occurrence(dec, stick):
     full = dec.full_map
     skeleton = set(dec.skeleton_edges)
     e = stick.edge
-    out_dart = (e, 0, 1) if stick.index == 0 else (e, len(full.chain(e)), -1)
+    out_dart = full.dart(e, 0, 1) if stick.index == 0 else full.dart(e, len(full.chain(e)), -1)
     rot = full.rotation(stick.emanates_from)
     i = full.rotation_index(out_dart)
     for d in rot[i::-1] + rot[:i:-1]:
-        if d[0] in skeleton:
+        if full.describe(d)[0] in skeleton:
             face, pos = dec.face_of_dart(full.twin(d))
             assert face == stick.host_face
             return pos
