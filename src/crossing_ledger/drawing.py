@@ -350,9 +350,10 @@ class PlanarizedMap:
     Lists indexed by dart table its face successor, head, edge, rotation
     index, face and walk position (``_next``, ``_head``, ``_dart_edge``,
     ``_rot_index``, ``_dart_face``, ``_dart_pos``); ``_first`` and ``_last``
-    map an edge to its darts leaving ``end_a`` and ``end_b``.  The package's
-    hot loops read these tables directly; they are never written after
-    construction.
+    map an edge to its darts leaving ``end_a`` and ``end_b``.  The public
+    dart queries refuse anything but a dart of the map with
+    :class:`BadArgument`; the package's own loops read these tables directly,
+    unchecked.  They are never written after construction.
 
     Construction is single-threaded; built instances are safe to share
     between threads.
@@ -491,18 +492,27 @@ class PlanarizedMap:
             raise BadArgument(f"no dart {(edge, seg, direction)}")
         return d
 
+    def _checked(self, d: int) -> int:
+        """``d`` if it is a dart of this map; otherwise :class:`BadArgument`."""
+        if isinstance(d, int) and 0 <= d < len(self._next):
+            return d
+        if isinstance(d, tuple):
+            raise BadArgument(
+                f"no dart {d!r}: darts are ints; dart(edge, seg, direction) converts "
+                "an (edge, seg, direction) tuple, and describe(d) converts back"
+            )
+        raise BadArgument(f"no dart {d!r}")
+
     def describe(self, d: int) -> tuple[str, int, int]:
         """``(edge, seg, direction)`` of a dart; the inverse of :meth:`dart`."""
-        if not 0 <= d < len(self._next):
-            raise BadArgument(f"no dart {d!r}")
-        e = self._dart_edge[d]
+        e = self._dart_edge[self._checked(d)]
         return (e, (d - self._first[e]) >> 1, -1 if d & 1 else 1)
 
     def head(self, d: int) -> str:
-        return self._head[d]
+        return self._head[self._checked(d)]
 
     def tail(self, d: int) -> str:
-        return self._head[d ^ 1]
+        return self._head[self._checked(d) ^ 1]
 
     @staticmethod
     def twin(d: int) -> int:
@@ -510,11 +520,11 @@ class PlanarizedMap:
 
     def next_dart(self, d: int) -> int:
         """Successor of ``d`` on its face: the rotation successor of its reversal."""
-        return self._next[d]
+        return self._next[self._checked(d)]
 
     def prev_dart(self, d: int) -> int:
         """Predecessor of ``d`` on its face: the reversal of its rotation predecessor."""
-        return self._rot[self._head[d ^ 1]][self._rot_index[d] - 1] ^ 1
+        return self._rot[self._head[self._checked(d) ^ 1]][self._rot_index[d] - 1] ^ 1
 
     # -- public views -------------------------------------------------------
 
@@ -551,14 +561,14 @@ class PlanarizedMap:
 
     def rotation_index(self, d: int) -> int:
         """Position of an outgoing dart in the rotation at its tail."""
-        return self._rot_index[d]
+        return self._rot_index[self._checked(d)]
 
     def face_of_dart(self, d: int) -> tuple[str, int]:
-        return (self._faces[self._dart_face[d]].face_id, self._dart_pos[d])
+        return (self._faces[self._dart_face[self._checked(d)]].face_id, self._dart_pos[d])
 
     def face_index_of_dart(self, d: int) -> int:
         """Index into :attr:`faces` of the face to the right of a dart."""
-        return self._dart_face[d]
+        return self._dart_face[self._checked(d)]
 
     def segment_count(self) -> int:
         return sum(len(seq) - 1 for seq in self._node_seq.values())

@@ -321,7 +321,7 @@ def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
             if not inserted:
                 continue
             opening = fmap.twin(face.darts[(offset + k) % 6])
-            splices.setdefault(gadget.corners[k], {})[fmap.rotation_index(opening)] = inserted
+            splices.setdefault(gadget.corners[k], {})[fmap._rot_index[opening]] = inserted
 
     for node, after in splices.items():
         rotations[node] = [

@@ -209,7 +209,7 @@ def _stick_occurrence(
     """
     full = dec.full_map
     rot = full.rotation(vertex)
-    i = full.rotation_index(out_dart)
+    i = full._rot_index[out_dart]
     dart_edge = full._dart_edge
     for j in range(i, i - len(rot), -1):
         d = rot[j]
@@ -228,6 +228,7 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
     faces = {f.face_id: f for f in dec.faces}
     full = dec.full_map
     nxt, head, first = full._next, full._head, full._first
+    rot, rot_index = full._rot, full._rot_index
     skeleton = set(dec.skeleton_edges)
 
     spans: list[tuple[str, int, int, int, bool]] = []  # (edge, index, lo, hi, last)
@@ -279,8 +280,10 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
             depart = f + 2 * lo + 2
             arrive = f + 2 * hi
             host = dec.host_of_dart(depart)
+            # The face predecessor of ``depart``: the reversal of its rotation predecessor.
+            before = rot[head[depart ^ 1]][rot_index[depart] - 1] ^ 1
             crossed = (
-                _crossed(dec, skeleton, full.prev_dart(depart), full.tail(depart), host, depart),
+                _crossed(dec, skeleton, before, head[depart ^ 1], host, depart),
                 _crossed(dec, skeleton, nxt[arrive], head[arrive], host, arrive),
             )
             if crossed[0].edge == crossed[1].edge:

@@ -192,7 +192,7 @@ class SkeletonDecomposition(NamedTuple):
 
     def host_of_dart(self, d: int) -> str:
         """Id of the skeleton face holding the full-map face right of ``d``."""
-        return self.hosts[self.full_map.face_index_of_dart(d)]
+        return self.hosts[self.full_map._dart_face[d]]
 
     def to_dict(self) -> dict:
         return {

@@ -20,6 +20,10 @@ LAYOUT_DIGESTS = [
     (202, "9cc49e8ef5e7e0d7db9b97a43e2cbfffab535506224e40588ff80af5ee5fb4d6"),
 ]
 
+# SHA-256 of the SVG of ``generate_optimal(202)``, the drawing the ``render``
+# benchmark exports, as the dict-based layout wrote it.
+BENCHMARK_SVG = "181966dcc7f8f52847c4a32a98a5125a049edfebcf682426a493c05a9e2df52a"
+
 
 def layout_digest(n: int) -> str:
     pmap = build_map(generate_optimal(n))

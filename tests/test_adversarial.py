@@ -7,7 +7,10 @@ search budgets at or below zero, unknown or empty edge subsets, vertex
 counts the construction cannot realise, face profiles built or audited with
 pieces that are not theirs, and malformed documents and files
 (ids that are neither strings nor integers, rows of the wrong length, bytes
-that are not UTF-8, arrays nested deeper than the JSON decoder recurses).  Arguments of a wrong Python type are out of scope.
+that are not UTF-8, arrays nested deeper than the JSON decoder recurses), and
+dart numbers that name no dart of the map: negative ones, those past the
+last dart, and ``(edge, seg, direction)`` tuples, the darts' form before
+they became ints.  Other arguments of a wrong Python type are out of scope.
 The examples are derandomised and few, so the module runs in seconds.
 """
 
@@ -17,6 +20,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import _fixtures
@@ -54,6 +58,7 @@ from crossing_ledger import (
     theta_frame,
     validate_drawing,
 )
+from crossing_ledger.errors import BadArgument
 
 ADVERSARIAL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -115,6 +120,36 @@ def test_map_and_skeleton_functions(spec, k, mode, budget, data):
     emit_drawing(spec)
     report_document(spec, {}, include_drawing=data.draw(st.booleans()))
     input_digest(spec)
+
+
+DART_QUERIES = (
+    "head",
+    "tail",
+    "next_dart",
+    "prev_dart",
+    "rotation_index",
+    "face_of_dart",
+    "face_index_of_dart",
+    "describe",
+)
+
+
+@ADVERSARIAL
+@given(spec=specs, data=st.data())
+def test_dart_queries_refuse_what_is_no_dart(spec, data):
+    pmap = build_map(spec)
+    darts = 2 * pmap.segment_count()
+    below = data.draw(st.integers(-2 * darts - 3, -1))
+    beyond = data.draw(st.integers(darts, 2 * darts + 3))
+    named = pmap.describe(data.draw(st.integers(0, darts - 1)))
+    for query in DART_QUERIES:
+        call = getattr(pmap, query)
+        for d in (below, beyond):
+            with pytest.raises(BadArgument, match=f"no dart {d}"):
+                call(d)
+        with pytest.raises(BadArgument, match=r"dart\(edge, seg, direction\).*describe"):
+            call(named)
+        call(pmap.dart(*named))
 
 
 def _pieces_of(spec) -> list:

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from _layout_pins import LAYOUT_DIGESTS, layout_digest
+from _layout_pins import BENCHMARK_SVG, LAYOUT_DIGESTS, layout_digest
 from crossing_ledger import BadHint, CrossingLedgerError, build_map, export_figure
 from crossing_ledger.generator import generate_optimal
 
@@ -39,11 +39,8 @@ def test_svg_outer_face_hint(square_diagonals_spec):
 
 
 def test_svg_of_the_benchmark_drawing_is_pinned():
-    # The SVG the ``render`` benchmark exports, as the dict-based layout wrote it.
     text = export_figure(build_map(generate_optimal(202)), "svg")
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "181966dcc7f8f52847c4a32a98a5125a049edfebcf682426a493c05a9e2df52a"
-    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BENCHMARK_SVG
 
 
 @pytest.mark.parametrize("n, digest", LAYOUT_DIGESTS)

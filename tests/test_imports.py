@@ -5,10 +5,12 @@ them before it reads its input, so that in a pipeline the imports overlap the
 upstream process.  The footprint tests run the CLI as
 ``python -m crossing_ledger.cli`` does, in a fresh process, and name the
 exact set of ``crossing_ledger`` modules loaded when it reads stdin and when
-it exits, so a stray top-level import shows up here.  They also pin three
+it exits, so a stray top-level import shows up here.  They also pin some
 standard-library modules: no subcommand loads ``dataclasses`` or ``inspect``
-(several milliseconds of start-up), and ``hashlib`` is loaded, after the
-input is read, only to digest the input of a JSON report.  And they record
+(several milliseconds of start-up), nor ``multiprocessing``,
+``concurrent.futures``, ``subprocess`` or ``pickle``, since the SVG layout's
+worker needs only ``os.fork``, a pipe and ``array``; ``hashlib`` is loaded,
+after the input is read, only to digest the input of a JSON report.  And they record
 whether automatic garbage collection is on: ``cli.run`` turns it off for the
 call, so it is off when the CLI reads stdin and back on at exit.
 """
@@ -76,7 +78,16 @@ ALL = [
 ]
 
 # Standard-library modules whose loading the footprints pin.
-WATCHED = ("dataclasses", "fractions", "hashlib", "inspect")
+WATCHED = (
+    "concurrent.futures",
+    "dataclasses",
+    "fractions",
+    "hashlib",
+    "inspect",
+    "multiprocessing",
+    "pickle",
+    "subprocess",
+)
 
 # Runs the CLI as ``python -m crossing_ledger.cli`` does.  It prints the
 # loaded package modules and watched modules, and whether automatic garbage
@@ -101,11 +112,10 @@ runpy.run_module("crossing_ledger.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def _fresh_process(args: list[str], code: str = _RUN_AS_MAIN, stdin: str = "") -> tuple:
-    """(exit code, stdout, the last line of stderr and the rest of each "read " line, as JSON)."""
+def _run_fresh(args: list[str], code: str, stdin: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *args],
         input=stdin,
         capture_output=True,
@@ -113,6 +123,11 @@ def _fresh_process(args: list[str], code: str = _RUN_AS_MAIN, stdin: str = "") -
         env=env,
         timeout=120,
     )
+
+
+def _fresh_process(args: list[str], code: str = _RUN_AS_MAIN, stdin: str = "") -> tuple:
+    """(exit code, stdout, the last line of stderr and the rest of each "read " line, as JSON)."""
+    proc = _run_fresh(args, code, stdin)
     *lines, last = proc.stderr.splitlines()
     reads = [json.loads(line[5:]) for line in lines if line.startswith("read ")]
     return proc.returncode, proc.stdout, json.loads(last), reads
@@ -172,6 +187,20 @@ def test_subcommand_footprint(argv, modules, stdlib):
     assert reads == ([[sorted(modules), False]] if argv[-1] == "-" else [])
     # Run as __main__, the CLI gives what run() gives in this process.
     assert (code, out) == _in_process(argv, drawing)
+
+
+def test_export_with_the_layout_worker():
+    # At n = 202 the SVG layout relaxes y in a forked worker.  It loads no
+    # further module, and it ends in os._exit: only the process itself runs
+    # the at-exit hook, so stderr holds one line besides the "read " line.
+    argv = ["export", "--figure", "svg", "-"]
+    drawing = emit_drawing(generate_optimal(202))
+    proc = _run_fresh(argv, _RUN_AS_MAIN, drawing)
+    read, at_exit = proc.stderr.splitlines()
+    modules = sorted(_package("drawing", "figures", "interchange"))
+    assert (proc.returncode, json.loads(at_exit)) == (0, [modules, True])
+    assert read == "read " + json.dumps([modules, False])
+    assert (0, proc.stdout) == _in_process(argv, drawing)
 
 
 def test_import_package_loads_nothing_else():
