@@ -23,22 +23,12 @@ _EXPORTS = {
     "check_k_planar": "validate",
     "check_sanity": "validate",
     "validate_drawing": "validate",
-    "conflict_graph": "skeleton",
-    "decompose_with": "skeleton",
     "extract_skeleton": "skeleton",
     "decompose": "segments",
     "face_profiles": "segments",
-    "associate": "audit",
-    "bounds_table": "audit",
     "density_report": "audit",
     "k_bound": "audit",
-    "overfull_triangles": "audit",
-    "structural_predicates": "audit",
-    "chords_interleave": "generator",
-    "frame_spec": "generator",
     "generate_optimal": "generator",
-    "hexagon_gadget": "generator",
-    "theta_frame": "generator",
     "emit_drawing": "interchange",
     "input_digest": "interchange",
     "parse_drawing": "interchange",

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadArgument, InvariantError, UnsupportedK
-from .segments import LEFT, RIGHT, FaceProfile, SegmentPiece
+from .segments import LEFT, RIGHT, FaceProfile, Pieces, Profiles, SegmentPiece, _check_pieces
 from .skeleton import SkeletonDecomposition
 
 SQRT_COEFFICIENT = 4.1208
@@ -113,19 +114,6 @@ class AssociationResult(NamedTuple):
         }
 
 
-class _PiecesById(dict):
-    """Pieces by id.  Looking up an id that is not there raises
-    :class:`BadArgument`: the profiles name a piece the given pieces lack.
-    The check costs nothing on lookups that succeed."""
-
-    def __init__(self, pieces: list[SegmentPiece]):
-        super().__init__({p.piece_id: p for p in pieces})
-
-    def __missing__(self, piece_id: str):
-        raise BadArgument(f"the profiles name piece {piece_id!r}, "
-                          "which is not among the given pieces")
-
-
 def _split(profiles: list[FaceProfile]) -> tuple[list[FaceProfile], list[FaceProfile]]:
     """(triangular, non-triangular) profiles, each in the given order."""
     triangles: list[FaceProfile] = []
@@ -135,8 +123,8 @@ def _split(profiles: list[FaceProfile]) -> tuple[list[FaceProfile], list[FacePro
     return triangles, others
 
 
-def associate(
-    profiles: list[FaceProfile], pieces: list[SegmentPiece]
+def _associate(
+    profiles: Sequence[FaceProfile], triangulated: bool, pieces_by_id: dict[str, SegmentPiece]
 ) -> AssociationResult:
     """Pair every 3-stick triangle with a distinct triangle holding at most 2 sticks.
 
@@ -150,14 +138,9 @@ def associate(
     re-routed to the face across the partner's remaining side, which the
     crossing budget forces to hold at most two sticks; if that face is not
     free, the input is not a conformant drawing and the conflict is reported.
+    ``triangulated`` tells whether every profile is a triangle; without it
+    the pairing does not apply.
     """
-    return _associate(profiles, not _split(profiles)[1], _PiecesById(pieces))
-
-
-def _associate(
-    profiles: list[FaceProfile], triangulated: bool, pieces_by_id: _PiecesById
-) -> AssociationResult:
-    """:func:`associate`, told whether every profile is a triangle."""
     if not triangulated:
         return AssociationResult(
             applicable=False,
@@ -381,25 +364,16 @@ def _no_offenders(name: str, offenders: list, ok_detail: str, label: str) -> Pre
     return PredicateVerdict(name, not offenders, detail)
 
 
-def structural_predicates(
-    dec: SkeletonDecomposition,
-    profiles: list[FaceProfile],
-    pieces: list[SegmentPiece],
+def _predicates(
+    dec: SkeletonDecomposition, others: list[FaceProfile], pieces_by_id: dict[str, SegmentPiece]
 ) -> PredicateReport:
     """Conformance matrix for the structure a densest drawing must exhibit.
 
-    Each predicate is evaluated per non-triangular skeleton face (the
-    connectivity and triangulation checks are global).  A failing predicate
-    certifies the input is not a crossing-minimal densest drawing; nothing is
-    ever repaired.
+    Each predicate is evaluated per non-triangular skeleton face, the faces
+    in ``others`` (the connectivity and triangulation checks are global).  A
+    failing predicate certifies the input is not a crossing-minimal densest
+    drawing; nothing is ever repaired.
     """
-    return _predicates(dec, _split(profiles)[1], _PiecesById(pieces))
-
-
-def _predicates(
-    dec: SkeletonDecomposition, others: list[FaceProfile], pieces_by_id: _PiecesById
-) -> PredicateReport:
-    """:func:`structural_predicates` on the non-triangular profiles ``others``."""
     faces: dict[str, tuple[PredicateVerdict, ...]] = {}
 
     for prof in others:
@@ -557,8 +531,8 @@ class AuditReport(NamedTuple):
 
 def density_report(
     dec: SkeletonDecomposition,
-    profiles: list[FaceProfile],
-    pieces: list[SegmentPiece],
+    profiles: Profiles,
+    pieces: Pieces,
     k: int = 3,
 ) -> AuditReport:
     """Replay the counting argument and compare the edge count to the bound.
@@ -573,9 +547,18 @@ def density_report(
     ``k=4`` the first chain uses the conditional pairing assumption, which is
     recorded (with its truth value on this input) rather than silently
     trusted.
+
+    ``pieces`` must be what ``decompose(dec)`` returned and ``profiles``
+    what ``face_profiles(dec, pieces)`` returned, or :class:`BadArgument`
+    is raised.
     """
     if k not in (3, 4):
         raise BadArgument(f"density audit supports crossing budgets 3 and 4; got {k}")
+    _check_pieces(dec, pieces)
+    if getattr(profiles, "pieces", None) is not pieces:
+        raise BadArgument(
+            "profiles must be what face_profiles(dec, pieces) returned for these pieces"
+        )
     pmap = dec.full_map
     n = len(pmap.vertices)
     edge_count = len(pmap.edge_ids)
@@ -583,7 +566,7 @@ def density_report(
     cap = k
 
     triangles, others = _split(profiles)
-    pieces_by_id = _PiecesById(pieces)
+    pieces_by_id = {p.piece_id: p for p in pieces}
     t_p = len(triangles)
     sizes = Counter(p.stick_count for p in triangles)
     counts = {i: sizes[i] for i in range(cap + 1)}

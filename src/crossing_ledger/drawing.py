@@ -26,6 +26,7 @@ import sys
 from collections import Counter, deque
 from itertools import chain
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -134,14 +135,11 @@ class DrawingSpec(NamedTuple):
     def build(
         vertices: Iterable,
         edges: Iterable[Sequence],
-        chains: Mapping | None = None,
-        crossings: Mapping | None = None,
-        rotations: Mapping | None = None,
+        chains: Mapping = MappingProxyType({}),
+        crossings: Mapping = MappingProxyType({}),
+        rotations: Mapping = MappingProxyType({}),
     ) -> "DrawingSpec":
         vertices, edges = list(vertices), list(edges)
-        chains, crossings, rotations = (
-            {} if field is None else field for field in (chains, crossings, rotations)
-        )
         _check_fields(chains, crossings, rotations)
         _check_rows(edges, 3, "edge-row")
         entries = [entry for rot in rotations.values() for entry in rot]

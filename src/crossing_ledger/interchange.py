@@ -43,9 +43,10 @@ _FIELDS = ("vertices", "edges", "chains", "crossings", "rotations")
 def spec_from_document(doc: Any) -> DrawingSpec:
     """Check the document's shape and build the canonical spec from it.
 
-    Shape errors of the document, its fields and its chain and rotation lists
-    raise :class:`ParseError`; :meth:`DrawingSpec.build` checks the rows,
-    the ids and the drawing rules.
+    A root that is not an object, a missing field, and ``vertices`` or
+    ``edges`` that are not lists raise :class:`ParseError`;
+    :meth:`DrawingSpec.build` checks the other fields, the rows, the ids and
+    the drawing rules.
     """
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
@@ -59,15 +60,6 @@ def spec_from_document(doc: Any) -> DrawingSpec:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise ParseError("field 'edges' must be a list")
-    for name in ("chains", "crossings", "rotations"):
-        if not isinstance(doc[name], dict):
-            raise ParseError(f"field '{name}' must be an object")
-    for e, cs in doc["chains"].items():
-        if not isinstance(cs, list):
-            raise ParseError(f"chain of edge {e} must be a list")
-    for node, rot in doc["rotations"].items():
-        if not isinstance(rot, list):
-            raise ParseError(f"rotation at {node} must be a list")
 
     return DrawingSpec.build(
         vertices=vertices,

@@ -129,6 +129,44 @@ class FaceProfile(NamedTuple):
         }
 
 
+class _Derived(tuple):
+    """A stage's results, as a tuple that also names the input they came from.
+
+    The input is given as one keyword at construction and cannot be set or
+    deleted later; being a tuple, the results cannot change either.  So a
+    stage checks where its input came from by identity alone.
+    """
+
+    def __new__(cls, items, **source):
+        self = super().__new__(cls, items)
+        vars(self).update(source)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Pieces(_Derived):
+    """``decompose(dec)``'s pieces in order; ``decomposition`` is that ``dec``."""
+
+    decomposition: SkeletonDecomposition
+
+
+class Profiles(_Derived):
+    """``face_profiles(dec, pieces)``'s profiles in face order; ``pieces`` are those pieces."""
+
+    pieces: Pieces
+
+
+def _check_pieces(dec: SkeletonDecomposition, pieces: Pieces) -> None:
+    """Refuse ``pieces`` unless they are what ``decompose(dec)`` returned."""
+    if getattr(pieces, "decomposition", None) is not dec:
+        raise BadArgument("pieces must be what decompose(dec) returned for this decomposition")
+
+
 # -- classification ------------------------------------------------------------
 
 
@@ -164,7 +202,7 @@ def classify_middle(entry_position: int, exit_position: int, walk_length: int | 
 
 def _position(dec: SkeletonDecomposition, d: int, host: str, what: str) -> int:
     """Position of walk dart ``d`` in face ``host``; positions index the walks concatenated."""
-    face_id, pos = dec.face_of_dart(d)
+    face_id, pos = dec.occurrences[d]
     if face_id != host:
         raise InvariantError(
             "decompose-host-mismatch",
@@ -218,8 +256,10 @@ def _stick_occurrence(
     return None
 
 
-def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
+def decompose(dec: SkeletonDecomposition) -> Pieces:
     """Cut every residual edge into sticks and middle parts.
+
+    The pieces come as a :class:`Pieces` tuple that remembers ``dec``.
 
     Raises :class:`InvariantError` if a residual edge crosses no skeleton
     edge; that breaks the decomposition contract and indicates a defective
@@ -227,6 +267,7 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
     """
     faces = {f.face_id: f for f in dec.faces}
     full = dec.full_map
+    hosts, dart_face = dec.hosts, full._dart_face
     nxt, head, first = full._next, full._head, full._first
     rot, rot_index = full._rot, full._rot_index
     skeleton = set(dec.skeleton_edges)
@@ -266,7 +307,7 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
             vertex = full.endpoints(e)[0 if idx == 0 else 1]
             out_dart = f if idx == 0 else full._last[e]
             arrive = f + 2 * hi if idx == 0 else f + 2 * lo + 3
-            host = dec.host_of_dart(out_dart)
+            host = hosts[dart_face[out_dart]]
             crossed = (_crossed(dec, skeleton, nxt[arrive], head[arrive], host, arrive),)
             occ = _stick_occurrence(dec, skeleton, vertex, out_dart, host)
             walk_len = faces[host].walk_length(occ, crossed[0].position)
@@ -279,7 +320,7 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
         else:
             depart = f + 2 * lo + 2
             arrive = f + 2 * hi
-            host = dec.host_of_dart(depart)
+            host = hosts[dart_face[depart]]
             # The face predecessor of ``depart``: the reversal of its rotation predecessor.
             before = rot[head[depart ^ 1]][rot_index[depart] - 1] ^ 1
             crossed = (
@@ -325,29 +366,24 @@ def decompose(dec: SkeletonDecomposition) -> list[SegmentPiece]:
                     "decompose-host-mismatch",
                     f"pieces {p.piece_id} and {q_id} cross but resolve to different faces",
                 )
-    return pieces
+    return Pieces(pieces, decomposition=dec)
 
 
 def _other_edge(pair: tuple[str, str], edge: str) -> str:
     return pair[1] if pair[0] == edge else pair[0]
 
 
-def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> list[FaceProfile]:
+def face_profiles(dec: SkeletonDecomposition, pieces: Pieces) -> Profiles:
     """Per-face summary: type tuple, bridges, passing-through edges, crossings.
 
-    ``pieces`` are ``decompose(dec)``'s.  A piece that names a face, a
-    boundary position or a crossing piece that ``dec`` and ``pieces`` lack
-    raises :class:`BadArgument`; the checks cost nothing on pieces that match.
+    ``pieces`` must be what ``decompose(dec)`` returned, or
+    :class:`BadArgument` is raised.  The profiles come as a
+    :class:`Profiles` tuple that remembers ``pieces``.
     """
+    _check_pieces(dec, pieces)
     by_face: dict[str, list[SegmentPiece]] = {f.face_id: [] for f in dec.faces}
     for p in pieces:
-        try:
-            by_face[p.host_face].append(p)
-        except KeyError:
-            raise BadArgument(
-                f"piece {p.piece_id!r} lies in face {p.host_face!r}, "
-                "which is not a face of this decomposition"
-            ) from None
+        by_face[p.host_face].append(p)
 
     occurrences = dec.occurrences
     profiles = []
@@ -362,13 +398,7 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
             if p.occurrence is None:
                 warnings.append(f"stick {p.piece_id} floats (no boundary occurrence)")
             else:
-                try:
-                    tau[p.occurrence] += 1
-                except IndexError:
-                    raise BadArgument(
-                        f"stick {p.piece_id!r} names position {p.occurrence} "
-                        f"of face {face.face_id}, whose boundary has {face.length}"
-                    ) from None
+                tau[p.occurrence] += 1
 
         edge_occurrences: dict[str, int] = {}
         for e in face.edges:
@@ -387,13 +417,7 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
         for p in members:
             for q_id in p.intra_pieces:
                 a, b = sorted((p.piece_id, q_id))
-                try:
-                    kind_a, kind_b = kinds[a], kinds[b]
-                except KeyError:
-                    raise BadArgument(
-                        f"piece {p.piece_id!r} crosses piece {q_id!r}, which is not "
-                        f"among the given pieces of face {face.face_id}"
-                    ) from None
+                kind_a, kind_b = kinds[a], kinds[b]
                 if kind_a == STICK and kind_b == STICK:
                     ss_pairs.add((a, b))
                 elif STICK in (kind_a, kind_b):
@@ -422,4 +446,4 @@ def face_profiles(dec: SkeletonDecomposition, pieces: list[SegmentPiece]) -> lis
                 warnings=tuple(warnings),
             )
         )
-    return profiles
+    return Profiles(profiles, pieces=pieces)

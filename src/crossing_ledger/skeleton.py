@@ -185,14 +185,15 @@ class SkeletonDecomposition(NamedTuple):
     occurrences: list[tuple[str, int] | None]
     hosts: tuple[str, ...]
 
-    def face_of_dart(self, d: int) -> tuple[str, int]:
+    def face_of_dart(self, d: int) -> tuple[str, int] | None:
         """(face id, position) of the walk dart on ``d``'s skeleton edge, in
-        ``d``'s direction; ``d`` may lie on any segment of the edge."""
-        return self.occurrences[d]
+        ``d``'s direction; ``d`` may lie on any segment of the edge.  None on
+        a residual dart, and :class:`BadArgument` for what is no dart."""
+        return self.occurrences[self.full_map._checked(d)]
 
     def host_of_dart(self, d: int) -> str:
         """Id of the skeleton face holding the full-map face right of ``d``."""
-        return self.hosts[self.full_map._dart_face[d]]
+        return self.hosts[self.full_map._dart_face[self.full_map._checked(d)]]
 
     def to_dict(self) -> dict:
         return {

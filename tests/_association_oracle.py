@@ -1,6 +1,6 @@
 """The association with a linear scan per conflict, kept as a test oracle.
 
-``crossing_ledger.audit.associate`` tracks the partners already claimed in a
+``crossing_ledger.audit._associate`` tracks the partners already claimed in a
 ``Counter``.  This module keeps the function it replaced, verbatim, which
 tests a fallback partner with ``cand not in mapping.values()``.
 ``tests/test_association_cases.py`` checks that both give the same result.

@@ -10,14 +10,17 @@ check, and every rule checked entry by entry.  ``tests/test_build_oracle.py``
 requires the same spec, or the same exception type, rule and message, from
 both.
 
-One edit since: the three collision rules (``duplicate-chain``,
+Two edits since: the three collision rules (``duplicate-chain``,
 ``duplicate-crossing-id``, ``duplicate-rotation``), which refuse two keys
-that become equal under ``str()``, where the old code kept the later one.
+that become equal under ``str()``, where the old code kept the later one;
+and a field given as None, which is refused as ``field-mapping`` where the
+old code read it as empty (a field left out still means none).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from crossing_ledger.drawing import (
@@ -60,14 +63,11 @@ def _unique_keys(field: Mapping, rule: str, what: str) -> None:
 def build(
     vertices: Iterable,
     edges: Iterable[Sequence],
-    chains: Mapping | None = None,
-    crossings: Mapping | None = None,
-    rotations: Mapping | None = None,
+    chains: Mapping = MappingProxyType({}),
+    crossings: Mapping = MappingProxyType({}),
+    rotations: Mapping = MappingProxyType({}),
 ) -> DrawingSpec:
     vertices, edges = list(vertices), list(edges)
-    chains, crossings, rotations = (
-        {} if field is None else field for field in (chains, crossings, rotations)
-    )
     _check_fields(chains, crossings, rotations)
     _check_rows(edges, 3, "edge-row")
     entries = [entry for rot in rotations.values() for entry in rot]

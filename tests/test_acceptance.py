@@ -14,12 +14,10 @@ from _geom import DegenerateGeometry, drawing_doc
 
 from crossing_ledger import (
     DrawingSpec,
-    associate,
     build_map,
     check_homotopy,
     check_k_planar,
     check_sanity,
-    chords_interleave,
     decompose,
     density_report,
     emit_drawing,
@@ -29,9 +27,8 @@ from crossing_ledger import (
     k_bound,
     parse_text,
     restrict,
-    structural_predicates,
 )
-from crossing_ledger.generator import _DIAGONALS
+from crossing_ledger.generator import _DIAGONALS, chords_interleave
 from crossing_ledger.skeleton import _MisSolver, conflict_graph
 
 from test_skeleton import brute_force_max_independent
@@ -92,7 +89,7 @@ def test_criterion_4_counting_ledger():
         t = report.triangle_counts
         ok = ok and report.triangular_face_count == 2 * n - 4
         ok = ok and report.stick_cap_violations == ()
-        assoc = associate(profiles, pieces)
+        assoc = report.association
         ok = ok and assoc.ok
         ok = ok and len(set(assoc.mapping.values())) == len(assoc.mapping)
         ok = ok and t[3] <= t[0] + t[1] + t[2]
@@ -166,7 +163,7 @@ def test_criterion_7_negative_fixtures(
     # an uncrossed stick fails the crossed-sticks predicate
     dec = extract_skeleton(build_map(uncrossed_stick_spec), "exact")
     pieces = decompose(dec)
-    pred = structural_predicates(dec, face_profiles(dec, pieces), pieces)
+    pred = density_report(dec, face_profiles(dec, pieces), pieces).predicates
     hosts = {p.host_face for p in pieces}
     ok = ok and all(
         any(v.name == "sticks_crossed" and not v.holds for v in pred.faces[h]) for h in hosts
@@ -174,7 +171,7 @@ def test_criterion_7_negative_fixtures(
     # a far middle part fails the short-middles predicate
     dec = extract_skeleton(build_map(far_middle_spec), "exact")
     pieces = decompose(dec)
-    pred = structural_predicates(dec, face_profiles(dec, pieces), pieces)
+    pred = density_report(dec, face_profiles(dec, pieces), pieces).predicates
     host = next(p.host_face for p in pieces if p.kind == "middle")
     ok = ok and any(v.name == "middles_short" and not v.holds for v in pred.faces[host])
     _verdict(7, "all four negative fixtures produce the exact expected verdicts", ok)

@@ -4,13 +4,15 @@ returns or raises a ``CrossingLedgerError``; never a raw Python exception.
 Out of range means: crossing budgets at or below zero and very large ones,
 unknown skeleton modes and figure formats, face hints that name no face,
 search budgets at or below zero, unknown or empty edge subsets, vertex
-counts the construction cannot realise, face profiles built or audited with
-pieces that are not theirs, and malformed documents and files
+counts the construction cannot realise, and malformed documents and files
 (ids that are neither strings nor integers, rows of the wrong length, bytes
-that are not UTF-8, arrays nested deeper than the JSON decoder recurses), and
-dart numbers that name no dart of the map: negative ones, those past the
-last dart, and ``(edge, seg, direction)`` tuples, the darts' form before
-they became ints.  Other arguments of a wrong Python type are out of scope.
+that are not UTF-8, arrays nested deeper than the JSON decoder recurses).
+Two kinds of argument must be refused with ``BadArgument``: face profiles
+built or audited with pieces or profiles that another stage call returned,
+and dart numbers that name no dart of the map or its skeleton: negative
+ones, those past the last dart, and ``(edge, seg, direction)`` tuples, the
+darts' form before they became ints.  Other arguments of a wrong Python type
+are out of scope.
 The examples are derandomised and few, so the module runs in seconds.
 """
 
@@ -29,36 +31,29 @@ from test_properties import random_drawings
 from crossing_ledger import (
     CrossingLedgerError,
     DrawingSpec,
-    associate,
-    bounds_table,
     build_map,
     check_homotopy,
     check_k_planar,
     check_sanity,
-    chords_interleave,
-    conflict_graph,
     decompose,
-    decompose_with,
     density_report,
     emit_drawing,
     export_figure,
     extract_skeleton,
     face_profiles,
-    frame_spec,
     generate_optimal,
-    hexagon_gadget,
     input_digest,
     k_bound,
-    overfull_triangles,
     parse_drawing,
     parse_text,
     report_document,
     restrict,
-    structural_predicates,
-    theta_frame,
     validate_drawing,
 )
+from crossing_ledger.audit import bounds_table, overfull_triangles
 from crossing_ledger.errors import BadArgument
+from crossing_ledger.generator import chords_interleave, frame_spec, hexagon_gadget, theta_frame
+from crossing_ledger.skeleton import conflict_graph, decompose_with
 
 ADVERSARIAL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -132,6 +127,7 @@ DART_QUERIES = (
     "face_index_of_dart",
     "describe",
 )
+SKELETON_DART_QUERIES = ("face_of_dart", "host_of_dart")
 
 
 @ADVERSARIAL
@@ -142,8 +138,10 @@ def test_dart_queries_refuse_what_is_no_dart(spec, data):
     below = data.draw(st.integers(-2 * darts - 3, -1))
     beyond = data.draw(st.integers(darts, 2 * darts + 3))
     named = pmap.describe(data.draw(st.integers(0, darts - 1)))
-    for query in DART_QUERIES:
-        call = getattr(pmap, query)
+    dec = extract_skeleton(pmap, "greedy")
+    calls = [getattr(pmap, query) for query in DART_QUERIES]
+    calls += [getattr(dec, query) for query in SKELETON_DART_QUERIES]
+    for call in calls:
         for d in (below, beyond):
             with pytest.raises(BadArgument, match=f"no dart {d}"):
                 call(d)
@@ -152,12 +150,12 @@ def test_dart_queries_refuse_what_is_no_dart(spec, data):
         call(pmap.dart(*named))
 
 
-def _pieces_of(spec) -> list:
+def _pieces_of(spec) -> tuple:
     """The pieces of ``spec``'s default skeleton, or none if it has no skeleton."""
     try:
         return decompose(extract_skeleton(build_map(spec)))
     except CrossingLedgerError:
-        return []
+        return ()
 
 
 @ADVERSARIAL
@@ -173,17 +171,18 @@ def test_audit_functions(spec, k, cap, data):
     returns_or_typed(density_report, dec, profiles, pieces, k)
     returns_or_typed(k_bound, len(pmap.vertices), k)
     overfull_triangles(profiles, cap)
-    associate(profiles, pieces)
-    structural_predicates(dec, profiles, pieces)
     bounds_table()
 
-    # Pieces that are not the profiles' own: a subset, or another drawing's.
+    # Pieces that are not this decomposition's own: a subset, a copy, or
+    # another drawing's; and profiles made from another piece tuple.
     subsets = st.lists(st.sampled_from(pieces), max_size=len(pieces)) if pieces else st.just([])
-    others = data.draw(st.one_of(subsets, specs.map(_pieces_of)))
-    returns_or_typed(face_profiles, dec, others)
-    returns_or_typed(density_report, dec, profiles, others, 3)
-    returns_or_typed(associate, profiles, others)
-    returns_or_typed(structural_predicates, dec, profiles, others)
+    others = data.draw(st.one_of(subsets, st.just(list(pieces)), specs.map(_pieces_of)))
+    with pytest.raises(BadArgument, match=r"pieces must be what decompose\(dec\) returned"):
+        face_profiles(dec, others)
+    with pytest.raises(BadArgument, match=r"pieces must be what decompose\(dec\) returned"):
+        density_report(dec, profiles, others, 3)
+    with pytest.raises(BadArgument, match=r"profiles must be what face_profiles\(dec, pieces\)"):
+        density_report(dec, face_profiles(dec, decompose(dec)), pieces, 3)
 
 
 @ADVERSARIAL

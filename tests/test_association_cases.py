@@ -2,9 +2,10 @@
 
 The pairing logic is a pure function of face profiles and stick pieces, so
 the corner cases (2+1 placements, nonconformant inputs, claim conflicts) are
-exercised directly on hand-built inputs rather than full drawings.  The
-claim bookkeeping is checked against the linear-scan version it replaced,
-kept in ``_association_oracle``.
+exercised directly on hand-built inputs rather than full drawings, through
+the audit's private core ``_associate``: ``density_report`` takes only the
+profiles that ``face_profiles`` made.  The claim bookkeeping is checked
+against the linear-scan version it replaced, kept in ``_association_oracle``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,14 @@ import pytest
 import _association_oracle as oracle
 
 from crossing_ledger import build_map, decompose, extract_skeleton, face_profiles, generate_optimal
-from crossing_ledger.audit import associate
+from crossing_ledger.audit import _associate
 from crossing_ledger.segments import CrossedRef, FaceProfile, SegmentPiece
+
+
+def associate(profiles, pieces):
+    """The audit's pairing on hand-built profiles and their pieces."""
+    triangulated = all(p.is_triangle for p in profiles)
+    return _associate(profiles, triangulated, {p.piece_id: p for p in pieces})
 
 
 def _triangle(face, nodes, neighbors, tau, stick_ids):

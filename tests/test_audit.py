@@ -8,19 +8,16 @@ from crossing_ledger import (
     CrossingLedgerError,
     InvariantError,
     UnsupportedK,
-    associate,
-    bounds_table,
     build_map,
     decompose,
     density_report,
     extract_skeleton,
     face_profiles,
     k_bound,
-    overfull_triangles,
     restrict,
-    structural_predicates,
     validate_drawing,
 )
+from crossing_ledger.audit import bounds_table, overfull_triangles
 from crossing_ledger.errors import BadArgument
 from crossing_ledger.generator import generate_optimal
 
@@ -62,8 +59,8 @@ def test_four_stick_triangle_flagged(four_stick_triangle_spec):
 
 def test_association_on_generated_family():
     for n in (6, 10, 14):
-        _, pieces, profiles = _pipeline(generate_optimal(n))
-        result = associate(profiles, pieces)
+        dec, pieces, profiles = _pipeline(generate_optimal(n))
+        result = density_report(dec, profiles, pieces).association
         assert result.ok
         sources = {p.face for p in profiles if p.size == 3 and p.stick_count == 3}
         assert set(result.mapping) == sources
@@ -77,14 +74,14 @@ def test_association_on_generated_family():
 
 
 def test_association_empty_without_heavy_triangles(triangle_spec):
-    _, pieces, profiles = _pipeline(triangle_spec)
-    result = associate(profiles, pieces)
+    dec, pieces, profiles = _pipeline(triangle_spec)
+    result = density_report(dec, profiles, pieces).association
     assert result.ok and result.mapping == {}
 
 
 def test_association_inapplicable_on_non_triangulated(far_middle_spec):
-    _, pieces, profiles = _pipeline(far_middle_spec)
-    result = associate(profiles, pieces)
+    dec, pieces, profiles = _pipeline(far_middle_spec)
+    result = density_report(dec, profiles, pieces).association
     assert not result.applicable
 
 
@@ -95,7 +92,7 @@ def test_mutually_crossing_sticks_diagnosed(mutual_stick_triangle_spec):
     assert len(dec.skeleton_edges) == 12
     assert all(p.size == 3 for p in profiles)
     inner = next(p for p in profiles if p.type_tuple == (1, 1, 1))
-    result = associate(profiles, pieces)
+    result = density_report(dec, profiles, pieces).association
     assert result.applicable and not result.ok
     diag = result.diagnoses[0]
     assert diag.kind == "optimality-violation"
@@ -103,26 +100,32 @@ def test_mutually_crossing_sticks_diagnosed(mutual_stick_triangle_spec):
 
 
 def test_a_piece_the_audit_reads_must_be_given(far_middle_spec):
-    # A stick or middle part the audit reads but ``pieces`` lacks is a typed
-    # error naming it (it was a raw KeyError).  The tight family's audit reads
-    # the sticks of its 3-stick triangles, in face order.
-    dec, pieces, profiles = _pipeline(generate_optimal(6))
-    heavy = min((p for p in profiles if p.stick_count == 3), key=lambda p: p.face)
-    first = heavy.sticks[0]
-    message = re.escape(f"piece '{first}', which is not among the given pieces")
-    for wrong in ([], [p for p in pieces if p.piece_id != first]):
-        with pytest.raises(BadArgument, match=message):
-            associate(profiles, wrong)
-        with pytest.raises(BadArgument, match=message):
-            density_report(dec, profiles, wrong, 3)
-
-    # The predicates read the pieces of non-triangular faces.
-    dec, pieces, profiles = _pipeline(far_middle_spec)
-    first = next(i for p in profiles if not p.is_triangle for i in (*p.sticks, *p.middles))
-    message = re.escape(f"piece '{first}', which is not among the given pieces")
-    for wrong in ([], [p for p in pieces if p.piece_id != first]):
-        with pytest.raises(BadArgument, match=message):
-            structural_predicates(dec, profiles, wrong)
+    # The audit reads pieces by the ids its profiles name, so it takes only
+    # the pieces that decompose(dec) returned and the profiles that
+    # face_profiles(dec, pieces) returned; anything else is one typed error
+    # that names the stage whose output was expected.
+    pieces_of = re.escape("pieces must be what decompose(dec) returned for this decomposition")
+    profiles_of = re.escape(
+        "profiles must be what face_profiles(dec, pieces) returned for these pieces"
+    )
+    for spec in (generate_optimal(6), far_middle_spec):
+        dec, pieces, profiles = _pipeline(spec)
+        first = pieces[0].piece_id
+        for wrong in ([], [p for p in pieces if p.piece_id != first], list(pieces)):
+            with pytest.raises(BadArgument, match=pieces_of):
+                density_report(dec, profiles, wrong, 3)
+        # Equal pieces cut again are another result: the profiles are not theirs.
+        again = decompose(dec)
+        assert again == pieces
+        with pytest.raises(BadArgument, match=profiles_of):
+            density_report(dec, profiles, again, 3)
+        for wrong in (face_profiles(dec, again), list(profiles)):
+            with pytest.raises(BadArgument, match=profiles_of):
+                density_report(dec, wrong, pieces, 3)
+        # Another decomposition of the same map owns neither.
+        other = extract_skeleton(dec.full_map, "exact")
+        with pytest.raises(BadArgument, match=pieces_of):
+            density_report(other, profiles, pieces, 3)
 
 
 # -- density report ----------------------------------------------------------
@@ -227,7 +230,7 @@ def test_unsupported_k_carries_informational_estimate():
 
 def test_predicates_vacuous_on_generated():
     dec, pieces, profiles = _pipeline(generate_optimal(6))
-    report = structural_predicates(dec, profiles, pieces)
+    report = density_report(dec, profiles, pieces).predicates
     assert report.ok
     assert report.skeleton_connected and report.skeleton_triangulated
     assert report.faces == {}
@@ -235,7 +238,7 @@ def test_predicates_vacuous_on_generated():
 
 def test_uncrossed_stick_fails_predicate(uncrossed_stick_spec):
     dec, pieces, profiles = _pipeline(uncrossed_stick_spec)
-    report = structural_predicates(dec, profiles, pieces)
+    report = density_report(dec, profiles, pieces).predicates
     assert not report.ok
     assert not report.skeleton_connected  # two vertices float off the skeleton
     failing = {
@@ -247,7 +250,7 @@ def test_uncrossed_stick_fails_predicate(uncrossed_stick_spec):
 
 def test_far_middle_fails_predicate(far_middle_spec):
     dec, pieces, profiles = _pipeline(far_middle_spec)
-    report = structural_predicates(dec, profiles, pieces)
+    report = density_report(dec, profiles, pieces).predicates
     host = next(p.host_face for p in pieces if p.kind == "middle")
     names = [v.name for v in report.faces[host] if not v.holds]
     assert "middles_short" in names
@@ -255,7 +258,7 @@ def test_far_middle_fails_predicate(far_middle_spec):
 
 def test_stickless_face_counts(far_middle_spec):
     dec, pieces, profiles = _pipeline(far_middle_spec)
-    report = structural_predicates(dec, profiles, pieces)
+    report = density_report(dec, profiles, pieces).predicates
     host = next(p.host_face for p in pieces if p.kind == "middle")
     verdicts = {v.name: v for v in report.faces[host]}
     # 2 of 4 non-bridges untouched is not a strict minority

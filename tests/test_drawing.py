@@ -239,6 +239,9 @@ MALFORMED = [
     ({"vertices": [10**5000], "edges": []}, "id-digits"),
     ({"vertices": ["a", "b"], "edges": [(-(10**5000), "a", "b")]}, "id-digits"),
     ({"vertices": ["a"], "edges": [], "rotations": {10**5000: []}}, "id-digits"),
+    # A field given as null is not a mapping; leave it out to mean none.
+    ({"vertices": ["a"], "edges": [], "chains": None}, "field-mapping"),
+    ({"vertices": ["a"], "edges": [], "rotations": None}, "field-mapping"),
 ]
 
 
@@ -268,6 +271,19 @@ def test_parse_text_refusals_name_the_rule(fields, rule):
         parse_text(json.dumps({**doc, **fields}))
     assert info.value.rule == rule
     assert str(info.value).startswith(f"{rule}: ")
+
+
+@pytest.mark.parametrize(
+    "kwargs, rule",
+    [case for case in MALFORMED if case[1] in ("field-mapping", "chain-list", "rotation-list")],
+)
+def test_parse_text_leaves_the_field_shapes_to_build(kwargs, rule):
+    # A document's fields and its chain and rotation values are checked once,
+    # by DrawingSpec.build, so parse_text names the same rule.
+    doc = {"chains": {}, "crossings": {}, "rotations": {}, **kwargs}
+    with pytest.raises(InvariantError) as info:
+        parse_text(json.dumps(doc))
+    assert info.value.rule == rule
 
 
 def test_integer_ids_are_accepted_by_build():

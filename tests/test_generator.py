@@ -11,12 +11,8 @@ from crossing_ledger import (
     BadN,
     NotHexagon,
     build_map,
-    chords_interleave,
     extract_skeleton,
-    frame_spec,
     generate_optimal,
-    hexagon_gadget,
-    theta_frame,
     validate_drawing,
 )
 from crossing_ledger.generator import (
@@ -25,6 +21,10 @@ from crossing_ledger.generator import (
     _intersection_param,
     _param_order,
     _relabel,
+    chords_interleave,
+    frame_spec,
+    hexagon_gadget,
+    theta_frame,
 )
 
 # Crossing-partner sequences along each diagonal, frozen from the convex

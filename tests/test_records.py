@@ -6,6 +6,10 @@ when the records were frozen dataclasses (pinned below by digest).  Being
 tuples, they also have a length (the number of fields) and iterate over their
 fields, and a record equals a plain tuple of the same values; the README's
 Library section says so.
+
+The two stage results that are not records, ``Pieces`` and ``Profiles``, are
+tuples of records that also name the input they came from; that name cannot
+be changed either.
 """
 
 from __future__ import annotations
@@ -20,20 +24,16 @@ import pytest
 import _fixtures
 import crossing_ledger
 from crossing_ledger import (
-    associate,
     build_map,
-    conflict_graph,
     decompose,
     density_report,
     extract_skeleton,
     face_profiles,
-    frame_spec,
     generate_optimal,
-    hexagon_gadget,
-    structural_predicates,
-    theta_frame,
     validate_drawing,
 )
+from crossing_ledger.generator import frame_spec, hexagon_gadget, theta_frame
+from crossing_ledger.skeleton import conflict_graph
 
 # SHA-256 of ``_to_dicts(_samples())``, the same with frozen dataclasses.
 TO_DICT_DIGEST = "7c9cc16a06697f965e47d889ea747084fb1845342d598dc37b885cc44e8a2800"
@@ -66,9 +66,9 @@ def _samples() -> dict[str, list]:
         "SegmentPiece": pieces,
         "FaceProfile": profiles,
         "Diagnosis": list(mutual.association.diagnoses),
-        "AssociationResult": [associate(profiles, pieces), mutual.association, far.association],
+        "AssociationResult": [report.association, mutual.association, far.association],
         "PredicateVerdict": predicates,
-        "PredicateReport": [structural_predicates(dec, profiles, pieces), far.predicates],
+        "PredicateReport": [report.predicates, far.predicates],
         "LedgerStep": list(report.ledger),
         "AuditReport": [report, mutual, far],
         "FrameSpec": [frame_spec(6)],
@@ -94,6 +94,7 @@ def _record_types() -> dict[str, type]:
                 isinstance(value, type)
                 and value.__module__ == module.__name__
                 and issubclass(value, tuple)
+                and hasattr(value, "_fields")
             ):
                 found[value.__name__] = value
     return found
@@ -131,6 +132,24 @@ def test_records_compare_by_value(name):
 
 def test_to_dict_is_unchanged():
     assert _to_dicts(SAMPLES) == TO_DICT_DIGEST
+
+
+def test_stage_results_are_tuples_that_name_their_source():
+    dec = extract_skeleton(build_map(generate_optimal(6)))
+    pieces = decompose(dec)
+    profiles = face_profiles(dec, pieces)
+    for results, name, source, items in (
+        (pieces, "decomposition", dec, SAMPLES["SegmentPiece"]),
+        (profiles, "pieces", pieces, SAMPLES["FaceProfile"]),
+    ):
+        assert isinstance(results, tuple) and results == tuple(items)
+        assert getattr(results, name) is source
+        with pytest.raises(AttributeError):
+            setattr(results, name, None)
+        with pytest.raises(AttributeError):
+            delattr(results, name)
+        with pytest.raises(TypeError):
+            results[0] = None
 
 
 def test_records_are_tuples_of_their_fields():

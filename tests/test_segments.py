@@ -204,23 +204,41 @@ def test_sticks_assigned_to_occurrences_not_identities():
             assert prof.walk_nodes[piece.occurrence] == piece.emanates_from
 
 
+# face_profiles takes only the pieces decompose(dec) returned for this very
+# decomposition: other pieces once gave wrong profiles without complaint.
+PIECES_OF = re.escape("pieces must be what decompose(dec) returned for this decomposition")
+
+
 def test_profiles_refuse_another_decompositions_pieces():
-    dec, _, _ = _pipeline(generate_optimal(6))
-    _, others, _ = _pipeline(generate_optimal(10))
-    with pytest.raises(BadArgument, match="lies in face 'f12', which is not a face of this"):
-        face_profiles(dec, others)
+    dec, pieces, _ = _pipeline(generate_optimal(6))
+    for n in (10, 14, 22):
+        _, others, _ = _pipeline(generate_optimal(n))
+        with pytest.raises(BadArgument, match=PIECES_OF):
+            face_profiles(dec, others)
+    # Equal pieces of an equal decomposition are still another result.
+    again = extract_skeleton(dec.full_map, "exact")
+    assert again == dec
+    with pytest.raises(BadArgument, match=PIECES_OF):
+        face_profiles(again, pieces)
 
 
 def test_profiles_refuse_pieces_without_a_crossing_partner():
+    # Every subset that drops one piece, crossing partners included, every
+    # prefix, and plain copies of all the pieces.
     dec, pieces, _ = _pipeline(generate_optimal(6))
-    gone = next(q for p in pieces for q in p.intra_pieces)
-    with pytest.raises(BadArgument, match=f"crosses piece {re.escape(repr(gone))}, which is not"):
-        face_profiles(dec, [p for p in pieces if p.piece_id != gone])
+    dropped = [pieces[:i] + pieces[i + 1:] for i in range(len(pieces))]
+    prefixes = [pieces[:i] for i in range(len(pieces))]
+    for wrong in (*dropped, *prefixes, list(pieces), tuple(pieces)):
+        with pytest.raises(BadArgument, match=PIECES_OF):
+            face_profiles(dec, wrong)
 
 
 def test_profiles_refuse_a_stick_beyond_its_face_boundary():
     dec, pieces, _ = _pipeline(generate_optimal(6))
     i = next(i for i, p in enumerate(pieces) if p.kind == STICK)
-    pieces[i] = pieces[i]._replace(occurrence=99)
-    with pytest.raises(BadArgument, match="names position 99 of face f[0-9]+, whose boundary has 3"):
-        face_profiles(dec, pieces)
+    with pytest.raises(TypeError):
+        pieces[i] = pieces[i]._replace(occurrence=99)
+    edited = list(pieces)
+    edited[i] = edited[i]._replace(occurrence=99)
+    with pytest.raises(BadArgument, match=PIECES_OF):
+        face_profiles(dec, edited)

@@ -9,13 +9,11 @@ from crossing_ledger import (
     BudgetExceeded,
     CrossingLedgerError,
     build_map,
-    conflict_graph,
-    decompose_with,
     extract_skeleton,
     restrict,
 )
 from crossing_ledger.generator import generate_optimal
-from crossing_ledger.skeleton import _MisSolver
+from crossing_ledger.skeleton import _MisSolver, conflict_graph, decompose_with
 
 
 def brute_force_max_independent(nodes, adjacency):
