@@ -15,8 +15,7 @@ of the test oracle give, since Python converts such an int exactly to the same
 double before it adds or divides (``0 + -0.0`` and ``0.0 + -0.0`` are both
 ``+0.0``); as floats they let CPython take its float-only addition.  Plain
 float additions give the same bits on every Python version.  The x and
-y axes never read each other, so the sweeps of x may run before those of y,
-or at the same time.
+y axes never read each other, so the sweeps of x may run before those of y.
 ``tests/_layout_oracle.py`` keeps the original dict-based layout, and
 ``tests/test_layout_oracle.py`` checks that the two agree bit for bit.
 
@@ -30,34 +29,11 @@ n = 202, but its compilation took memory in proportion to the component:
 the maximum RSS of an ``export --figure svg`` process (CPython 3.11, 2-CPU
 container) was 78 MB, against 45 MB with the bound, for the tight drawing at
 n = 802, and 259 MB against 132 MB at n = 3202.
-
-A component with at least ``_FORK_FREE_NODES`` free nodes relaxes its two
-axes on two CPUs (``_relax_axes``).  After the compilation the process
-forks one child, which relaxes y in its copy of the cells while the process
-relaxes x.  The child writes the relaxed y to a pipe as raw IEEE doubles
-(``array("d")`` bytes), so every bit, the sign of zero included, crosses
-unchanged.  It ends in ``os._exit`` whatever happens, so it never returns
-into the caller's stack, runs no ``atexit`` hook and flushes no inherited
-stdio buffer.  The process always reaps it, and kills it first if its own
-relaxation raises.  If the child exits non-zero or sends the wrong number
-of bytes, the process relaxes y itself, which gives the same bits.  The
-layout forks only where ``os.fork`` exists, the process may run on two CPUs
-or more, and no other thread runs (a fork copies only the calling thread,
-so the child could wait forever on a lock another thread held).  A fork and
-its reaping take about 2 ms in a 35 MB process, and in-process layouts of
-the tight family broke even between 100 and 150 free nodes (CPython 3.11.7,
-2-CPU container); the threshold of 256 leaves a margin for larger
-processes, whose forks copy more page tables.  At n = 202 (1297 free
-nodes) an ``export --figure svg`` process takes about 270 ms against 315 ms
-serially.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
-from array import array
 from types import CellType, FunctionType
 from typing import Callable
 
@@ -66,6 +42,8 @@ from .errors import BadArgument, BadHint
 
 
 def export_figure(pmap: PlanarizedMap, format: str, outer_face_hint: str | None = None) -> str:
+    if outer_face_hint is not None and outer_face_hint not in {f.face_id for f in pmap.faces}:
+        raise BadHint(f"no face named {outer_face_hint!r}")
     if format == "dot":
         return _to_dot(pmap)
     if format == "svg":
@@ -73,16 +51,23 @@ def export_figure(pmap: PlanarizedMap, format: str, outer_face_hint: str | None 
     raise BadArgument(f"unknown figure format {format!r}")
 
 
+def _quoted(name: str) -> str:
+    r"""``name`` as a DOT quoted ID: ``"`` written ``\"`` and ``\`` written ``\\``,
+    so that no id, not even one ending in a backslash, ends the string early."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _to_dot(pmap: PlanarizedMap) -> str:
     lines = ["graph drawing {", "  node [fixedsize=true, width=0.3];"]
     for v in pmap.vertices:
-        lines.append(f'  "{v}" [shape=circle];')
+        lines.append(f"  {_quoted(v)} [shape=circle];")
     for c in pmap.crossing_ids:
-        lines.append(f'  "{c}" [shape=square, label=""];')
+        lines.append(f'  {_quoted(c)} [shape=square, label=""];')
     for e in pmap.edge_ids:
-        seq = pmap.node_sequence(e)
+        seq = [_quoted(node) for node in pmap.node_sequence(e)]
+        label = _quoted(e)
         for i in range(len(seq) - 1):
-            lines.append(f'  "{seq[i]}" -- "{seq[i + 1]}" [label="{e}"];')
+            lines.append(f"  {seq[i]} -- {seq[i + 1]} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -95,9 +80,6 @@ def _to_dot(pmap: PlanarizedMap) -> str:
 _NODES_PER_FUNCTION = 128
 _TERMS_PER_SUM = 32
 _SWEEPS = 300  # Gauss–Seidel sweeps per axis: the layout's fixed iteration count
-# Fewest free nodes for which relaxing y in a forked worker beats relaxing it
-# here: below it the fork costs more than the axis (see the module docstring).
-_FORK_FREE_NODES = 256
 
 
 def _compile_relaxation(
@@ -181,84 +163,10 @@ def _layout_component(
         if node not in pinned
     ]
     relax = _compile_relaxation(sweep, len(nodes))
-    return dict(zip(nodes, zip(*_relax_axes(relax, xs, ys, len(sweep)))))
+    return dict(zip(nodes, zip(relax(xs), relax(ys))))
 
 
-def _may_fork(free: int) -> bool:
-    """Whether relaxing ``free`` nodes' y in a forked worker can pay off."""
-    if free < _FORK_FREE_NODES or not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return False
-    try:  # Linux lists every thread of the process here, those started from C too
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        threading = sys.modules.get("threading")
-        return threading is None or threading.active_count() == 1
-
-
-def _relax_axes(
-    relax: Callable[[list[float]], list[float]], xs: list[float], ys: list[float], free: int
-) -> tuple[list[float], list[float]]:
-    """``(relax(xs), relax(ys))``, the axes relaxed on two CPUs when worth it.
-
-    A forked child relaxes y and writes the doubles to a pipe while this
-    process relaxes x.  The child always ends in ``os._exit``; this process
-    always reaps it, and relaxes y itself unless the child exited 0 with
-    every value written.
-    """
-    if not _may_fork(free):
-        return relax(xs), relax(ys)
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return relax(xs), relax(ys)
-    if pid == 0:  # the child: never returns into the caller's stack
-        code = 1
-        try:
-            data = memoryview(array("d", relax(ys)).tobytes())
-            while data:
-                data = data[os.write(w, data):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    chunks = []
-    try:
-        x = relax(xs)
-        while chunk := os.read(r, 1 << 16):
-            chunks.append(chunk)
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(r)
-        try:
-            _, status = os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored): status unknown
-            status = -1
-    y = array("d")
-    data = b"".join(chunks)
-    if status != 0 or len(data) != y.itemsize * len(ys):
-        return x, relax(ys)
-    y.frombytes(data)
-    return x, y.tolist()
-
-
-def _to_svg(pmap: PlanarizedMap, outer_face_hint: str | None = None) -> str:
-    face_ids = {f.face_id for f in pmap.faces}
-    if outer_face_hint is not None and outer_face_hint not in face_ids:
-        raise BadHint(f"no face named {outer_face_hint!r}")
-
+def _to_svg(pmap: PlanarizedMap, outer_face_hint: str | None) -> str:
     comp_nodes: dict[int, list[str]] = {}
     for v in pmap.vertices:
         comp_nodes.setdefault(pmap.component_of(v), []).append(v)
@@ -309,7 +217,8 @@ def _to_svg(pmap: PlanarizedMap, outer_face_hint: str | None = None) -> str:
         x, y = pos[v]
         lines.append(f'  <circle cx="{fmt(x)}" cy="{fmt(y)}" r="3" fill="black"/>')
         lines.append(
-            f'  <text x="{fmt(x + 4)}" y="{fmt(y - 4)}" font-size="8">{v}</text>'
+            f'  <text x="{fmt(x + 4)}" y="{fmt(y - 4)}" font-size="8">'
+            f'{v.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")}</text>'
         )
     for c in pmap.crossing_ids:
         x, y = pos[c]

@@ -124,6 +124,16 @@ def test_export_dot(triangle_spec, tmp_path):
     assert out.count("shape=circle") == 3
 
 
+@pytest.mark.parametrize("figure", ["dot", "svg"])
+def test_export_unknown_outer_face_exits_one(triangle_spec, figure):
+    code, out, err = _run(
+        ["export", "--figure", figure, "--outer-face", "f9", "-"],
+        stdin_text=emit_drawing(triangle_spec),
+    )
+    assert (code, out) == (1, "")
+    assert "no face named 'f9'" in err
+
+
 def test_export_svg():
     _, drawing, _ = _run(["generate", "--n", "6"])
     code, out, _ = _run(["export", "--figure", "svg", "-"], stdin_text=drawing)

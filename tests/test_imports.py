@@ -8,8 +8,7 @@ exact set of ``crossing_ledger`` modules loaded when it reads stdin and when
 it exits, so a stray top-level import shows up here.  They also pin some
 standard-library modules: no subcommand loads ``dataclasses`` or ``inspect``
 (several milliseconds of start-up), nor ``multiprocessing``,
-``concurrent.futures``, ``subprocess`` or ``pickle``, since the SVG layout's
-worker needs only ``os.fork``, a pipe and ``array``; ``hashlib`` is loaded,
+``concurrent.futures``, ``subprocess`` or ``pickle``; ``hashlib`` is loaded,
 after the input is read, only to digest the input of a JSON report.  And they record
 whether automatic garbage collection is on: ``cli.run`` turns it off for the
 call, so it is off when the CLI reads stdin and back on at exit.
@@ -191,20 +190,6 @@ def test_subcommand_footprint(argv, modules, stdlib):
     assert reads == ([[sorted(modules), False]] if argv[-1] == "-" else [])
     # Run as __main__, the CLI gives what run() gives in this process.
     assert (code, out) == _in_process(argv, drawing)
-
-
-def test_export_with_the_layout_worker():
-    # At n = 202 the SVG layout relaxes y in a forked worker.  It loads no
-    # further module, and it ends in os._exit: only the process itself runs
-    # the at-exit hook, so stderr holds one line besides the "read " line.
-    argv = ["export", "--figure", "svg", "-"]
-    drawing = emit_drawing(generate_optimal(202))
-    proc = _run_fresh(argv, _RUN_AS_MAIN, drawing)
-    read, at_exit = proc.stderr.splitlines()
-    modules = sorted(_package("drawing", "figures", "interchange"))
-    assert (proc.returncode, json.loads(at_exit)) == (0, [modules, True])
-    assert read == "read " + json.dumps([modules, False])
-    assert (0, proc.stdout) == _in_process(argv, drawing)
 
 
 def test_import_package_loads_nothing_else():

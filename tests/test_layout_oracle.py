@@ -7,25 +7,20 @@ bit or in the sign of zero fails the test, as it could show in the SVG.
 from __future__ import annotations
 
 import builtins
-import hashlib
 import math
-import os
 import random
-import signal
-import threading
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _layout_oracle as oracle
-from _layout_pins import BENCHMARK_SVG
 from _fixtures import spec_from
 from test_properties import random_drawings
 
 from crossing_ledger import DrawingSpec, build_map, export_figure, generate_optimal
 from crossing_ledger import figures
-from crossing_ledger.figures import _compile_relaxation, _layout_component, _relax_axes
+from crossing_ledger.figures import _compile_relaxation, _layout_component
 
 FIXTURES = (
     "triangle_spec",
@@ -339,232 +334,3 @@ def test_ids_with_code_characters():
     _check(pmap)
     _check_every_hint(pmap)
 
-
-# -- the forked worker ------------------------------------------------------------
-#
-# A large component relaxes y in a forked child while the process relaxes x.
-# Both paths must give the serial layout's bits, every child must be reaped,
-# and nothing may fork where the layout cannot gain from it.
-
-def _svg_digest(pmap) -> str:
-    return hashlib.sha256(export_figure(pmap, "svg").encode("utf-8")).hexdigest()
-
-
-def _no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _counting_fork(calls: list):
-    real = os.fork
-
-    def fork():
-        calls.append(os.getpid())
-        return real()
-
-    return fork
-
-
-def _refuse_fork():
-    raise AssertionError("the layout forked")
-
-
-def _by_both_paths(pmap) -> None:
-    """Every component's layout, forced serial and forced forked, agree bit for bit."""
-    forks: list = []
-    for outer in _default_outer_faces(pmap):
-        nodes = _component_nodes(pmap, outer)
-        with mock.patch.object(figures, "_may_fork", lambda free: False):
-            serial = _coords(_layout_component(pmap, nodes, outer))
-        with mock.patch.object(figures, "_may_fork", lambda free: True), mock.patch.object(
-            os, "fork", _counting_fork(forks)
-        ):
-            forked = _coords(_layout_component(pmap, nodes, outer))
-        assert forked == serial
-    assert len(forks) == len(_default_outer_faces(pmap))
-    _no_child_left()
-
-
-def test_worker_agrees_on_the_benchmark_drawing():
-    _by_both_paths(build_map(generate_optimal(202)))
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-def test_worker_agrees_on_fixture(name, request):
-    _by_both_paths(build_map(request.getfixturevalue(name)))
-
-
-@settings(max_examples=25, deadline=None)
-@given(random_drawings())
-def test_worker_agrees_on_random_drawings(spec):
-    _by_both_paths(build_map(spec))
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="the worker runs only where the process may use two CPUs",
-)
-def test_benchmark_drawing_forks_one_worker(monkeypatch):
-    forks: list = []
-    monkeypatch.setattr(os, "fork", _counting_fork(forks))
-    assert _svg_digest(build_map(generate_optimal(202))) == BENCHMARK_SVG
-    assert forks == [os.getpid()]
-    _no_child_left()
-
-
-def _sabotaged(monkeypatch, sabotage) -> tuple[list, list]:
-    """Compile relaxations whose calls in a forked child go through ``sabotage``;
-    returns the exit codes the layout reaps and the process's own relaxations."""
-    parent = os.getpid()
-    compile_relaxation = figures._compile_relaxation
-    here: list = []
-
-    def compiled(sweep, size):
-        relax = compile_relaxation(sweep, size)
-
-        def relax_or_sabotage(coords):
-            if os.getpid() != parent:
-                return sabotage(relax, coords)
-            here.append(len(coords))
-            return relax(coords)
-
-        return relax_or_sabotage
-
-    statuses: list = []
-    waitpid = os.waitpid
-
-    def reaping(pid, options):
-        result = waitpid(pid, options)
-        statuses.append(os.waitstatus_to_exitcode(result[1]))
-        return result
-
-    monkeypatch.setattr(figures, "_compile_relaxation", compiled)
-    monkeypatch.setattr(figures, "_may_fork", lambda free: True)
-    monkeypatch.setattr(os, "waitpid", reaping)
-    return statuses, here
-
-
-def _falls_back(monkeypatch, sabotage, code: int) -> None:
-    """The worker fails, so the process relaxes both axes; the SVG is the same."""
-    statuses, here = _sabotaged(monkeypatch, sabotage)
-    assert _svg_digest(build_map(generate_optimal(202))) == BENCHMARK_SVG
-    assert statuses == [code]
-    assert len(here) == 2
-    _no_child_left()
-
-
-def test_worker_serves_the_other_axis(monkeypatch):
-    statuses, here = _sabotaged(monkeypatch, lambda relax, coords: relax(coords))
-    assert _svg_digest(build_map(generate_optimal(202))) == BENCHMARK_SVG
-    assert (statuses, len(here)) == ([0], 1)
-
-
-def test_dead_worker_still_gives_the_layout(monkeypatch):
-    _falls_back(monkeypatch, lambda relax, coords: os._exit(3), 3)
-
-
-def test_short_worker_output_still_gives_the_layout(monkeypatch):
-    _falls_back(monkeypatch, lambda relax, coords: relax(coords)[:-1], 0)
-
-
-def test_worker_that_raises_exits_non_zero(monkeypatch):
-    def fail(relax, coords):
-        raise RuntimeError("relaxation failed in the worker")
-
-    _falls_back(monkeypatch, fail, 1)
-
-
-def test_worker_failing_after_it_wrote_is_not_trusted(monkeypatch):
-    # Every value arrives, but the worker exits 3 (only the worker calls
-    # os._exit), so its values are not used.
-    real_exit = os._exit
-    monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
-    _falls_back(monkeypatch, lambda relax, coords: relax(coords), 3)
-
-
-def test_worker_reaped_by_the_kernel_is_not_trusted(monkeypatch):
-    # With SIGCHLD ignored the kernel reaps the worker itself, so its exit
-    # status is unknown; the process relaxes y itself.
-    statuses, here = _sabotaged(monkeypatch, lambda relax, coords: relax(coords))
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        assert _svg_digest(build_map(generate_optimal(202))) == BENCHMARK_SVG
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-    assert (statuses, len(here)) == ([], 2)
-    _no_child_left()
-
-
-def test_no_worker_outlives_a_failed_export(monkeypatch):
-    parent = os.getpid()
-    compile_relaxation = figures._compile_relaxation
-
-    def compiled(sweep, size):
-        relax = compile_relaxation(sweep, size)
-
-        def fail_here(coords):
-            if os.getpid() == parent:
-                raise RuntimeError("relaxation failed in the process")
-            return relax(coords)
-
-        return fail_here
-
-    monkeypatch.setattr(figures, "_compile_relaxation", compiled)
-    monkeypatch.setattr(figures, "_may_fork", lambda free: True)
-    with pytest.raises(RuntimeError, match="failed in the process"):
-        export_figure(build_map(generate_optimal(202)), "svg")
-    _no_child_left()
-
-
-def test_no_fork_without_os_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    assert _svg_digest(build_map(generate_optimal(202))) == BENCHMARK_SVG
-
-
-def test_no_fork_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "fork", _refuse_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert _svg_digest(build_map(generate_optimal(202))) == BENCHMARK_SVG
-
-
-@pytest.mark.parametrize("task_listing", [True, False], ids=["proc", "threading"])
-def test_no_fork_while_another_thread_runs(monkeypatch, task_listing):
-    # Without a task listing under /proc, the threading module's count decides.
-    monkeypatch.setattr(os, "fork", _refuse_fork)
-    if not task_listing:
-        monkeypatch.setattr(os, "listdir", mock.Mock(side_effect=FileNotFoundError))
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        assert _svg_digest(build_map(generate_optimal(202))) == BENCHMARK_SVG
-    finally:
-        done.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-def test_no_fork_below_the_size_threshold():
-    # n = 22 has 127 free nodes, fewer than the threshold.
-    pmap = build_map(generate_optimal(22))
-    with mock.patch.object(os, "fork", _refuse_fork):
-        below = export_figure(pmap, "svg")
-    assert below == oracle.to_svg(pmap)
-
-
-def test_size_threshold_is_inclusive(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    free = figures._FORK_FREE_NODES
-    coords = [float(i) for i in range(free + 2)]
-    sweep = [(i, [i - 1, i + 1]) for i in range(1, free + 1)]
-    relax = _compile_relaxation(sweep, len(coords))
-    serial = (relax(coords), relax(coords[::-1]))
-    with mock.patch.object(os, "fork", _refuse_fork):
-        assert _relax_axes(relax, coords, coords[::-1], free - 1) == serial
-    forks: list = []
-    monkeypatch.setattr(os, "fork", _counting_fork(forks))
-    got = _relax_axes(relax, coords, coords[::-1], free)
-    assert len(forks) == 1
-    assert [list(map(repr, axis)) for axis in got] == [list(map(repr, axis)) for axis in serial]
-    _no_child_left()
