@@ -26,32 +26,13 @@ SQRT_COEFFICIENT = 4.1208
 
 # -- bound table ---------------------------------------------------------------
 
-# k -> (coefficient, constant, note): at most ``coefficient*n - constant`` edges.
-BOUND_TABLE: dict[int, tuple[Fraction, int, str]] = {
-    1: (Fraction(4), 8, "tight for drawings with at most one crossing per edge"),
-    2: (Fraction(5), 10, "tight for drawings with at most two crossings per edge"),
-    3: (Fraction(11, 2), 11, "tight; met with equality by the generated family"),
-    4: (Fraction(6), 12, "conditional on a fully triangulated substructure"),
+# k -> (coefficient, constant): at most ``coefficient*n - constant`` edges.
+BOUND_TABLE: dict[int, tuple[Fraction, int]] = {
+    1: (Fraction(4), 8),
+    2: (Fraction(5), 10),
+    3: (Fraction(11, 2), 11),
+    4: (Fraction(6), 12),
 }
-
-
-def bounds_table() -> dict:
-    return {
-        "entries": [
-            {
-                "k": k,
-                "coefficient": str(coefficient),
-                "constant": constant,
-                "formula": f"{coefficient}*n - {constant}",
-                "note": note,
-            }
-            for k, (coefficient, constant, note) in sorted(BOUND_TABLE.items())
-        ],
-        "informational": {
-            "formula": f"{SQRT_COEFFICIENT}*sqrt(k)*n",
-            "note": "generic estimate for any crossing budget; not derived here",
-        },
-    }
 
 
 def k_bound(n: int, k: int) -> int:
@@ -70,7 +51,7 @@ def k_bound(n: int, k: int) -> int:
         raise BadArgument(f"k must be a positive integer; got {k}")
     if k not in BOUND_TABLE:
         raise UnsupportedK(k, n, SQRT_COEFFICIENT * math.sqrt(k) * n)
-    coefficient, constant, _ = BOUND_TABLE[k]
+    coefficient, constant = BOUND_TABLE[k]
     return math.floor(coefficient * n - constant)
 
 

@@ -338,6 +338,14 @@ class FaceWalk(NamedTuple):
         }
 
 
+def _lookup(table: Mapping, key: str, what: str):
+    """``table[key]``, or :class:`BadArgument` naming ``key`` if there is no such ``what``."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable key
+        raise BadArgument(f"no {what} {key!r}") from None
+
+
 class PlanarizedMap:
     """Immutable planarization of a drawing, with faces computed.
 
@@ -349,8 +357,10 @@ class PlanarizedMap:
     index, face and walk position (``_next``, ``_head``, ``_dart_edge``,
     ``_rot_index``, ``_dart_face``, ``_dart_pos``); ``_first`` and ``_last``
     map an edge to its darts leaving ``end_a`` and ``end_b``.  The public
-    dart queries refuse anything but a dart of the map with
-    :class:`BadArgument`; the package's own loops read these tables directly,
+    dart queries refuse anything but a dart of the map, and the queries by id
+    (``dart``, ``endpoints``, ``chain``, ``node_sequence``, ``crossing_edges``,
+    ``rotation``, ``component_of``) an id the map lacks, with
+    :class:`BadArgument`; the package's own loops read the tables directly,
     unchecked.  They are never written after construction.
 
     Construction is single-threaded; built instances are safe to share
@@ -485,8 +495,9 @@ class PlanarizedMap:
 
     def dart(self, edge: str, seg: int, direction: int) -> int:
         """The dart on ``edge``'s segment ``seg`` toward ``end_b`` (+1) or ``end_a`` (-1)."""
-        d = self._first[edge] + 2 * seg + (direction == -1)
-        if not self._first[edge] <= d <= self._last[edge] or direction not in (1, -1):
+        first = _lookup(self._first, edge, "edge")
+        d = first + 2 * seg + (direction == -1)
+        if not first <= d <= self._last[edge] or direction not in (1, -1):
             raise BadArgument(f"no dart {(edge, seg, direction)}")
         return d
 
@@ -543,19 +554,19 @@ class PlanarizedMap:
         return self._faces
 
     def endpoints(self, edge: str) -> tuple[str, str]:
-        return self._ends[edge]
+        return _lookup(self._ends, edge, "edge")
 
     def chain(self, edge: str) -> tuple[str, ...]:
-        return self.spec.chains.get(edge, ())
+        return _lookup(self.spec.chains, edge, "edge")
 
     def node_sequence(self, edge: str) -> tuple[str, ...]:
-        return self._node_seq[edge]
+        return _lookup(self._node_seq, edge, "edge")
 
     def crossing_edges(self, crossing: str) -> tuple[str, str]:
-        return self.spec.crossings[crossing]
+        return _lookup(self.spec.crossings, crossing, "crossing")
 
     def rotation(self, node: str) -> tuple[int, ...]:
-        return self._rot[node]
+        return _lookup(self._rot, node, "node")
 
     def rotation_index(self, d: int) -> int:
         """Position of an outgoing dart in the rotation at its tail."""
@@ -572,7 +583,7 @@ class PlanarizedMap:
         return sum(len(seq) - 1 for seq in self._node_seq.values())
 
     def edge_crossing_counts(self) -> dict[str, int]:
-        return {e: len(self.chain(e)) for e in self.edge_ids}
+        return {e: len(cs) for e, cs in self.spec.chains.items()}
 
     def pair_crossing_counts(self) -> dict[frozenset, int]:
         pairs: Counter = Counter()
@@ -581,7 +592,7 @@ class PlanarizedMap:
         return dict(pairs)
 
     def component_of(self, node: str) -> int:
-        return self._components[node]
+        return _lookup(self._components, node, "node")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PlanarizedMap) and self.spec == other.spec

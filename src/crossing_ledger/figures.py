@@ -1,44 +1,41 @@
-"""Static figure export: DOT for the planarization, SVG via a spring layout.
+"""Static figure export: DOT for the planarization, SVG on an integer grid.
 
-Topology is the contract; geometry here is cosmetic.  The SVG layout pins a
-chosen outer face on a circle and relaxes every other node to the average of
-its rotation neighbors (fixed iteration count, so output is deterministic).
+The SVG is an exact planar drawing of the planarization, with straight
+segments between integer points.  Each vertex and crossing has a point of
+its own; drawn segments meet only at a node that both end at; around every
+node the segments leave in the counterclockwise order of its rotation; and in
+each component the hinted face, otherwise the longest, is drawn outermost.
+So parallel edges and loops bound the regions that tell them apart, as in
+the drawing itself.
 
-The SVG is byte-stable, and the coordinates are printed to two decimals,
-where the last bit of a value and the sign of zero can show (``-0.00`` and
-``0.00`` differ).  So the order of the Gauss–Seidel updates is part of the
-output contract: free nodes in sorted order within each sweep, each node's
-neighbours in rotation order with repeats kept, added one at a time from
-left to right to ``0.0``, and the total divided by the degree written as a
-float literal (``k.0``).  These give the bits that the integers 0 and ``k``
-of the test oracle give, since Python converts such an int exactly to the same
-double before it adds or divides (``0 + -0.0`` and ``0.0 + -0.0`` are both
-``+0.0``); as floats they let CPython take its float-only addition.  Plain
-float additions give the same bits on every Python version.  The x and
-y axes never read each other, so the sweeps of x may run before those of y.
-``tests/_layout_oracle.py`` keeps the original dict-based layout, and
-``tests/test_layout_oracle.py`` checks that the two agree bit for bit.
+Each component is drawn in three stages over flat int tables:
 
-Each component's relaxation (``_compile_relaxation``) holds every
-coordinate in a cell that the generated sweep functions share as closure
-variables, so an update reads and writes a cell, not a list item.  A sweep
-is split into functions of at most ``_NODES_PER_FUNCTION`` free nodes,
-which bounds the memory a compilation takes.  One function per component,
-with every coordinate in a fast local, ran the layout about 10% faster at
-n = 202, but its compilation took memory in proportion to the component:
-the maximum RSS of an ``export --figure svg`` process (CPython 3.11, 2-CPU
-container) was 78 MB, against 45 MB with the bound, for the tight drawing at
-n = 802, and 259 MB against 132 MB at n = 3202.
+1. ``_triangulate`` makes the planarization simple and triangulates it.  A
+   loop gets two bend points, and a segment parallel to an earlier one gets
+   one.  Every face longer than 3, and the chosen outer face, gets a hub
+   joined to each corner.  A face whose walk repeats a node gets a ring
+   instead: one point against each side, joined to both ends of that side,
+   to its ring neighbours and to the hub.  Every added edge has a new point
+   as an end, so the graph stays simple.
+2. ``_canonical_order`` peels points from the outer triangle: the first two
+   corners of the outer face and its hub.
+3. ``_shift`` places the points by the shift method of de Fraysseix, Pach
+   and Pollack ("How to draw a planar graph on a grid", Combinatorica 10,
+   1990), with the linear-time offsets of Chrobak and Payne ("A linear-time
+   algorithm for drawing a planar graph on a grid", IPL 54, 1995).
+
+A component of ``N`` points, bends, hubs and rings included, fills a grid of
+``2N - 4`` by ``N - 2`` steps of ``_GRID`` SVG units.  Bends are drawn as
+corners of their edge's polyline; hubs and rings are never drawn.  Grid y
+points up, so the SVG's y is its negation.
 """
 
 from __future__ import annotations
 
-import math
-from types import CellType, FunctionType
-from typing import Callable
-
-from .drawing import FaceWalk, PlanarizedMap
+from .drawing import PlanarizedMap
 from .errors import BadArgument, BadHint
+
+_GRID = 10  # SVG units per grid step
 
 
 def export_figure(pmap: PlanarizedMap, format: str, outer_face_hint: str | None = None) -> str:
@@ -64,7 +61,7 @@ def _to_dot(pmap: PlanarizedMap) -> str:
     for c in pmap.crossing_ids:
         lines.append(f'  {_quoted(c)} [shape=square, label=""];')
     for e in pmap.edge_ids:
-        seq = [_quoted(node) for node in pmap.node_sequence(e)]
+        seq = [_quoted(node) for node in pmap._node_seq[e]]
         label = _quoted(e)
         for i in range(len(seq) - 1):
             lines.append(f"  {seq[i]} -- {seq[i + 1]} [label={label}];")
@@ -72,158 +69,204 @@ def _to_dot(pmap: PlanarizedMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Bounds on the generated sweep code: free nodes per compiled function, and
-# terms per addition chain.  Python's compiler recurses once per term of a
-# chain, so an unbounded chain at a high-degree node (a pole of the tight
-# family has degree 2n) raises RecursionError; the node bound keeps the size
-# of each compiled function, and the memory its compilation takes, small.
-_NODES_PER_FUNCTION = 128
-_TERMS_PER_SUM = 32
-_SWEEPS = 300  # Gauss–Seidel sweeps per axis: the layout's fixed iteration count
+def _triangulate(pmap: PlanarizedMap, index: dict[str, int], outer_face_hint: str | None):
+    """Bend points, the triangulation's rotations, and each component's outer triangle.
 
-
-def _compile_relaxation(
-    sweep: list[tuple[int, list[int]]], size: int
-) -> Callable[[list[float]], list[float]]:
-    """All ``_SWEEPS`` Gauss–Seidel sweeps of one axis as one function.
-
-    ``sweep`` holds, in update order, each free node's index and its
-    neighbours' indices, into a coordinate list of ``size`` entries.  The
-    returned function takes such a list and returns the relaxed coordinates
-    as a new list.  Coordinate ``i`` lives in a cell that every generated
-    function naming it shares as its closure variable ``c<i>``.  A sweep
-    sets ``c<i> = (0.0 + c<a> + c<b> + ...) / k.0`` for every entry, with
-    ``k`` the number of neighbours.  The leading ``0.0`` turns a lone
-    ``-0.0`` term into ``+0.0``.  A longer sum is folded left to right
-    through a temporary, ``_TERMS_PER_SUM`` terms per statement.  Only
-    integer indices and float literals reach the generated source.  Without
-    free nodes nothing is compiled: the function copies the list.
+    Points ``0 .. len(index) - 1`` are the map's nodes; bends follow, then
+    hubs and rings.  Returns ``path``, ``rot`` and ``outers``: ``path[d]``
+    lists the points after dart ``d``'s tail, its bends and then its head;
+    ``rot[p]`` lists ``p``'s neighbours counterclockwise; and ``outers``
+    holds, per component in id order, its outer triangle ``(v1, v2, vn)``,
+    or ``(v,)`` for an isolated vertex.
     """
-    if not sweep:
-        return list
-    cells = [CellType() for _ in range(size)]
-    funcs = []
-    for start in range(0, len(sweep), _NODES_PER_FUNCTION):
-        part = sweep[start : start + _NODES_PER_FUNCTION]
-        # ``bind`` only makes the names closure variables of ``sweep``; its
-        # own cells are dropped and the code is closed over the shared ones.
-        used = sorted({j for i, nbrs in part for j in (i, *nbrs)})
-        lines = [
-            f"def bind({', '.join(f'c{j}' for j in used)}):",
-            "    def sweep():",
-            f"        nonlocal {', '.join(f'c{i}' for i, _ in part)}",
-        ]
-        for i, nbrs in part:
-            terms = [f"c{j}" for j in nbrs]
-            total = "0.0"
-            while len(terms) > _TERMS_PER_SUM:
-                lines.append(f"        t = {' + '.join([total, *terms[:_TERMS_PER_SUM]])}")
-                total, terms = "t", terms[_TERMS_PER_SUM:]
-            lines.append(f"        c{i} = ({' + '.join([total, *terms])}) / {len(nbrs)}.0")
-        lines.append("    return sweep")
-        namespace: dict = {}
-        exec(compile("\n".join(lines), "<layout sweep>", "exec"), namespace)
-        code = namespace.pop("bind")(*used).__code__  # no function <-> namespace cycle
-        closure = tuple(cells[int(name[1:])] for name in code.co_freevars)
-        funcs.append(FunctionType(code, {}, "sweep", None, closure))
-    sweeps = range(_SWEEPS)
+    path = [(index[h],) for h in pmap._head]
+    rot: list[list[int]] = [[] for _ in index]
+    seen: set[tuple[int, int]] = set()
+    for s in range(len(path) // 2):
+        (u,), (v,) = path[2 * s + 1], path[2 * s]
+        if u != v and (u, v) not in seen:
+            seen.update([(u, v), (v, u)])
+            continue
+        bent = tuple(range(len(rot), len(rot) + 1 + (u == v)))
+        line = (u, *bent, v)
+        rot += [[line[i - 1], line[i + 1]] for i in range(1, len(line) - 1)]
+        path[2 * s], path[2 * s + 1] = (*bent, v), (*bent[::-1], u)
+    for name, i in index.items():
+        rot[i] = [path[d][0] for d in pmap._rot[name]]
+    drawn = len(rot)  # nodes and bends: the only corners of faces
 
-    def relax(coords: list[float]) -> list[float]:
-        for cell, value in zip(cells, coords):
-            cell.cell_contents = value
-        for _ in sweeps:
-            for f in funcs:
-                f()
-        return [cell.cell_contents for cell in cells]
+    comp = pmap._components
+    by_comp: dict[int, list] = {}
+    for f in pmap.faces:
+        by_comp.setdefault(comp[f.nodes[0]], []).append(f)
+    # ``ins[p, q]`` goes into q's rotation right after p: into the wedge of
+    # the face to the right of the dart p -> q.
+    ins: dict[tuple[int, int], tuple[int, ...]] = {}
+    triangles = {}
+    for c, faces in by_comp.items():
+        hinted = [f for f in faces if f.face_id == outer_face_hint]
+        outer = hinted[0] if hinted else max(faces, key=lambda f: (f.length, f.face_id))
+        for f in faces:
+            corners = [p for d in f.darts for p in path[d]]
+            size = len(corners)
+            if size == 3 and f is not outer:
+                continue
+            hub = len(rot)
+            rot.append([])
+            if len(set(corners)) == size:
+                spokes = corners
+                for p, q in zip(corners[-1:] + corners[:-1], corners):
+                    ins[p, q] = (hub,)
+            else:
+                spokes = list(range(hub + 1, hub + 1 + size))
+                # Ring point j lies against the side p -> q; counterclockwise
+                # it sees the next ring point, q, p, the previous one, the hub.
+                for j, (p, q) in enumerate(zip(corners, corners[1:] + corners[:1])):
+                    ring, after = spokes[j], spokes[(j + 1) % size]
+                    ins[p, q] = (ring, after)
+                    rot.append([after, q, p, spokes[j - 1], hub])
+            # The face lies to the right of its walk, so the hub sees the
+            # spokes clockwise.
+            rot[hub] = spokes[::-1]
+            if f is outer:
+                triangles[c] = (spokes[0], spokes[1], hub)
+    for u in range(drawn):
+        rot[u] = [p for v in rot[u] for p in (v, *ins.get((v, u), ()))]
 
-    return relax
+    first: dict[int, int] = {}
+    for name, i in index.items():
+        first.setdefault(comp[name], i)
+    return path, rot, [triangles.get(c) or (first[c],) for c in sorted(first)]
 
 
-def _layout_component(
-    pmap: PlanarizedMap, nodes: list[str], outer: FaceWalk
-) -> dict[str, tuple[float, float]]:
-    index = {node: i for i, node in enumerate(nodes)}
-    xs = [0.0] * len(nodes)
-    ys = [0.0] * len(nodes)
-    distinct = list(dict.fromkeys(outer.nodes))
-    r = 100.0
-    for i, node in enumerate(distinct):
-        angle = 2 * math.pi * i / len(distinct)
-        xs[index[node]] = r * math.cos(angle)
-        ys[index[node]] = r * math.sin(angle)
+def _canonical_order(rot, v1, v2, vn, left, right, chords, state) -> list:
+    """A canonical ordering of the triangulated component with outer face
+    ``v1 -> v2 -> vn``, peeled from ``vn`` down.
 
-    # Free nodes in ``nodes`` order, each with its neighbours in rotation
-    # order, repeats kept.  Every node here lies on a face, so it has at
-    # least one neighbour.
-    pinned = set(distinct)
-    head = pmap._head
-    sweep = [
-        (i, [index[head[d]] for d in pmap.rotation(node)])
-        for i, node in enumerate(nodes)
-        if node not in pinned
-    ]
-    relax = _compile_relaxation(sweep, len(nodes))
-    return dict(zip(nodes, zip(relax(xs), relax(ys))))
+    Each step ``(v, a, covered, b)`` peels a contour point ``v`` with no
+    chord: ``a`` and ``b`` are its left and right contour neighbours, and
+    ``covered`` lists, left to right, its neighbours between them, which
+    join the contour as ``v`` leaves it.  Read backwards, the steps add the
+    points in canonical order, each above the contour path ``a, *covered, b``.
+    ``left`` and ``right`` link the contour from ``v1`` to ``v2``, ``chords``
+    counts each contour point's chords, and ``state`` is 0 inside, 1 on the
+    contour, 2 peeled, 3 joining the contour; all four are scratch tables of
+    the caller, zero on this component.
+    """
+    state[v1] = state[v2] = state[vn] = 1
+    right[v1], left[vn], right[vn], left[v2] = vn, v1, v2, vn
+    steps = []
+    ready = [vn]
+    while ready:
+        v = ready.pop()
+        if state[v] != 1 or chords[v] or v == v1 or v == v2:
+            continue
+        state[v] = 2
+        a, b = left[v], right[v]
+        nbrs = rot[v]
+        i = nbrs.index(a) + 1
+        nbrs = nbrs[i:] + nbrs[:i]
+        covered = nbrs[: nbrs.index(b)]
+        steps.append((v, a, covered, b))
+        if not covered:  # the chord a - b joins the contour
+            chords[a] -= 1
+            chords[b] -= 1
+            right[a], left[b] = b, a
+            ready += (a, b)
+            continue
+        for p, q in zip([a, *covered], [*covered, b]):
+            right[p], left[q] = q, p
+        for u in covered:
+            state[u] = 3
+        for u in covered:
+            for w in rot[u]:
+                if state[w] & 1 and w != left[u] and w != right[u]:
+                    chords[u] += 1
+                    chords[w] += state[w] == 1  # a chord between new points counts from both
+        for u in covered:
+            state[u] = 1
+        ready += covered
+    return steps
+
+
+def _shift(rot: list[list[int]], outers: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """Integer points of every triangulated component, side by side from left to right."""
+    n = len(rot)
+    left, right, chords, state = [0] * n, [0] * n, [0] * n, [0] * n
+    # ``dx[p]`` is p's x less its parent's: its left contour neighbour while
+    # on the contour, then the point that covered it or the one before it.
+    x, y, dx = [0] * n, [0] * n, [0] * n
+    lchild, rchild = [-1] * n, [-1] * n
+    offset = 0
+    for outer in outers:
+        if len(outer) == 1:
+            x[outer[0]] = offset
+            offset += 2
+            continue
+        v1, v2, vn = outer
+        rchild[v1] = v2
+        steps = _canonical_order(rot, v1, v2, vn, left, right, chords, state)
+        for v, a, covered, b in reversed(steps):
+            # Shift the covered points right by 1, and b and what follows by 2.
+            if covered:
+                dx[covered[0]] += 1
+                dx[b] += 1
+                span = sum([dx[u] for u in covered]) + dx[b]
+            else:
+                dx[b] += 2
+                span = dx[b]
+            dx[v] = (span + y[b] - y[a]) // 2
+            y[v] = (span + y[a] + y[b]) // 2
+            dx[b] = span - dx[v]
+            rchild[a], rchild[v] = v, b
+            if covered:
+                dx[covered[0]] -= dx[v]
+                lchild[v] = covered[0]
+                rchild[covered[-1]] = -1
+        x[v1] = offset
+        stack = [v1]
+        while stack:
+            p = stack.pop()
+            for c in (lchild[p], rchild[p]):
+                if c >= 0:
+                    x[c] = x[p] + dx[c]
+                    stack.append(c)
+        offset = x[v2] + 2
+    return x, y
 
 
 def _to_svg(pmap: PlanarizedMap, outer_face_hint: str | None) -> str:
-    comp_nodes: dict[int, list[str]] = {}
-    for v in pmap.vertices:
-        comp_nodes.setdefault(pmap.component_of(v), []).append(v)
-    for c in pmap.crossing_ids:
-        comp_nodes.setdefault(pmap.component_of(c), []).append(c)
-
-    comp_faces: dict[int, list[FaceWalk]] = {}
-    for f in pmap.faces:
-        comp_faces.setdefault(pmap.component_of(f.nodes[0]), []).append(f)
-
-    pos: dict[str, tuple[float, float]] = {}
-    offset = 0.0
-    for comp in sorted(comp_nodes):
-        nodes = sorted(comp_nodes[comp])
-        faces = comp_faces.get(comp)
-        if not faces:  # isolated vertex
-            pos[nodes[0]] = (offset, 0.0)
-            offset += 60.0
-            continue
-        hinted = [f for f in faces if f.face_id == outer_face_hint]
-        outer = hinted[0] if hinted else max(faces, key=lambda f: (f.length, f.face_id))
-        local = _layout_component(pmap, nodes, outer)
-        for node, (x, y) in local.items():
-            pos[node] = (x + offset + 100.0, y)
-        offset += 260.0
-
-    xs = [p[0] for p in pos.values()] or [0.0]
-    ys = [p[1] for p in pos.values()] or [0.0]
-    pad = 12.0
-    min_x, max_x = min(xs) - pad, max(xs) + pad
-    min_y, max_y = min(ys) - pad, max(ys) + pad
-
-    def fmt(x: float) -> str:
-        return f"{x:.2f}"
-
+    index = {name: i for i, name in enumerate((*pmap.vertices, *pmap.crossing_ids))}
+    path, rot, outers = _triangulate(pmap, index, outer_face_hint)
+    x, y = _shift(rot, outers)
+    drawn = len(index) + sum(len(p) - 1 for p in path[::2])  # nodes, then bends
+    xs = [v * _GRID for v in x[:drawn]]
+    ys = [-v * _GRID for v in y[:drawn]]
+    pad = 12
+    min_x, max_x = min(xs, default=0) - pad, max(xs, default=0) + pad
+    min_y, max_y = min(ys, default=0) - pad, max(ys, default=0) + pad
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(min_x)} {fmt(min_y)} '
-        f'{fmt(max_x - min_x)} {fmt(max_y - min_y)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{min_x} {min_y} '
+        f'{max_x - min_x} {max_y - min_y}">',
     ]
-    point = {node: f"{x:.2f},{y:.2f}" for node, (x, y) in pos.items()}
+    point = [f"{x},{y}" for x, y in zip(xs, ys)]
     for e in pmap.edge_ids:
-        points = " ".join([point[v] for v in pmap.node_sequence(e)])
+        first, last = pmap._first[e], pmap._last[e]
+        points = [point[path[first + 1][-1]]]  # end_a, the head of its first dart's twin
+        points += [point[p] for d in range(first, last, 2) for p in path[d]]
         lines.append(
-            f'  <polyline points="{points}" fill="none" stroke="black" stroke-width="1"/>'
+            f'  <polyline points="{" ".join(points)}" fill="none" stroke="black" stroke-width="1"/>'
         )
     for v in pmap.vertices:
-        x, y = pos[v]
-        lines.append(f'  <circle cx="{fmt(x)}" cy="{fmt(y)}" r="3" fill="black"/>')
+        p = index[v]
+        lines.append(f'  <circle cx="{xs[p]}" cy="{ys[p]}" r="3" fill="black"/>')
         lines.append(
-            f'  <text x="{fmt(x + 4)}" y="{fmt(y - 4)}" font-size="8">'
+            f'  <text x="{xs[p] + 4}" y="{ys[p] - 4}" font-size="8">'
             f'{v.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")}</text>'
         )
     for c in pmap.crossing_ids:
-        x, y = pos[c]
-        lines.append(
-            f'  <rect x="{fmt(x - 2)}" y="{fmt(y - 2)}" width="4" height="4" fill="gray"/>'
-        )
+        p = index[c]
+        lines.append(f'  <rect x="{xs[p] - 2}" y="{ys[p] - 2}" width="4" height="4" fill="gray"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -246,7 +246,7 @@ def _stick_occurrence(
     skeleton, floating inside the face).
     """
     full = dec.full_map
-    rot = full.rotation(vertex)
+    rot = full._rot[vertex]
     i = full._rot_index[out_dart]
     dart_edge = full._dart_edge
     for j in range(i, i - len(rot), -1):
@@ -270,15 +270,16 @@ def decompose(dec: SkeletonDecomposition) -> Pieces:
     hosts, dart_face = dec.hosts, full._dart_face
     nxt, head, first = full._next, full._head, full._first
     rot, rot_index = full._rot, full._rot_index
+    chains, crossings = full.spec.chains, full.spec.crossings
     skeleton = set(dec.skeleton_edges)
 
     spans: list[tuple[str, int, int, int, bool]] = []  # (edge, index, lo, hi, last)
     piece_at_crossing: dict[tuple[str, str], str] = {}
     for e in dec.residual_edges:
-        chain = full.chain(e)
+        chain = chains[e]
         cuts = [
             i for i, c in enumerate(chain)
-            if _other_edge(full.crossing_edges(c), e) in skeleton
+            if _other_edge(crossings[c], e) in skeleton
         ]
         if not cuts:
             raise InvariantError(
@@ -294,7 +295,7 @@ def decompose(dec: SkeletonDecomposition) -> Pieces:
 
     pieces: list[SegmentPiece] = []
     for e, idx, lo, hi, last in spans:
-        chain = full.chain(e)
+        chain = chains[e]
         kind = STICK if idx == 0 or last else MIDDLE
         warnings: list[str] = []
         vertex: str | None = None
@@ -304,7 +305,7 @@ def decompose(dec: SkeletonDecomposition) -> Pieces:
         f = first[e]
         if kind == STICK:
             # The stick leaves ``vertex`` along ``out_dart`` and reaches its cut along ``arrive``.
-            vertex = full.endpoints(e)[0 if idx == 0 else 1]
+            vertex = full._ends[e][0 if idx == 0 else 1]
             out_dart = f if idx == 0 else full._last[e]
             arrive = f + 2 * hi if idx == 0 else f + 2 * lo + 3
             host = hosts[dart_face[out_dart]]
@@ -350,7 +351,7 @@ def decompose(dec: SkeletonDecomposition) -> Pieces:
                 intra_crossings=chain[lo + 1:hi],
                 intra_pieces=tuple(
                     sorted(
-                        piece_at_crossing[(c, _other_edge(full.crossing_edges(c), e))]
+                        piece_at_crossing[(c, _other_edge(crossings[c], e))]
                         for c in chain[lo + 1:hi]
                     )
                 ),

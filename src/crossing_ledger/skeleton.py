@@ -266,7 +266,7 @@ def _skeleton_faces(pmap: PlanarizedMap, kept: set[str], residual: tuple[str, ..
             lo = first[e] + (d & 1)
             occurrences[lo:last[e] + 1:2] = [(fid, pos)] * ((last[e] - lo) // 2 + 1)
         edges = tuple([dart_edge[d] for d in darts])
-        nodes = tuple([pmap.endpoints(e)[(d & 1) ^ 1] for e, d in zip(edges, darts)])
+        nodes = tuple([pmap._ends[e][(d & 1) ^ 1] for e, d in zip(edges, darts)])
         faces.append(FaceWalk(fid, darts, nodes, edges, tuple(len(walk) for walk in walks)))
 
     hosts = tuple(host_of_root.get(find(i)) for i in range(len(pmap.faces)))

@@ -135,7 +135,7 @@ def check_homotopy(pmap: PlanarizedMap) -> ValidationReport:
     vertices = set(pmap.vertices)
 
     for e in pmap.edge_ids:
-        v, w = pmap.endpoints(e)
+        v, w = pmap._ends[e]
         if v == w and not _both_sides_inhabited(pmap, {e}, {v}, vertices):
             violations.append(
                 Violation(
@@ -150,9 +150,9 @@ def check_homotopy(pmap: PlanarizedMap) -> ValidationReport:
     bundles: dict[tuple[str, str], list[str]] = {}
     dart_edge = pmap._dart_edge
     for u in pmap.vertices:
-        for d in pmap.rotation(u):
+        for d in pmap._rot[u]:
             e = dart_edge[d]
-            a, b = pmap.endpoints(e)
+            a, b = pmap._ends[e]
             if a != b and u == min(a, b):
                 bundles.setdefault((u, max(a, b)), []).append(e)
 

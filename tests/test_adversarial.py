@@ -19,6 +19,7 @@ The examples are derandomised and few, so the module runs in seconds.
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from crossing_ledger import (
     restrict,
     validate_drawing,
 )
-from crossing_ledger.audit import bounds_table, overfull_triangles
+from crossing_ledger.audit import overfull_triangles
 from crossing_ledger.errors import BadArgument
 from crossing_ledger.generator import chords_interleave, frame_spec, hexagon_gadget, theta_frame
 from crossing_ledger.skeleton import conflict_graph, decompose_with
@@ -150,6 +151,21 @@ def test_dart_queries_refuse_what_is_no_dart(spec, data):
         call(pmap.dart(*named))
 
 
+ID_QUERIES = ("endpoints", "chain", "node_sequence", "crossing_edges", "rotation", "component_of")
+
+
+@ADVERSARIAL
+@given(spec=specs, name=st.one_of(words, st.integers(-2, 2), st.none(), st.lists(words)))
+def test_id_queries_refuse_an_id_the_map_lacks(spec, name):
+    pmap = build_map(spec)
+    if isinstance(name, str) and name in {*pmap.vertices, *pmap.crossing_ids, *pmap.edge_ids}:
+        return
+    calls = [getattr(pmap, query) for query in ID_QUERIES] + [lambda e: pmap.dart(e, 0, 1)]
+    for call in calls:
+        with pytest.raises(BadArgument, match=re.escape(f" {name!r}")):
+            call(name)
+
+
 def _pieces_of(spec) -> tuple:
     """The pieces of ``spec``'s default skeleton, or none if it has no skeleton."""
     try:
@@ -171,7 +187,6 @@ def test_audit_functions(spec, k, cap, data):
     returns_or_typed(density_report, dec, profiles, pieces, k)
     returns_or_typed(k_bound, len(pmap.vertices), k)
     overfull_triangles(profiles, cap)
-    bounds_table()
 
     # Pieces that are not this decomposition's own: a subset, a copy, or
     # another drawing's; and profiles made from another piece tuple.

@@ -17,7 +17,7 @@ from crossing_ledger import (
     restrict,
     validate_drawing,
 )
-from crossing_ledger.audit import bounds_table, overfull_triangles
+from crossing_ledger.audit import overfull_triangles
 from crossing_ledger.errors import BadArgument
 from crossing_ledger.generator import generate_optimal
 
@@ -220,9 +220,6 @@ def test_unsupported_k_carries_informational_estimate():
     with pytest.raises(UnsupportedK) as exc:
         k_bound(20, 9)
     assert exc.value.informational_bound == pytest.approx(4.1208 * 3 * 20)
-    table = bounds_table()
-    assert [e["k"] for e in table["entries"]] == [1, 2, 3, 4]
-    assert "4.1208" in table["informational"]["formula"]
 
 
 # -- structural predicates --------------------------------------------------------

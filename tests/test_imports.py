@@ -72,7 +72,6 @@ ALL = [
 MODULE_ONLY = {
     "conflict_graph": "skeleton",
     "decompose_with": "skeleton",
-    "bounds_table": "audit",
     "overfull_triangles": "audit",
     "chords_interleave": "generator",
     "frame_spec": "generator",
