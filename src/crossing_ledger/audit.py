@@ -5,8 +5,10 @@ the counting argument for the edge-density bound: triangular faces hold at
 most three sticks, every 3-stick triangle can be paired off injectively with
 a triangle holding at most two sticks, and chaining the resulting
 inequalities caps the edge count at 11n/2 - 11 for a crossing budget of 3
-(6n - 12 for a budget of 4, conditional on a triangulated skeleton).  All
-checks report; nothing here ever transforms the drawing.
+(6n - 12 for a budget of 4, conditional on a triangulated skeleton).  The
+pairing runs in two phases: each 3-stick triangle proposes one partner or a
+diagnosis that refuses it, then claims on a shared partner are resolved.
+All checks report; nothing here ever transforms the drawing.
 """
 
 from __future__ import annotations
@@ -55,14 +57,6 @@ def k_bound(n: int, k: int) -> int:
     return math.floor(coefficient * n - constant)
 
 
-# -- triangle stick cap ----------------------------------------------------------
-
-
-def overfull_triangles(profiles: list[FaceProfile], cap: int = 3) -> list[str]:
-    """Triangular faces holding more sticks than the cap allows (empty list = pass)."""
-    return [p.face for p in profiles if p.is_triangle and p.stick_count > cap]
-
-
 # -- association ------------------------------------------------------------------
 
 
@@ -95,122 +89,79 @@ class AssociationResult(NamedTuple):
         }
 
 
-def _split(profiles: list[FaceProfile]) -> tuple[list[FaceProfile], list[FaceProfile]]:
-    """(triangular, non-triangular) profiles, each in the given order."""
-    triangles: list[FaceProfile] = []
-    others: list[FaceProfile] = []
-    for p in profiles:
-        (triangles if p.is_triangle else others).append(p)
-    return triangles, others
+def _partner(prof: FaceProfile, pieces_by_id: dict[str, SegmentPiece]) -> str | Diagnosis:
+    """The face a 3-stick triangle pairs with, or the :class:`Diagnosis` refusing it.
+
+    A triangle whose three sticks share one corner pairs with the neighbor
+    across its thrice-crossed side; a 2+1 triangle pairs with the neighbor
+    across the side joining its 2-stick and 0-stick corners.  Three mutually
+    crossing sticks (one per corner) certify the drawing is not edge-maximal:
+    the surrounding region supports a denser local configuration, so that
+    face is diagnosed rather than paired.
+    """
+    face_id = prof.face
+    if any(pieces_by_id[s].occurrence is None for s in prof.sticks):
+        return Diagnosis((face_id,), "floating-stick",
+                         f"triangle {face_id} has a stick with no boundary occurrence")
+    tau = sorted(prof.type_tuple, reverse=True)
+    crossed = [pieces_by_id[s].crossed[0].position for s in prof.sticks]
+    if tau == [3, 0, 0]:
+        if len(set(crossed)) != 1:
+            return Diagnosis((face_id,), "nonconformant",
+                             f"triangle {face_id} has three sticks at one corner that do "
+                             "not all cross the opposite side")
+        dart_pos = crossed[0]
+    elif tau == [2, 1, 0]:
+        # The partner sits across the side joining the 2-stick and 0-stick
+        # corners, which is the side opposite the 1-stick corner.
+        one = prof.type_tuple.index(1)
+        dart_pos = (one + 2) % 3
+        lone = next(s for s in prof.sticks if pieces_by_id[s].occurrence == one)
+        if pieces_by_id[lone].crossed[0].position != dart_pos:
+            return Diagnosis((face_id,), "nonconformant",
+                             f"the single stick of triangle {face_id} does not cross the "
+                             "side opposite its corner")
+    else:  # (1, 1, 1)
+        return Diagnosis((face_id,), "optimality-violation",
+                         f"triangle {face_id} carries three mutually crossing sticks, one "
+                         "per corner; the six edges inside the surrounding hexagon can be "
+                         "replaced by eight, so the drawing is not edge-maximal")
+    target = prof.neighbors[dart_pos]
+    if target == face_id:
+        return Diagnosis((face_id,), "self-neighbor",
+                         f"triangle {face_id} is its own neighbor across the crossed side")
+    return target
 
 
 def _associate(
-    profiles: Sequence[FaceProfile], triangulated: bool, pieces_by_id: dict[str, SegmentPiece]
+    triangles: Sequence[FaceProfile], pieces_by_id: dict[str, SegmentPiece]
 ) -> AssociationResult:
     """Pair every 3-stick triangle with a distinct triangle holding at most 2 sticks.
 
-    Construction: a triangle whose three sticks share one corner is paired
-    with the neighbor across its thrice-crossed side; a 2+1 triangle is
-    paired with the neighbor across the side joining its 2-stick and 0-stick
-    corners.  Three mutually crossing sticks (one per corner) certify the
-    drawing is not edge-maximal: the surrounding region supports a denser
-    local configuration, so that face is reported as a diagnosis rather than
-    paired.  When two triangles claim the same partner, one of them is
-    re-routed to the face across the partner's remaining side, which the
-    crossing budget forces to hold at most two sticks; if that face is not
-    free, the input is not a conformant drawing and the conflict is reported.
-    ``triangulated`` tells whether every profile is a triangle; without it
-    the pairing does not apply.
+    The pairing runs on a fully triangulated skeleton, in two phases.  First
+    each 3-stick triangle proposes its partner (see :func:`_partner`), and a
+    proposal whose partner holds more than two sticks is diagnosed
+    ``target-overfull``.  Then, when two triangles claim the same partner,
+    one of them is re-routed to the face across the partner's remaining
+    side, which the crossing budget forces to hold at most two sticks; if
+    that face is not free, the input is not a conformant drawing and the
+    conflict is reported.
     """
-    if not triangulated:
-        return AssociationResult(
-            applicable=False,
-            mapping={},
-            notes=("association requires a fully triangulated skeleton",),
-            diagnoses=(),
-        )
-
-    by_id = {p.face: p for p in profiles}
+    by_id = {p.face: p for p in triangles}
     mapping: dict[str, str] = {}
     notes: list[str] = []
     diagnoses: list[Diagnosis] = []
 
-    sources = sorted(p.face for p in profiles if p.stick_count == 3)
-    for face_id in sources:
-        prof = by_id[face_id]
-        if any(pieces_by_id[s].occurrence is None for s in prof.sticks):
-            diagnoses.append(
-                Diagnosis(
-                    (face_id,),
-                    "floating-stick",
-                    f"triangle {face_id} has a stick with no boundary occurrence",
-                )
-            )
-            continue
-        tau = sorted(prof.type_tuple, reverse=True)
-        crossed = [pieces_by_id[s].crossed[0].position for s in prof.sticks]
-        if tau == [3, 0, 0]:
-            if len(set(crossed)) != 1:
-                diagnoses.append(
-                    Diagnosis(
-                        (face_id,),
-                        "nonconformant",
-                        f"triangle {face_id} has three sticks at one corner that do "
-                        "not all cross the opposite side",
-                    )
-                )
-                continue
-            dart_pos = crossed[0]
-        elif tau == [2, 1, 0]:
-            # The partner sits across the side joining the 2-stick and 0-stick
-            # corners, which is the side opposite the 1-stick corner.
-            one = prof.type_tuple.index(1)
-            dart_pos = (one + 2) % 3
-            lone = next(
-                s for s in prof.sticks if pieces_by_id[s].occurrence == one
-            )
-            if pieces_by_id[lone].crossed[0].position != dart_pos:
-                diagnoses.append(
-                    Diagnosis(
-                        (face_id,),
-                        "nonconformant",
-                        f"the single stick of triangle {face_id} does not cross the "
-                        "side opposite its corner",
-                    )
-                )
-                continue
-        else:  # (1, 1, 1)
-            diagnoses.append(
-                Diagnosis(
-                    (face_id,),
-                    "optimality-violation",
-                    f"triangle {face_id} carries three mutually crossing sticks, one "
-                    "per corner; the six edges inside the surrounding hexagon can be "
-                    "replaced by eight, so the drawing is not edge-maximal",
-                )
-            )
-            continue
-        target = prof.neighbors[dart_pos]
-        if target == face_id:
-            diagnoses.append(
-                Diagnosis(
-                    (face_id,),
-                    "self-neighbor",
-                    f"triangle {face_id} is its own neighbor across the crossed side",
-                )
-            )
-            continue
-        tprof = by_id[target]
-        if tprof.stick_count > 2:
-            diagnoses.append(
-                Diagnosis(
-                    (face_id, target),
-                    "target-overfull",
-                    f"partner {target} of {face_id} holds {tprof.stick_count} sticks",
-                )
-            )
-            continue
-        mapping[face_id] = target
+    for prof in sorted((p for p in triangles if p.stick_count == 3), key=lambda p: p.face):
+        target = _partner(prof, pieces_by_id)
+        if isinstance(target, Diagnosis):
+            diagnoses.append(target)
+        elif by_id[target].stick_count > 2:
+            diagnoses.append(Diagnosis(
+                (prof.face, target), "target-overfull",
+                f"partner {target} of {prof.face} holds {by_id[target].stick_count} sticks"))
+        else:
+            mapping[prof.face] = target
 
     # Resolve pairs of triangles that claimed the same partner.  ``claimed``
     # counts the sources mapped to each partner; before resolution several
@@ -474,14 +425,9 @@ class AuditReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        association_ok = (
-            self.association.ok
-            if self.k == 3 and self.chain_applicable
-            else not self.association.diagnoses
-        )
         return (
             not self.stick_cap_violations
-            and association_ok
+            and not self.association.diagnoses
             and self.bound_verdict in ("tight", "within")
             and self.predicates.ok
         )
@@ -527,7 +473,11 @@ def density_report(
     comparison are reported and the chain is marked inapplicable.  With
     ``k=4`` the first chain uses the conditional pairing assumption, which is
     recorded (with its truth value on this input) rather than silently
-    trusted.
+    trusted.  The pairing of 3-stick triangles is built only for ``k=3`` on a
+    triangulated skeleton; otherwise its result is marked inapplicable with a
+    note saying why.  The report is ``ok`` when no triangle is over the cap,
+    the pairing diagnosed nothing, the edge count is within the bound and
+    every structural predicate holds.
 
     ``pieces`` must be what ``decompose(dec)`` returned and ``profiles``
     what ``face_profiles(dec, pieces)`` returned, or :class:`BadArgument`
@@ -546,19 +496,21 @@ def density_report(
     skeleton_count = len(dec.skeleton_edges)
     cap = k
 
-    triangles, others = _split(profiles)
+    triangles = [p for p in profiles if p.is_triangle]
+    others = [p for p in profiles if not p.is_triangle]
     pieces_by_id = {p.piece_id: p for p in pieces}
     t_p = len(triangles)
     sizes = Counter(p.stick_count for p in triangles)
     counts = {i: sizes[i] for i in range(cap + 1)}
     weighted = sum(i * c for i, c in counts.items())
-    cap_violations = tuple(sorted(overfull_triangles(triangles, cap)))
+    cap_violations = tuple(sorted(p.face for p in triangles if p.stick_count > cap))
 
-    association = (
-        _associate(profiles, not others, pieces_by_id)
-        if k == 3
-        else AssociationResult(False, {}, ("pairing is not constructed for k=4",), ())
-    )
+    # The pairing applies to k=3 on a triangulated skeleton; otherwise the
+    # result says why it was not built.
+    not_built = ("pairing is not constructed for k=4" if k == 4
+                 else "association requires a fully triangulated skeleton" if others else None)
+    association = (AssociationResult(False, {}, (not_built,), ()) if not_built
+                   else _associate(triangles, pieces_by_id))
 
     predicates = _predicates(dec, others, pieces_by_id)
     connected = predicates.skeleton_connected

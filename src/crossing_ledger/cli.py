@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file", nargs="?", default="-", help="drawing file (default: stdin)")
 
     p = sub.add_parser("analyze", help="skeleton extraction and segment decomposition")
-    p.add_argument("--skeleton", action="store_true", help="report the skeleton")
+    p.add_argument("--skeleton", action="store_true", help="ignored: the skeleton is always reported")
     p.add_argument("--segments", action="store_true", help="report sticks and middle parts")
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--format", choices=("json", "text"), default="text")

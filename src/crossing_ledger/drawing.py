@@ -89,8 +89,12 @@ def _string_keys(field: Mapping, value: Callable, rule: str, what: str) -> dict:
     return converted
 
 
-def _check_fields(chains, crossings, rotations) -> None:
-    """Refuse a field that is not a mapping, and a chain or rotation that is not a list."""
+def _check_fields(vertices, edges, chains, crossings, rotations) -> None:
+    """Refuse ``vertices`` or ``edges`` that are not a list, another field that
+    is not a mapping, and a chain or rotation that is not a list."""
+    for name, field in (("vertices", vertices), ("edges", edges)):
+        if not isinstance(field, (list, tuple)):
+            raise InvariantError("field-list", f"{name} must be a list; got {field!r}")
     for name, field in (("chains", chains), ("crossings", crossings), ("rotations", rotations)):
         if not isinstance(field, Mapping):
             raise InvariantError("field-mapping", f"{name} must be a mapping; got {field!r}")
@@ -133,14 +137,14 @@ class DrawingSpec(NamedTuple):
 
     @staticmethod
     def build(
-        vertices: Iterable,
-        edges: Iterable[Sequence],
+        vertices: Sequence,
+        edges: Sequence[Sequence],
         chains: Mapping = MappingProxyType({}),
         crossings: Mapping = MappingProxyType({}),
         rotations: Mapping = MappingProxyType({}),
     ) -> "DrawingSpec":
+        _check_fields(vertices, edges, chains, crossings, rotations)
         vertices, edges = list(vertices), list(edges)
-        _check_fields(chains, crossings, rotations)
         _check_rows(edges, 3, "edge-row")
         entries = [entry for rot in rotations.values() for entry in rot]
         _check_rows(entries, 2, "rotation-entry")
@@ -496,10 +500,11 @@ class PlanarizedMap:
     def dart(self, edge: str, seg: int, direction: int) -> int:
         """The dart on ``edge``'s segment ``seg`` toward ``end_b`` (+1) or ``end_a`` (-1)."""
         first = _lookup(self._first, edge, "edge")
-        d = first + 2 * seg + (direction == -1)
-        if not first <= d <= self._last[edge] or direction not in (1, -1):
-            raise BadArgument(f"no dart {(edge, seg, direction)}")
-        return d
+        if isinstance(seg, int) and not isinstance(seg, bool) and direction in (1, -1):
+            d = first + 2 * seg + (direction == -1)
+            if first <= d <= self._last[edge]:
+                return d
+        raise BadArgument(f"no dart {(edge, seg, direction)}")
 
     def _checked(self, d: int) -> int:
         """``d`` if it is a dart of this map; otherwise :class:`BadArgument`."""

@@ -25,6 +25,10 @@ from .errors import BadN, NotHexagon
 # interior lies to the right of each boundary dart, matching map orientation).
 _HEX_POINTS = ((0, 4), (3, 2), (3, -2), (0, -4), (-3, -2), (-3, 2))
 
+# The frame's two poles, joined by its paths; every face's gadget is anchored
+# at the first.
+_POLES = ("u", "w")
+
 # Diagonal slots: the six short diagonals then the two long ones.
 _DIAGONALS = ((0, 2), (1, 3), (2, 4), (3, 5), (4, 0), (5, 1), (0, 3), (1, 4))
 
@@ -85,23 +89,6 @@ def _ccw_sort(vectors: list[tuple]) -> list[int]:
     return sorted(range(len(vectors)), key=cmp_to_key(cmp))
 
 
-class FrameSpec(NamedTuple):
-    """Shape parameters of the all-hexagonal frame."""
-
-    n: int
-    m: int
-    poles: tuple[str, str]
-    paths: tuple[tuple[str, str], ...]
-
-    @property
-    def edge_count(self) -> int:
-        return 3 * self.m
-
-    @property
-    def face_count(self) -> int:
-        return self.m
-
-
 class HexGadget(NamedTuple):
     """Eight diagonals for one hexagonal face, as a partial drawing.
 
@@ -118,37 +105,25 @@ class HexGadget(NamedTuple):
     crossing_rotations: dict[str, tuple[tuple[str, str], ...]]
     corner_insertions: dict[int, tuple[tuple[str, str], ...]]
 
-    def crossing_counts(self) -> dict[str, int]:
-        return {e: len(cs) for e, cs in self.chains.items()}
 
-
-def frame_spec(n: int, strict: bool = False) -> FrameSpec:
+def theta_frame(n: int, strict: bool = False) -> DrawingSpec:
+    """Plane frame with (n-2)/2 hexagonal faces and 3(n-2)/2 edges."""
     if n < 6 or n % 2 != 0:
         raise BadN(f"n must be an even integer >= 6; got {n}")
     if strict and (n - 2) % 4 != 0:
         raise BadN(f"strict mode requires n-2 divisible by 4; got n={n}")
     m = (n - 2) // 2
-    return FrameSpec(
-        n=n,
-        m=m,
-        poles=("u", "w"),
-        paths=tuple((f"a{j}", f"b{j}") for j in range(m)),
-    )
-
-
-def theta_frame(n: int, strict: bool = False) -> DrawingSpec:
-    """Plane frame with (n-2)/2 hexagonal faces and 3(n-2)/2 edges."""
-    fs = frame_spec(n, strict)
-    u, w = fs.poles
-    vertices = [u, w] + [v for pair in fs.paths for v in pair]
+    u, w = _POLES
+    paths = [(f"a{j}", f"b{j}") for j in range(m)]
+    vertices = [u, w] + [v for pair in paths for v in pair]
     edges = []
     rotations: dict[str, list] = {u: [], w: []}
-    for j, (a, b) in enumerate(fs.paths):
+    for j, (a, b) in enumerate(paths):
         edges += [(f"F{j}.0", u, a), (f"F{j}.1", a, b), (f"F{j}.2", b, w)]
         rotations[a] = [(f"F{j}.0", "-"), (f"F{j}.1", "+")]
         rotations[b] = [(f"F{j}.1", "-"), (f"F{j}.2", "+")]
         rotations[u].append((f"F{j}.0", "+"))
-    for j in reversed(range(fs.m)):
+    for j in reversed(range(m)):
         rotations[w].append((f"F{j}.2", "-"))
     return DrawingSpec.build(vertices=vertices, edges=edges, rotations=rotations)
 
@@ -289,7 +264,6 @@ def _relabel(template: HexGadget, corners: tuple[str, ...], prefix: str) -> HexG
 
 def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
     """Drawing on n vertices with 11n/2 - 11 edges, none crossed over 3 times."""
-    fs = frame_spec(n, strict)
     frame = theta_frame(n, strict)
     fmap = build_map(frame)
 
@@ -301,7 +275,7 @@ def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
     # node -> frame rotation position -> gadget entries spliced in after it.
     splices: dict[str, dict[int, tuple[tuple[str, str], ...]]] = {}
 
-    u = fs.poles[0]
+    u = _POLES[0]
     faces = sorted(fmap.faces, key=lambda f: f.face_id)
     # Every frame face is a hexagon, so one exact computation serves them all.
     template = hexagon_gadget(faces[0], anchor=u, prefix="G0")

@@ -43,27 +43,21 @@ _FIELDS = ("vertices", "edges", "chains", "crossings", "rotations")
 def spec_from_document(doc: Any) -> DrawingSpec:
     """Check the document's shape and build the canonical spec from it.
 
-    A root that is not an object, a missing field, and ``vertices`` or
-    ``edges`` that are not lists raise :class:`ParseError`;
-    :meth:`DrawingSpec.build` checks the other fields, the rows, the ids and
-    the drawing rules.
+    A root that is not an object, a missing field, and an empty vertex list
+    raise :class:`ParseError`; :meth:`DrawingSpec.build` checks the fields'
+    types, the rows, the ids and the drawing rules.
     """
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     missing = [k for k in _FIELDS if k not in doc]
     if missing:
         raise ParseError(f"missing field(s): {missing}")
-
-    vertices = doc["vertices"]
-    if not isinstance(vertices, list) or not vertices:
+    if doc["vertices"] == []:
         raise ParseError("field 'vertices' must be a non-empty list")
-    edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise ParseError("field 'edges' must be a list")
 
     return DrawingSpec.build(
-        vertices=vertices,
-        edges=edges,
+        vertices=doc["vertices"],
+        edges=doc["edges"],
         chains=doc["chains"],
         crossings=doc["crossings"],
         rotations=doc["rotations"],

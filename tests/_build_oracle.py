@@ -10,11 +10,14 @@ check, and every rule checked entry by entry.  ``tests/test_build_oracle.py``
 requires the same spec, or the same exception type, rule and message, from
 both.
 
-Two edits since: the three collision rules (``duplicate-chain``,
+Three edits since: the three collision rules (``duplicate-chain``,
 ``duplicate-crossing-id``, ``duplicate-rotation``), which refuse two keys
 that become equal under ``str()``, where the old code kept the later one;
-and a field given as None, which is refused as ``field-mapping`` where the
-old code read it as empty (a field left out still means none).
+a field given as None, which is refused as ``field-mapping`` where the old
+code read it as empty (a field left out still means none); and ``vertices``
+or ``edges`` that are not a list or tuple, refused as ``field-list`` by the
+first check, where the old code raised a raw ``TypeError`` or iterated a
+string.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ def build(
     crossings: Mapping = MappingProxyType({}),
     rotations: Mapping = MappingProxyType({}),
 ) -> DrawingSpec:
+    _check_fields(vertices, edges, chains, crossings, rotations)
     vertices, edges = list(vertices), list(edges)
-    _check_fields(chains, crossings, rotations)
     _check_rows(edges, 3, "edge-row")
     entries = [entry for rot in rotations.values() for entry in rot]
     _check_rows(entries, 2, "rotation-entry")

@@ -7,11 +7,12 @@ search budgets at or below zero, unknown or empty edge subsets, vertex
 counts the construction cannot realise, and malformed documents and files
 (ids that are neither strings nor integers, rows of the wrong length, bytes
 that are not UTF-8, arrays nested deeper than the JSON decoder recurses).
-Two kinds of argument must be refused with ``BadArgument``: face profiles
+Three kinds of argument must be refused with ``BadArgument``: face profiles
 built or audited with pieces or profiles that another stage call returned,
-and dart numbers that name no dart of the map or its skeleton: negative
-ones, those past the last dart, and ``(edge, seg, direction)`` tuples, the
-darts' form before they became ints.  Other arguments of a wrong Python type
+dart numbers that name no dart of the map or its skeleton: negative ones,
+those past the last dart, and ``(edge, seg, direction)`` tuples, the darts'
+form before they became ints; and a segment index given to ``dart`` that
+is not an int (a bool is not).  Other arguments of a wrong Python type
 are out of scope.
 The examples are derandomised and few, so the module runs in seconds.
 """
@@ -51,9 +52,8 @@ from crossing_ledger import (
     restrict,
     validate_drawing,
 )
-from crossing_ledger.audit import overfull_triangles
 from crossing_ledger.errors import BadArgument
-from crossing_ledger.generator import chords_interleave, frame_spec, hexagon_gadget, theta_frame
+from crossing_ledger.generator import chords_interleave, hexagon_gadget, theta_frame
 from crossing_ledger.skeleton import conflict_graph, decompose_with
 
 ADVERSARIAL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -151,6 +151,15 @@ def test_dart_queries_refuse_what_is_no_dart(spec, data):
         call(pmap.dart(*named))
 
 
+@ADVERSARIAL
+@given(spec=specs, seg=st.one_of(st.floats(), words, st.none(), st.booleans(), st.lists(words)))
+def test_dart_refuses_a_segment_index_that_is_not_an_int(spec, seg):
+    pmap = build_map(spec)
+    for edge in pmap.edge_ids[:1]:
+        with pytest.raises(BadArgument, match=re.escape(f"no dart {(edge, seg, 1)}")):
+            pmap.dart(edge, seg, 1)
+
+
 ID_QUERIES = ("endpoints", "chain", "node_sequence", "crossing_edges", "rotation", "component_of")
 
 
@@ -175,8 +184,8 @@ def _pieces_of(spec) -> tuple:
 
 
 @ADVERSARIAL
-@given(spec=specs, k=budgets_k, cap=st.integers(-3, 10), data=st.data())
-def test_audit_functions(spec, k, cap, data):
+@given(spec=specs, k=budgets_k, data=st.data())
+def test_audit_functions(spec, k, data):
     pmap = build_map(spec)
     try:
         dec = extract_skeleton(pmap)
@@ -186,7 +195,13 @@ def test_audit_functions(spec, k, cap, data):
     profiles = face_profiles(dec, pieces)
     returns_or_typed(density_report, dec, profiles, pieces, k)
     returns_or_typed(k_bound, len(pmap.vertices), k)
-    overfull_triangles(profiles, cap)
+    for cap in (3, 4):  # the stick cap of a triangle is the crossing budget
+        try:
+            report = density_report(dec, profiles, pieces, cap)
+        except CrossingLedgerError:
+            continue
+        over = sorted(p.face for p in profiles if p.is_triangle and p.stick_count > cap)
+        assert report.stick_cap_violations == tuple(over)
 
     # Pieces that are not this decomposition's own: a subset, a copy, or
     # another drawing's; and profiles made from another piece tuple.
@@ -208,7 +223,7 @@ def test_audit_functions(spec, k, cap, data):
     ends=st.lists(st.integers(-8, 14), min_size=4, max_size=4),
 )
 def test_generator_and_bound_functions(n, k, strict, ends):
-    for make in (frame_spec, theta_frame, generate_optimal):
+    for make in (theta_frame, generate_optimal):
         returns_or_typed(make, n, strict)
     returns_or_typed(k_bound, n, k)
     chords_interleave(*ends)

@@ -17,14 +17,20 @@ import pytest
 import _association_oracle as oracle
 
 from crossing_ledger import build_map, decompose, extract_skeleton, face_profiles, generate_optimal
-from crossing_ledger.audit import _associate
+from crossing_ledger.audit import AssociationResult, _associate
 from crossing_ledger.segments import CrossedRef, FaceProfile, SegmentPiece
 
 
 def associate(profiles, pieces):
-    """The audit's pairing on hand-built profiles and their pieces."""
-    triangulated = all(p.is_triangle for p in profiles)
-    return _associate(profiles, triangulated, {p.piece_id: p for p in pieces})
+    """The audit's pairing on hand-built profiles and their pieces.
+
+    ``density_report`` builds the pairing only on a triangulated skeleton;
+    on any other profiles this gives the result it reports instead.
+    """
+    if not all(p.is_triangle for p in profiles):
+        note = "association requires a fully triangulated skeleton"
+        return AssociationResult(False, {}, (note,), ())
+    return _associate(profiles, {p.piece_id: p for p in pieces})
 
 
 def _triangle(face, nodes, neighbors, tau, stick_ids):

@@ -17,7 +17,6 @@ from crossing_ledger import (
     restrict,
     validate_drawing,
 )
-from crossing_ledger.audit import overfull_triangles
 from crossing_ledger.errors import BadArgument
 from crossing_ledger.generator import generate_optimal
 
@@ -33,13 +32,13 @@ def _pipeline(spec):
 
 def test_generated_family_within_cap():
     for n in (6, 10):
-        _, _, profiles = _pipeline(generate_optimal(n))
-        assert overfull_triangles(profiles) == []
+        dec, pieces, profiles = _pipeline(generate_optimal(n))
+        assert density_report(dec, profiles, pieces, 3).stick_cap_violations == ()
 
 
 def test_planar_input_within_cap(triangle_spec):
-    _, _, profiles = _pipeline(triangle_spec)
-    assert overfull_triangles(profiles) == []
+    dec, pieces, profiles = _pipeline(triangle_spec)
+    assert density_report(dec, profiles, pieces, 3).stick_cap_violations == ()
 
 
 def test_four_stick_triangle_flagged(four_stick_triangle_spec):
@@ -47,7 +46,7 @@ def test_four_stick_triangle_flagged(four_stick_triangle_spec):
     assert not validate_drawing(pmap, 3).ok  # base side carries four crossings
     assert validate_drawing(pmap, 4).ok
     dec, pieces, profiles = _pipeline(four_stick_triangle_spec)
-    flagged = overfull_triangles(profiles)
+    flagged = density_report(dec, profiles, pieces, 3).stick_cap_violations
     assert len(flagged) == 1
     prof = next(p for p in profiles if p.face == flagged[0])
     assert sorted(prof.type_tuple, reverse=True) == [4, 0, 0]

@@ -242,6 +242,12 @@ MALFORMED = [
     # A field given as null is not a mapping; leave it out to mean none.
     ({"vertices": ["a"], "edges": [], "chains": None}, "field-mapping"),
     ({"vertices": ["a"], "edges": [], "rotations": None}, "field-mapping"),
+    # Vertices and edges are lists: a string is not read as its characters.
+    ({"vertices": 5, "edges": []}, "field-list"),
+    ({"vertices": "ab", "edges": []}, "field-list"),
+    ({"vertices": {"a": 1}, "edges": []}, "field-list"),
+    ({"vertices": ["a"], "edges": None}, "field-list"),
+    ({"vertices": ["a"], "edges": "eab"}, "field-list"),
 ]
 
 
@@ -275,7 +281,8 @@ def test_parse_text_refusals_name_the_rule(fields, rule):
 
 @pytest.mark.parametrize(
     "kwargs, rule",
-    [case for case in MALFORMED if case[1] in ("field-mapping", "chain-list", "rotation-list")],
+    [case for case in MALFORMED
+     if case[1] in ("field-list", "field-mapping", "chain-list", "rotation-list")],
 )
 def test_parse_text_leaves_the_field_shapes_to_build(kwargs, rule):
     # A document's fields and its chain and rotation values are checked once,

@@ -22,7 +22,6 @@ from crossing_ledger.generator import (
     _param_order,
     _relabel,
     chords_interleave,
-    frame_spec,
     hexagon_gadget,
     theta_frame,
 )
@@ -53,13 +52,11 @@ def _oracle_pairs():
 
 def test_frame_counts():
     for n in (6, 10, 102):
-        fs = frame_spec(n)
-        assert fs.m == (n - 2) // 2
-        assert fs.edge_count == 3 * (n - 2) // 2
         pmap = build_map(theta_frame(n))
-        assert len(pmap.faces) == fs.face_count
+        assert len(pmap.vertices) == n
+        assert len(pmap.faces) == (n - 2) // 2
         assert all(f.length == 6 for f in pmap.faces)
-        assert len(pmap.edge_ids) == fs.edge_count
+        assert len(pmap.edge_ids) == 3 * (n - 2) // 2
 
 
 def test_bad_n_rejected():
@@ -98,7 +95,7 @@ def test_gadget_matches_interleave_oracle():
 def test_gadget_crossing_counts():
     pmap = build_map(theta_frame(6))
     gadget = hexagon_gadget(pmap.faces[0], anchor="u", prefix="G")
-    counts = {int(e.split(".")[1]): c for e, c in gadget.crossing_counts().items()}
+    counts = {int(e.split(".")[1]): len(cs) for e, cs in gadget.chains.items()}
     assert counts == {0: 3, 1: 2, 2: 3, 3: 3, 4: 2, 5: 3, 6: 3, 7: 3}
     assert max(counts.values()) == 3
 

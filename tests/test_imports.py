@@ -72,9 +72,7 @@ ALL = [
 MODULE_ONLY = {
     "conflict_graph": "skeleton",
     "decompose_with": "skeleton",
-    "overfull_triangles": "audit",
     "chords_interleave": "generator",
-    "frame_spec": "generator",
     "hexagon_gadget": "generator",
     "theta_frame": "generator",
 }

@@ -32,7 +32,7 @@ from crossing_ledger import (
     generate_optimal,
     validate_drawing,
 )
-from crossing_ledger.generator import frame_spec, hexagon_gadget, theta_frame
+from crossing_ledger.generator import hexagon_gadget, theta_frame
 from crossing_ledger.skeleton import conflict_graph
 
 # SHA-256 of ``_to_dicts(_samples())``, the same with frozen dataclasses.
@@ -71,7 +71,6 @@ def _samples() -> dict[str, list]:
         "PredicateReport": [report.predicates, far.predicates],
         "LedgerStep": list(report.ledger),
         "AuditReport": [report, mutual, far],
-        "FrameSpec": [frame_spec(6)],
         "HexGadget": [hexagon_gadget(build_map(theta_frame(6)).faces[0], anchor="u")],
     }
 
