@@ -1,14 +1,14 @@
-"""Density audit: triangle stick counting, association, bound ledger, predicates.
+"""Density audit: a per-face ledger against the edge-count bound.
 
 The audit takes a skeleton decomposition and its face profiles and replays
-the counting argument for the edge-density bound: triangular faces hold at
-most three sticks, every 3-stick triangle can be paired off injectively with
-a triangle holding at most two sticks, and chaining the resulting
-inequalities caps the edge count at 11n/2 - 11 for a crossing budget of 3
-(6n - 12 for a budget of 4, conditional on a triangulated skeleton).  The
-pairing runs in two phases: each 3-stick triangle proposes one partner or a
-diagnosis that refuses it, then claims on a shared partner are resolved.
-All checks report; nothing here ever transforms the drawing.
+the counting argument for the bound on any skeleton: each face is charged
+half its sticks against a budget, and the budgets sum to the bound minus
+the skeleton's edges.  Its one discharging rule pairs every 3-stick
+triangle with a triangle of at most two sticks, in two phases: each 3-stick
+triangle proposes one partner or a diagnosis that refuses it, then claims
+on a shared partner are resolved.  Triangles over the stick cap and the
+structural predicates of densest drawings are reported beside the ledger.
+Nothing here ever transforms the drawing.
 """
 
 from __future__ import annotations
@@ -174,13 +174,8 @@ def _associate(
         if len(srcs) == 1:
             continue
         if len(srcs) > 2:
-            diagnoses.append(
-                Diagnosis(
-                    tuple(srcs) + (target,),
-                    "conflict",
-                    f"{len(srcs)} triangles all claim partner {target}",
-                )
-            )
+            diagnoses.append(Diagnosis(tuple(srcs) + (target,), "conflict",
+                                       f"{len(srcs)} triangles all claim partner {target}"))
             for s in srcs[1:]:
                 del mapping[s]
                 claimed[target] -= 1
@@ -205,14 +200,9 @@ def _associate(
                 fallback = cand
                 break
         if fallback is None:
-            diagnoses.append(
-                Diagnosis(
-                    (keep, move, target),
-                    "conflict",
-                    f"triangles {keep} and {move} both claim {target} and no "
-                    "fallback partner is free",
-                )
-            )
+            diagnoses.append(Diagnosis(
+                (keep, move, target), "conflict",
+                f"triangles {keep} and {move} both claim {target} and no fallback partner is free"))
             del mapping[move]
             claimed[target] -= 1
             continue
@@ -228,13 +218,8 @@ def _associate(
     seen: dict[str, str] = {}
     for src, dst in sorted(mapping.items()):
         if dst in seen:
-            diagnoses.append(
-                Diagnosis(
-                    (seen[dst], src, dst),
-                    "conflict",
-                    f"association is not injective at {dst}",
-                )
-            )
+            diagnoses.append(Diagnosis((seen[dst], src, dst), "conflict",
+                                       f"association is not injective at {dst}"))
         seen[dst] = src
 
     return AssociationResult(
@@ -281,15 +266,6 @@ class PredicateReport(NamedTuple):
         }
 
 
-def _skeleton_connected(dec: SkeletonDecomposition) -> bool:
-    """One skeleton component spans every vertex: embedded alone, each component
-    has V - E + W = 2 over its vertices, edges and walks."""
-    n = len(dec.full_map.vertices)
-    touched = {v for face in dec.faces for v in face.nodes}
-    walks = sum(len(face.walks) for face in dec.faces)
-    return n <= 1 or (len(touched) == n and n - len(dec.skeleton_edges) + walks == 2)
-
-
 def _no_offenders(name: str, offenders: list, ok_detail: str, label: str) -> PredicateVerdict:
     """A predicate that holds iff ``offenders`` is empty, and lists them if not."""
     detail = f"{label}: {offenders}" if offenders else ok_detail
@@ -297,14 +273,14 @@ def _no_offenders(name: str, offenders: list, ok_detail: str, label: str) -> Pre
 
 
 def _predicates(
-    dec: SkeletonDecomposition, others: list[FaceProfile], pieces_by_id: dict[str, SegmentPiece]
+    connected: bool, others: list[FaceProfile], pieces_by_id: dict[str, SegmentPiece]
 ) -> PredicateReport:
     """Conformance matrix for the structure a densest drawing must exhibit.
 
     Each predicate is evaluated per non-triangular skeleton face, the faces
-    in ``others`` (the connectivity and triangulation checks are global).  A
+    in ``others``; ``connected`` and the triangulation check are global.  A
     failing predicate certifies the input is not a crossing-minimal densest
-    drawing; nothing is ever repaired.
+    drawing, which is no violation of the bound; nothing is ever repaired.
     """
     faces: dict[str, tuple[PredicateVerdict, ...]] = {}
 
@@ -371,36 +347,124 @@ def _predicates(
         faces[prof.face] = tuple(verdicts)
 
     return PredicateReport(
-        skeleton_connected=_skeleton_connected(dec),
+        skeleton_connected=connected,
         skeleton_triangulated=not others,
         faces=faces,
     )
 
 
-# -- density report ------------------------------------------------------------------
+# -- ledger ------------------------------------------------------------------------
 
 
-class LedgerStep(NamedTuple):
-    label: str
-    lhs: str
-    lhs_value: Fraction
-    relation: str
-    rhs: str
-    rhs_value: Fraction
+class LedgerRow(NamedTuple):
+    """The skeleton faces of one size: how many, and their summed charge, budget and slack."""
+
+    size: int
+    count: int
+    charge: Fraction
+    budget: Fraction
     slack: Fraction
-    holds: bool
 
     def to_dict(self) -> dict:
         return {
-            "label": self.label,
-            "lhs": self.lhs,
-            "lhs_value": str(self.lhs_value),
-            "relation": self.relation,
-            "rhs": self.rhs,
-            "rhs_value": str(self.rhs_value),
+            "size": self.size,
+            "count": self.count,
+            "charge": str(self.charge),
+            "budget": str(self.budget),
             "slack": str(self.slack),
-            "holds": self.holds,
         }
+
+
+class Ledger(NamedTuple):
+    """Per-face charges against budgets that sum exactly to the bound (see :func:`_ledger`)."""
+
+    faces: tuple[LedgerRow, ...]
+    skeleton_components: int
+    drawing_components: int
+    components_budget: Fraction
+    uncertified: tuple[str, ...]
+    verdict: str
+
+    def to_dict(self) -> dict:
+        return {
+            "faces": [row.to_dict() for row in self.faces],
+            "components": {
+                "skeleton": self.skeleton_components,
+                "drawing": self.drawing_components,
+                "budget": str(self.components_budget),
+            },
+            "uncertified": list(self.uncertified),
+            "verdict": self.verdict,
+        }
+
+
+def _component_count(nodes, links) -> int:
+    """Components of the graph on ``nodes`` whose edges are the pairs in ``links``."""
+    root = {v: v for v in nodes}
+
+    def find(v: str) -> str:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    count = len(root)
+    for a, b in links:
+        a, b = find(a), find(b)
+        if a != b:
+            root[a] = b
+            count -= 1
+    return count
+
+
+def _ledger(
+    dec: SkeletonDecomposition, profiles: Profiles, mapping: dict[str, str], alpha: Fraction
+) -> Ledger:
+    """Charge every skeleton face for its sticks and weigh it against its budget.
+
+    A face f of size |f| is charged half its sticks, so the charges sum to
+    ``|E| - |E_p|``, and its budget is ``(alpha - 3)(|f| - 2)/2 + |f| - 3``:
+    5/4 for a triangle and 8 for a hexagon at ``alpha = 11/2``, 3/2 for a
+    triangle at 6.  The skeleton has c components on all n vertices (isolated
+    ones included) and the drawing d components that hold an edge, each on
+    its own sphere, so Euler's formula gives ``F = E_p - n + c + d`` faces and
+    ``Σ|f| = 2 E_p``.  With one more term ``alpha (c + d - 2)`` the budgets
+    then sum to ``alpha (n - 2) - |E_p|``, and the total slack is exactly the
+    bound ``alpha (n - 2)`` minus ``|E|``.
+
+    The one discharging rule is the pairing: each triangle in ``mapping``
+    hands 1/4 of its charge to its partner.  The verdict is ``violated``
+    when the total slack is negative, ``uncertified`` when some face is still
+    over its budget (the faces are listed), and ``certified`` otherwise.
+    """
+    pmap = dec.full_map
+    ends, components = pmap._ends, pmap._components
+    c = _component_count(pmap.vertices, [ends[e] for e in dec.skeleton_edges])
+    d = len({components[a] for a, _ in ends.values()})
+    # Charges and budgets are counted in quarters, as ints: 4 budget(f) is
+    # (2 alpha - 6)(|f| - 2) + 4|f| - 12, and 2 alpha is an int in BOUND_TABLE.
+    step = int(2 * alpha) - 6
+    charge = {p.face: 2 * p.stick_count for p in profiles}
+    for src, dst in mapping.items():
+        charge[src] -= 1
+        charge[dst] += 1
+    count, charged = Counter(), Counter()
+    for p in profiles:
+        count[p.size] += 1
+        charged[p.size] += charge[p.face]
+    budget = {size: step * (size - 2) + 4 * size - 12 for size in count}
+    uncertified = tuple(p.face for p in profiles if charge[p.face] > budget[p.size])
+    rows = tuple(
+        LedgerRow(size, m, Fraction(charged[size], 4), Fraction(m * budget[size], 4),
+                  Fraction(m * budget[size] - charged[size], 4))
+        for size, m in sorted(count.items())
+    )
+    components_budget = alpha * (c + d - 2)
+    slack = sum((row.slack for row in rows), components_budget)
+    verdict = "violated" if slack < 0 else "uncertified" if uncertified else "certified"
+    return Ledger(rows, c, d, components_budget, uncertified, verdict)
+
+
+# -- density report ------------------------------------------------------------------
 
 
 class AuditReport(NamedTuple):
@@ -414,23 +478,16 @@ class AuditReport(NamedTuple):
     triangular_face_count: int
     triangular_face_count_expected: int | None
     stick_cap_violations: tuple[str, ...]
-    stick_identity_holds: bool | None
     association: AssociationResult
-    ledger: tuple[LedgerStep, ...]
-    chain_applicable: bool
+    ledger: Ledger
     bound_max_edges: int
     bound_verdict: str
     predicates: PredicateReport
-    conditional_assumptions: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return (
-            not self.stick_cap_violations
-            and not self.association.diagnoses
-            and self.bound_verdict in ("tight", "within")
-            and self.predicates.ok
-        )
+        """The edge count is within the bound; nothing else decides."""
+        return self.bound_verdict != "violated"
 
     def to_dict(self) -> dict:
         return {
@@ -444,13 +501,10 @@ class AuditReport(NamedTuple):
             "triangular_faces": self.triangular_face_count,
             "triangular_faces_expected": self.triangular_face_count_expected,
             "stick_cap_violations": list(self.stick_cap_violations),
-            "stick_identity_holds": self.stick_identity_holds,
             "association": self.association.to_dict(),
-            "ledger": [s.to_dict() for s in self.ledger],
-            "chain_applicable": self.chain_applicable,
+            "ledger": self.ledger.to_dict(),
             "bound_max_edges": self.bound_max_edges,
             "bound_verdict": self.bound_verdict,
-            "conditional_assumptions": list(self.conditional_assumptions),
             "predicates": self.predicates.to_dict(),
             "ok": self.ok,
         }
@@ -462,22 +516,17 @@ def density_report(
     pieces: Pieces,
     k: int = 3,
 ) -> AuditReport:
-    """Replay the counting argument and compare the edge count to the bound.
+    """Replay the counting argument face by face and compare the edge count to the bound.
 
-    The ledger is two chains, each step's right-hand side the next step's
-    left-hand side: the residual edges ``|E| - |E_p|``, counted as sticks per
-    skeleton triangle, up to a multiple of the triangle count ``t_p``; then
-    ``|E|`` up to the bound, ``11*n/2 - 11`` for ``k=3`` or ``6*n - 12`` for
-    ``k=4``.  The chains need a connected, fully triangulated skeleton with no
-    triangle over the stick cap; otherwise only the raw counts and the bound
-    comparison are reported and the chain is marked inapplicable.  With
-    ``k=4`` the first chain uses the conditional pairing assumption, which is
-    recorded (with its truth value on this input) rather than silently
-    trusted.  The pairing of 3-stick triangles is built only for ``k=3`` on a
-    triangulated skeleton; otherwise its result is marked inapplicable with a
-    note saying why.  The report is ``ok`` when no triangle is over the cap,
-    the pairing diagnosed nothing, the edge count is within the bound and
-    every structural predicate holds.
+    The ledger (see :func:`_ledger`) charges every skeleton face for its
+    sticks against a budget taken from the bound ``BOUND_TABLE[k]``, on any
+    skeleton, connected and triangulated or not.  The pairing of 3-stick
+    triangles, its one discharging rule, is built only for ``k=3`` on a
+    triangulated skeleton; otherwise its result is marked inapplicable with
+    a note saying why.  The triangles over the stick cap, the pairing's
+    diagnoses and the structural predicates describe the input and are
+    reported, but the report is ``ok`` exactly when the edge count is within
+    the bound.
 
     ``pieces`` must be what ``decompose(dec)`` returned and ``profiles``
     what ``face_profiles(dec, pieces)`` returned, or :class:`BadArgument`
@@ -493,17 +542,12 @@ def density_report(
     pmap = dec.full_map
     n = len(pmap.vertices)
     edge_count = len(pmap.edge_ids)
-    skeleton_count = len(dec.skeleton_edges)
-    cap = k
+    bound = k_bound(n, k)
 
     triangles = [p for p in profiles if p.is_triangle]
     others = [p for p in profiles if not p.is_triangle]
     pieces_by_id = {p.piece_id: p for p in pieces}
-    t_p = len(triangles)
     sizes = Counter(p.stick_count for p in triangles)
-    counts = {i: sizes[i] for i in range(cap + 1)}
-    weighted = sum(i * c for i, c in counts.items())
-    cap_violations = tuple(sorted(p.face for p in triangles if p.stick_count > cap))
 
     # The pairing applies to k=3 on a triangulated skeleton; otherwise the
     # result says why it was not built.
@@ -511,85 +555,26 @@ def density_report(
                  else "association requires a fully triangulated skeleton" if others else None)
     association = (AssociationResult(False, {}, (not_built,), ()) if not_built
                    else _associate(triangles, pieces_by_id))
+    ledger = _ledger(dec, profiles, association.mapping, BOUND_TABLE[k][0])
+    connected = ledger.skeleton_components == 1
+    triangulated = not others
 
-    predicates = _predicates(dec, others, pieces_by_id)
-    connected = predicates.skeleton_connected
-    triangulated = predicates.skeleton_triangulated
-    chain_applicable = connected and triangulated and not cap_violations
-    t_expected = 2 * n - 4 if (connected and triangulated) else None
-
-    total_sticks = sum(p.stick_count for p in profiles)
-    residual = edge_count - skeleton_count
-    stick_identity = (weighted == total_sticks == 2 * residual) if triangulated else None
-
-    ledger: list[LedgerStep] = []
-    assumptions: list[str] = []
-
-    def chain(lhs, value, *steps):
-        # Each step is (label, relation, rhs, rhs_value); its right-hand side
-        # is the left-hand side of the step after it.
-        lv = Fraction(value)
-        for label, rel, rhs, rv in steps:
-            rv = Fraction(rv)
-            holds = lv == rv if rel == "=" else lv <= rv
-            ledger.append(LedgerStep(label, lhs, lv, rel, rhs, rv, rv - lv, holds))
-            lhs, lv = rhs, rv
-
-    t0 = counts[0]
-    if chain_applicable and k == 3:
-        t1, t3 = counts[1], counts[3]
-        chain("|E| - |E_p|", residual,
-              ("residual edges as sticks", "=", "(t1 + 2*t2 + 3*t3)/2", Fraction(weighted, 2)),
-              ("regroup", "=", "(t_p - t0) + (t3 - t1)/2",
-               Fraction(2 * (t_p - t0) + t3 - t1, 2)),
-              ("drop t0 and t1", "<=", "t_p + t3/2", Fraction(2 * t_p + t3, 2)),
-              ("pairing bound t3 <= t_p/2", "<=", "5*t_p/4", Fraction(5 * t_p, 4)))
-        chain("|E|", edge_count,
-              ("add the skeleton", "<=", "|E_p| + 5*t_p/4", skeleton_count + Fraction(5 * t_p, 4)),
-              ("triangulated skeleton size", "=", "11*n/2 - 11", Fraction(11 * n, 2) - 11))
-    elif chain_applicable and k == 4:
-        t1, t2, t4 = counts[1], counts[2], counts[4]
-        cond = t4 <= t1 + t2
-        assumptions.append(
-            f"t4 <= t1 + t2 assumed (holds on this input: {cond}); "
-            "no pairing construction exists for k=4"
-        )
-        chain("|E| - |E_p|", residual,
-              ("residual edges as sticks", "=", "(t1 + 2*t2 + 3*t3 + 4*t4)/2",
-               Fraction(weighted, 2)),
-              # No triangle is over the cap here, so t1 + t2 + t3 + t4 = t_p - t0.
-              ("conditional pairing", "<=", "3*(t1 + t2 + t3 + t4)/2",
-               Fraction(3 * (t_p - t0), 2)),
-              ("all triangles", "<=", "3*t_p/2", Fraction(3 * t_p, 2)))
-        chain("|E|", edge_count,
-              ("add the skeleton", "<=", "|E_p| + 3*t_p/2", skeleton_count + Fraction(3 * t_p, 2)),
-              ("triangulated skeleton size", "=", "6*n - 12", 6 * n - 12))
-
-    bound = k_bound(n, k)
-    if edge_count > bound:
-        verdict = "violated"
-    elif edge_count == bound:
-        verdict = "tight"
-    else:
-        verdict = "within"
+    verdict = "violated" if edge_count > bound else "tight" if edge_count == bound else "within"
 
     return AuditReport(
         k=k,
         n=n,
         edge_count=edge_count,
-        skeleton_edge_count=skeleton_count,
+        skeleton_edge_count=len(dec.skeleton_edges),
         skeleton_connected=connected,
         skeleton_triangulated=triangulated,
-        triangle_counts=counts,
-        triangular_face_count=t_p,
-        triangular_face_count_expected=t_expected,
-        stick_cap_violations=cap_violations,
-        stick_identity_holds=stick_identity,
+        triangle_counts={i: sizes[i] for i in range(k + 1)},
+        triangular_face_count=len(triangles),
+        triangular_face_count_expected=2 * n - 4 if (connected and triangulated) else None,
+        stick_cap_violations=tuple(sorted(p.face for p in triangles if p.stick_count > k)),
         association=association,
-        ledger=tuple(ledger),
-        chain_applicable=chain_applicable,
+        ledger=ledger,
         bound_max_edges=bound,
         bound_verdict=verdict,
-        predicates=predicates,
-        conditional_assumptions=tuple(assumptions),
+        predicates=_predicates(connected, others, pieces_by_id),
     )

@@ -191,7 +191,7 @@ def _render_audit(report: dict, out: list[str]) -> None:
     )
     out.append(f"stick counts: {counts}")
     if report["stick_cap_violations"]:
-        out.append(f"VIOLATION: triangles over the stick cap: {report['stick_cap_violations']}")
+        out.append(f"over the stick cap: {report['stick_cap_violations']}")
     assoc = report["association"]
     if assoc["applicable"]:
         out.append(f"association: {'ok' if assoc['ok'] else 'failed'} ({len(assoc['mapping'])} pairs)")
@@ -199,15 +199,14 @@ def _render_audit(report: dict, out: list[str]) -> None:
             out.append(f"  note: {note}")
         for d in assoc["diagnoses"]:
             out.append(f"  diagnosis [{d['kind']}] {', '.join(d['faces'])}: {d['detail']}")
-    for step in report["ledger"]:
-        mark = "ok" if step["holds"] else "FAILS"
-        out.append(
-            f"  {step['lhs']} {step['relation']} {step['rhs']}   "
-            f"[{step['lhs_value']} {step['relation']} {step['rhs_value']}, "
-            f"slack {step['slack']}] {mark}"
-        )
-    for a in report["conditional_assumptions"]:
-        out.append(f"assumption: {a}")
+    ledger = report["ledger"]
+    for row in ledger["faces"]:
+        out.append("ledger size {size}: count {count}, charge {charge}, budget {budget}, "
+                   "slack {slack}".format(**row))
+    out.append("ledger components: skeleton {skeleton}, drawing {drawing}, "
+               "budget {budget}".format(**ledger["components"]))
+    over = ", ".join(ledger["uncertified"])
+    out.append(f"ledger verdict: {ledger['verdict']}" + (f" (over budget: {over})" if over else ""))
     pred = report["predicates"]
     for face, verdicts in pred["faces"].items():
         for v in verdicts:

@@ -500,7 +500,8 @@ class PlanarizedMap:
     def dart(self, edge: str, seg: int, direction: int) -> int:
         """The dart on ``edge``'s segment ``seg`` toward ``end_b`` (+1) or ``end_a`` (-1)."""
         first = _lookup(self._first, edge, "edge")
-        if isinstance(seg, int) and not isinstance(seg, bool) and direction in (1, -1):
+        ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (seg, direction))
+        if ints and direction in (1, -1):
             d = first + 2 * seg + (direction == -1)
             if first <= d <= self._last[edge]:
                 return d

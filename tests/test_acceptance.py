@@ -96,8 +96,9 @@ def test_criterion_4_counting_ledger():
         residual = report.edge_count - report.skeleton_edge_count
         ok = ok and t[1] + 2 * t[2] + 3 * t[3] == 2 * residual
         ok = ok and report.bound_verdict == "tight"
-        ok = ok and all(step.holds for step in report.ledger)
-    _verdict(4, "t_p=2n-4, cap holds, association injective, identity and tight bound", ok)
+        ok = ok and report.ledger.verdict == "certified"
+        ok = ok and sum(row.slack for row in report.ledger.faces) == 0
+    _verdict(4, "t_p=2n-4, cap holds, association injective, identity, ledger certified, tight", ok)
 
 
 def test_criterion_5_oracle_equivalence():

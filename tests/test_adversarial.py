@@ -160,6 +160,18 @@ def test_dart_refuses_a_segment_index_that_is_not_an_int(spec, seg):
             pmap.dart(edge, seg, 1)
 
 
+@ADVERSARIAL
+@given(spec=specs, direction=st.one_of(
+    st.sampled_from([True, False, 1.0, -1.0, "+", None]), st.floats(), words
+))
+def test_dart_refuses_a_direction_that_is_not_an_int(spec, direction):
+    # A bool or float equal to +1 or -1 is refused too, as for ``seg``.
+    pmap = build_map(spec)
+    for edge in pmap.edge_ids[:1]:
+        with pytest.raises(BadArgument, match=re.escape(f"no dart {(edge, 0, direction)}")):
+            pmap.dart(edge, 0, direction)
+
+
 ID_QUERIES = ("endpoints", "chain", "node_sequence", "crossing_edges", "rotation", "component_of")
 
 

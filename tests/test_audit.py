@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import pytest
 
+import _fixtures
+from _ledger_oracle import checked_report
+from golden.capture import FIXTURES
+
 from crossing_ledger import (
+    BudgetExceeded,
     CrossingLedgerError,
     InvariantError,
     UnsupportedK,
@@ -137,20 +143,41 @@ def test_density_report_tight_on_generated():
         assert report.ok
         assert report.bound_verdict == "tight"
         assert report.triangular_face_count == 2 * n - 4
-        assert report.stick_identity_holds
-        assert report.chain_applicable
-        assert all(step.holds for step in report.ledger)
+        assert report.ledger.verdict == "certified"
+        assert report.ledger.uncertified == ()
+        assert [row.slack for row in report.ledger.faces] == [0]
+        assert report.ledger.components_budget == 0
 
 
-def test_ledger_chains_consistently():
+def test_ledger_rows_add_up():
     dec, pieces, profiles = _pipeline(generate_optimal(10))
-    report = density_report(dec, profiles, pieces, k=3)
-    for prev, nxt in zip(report.ledger, report.ledger[1:]):
-        if prev.rhs == nxt.lhs:
-            assert prev.rhs_value == nxt.lhs_value
-    for step in report.ledger:
-        if step.relation == "<=":
-            assert step.rhs_value - step.lhs_value == step.slack
+    ledger = density_report(dec, profiles, pieces, k=3).ledger
+    # 16 triangles: 8 with three sticks, 8 with two, 5/4 budget each.
+    assert ledger.faces == ((3, 16, Fraction(20), Fraction(20), Fraction(0)),)
+    assert ledger.to_dict() == {
+        "faces": [{"size": 3, "count": 16, "charge": "20", "budget": "20", "slack": "0"}],
+        "components": {"skeleton": 1, "drawing": 1, "budget": "0"},
+        "uncertified": [],
+        "verdict": "certified",
+    }
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("n", [6, 10, 14, 54])
+def test_ledger_oracle_on_tight_family(n, k):
+    report = checked_report(build_map(generate_optimal(n)), k)
+    assert report.ledger.verdict == "certified"
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("name", [
+    name for name in FIXTURES if len(getattr(_fixtures, name)().vertices) >= 3
+])
+def test_ledger_oracle_on_golden_inputs(name, k):
+    try:
+        checked_report(build_map(getattr(_fixtures, name)()), k)
+    except BudgetExceeded:
+        pytest.skip("the exact skeleton is over its budget")
 
 
 def test_density_report_on_plain_triangulation():
@@ -166,21 +193,27 @@ def test_density_report_on_plain_triangulation():
     assert report.triangle_counts[0] == report.triangular_face_count
 
 
-def test_density_report_k4_conditional():
+def test_density_report_k4_needs_no_assumption():
     dec, pieces, profiles = _pipeline(generate_optimal(6))
     report = density_report(dec, pieces=pieces, profiles=profiles, k=4)
     assert report.bound_max_edges == 24
     assert report.bound_verdict == "within"
-    assert report.conditional_assumptions
     assert not report.association.applicable
+    # Each triangle's budget is 3/2 at k=4, so no pairing is needed.
+    assert report.ledger.verdict == "certified"
+    assert [(row.count, row.budget, row.slack) for row in report.ledger.faces] == [(8, 12, 2)]
 
 
 def test_density_report_k4_on_four_stick_fixture(four_stick_triangle_spec):
     dec, pieces, profiles = _pipeline(four_stick_triangle_spec)
     report = density_report(dec, profiles, pieces, k=4)
-    # skeleton is not triangulated here, so the chain does not apply
-    assert not report.chain_applicable
+    # The skeleton is not triangulated, and the ledger runs all the same.
+    assert not report.skeleton_triangulated
     assert report.bound_verdict == "within"
+    four = next(p.face for p in profiles if p.is_triangle and p.stick_count == 4)
+    assert report.ledger.uncertified == (four,)  # charge 2 over a budget of 3/2
+    assert report.ledger.verdict == "uncertified"
+    assert report.ok
 
 
 # -- bound table ---------------------------------------------------------------

@@ -26,7 +26,7 @@ from crossing_ledger import (
     generate_optimal,
     restrict,
 )
-from crossing_ledger.audit import _skeleton_connected
+from crossing_ledger.audit import _component_count
 from crossing_ledger.segments import FAR, LONG, classify_middle, classify_stick
 
 
@@ -82,8 +82,10 @@ def _check_against_restrict(pmap, dec):
         # ids, walk sides, nodes, edges and walks
         assert [_face_key(pmap, f) for f in dec.faces] == [_face_key(sub, f) for f in sub.faces]
     _check_occurrences(pmap, dec)
-    # Connectivity as the skeleton's own map counts components.
-    assert _skeleton_connected(dec) == (len({sub.component_of(v) for v in sub.vertices}) <= 1)
+    # Skeleton components on every vertex, as the skeleton's own map counts them.
+    skeleton_ends = map(pmap.endpoints, dec.skeleton_edges)
+    components = len({sub.component_of(v) for v in sub.vertices})
+    assert _component_count(pmap.vertices, skeleton_ends) == components
 
 
 def _pipeline(spec):
@@ -154,9 +156,11 @@ def test_disjoint_edges_are_not_a_connected_skeleton():
         edges=[("e", "a", "b"), ("f", "c", "d")],
         rotations={"a": [("e", "+")], "b": [("e", "-")], "c": [("f", "+")], "d": [("f", "-")]},
     )
-    dec, _, _ = _pipeline(spec)
+    dec, pieces, profiles = _pipeline(spec)
     assert [f.walks for f in dec.faces] == [(2,), (2,)]
-    assert not _skeleton_connected(dec)
+    report = density_report(dec, profiles, pieces)
+    assert not report.skeleton_connected
+    assert (report.ledger.skeleton_components, report.ledger.drawing_components) == (2, 2)
 
 
 def test_positions_on_different_walks_are_never_adjacent():

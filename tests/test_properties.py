@@ -5,8 +5,10 @@ import itertools
 from hypothesis import assume, given, settings, strategies as st
 
 from _geom import DegenerateGeometry, drawing_doc
+from _ledger_oracle import checked_report
 
 from crossing_ledger import (
+    BudgetExceeded,
     DrawingSpec,
     build_map,
     check_k_planar,
@@ -80,6 +82,15 @@ def test_stick_count_is_twice_residual(spec):
     assert len(sticks) == 2 * len(dec.residual_edges)
     profiles = face_profiles(dec, pieces)
     assert sum(len(p.sticks) for p in profiles) == len(sticks)
+
+
+@given(random_drawings(), st.sampled_from([3, 4]))
+@settings(max_examples=150, deadline=None)
+def test_ledger_budgets_sum_to_the_bound(spec, k):
+    try:
+        checked_report(build_map(spec), k)
+    except BudgetExceeded:
+        assume(False)
 
 
 @given(random_drawings())

@@ -1,8 +1,9 @@
 """Every record type in the package is an immutable value.
 
 Records are ``typing.NamedTuple`` classes: fields cannot be assigned, two
-records with equal fields are equal, and ``to_dict()`` gives the dicts it gave
-when the records were frozen dataclasses (pinned below by digest).  Being
+records with equal fields are equal, and ``to_dict()`` gives the dicts pinned
+below by digest (those of the frozen dataclasses the records once were,
+apart from the audit's ledger and report, whose form has changed since).  Being
 tuples, they also have a length (the number of fields) and iterate over their
 fields, and a record equals a plain tuple of the same values; the README's
 Library section says so.
@@ -35,8 +36,8 @@ from crossing_ledger import (
 from crossing_ledger.generator import hexagon_gadget, theta_frame
 from crossing_ledger.skeleton import conflict_graph
 
-# SHA-256 of ``_to_dicts(_samples())``, the same with frozen dataclasses.
-TO_DICT_DIGEST = "7c9cc16a06697f965e47d889ea747084fb1845342d598dc37b885cc44e8a2800"
+# SHA-256 of ``_to_dicts(_samples())``.
+TO_DICT_DIGEST = "b992d59b63a89c91e11da76df1ed214c71c4567bcba4b6142ad17d87ffc41439"
 
 
 def _audit(spec):
@@ -54,6 +55,7 @@ def _samples() -> dict[str, list]:
     broken = validate_drawing(build_map(_fixtures.four_stick_triangle_spec()), 3)
     mutual = _audit(_fixtures.mutual_stick_triangle_spec())[3]
     far = _audit(_fixtures.far_middle_spec())[3]
+    four = _audit(_fixtures.four_stick_triangle_spec())[3]
     predicates = [v for vs in far.predicates.faces.values() for v in vs]
     return {
         "Violation": list(broken.violations),
@@ -69,7 +71,8 @@ def _samples() -> dict[str, list]:
         "AssociationResult": [report.association, mutual.association, far.association],
         "PredicateVerdict": predicates,
         "PredicateReport": [report.predicates, far.predicates],
-        "LedgerStep": list(report.ledger),
+        "LedgerRow": [*report.ledger.faces, *far.ledger.faces],
+        "Ledger": [report.ledger, four.ledger, far.ledger],
         "AuditReport": [report, mutual, far],
         "HexGadget": [hexagon_gadget(build_map(theta_frame(6)).faces[0], anchor="u")],
     }
