@@ -242,30 +242,6 @@ class PredicateVerdict(NamedTuple):
         return {"name": self.name, "holds": self.holds, "detail": self.detail}
 
 
-class PredicateReport(NamedTuple):
-    skeleton_connected: bool
-    skeleton_triangulated: bool
-    faces: dict[str, tuple[PredicateVerdict, ...]]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.skeleton_connected
-            and self.skeleton_triangulated
-            and all(v.holds for vs in self.faces.values() for v in vs)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "skeleton_connected": self.skeleton_connected,
-            "skeleton_triangulated": self.skeleton_triangulated,
-            "faces": {
-                f: [v.to_dict() for v in vs] for f, vs in sorted(self.faces.items())
-            },
-            "ok": self.ok,
-        }
-
-
 def _no_offenders(name: str, offenders: list, ok_detail: str, label: str) -> PredicateVerdict:
     """A predicate that holds iff ``offenders`` is empty, and lists them if not."""
     detail = f"{label}: {offenders}" if offenders else ok_detail
@@ -273,14 +249,14 @@ def _no_offenders(name: str, offenders: list, ok_detail: str, label: str) -> Pre
 
 
 def _predicates(
-    connected: bool, others: list[FaceProfile], pieces_by_id: dict[str, SegmentPiece]
-) -> PredicateReport:
+    others: list[FaceProfile], pieces_by_id: dict[str, SegmentPiece]
+) -> dict[str, tuple[PredicateVerdict, ...]]:
     """Conformance matrix for the structure a densest drawing must exhibit.
 
     Each predicate is evaluated per non-triangular skeleton face, the faces
-    in ``others``; ``connected`` and the triangulation check are global.  A
-    failing predicate certifies the input is not a crossing-minimal densest
-    drawing, which is no violation of the bound; nothing is ever repaired.
+    in ``others``, and the verdicts are returned by face id.  A failing
+    predicate certifies the input is not a crossing-minimal densest drawing,
+    which is no violation of the bound; nothing is ever repaired.
     """
     faces: dict[str, tuple[PredicateVerdict, ...]] = {}
 
@@ -345,12 +321,7 @@ def _predicates(
                              f"face holds {len(sticks)} stick(s); exactly two expected"),
         ]
         faces[prof.face] = tuple(verdicts)
-
-    return PredicateReport(
-        skeleton_connected=connected,
-        skeleton_triangulated=not others,
-        faces=faces,
-    )
+    return faces
 
 
 # -- ledger ------------------------------------------------------------------------
@@ -398,24 +369,6 @@ class Ledger(NamedTuple):
         }
 
 
-def _component_count(nodes, links) -> int:
-    """Components of the graph on ``nodes`` whose edges are the pairs in ``links``."""
-    root = {v: v for v in nodes}
-
-    def find(v: str) -> str:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    count = len(root)
-    for a, b in links:
-        a, b = find(a), find(b)
-        if a != b:
-            root[a] = b
-            count -= 1
-    return count
-
-
 def _ledger(
     dec: SkeletonDecomposition, profiles: Profiles, mapping: dict[str, str], alpha: Fraction
 ) -> Ledger:
@@ -427,9 +380,9 @@ def _ledger(
     triangle at 6.  The skeleton has c components on all n vertices (isolated
     ones included) and the drawing d components that hold an edge, each on
     its own sphere, so Euler's formula gives ``F = E_p - n + c + d`` faces and
-    ``Σ|f| = 2 E_p``.  With one more term ``alpha (c + d - 2)`` the budgets
-    then sum to ``alpha (n - 2) - |E_p|``, and the total slack is exactly the
-    bound ``alpha (n - 2)`` minus ``|E|``.
+    ``Σ|f| = 2 E_p``; c is read off that formula.  With one more term
+    ``alpha (c + d - 2)`` the budgets then sum to ``alpha (n - 2) - |E_p|``,
+    and the total slack is exactly the bound ``alpha (n - 2)`` minus ``|E|``.
 
     The one discharging rule is the pairing: each triangle in ``mapping``
     hands 1/4 of its charge to its partner.  The verdict is ``violated``
@@ -437,9 +390,8 @@ def _ledger(
     over its budget (the faces are listed), and ``certified`` otherwise.
     """
     pmap = dec.full_map
-    ends, components = pmap._ends, pmap._components
-    c = _component_count(pmap.vertices, [ends[e] for e in dec.skeleton_edges])
-    d = len({components[a] for a, _ in ends.values()})
+    d = len({pmap._components[a] for a, _ in pmap._ends.values()})
+    c = len(dec.faces) - len(dec.skeleton_edges) + len(pmap.vertices) - d
     # Charges and budgets are counted in quarters, as ints: 4 budget(f) is
     # (2 alpha - 6)(|f| - 2) + 4|f| - 12, and 2 alpha is an int in BOUND_TABLE.
     step = int(2 * alpha) - 6
@@ -476,13 +428,12 @@ class AuditReport(NamedTuple):
     skeleton_triangulated: bool
     triangle_counts: dict[int, int]
     triangular_face_count: int
-    triangular_face_count_expected: int | None
     stick_cap_violations: tuple[str, ...]
     association: AssociationResult
     ledger: Ledger
     bound_max_edges: int
     bound_verdict: str
-    predicates: PredicateReport
+    predicates: dict[str, tuple[PredicateVerdict, ...]]
 
     @property
     def ok(self) -> bool:
@@ -499,13 +450,14 @@ class AuditReport(NamedTuple):
             "skeleton_triangulated": self.skeleton_triangulated,
             "triangle_counts": {str(i): c for i, c in sorted(self.triangle_counts.items())},
             "triangular_faces": self.triangular_face_count,
-            "triangular_faces_expected": self.triangular_face_count_expected,
             "stick_cap_violations": list(self.stick_cap_violations),
             "association": self.association.to_dict(),
             "ledger": self.ledger.to_dict(),
             "bound_max_edges": self.bound_max_edges,
             "bound_verdict": self.bound_verdict,
-            "predicates": self.predicates.to_dict(),
+            "predicates": {
+                f: [v.to_dict() for v in vs] for f, vs in sorted(self.predicates.items())
+            },
             "ok": self.ok,
         }
 
@@ -556,9 +508,6 @@ def density_report(
     association = (AssociationResult(False, {}, (not_built,), ()) if not_built
                    else _associate(triangles, pieces_by_id))
     ledger = _ledger(dec, profiles, association.mapping, BOUND_TABLE[k][0])
-    connected = ledger.skeleton_components == 1
-    triangulated = not others
-
     verdict = "violated" if edge_count > bound else "tight" if edge_count == bound else "within"
 
     return AuditReport(
@@ -566,15 +515,14 @@ def density_report(
         n=n,
         edge_count=edge_count,
         skeleton_edge_count=len(dec.skeleton_edges),
-        skeleton_connected=connected,
-        skeleton_triangulated=triangulated,
-        triangle_counts={i: sizes[i] for i in range(k + 1)},
+        skeleton_connected=ledger.skeleton_components == 1,
+        skeleton_triangulated=not others,
+        triangle_counts={i: sizes[i] for i in range(max([k, *sizes]) + 1)},
         triangular_face_count=len(triangles),
-        triangular_face_count_expected=2 * n - 4 if (connected and triangulated) else None,
         stick_cap_violations=tuple(sorted(p.face for p in triangles if p.stick_count > k)),
         association=association,
         ledger=ledger,
         bound_max_edges=bound,
         bound_verdict=verdict,
-        predicates=_predicates(connected, others, pieces_by_id),
+        predicates=_predicates(others, pieces_by_id),
     )

@@ -157,38 +157,33 @@ def _validate(pmap: PlanarizedMap, k: int) -> ValidationReport:
     )
 
 
-def _violation_lines(report: dict) -> list[str]:
-    return [
-        f"VIOLATION [{v['rule']}] {', '.join(v['subjects'])}: {v['detail']}"
-        for v in report["violations"]
-    ]
+def _close(validation: dict, ok: bool, out: list[str], warnings: bool = False) -> None:
+    """End a text report: the validation's violations, then the one verdict line.
+
+    The verdict reads ``ok`` exactly when the command exits 0.
+    """
+    for v in validation["violations"]:
+        out.append(f"VIOLATION [{v['rule']}] {', '.join(v['subjects'])}: {v['detail']}")
+    if warnings:
+        out.extend(f"warning: {w}" for w in validation["warnings"])
+    out.append("verdict: " + ("ok" if ok else "violations found"))
 
 
 def _render_validation(report: dict, out: list[str]) -> None:
     out.append(f"k: {report['k']}")
     worst = max(report["per_edge_crossings"].values(), default=0)
     out.append(f"max crossings per edge: {worst}")
-    out.extend(_violation_lines(report))
-    for w in report["warnings"]:
-        out.append(f"warning: {w}")
-    out.append("verdict: " + ("ok" if report["ok"] else "violations found"))
+    _close(report, report["ok"], out, warnings=True)
 
 
-def _render_audit(report: dict, out: list[str]) -> None:
+def _render_audit(report: dict, validation: dict, out: list[str]) -> None:
     out.append(f"n={report['n']}  edges={report['edges']}  skeleton={report['skeleton_edges']}")
     out.append(
         "skeleton connected: %s, triangulated: %s"
         % (report["skeleton_connected"], report["skeleton_triangulated"])
     )
     counts = ", ".join(f"t{i}={c}" for i, c in report["triangle_counts"].items())
-    out.append(
-        f"triangular faces: {report['triangular_faces']}"
-        + (
-            f" (expected {report['triangular_faces_expected']})"
-            if report["triangular_faces_expected"] is not None
-            else ""
-        )
-    )
+    out.append(f"triangular faces: {report['triangular_faces']}")
     out.append(f"stick counts: {counts}")
     if report["stick_cap_violations"]:
         out.append(f"over the stick cap: {report['stick_cap_violations']}")
@@ -207,15 +202,14 @@ def _render_audit(report: dict, out: list[str]) -> None:
                "budget {budget}".format(**ledger["components"]))
     over = ", ".join(ledger["uncertified"])
     out.append(f"ledger verdict: {ledger['verdict']}" + (f" (over budget: {over})" if over else ""))
-    pred = report["predicates"]
-    for face, verdicts in pred["faces"].items():
+    for face, verdicts in report["predicates"].items():
         for v in verdicts:
             if not v["holds"]:
                 out.append(f"PREDICATE FAILS [{v['name']}] on {face}: {v['detail']}")
     out.append(
         f"bound: {report['edges']} vs {report['bound_max_edges']} -> {report['bound_verdict']}"
     )
-    out.append("verdict: " + ("ok" if report["ok"] else "violations found"))
+    _close(validation, report["ok"] and validation["ok"], out)
 
 
 def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
@@ -322,8 +316,7 @@ def _run(argv: list[str], stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
                 _write(_stage.emit_report(doc), None, stdout)
             else:
                 lines = []
-                _render_audit(report.to_dict(), lines)
-                lines.extend(_violation_lines(validation.to_dict()))
+                _render_audit(report.to_dict(), validation.to_dict(), lines)
                 _write("\n".join(lines) + "\n", None, stdout)
             return EXIT_OK if (report.ok and validation.ok) else EXIT_VERDICT
 

@@ -45,12 +45,6 @@ class ConflictGraph(NamedTuple):
             out.append(sorted(comp))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "conflicts": [list(p) for p in self.pairs],
-        }
-
 
 def conflict_graph(pmap: PlanarizedMap) -> ConflictGraph:
     adj: dict[str, set[str]] = {e: set() for e in pmap.edge_ids}
@@ -180,10 +174,14 @@ class SkeletonDecomposition(NamedTuple):
     skeleton_edges: tuple[str, ...]
     residual_edges: tuple[str, ...]
     mode: str
-    optimal_certificate: bool
     faces: tuple[FaceWalk, ...]
     occurrences: list[tuple[str, int] | None]
     hosts: tuple[str, ...]
+
+    @property
+    def optimal_certificate(self) -> bool:
+        """Whether the skeleton is a proven maximum, which only exact mode finds."""
+        return self.mode == "exact"
 
     def face_of_dart(self, d: int) -> tuple[str, int] | None:
         """(face id, position) of the walk dart on ``d``'s skeleton edge, in
@@ -290,13 +288,13 @@ def _check_decomposition(conflicts: ConflictGraph, kept: set[str]) -> None:
 
 
 def _assemble(
-    pmap: PlanarizedMap, conflicts: ConflictGraph, kept: set[str], mode: str, certificate: bool
+    pmap: PlanarizedMap, conflicts: ConflictGraph, kept: set[str], mode: str
 ) -> SkeletonDecomposition:
     _check_decomposition(conflicts, kept)
     skeleton = tuple(sorted(kept))
     residual = tuple(sorted(set(pmap.edge_ids) - kept))
     return SkeletonDecomposition(
-        pmap, skeleton, residual, mode, certificate, *_skeleton_faces(pmap, kept, residual)
+        pmap, skeleton, residual, mode, *_skeleton_faces(pmap, kept, residual)
     )
 
 
@@ -333,7 +331,7 @@ def extract_skeleton(
                 if e not in picked and not (conflicts.adjacency[e] & picked):
                     picked.add(e)
             kept.update(picked)
-    return _assemble(pmap, conflicts, kept, mode, certificate=(mode == "exact"))
+    return _assemble(pmap, conflicts, kept, mode)
 
 
 def decompose_with(pmap: PlanarizedMap, skeleton_edges) -> SkeletonDecomposition:
@@ -347,4 +345,4 @@ def decompose_with(pmap: PlanarizedMap, skeleton_edges) -> SkeletonDecomposition
     unknown = kept - set(pmap.edge_ids)
     if unknown:
         raise BadArgument(f"not edges of this map: {sorted(unknown)}")
-    return _assemble(pmap, conflict_graph(pmap), kept, mode="manual", certificate=False)
+    return _assemble(pmap, conflict_graph(pmap), kept, mode="manual")

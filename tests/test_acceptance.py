@@ -167,14 +167,14 @@ def test_criterion_7_negative_fixtures(
     pred = density_report(dec, face_profiles(dec, pieces), pieces).predicates
     hosts = {p.host_face for p in pieces}
     ok = ok and all(
-        any(v.name == "sticks_crossed" and not v.holds for v in pred.faces[h]) for h in hosts
+        any(v.name == "sticks_crossed" and not v.holds for v in pred[h]) for h in hosts
     )
     # a far middle part fails the short-middles predicate
     dec = extract_skeleton(build_map(far_middle_spec), "exact")
     pieces = decompose(dec)
     pred = density_report(dec, face_profiles(dec, pieces), pieces).predicates
     host = next(p.host_face for p in pieces if p.kind == "middle")
-    ok = ok and any(v.name == "middles_short" and not v.holds for v in pred.faces[host])
+    ok = ok and any(v.name == "middles_short" and not v.holds for v in pred[host])
     _verdict(7, "all four negative fixtures produce the exact expected verdicts", ok)
 
 

@@ -259,29 +259,27 @@ def test_unsupported_k_carries_informational_estimate():
 
 def test_predicates_vacuous_on_generated():
     dec, pieces, profiles = _pipeline(generate_optimal(6))
-    report = density_report(dec, profiles, pieces).predicates
-    assert report.ok
+    report = density_report(dec, profiles, pieces)
     assert report.skeleton_connected and report.skeleton_triangulated
-    assert report.faces == {}
+    assert report.predicates == {}
 
 
 def test_uncrossed_stick_fails_predicate(uncrossed_stick_spec):
     dec, pieces, profiles = _pipeline(uncrossed_stick_spec)
-    report = density_report(dec, profiles, pieces).predicates
-    assert not report.ok
+    report = density_report(dec, profiles, pieces)
     assert not report.skeleton_connected  # two vertices float off the skeleton
     failing = {
         face: [v.name for v in verdicts if not v.holds]
-        for face, verdicts in report.faces.items()
+        for face, verdicts in report.predicates.items()
     }
-    assert all("sticks_crossed" in names for names in failing.values())
+    assert failing and all("sticks_crossed" in names for names in failing.values())
 
 
 def test_far_middle_fails_predicate(far_middle_spec):
     dec, pieces, profiles = _pipeline(far_middle_spec)
     report = density_report(dec, profiles, pieces).predicates
     host = next(p.host_face for p in pieces if p.kind == "middle")
-    names = [v.name for v in report.faces[host] if not v.holds]
+    names = [v.name for v in report[host] if not v.holds]
     assert "middles_short" in names
 
 
@@ -289,7 +287,7 @@ def test_stickless_face_counts(far_middle_spec):
     dec, pieces, profiles = _pipeline(far_middle_spec)
     report = density_report(dec, profiles, pieces).predicates
     host = next(p.host_face for p in pieces if p.kind == "middle")
-    verdicts = {v.name: v for v in report.faces[host]}
+    verdicts = {v.name: v for v in report[host]}
     # 2 of 4 non-bridges untouched is not a strict minority
     assert not verdicts["stickless_uncrossed_minority"].holds
     assert not verdicts["stick_present"].holds

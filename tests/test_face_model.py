@@ -26,7 +26,7 @@ from crossing_ledger import (
     generate_optimal,
     restrict,
 )
-from crossing_ledger.audit import _component_count
+from crossing_ledger.audit import BOUND_TABLE, _ledger
 from crossing_ledger.segments import FAR, LONG, classify_middle, classify_stick
 
 
@@ -82,10 +82,10 @@ def _check_against_restrict(pmap, dec):
         # ids, walk sides, nodes, edges and walks
         assert [_face_key(pmap, f) for f in dec.faces] == [_face_key(sub, f) for f in sub.faces]
     _check_occurrences(pmap, dec)
-    # Skeleton components on every vertex, as the skeleton's own map counts them.
-    skeleton_ends = map(pmap.endpoints, dec.skeleton_edges)
-    components = len({sub.component_of(v) for v in sub.vertices})
-    assert _component_count(pmap.vertices, skeleton_ends) == components
+    # The ledger's skeleton components on every vertex, which it reads off
+    # Euler's formula, are those the skeleton's own map counts.
+    ledger = _ledger(dec, face_profiles(dec, decompose(dec)), {}, BOUND_TABLE[3][0])
+    assert ledger.skeleton_components == len({sub.component_of(v) for v in sub.vertices})
 
 
 def _pipeline(spec):

@@ -54,6 +54,26 @@ def test_golden_case(case_id):
     assert actual == {k: case[k] for k in actual}
 
 
+TEXT_REPORTS = [
+    case_id for case_id, case in CASES.items()
+    if case["argv"][0] in ("validate", "audit") and "json" not in case["argv"]
+]
+
+
+@pytest.mark.parametrize("case_id", TEXT_REPORTS)
+def test_text_verdict_line_is_the_exit_code(case_id):
+    case = CASES[case_id]
+    out = ""
+    if "stdout_file" in case:
+        out = (GOLDEN / "expected" / case["stdout_file"]).read_bytes().decode("utf-8")
+    assert len(out.encode("utf-8")) == case["stdout_bytes"]
+    if not out:  # a rejected input writes only to stderr
+        assert case["exit"] == 1
+    else:
+        verdict = "ok" if case["exit"] == 0 else "violations found"
+        assert out.splitlines()[-1] == f"verdict: {verdict}"
+
+
 def _check_corpus(python: str, hash_seed: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     return subprocess.run(

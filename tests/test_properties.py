@@ -4,6 +4,7 @@ import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
+import _fixtures
 from _geom import DegenerateGeometry, drawing_doc
 from _ledger_oracle import checked_report
 
@@ -88,9 +89,17 @@ def test_stick_count_is_twice_residual(spec):
 @settings(max_examples=150, deadline=None)
 def test_ledger_budgets_sum_to_the_bound(spec, k):
     try:
-        checked_report(build_map(spec), k)
+        report = checked_report(build_map(spec), k)
     except BudgetExceeded:
         assume(False)
+    # Every triangle is counted by its sticks, over the stick cap too.
+    assert sum(report.triangle_counts.values()) == report.triangular_face_count
+
+
+def test_triangle_counts_include_triangles_over_the_cap():
+    report = checked_report(build_map(_fixtures.four_stick_triangle_spec()), 3)
+    assert report.triangle_counts == {0: 0, 1: 4, 2: 0, 3: 0, 4: 1}
+    assert sum(report.triangle_counts.values()) == report.triangular_face_count == 5
 
 
 @given(random_drawings())

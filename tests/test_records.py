@@ -37,7 +37,7 @@ from crossing_ledger.generator import hexagon_gadget, theta_frame
 from crossing_ledger.skeleton import conflict_graph
 
 # SHA-256 of ``_to_dicts(_samples())``.
-TO_DICT_DIGEST = "b992d59b63a89c91e11da76df1ed214c71c4567bcba4b6142ad17d87ffc41439"
+TO_DICT_DIGEST = "1063358c40cfdd147bb7f8b66665a7949621a6efb593f6a684f457ae54e60df2"
 
 
 def _audit(spec):
@@ -56,7 +56,7 @@ def _samples() -> dict[str, list]:
     mutual = _audit(_fixtures.mutual_stick_triangle_spec())[3]
     far = _audit(_fixtures.far_middle_spec())[3]
     four = _audit(_fixtures.four_stick_triangle_spec())[3]
-    predicates = [v for vs in far.predicates.faces.values() for v in vs]
+    predicates = [v for vs in far.predicates.values() for v in vs]
     return {
         "Violation": list(broken.violations),
         "DrawingSpec": [spec, _fixtures.far_middle_spec()],
@@ -70,7 +70,6 @@ def _samples() -> dict[str, list]:
         "Diagnosis": list(mutual.association.diagnoses),
         "AssociationResult": [report.association, mutual.association, far.association],
         "PredicateVerdict": predicates,
-        "PredicateReport": [report.predicates, far.predicates],
         "LedgerRow": [*report.ledger.faces, *far.ledger.faces],
         "Ledger": [report.ledger, four.ledger, far.ledger],
         "AuditReport": [report, mutual, far],
