@@ -157,15 +157,15 @@ def _validate(pmap: PlanarizedMap, k: int) -> ValidationReport:
     )
 
 
-def _close(validation: dict, ok: bool, out: list[str], warnings: bool = False) -> None:
-    """End a text report: the validation's violations, then the one verdict line.
+def _close(validation: dict, ok: bool, out: list[str]) -> None:
+    """End a text report: the validation's violations and warnings, then the
+    one verdict line.
 
     The verdict reads ``ok`` exactly when the command exits 0.
     """
     for v in validation["violations"]:
         out.append(f"VIOLATION [{v['rule']}] {', '.join(v['subjects'])}: {v['detail']}")
-    if warnings:
-        out.extend(f"warning: {w}" for w in validation["warnings"])
+    out.extend(f"warning: {w}" for w in validation["warnings"])
     out.append("verdict: " + ("ok" if ok else "violations found"))
 
 
@@ -173,7 +173,7 @@ def _render_validation(report: dict, out: list[str]) -> None:
     out.append(f"k: {report['k']}")
     worst = max(report["per_edge_crossings"].values(), default=0)
     out.append(f"max crossings per edge: {worst}")
-    _close(report, report["ok"], out, warnings=True)
+    _close(report, report["ok"], out)
 
 
 def _render_audit(report: dict, validation: dict, out: list[str]) -> None:
@@ -272,14 +272,11 @@ def _run(argv: list[str], stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
             spec = _read_spec(args.file, stdin)
             pmap = _stage.build_map(spec)
             dec = _stage.extract_skeleton(pmap, args.mode)
-            sections: dict = {"skeleton": dec.to_dict()}
+            sections: dict = {"skeleton": dec}
             if args.segments:
                 pieces = _stage.decompose(dec)
                 profiles = _stage.face_profiles(dec, pieces)
-                sections["segments"] = {
-                    "pieces": [p.to_dict() for p in pieces],
-                    "faces": [p.to_dict() for p in profiles],
-                }
+                sections["segments"] = {"pieces": pieces, "faces": profiles}
             if args.format == "json":
                 doc = _stage.report_document(spec, sections)
                 _write(_stage.emit_report(doc), None, stdout)
@@ -291,10 +288,10 @@ def _run(argv: list[str], stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
                     f"faces: {len(dec.faces)}",
                 ]
                 if args.segments:
-                    for prof in sections["segments"]["faces"]:
+                    for prof in profiles:
                         lines.append(
-                            f"face {prof['face']} size {prof['size']} type {prof['type']} "
-                            f"sticks {len(prof['sticks'])} middles {len(prof['middles'])}"
+                            f"face {prof.face} size {prof.size} type {list(prof.type_tuple)} "
+                            f"sticks {len(prof.sticks)} middles {len(prof.middles)}"
                         )
                 _write("\n".join(lines) + "\n", None, stdout)
             return EXIT_OK

@@ -318,6 +318,9 @@ class FaceWalk(NamedTuple):
     edges: tuple[str, ...]
     walks: tuple[int, ...]
 
+    # The keys of ``to_dict``, in order; a face of one walk has no ``walks``.
+    _keys = ("face", "length", "nodes", "edges", "walks")
+
     @property
     def length(self) -> int:
         return len(self.darts)
@@ -333,13 +336,12 @@ class FaceWalk(NamedTuple):
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "face": self.face_id,
-            "length": self.length,
-            "nodes": list(self.nodes),
-            "edges": list(self.edges),
-            **({"walks": list(self.walks)} if len(self.walks) > 1 else {}),
-        }
+        doc = dict(zip(self._keys, (
+            self.face_id, self.length, list(self.nodes), list(self.edges), list(self.walks),
+        ), strict=True))
+        if len(self.walks) == 1:
+            del doc["walks"]
+        return doc
 
 
 def _lookup(table: Mapping, key: str, what: str):

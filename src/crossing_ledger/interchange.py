@@ -9,11 +9,16 @@ canonical specs.
 
 :func:`emit_drawing` writes that text directly from the spec's tuples, in
 exactly the bytes ``json.dumps(spec.to_doc(), indent=2) + "\n"`` gives.
-:func:`emit_report` writes any JSON-serialisable report with one recursive
-writer (``_value``) in the bytes ``json.dumps(doc, indent=2) + "\n"`` gives.
-Both quote strings with ``json``'s own ASCII encoder and lay out blocks with
-string joins; ``tests/test_emit_oracle.py`` keeps the ``json.dumps`` calls as
-their oracles.
+:func:`emit_report` writes a report in the bytes ``json.dumps(doc, indent=2)
++ "\n"`` gives once every stage record in it is replaced by its
+``to_dict()``.  Plain values go through one recursive writer (``_value``).
+The records of ``analyze`` (the skeleton with its faces, a piece, a face
+profile) write themselves: their ``_json`` methods fill one ``%`` template
+per key tuple and depth (``_TEMPLATE``) from their fields, and build no
+dict.  Any other record with a ``to_dict`` is written as that dict.  All of
+them quote strings with ``json``'s own ASCII encoder and lay out blocks with
+string joins; ``tests/test_emit_oracle.py`` keeps the ``to_dict`` and
+``json.dumps`` calls as their oracles.
 
 A report's ``drawing`` section is :func:`emit_drawing`'s text, the same text
 that ``input_digest`` hashes, written once by :func:`report_document` and
@@ -31,7 +36,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from operator import eq
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 from . import __version__
 from .drawing import DrawingSpec
@@ -121,8 +126,40 @@ def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
     return separator.join(items)
 
 
-def _strings(values: Iterable[str], depth: int) -> str:
-    return _block(list(map(_quote, values)), depth)
+def _strings(values: Sequence[str], depth: int) -> str:
+    """A JSON array of the strings ``values`` at ``depth``: :func:`_block`'s
+    bytes in one join, as most such arrays are short and many are empty."""
+    if not values:
+        return "[]"
+    opening, separator, closing = _LAYOUT[depth]
+    return f"[{opening}{separator.join(map(_quote, values))}{closing}]"
+
+
+def _ints(values: Sequence[int], depth: int) -> str:
+    return _block(list(map(str, values)), depth)
+
+
+def _null(s: str | None) -> str:
+    return "null" if s is None else _quote(s)
+
+
+class _Templates(dict):
+    """(keys, depth, walks) -> the ``%`` template of a record's object at ``depth``.
+
+    The stage records that write themselves (their ``_json`` methods) fill it
+    with one encoded value per key, in the order of their ``_keys``; no key
+    holds a ``%``.  With ``walks`` False the ``walks`` key is left out, as
+    ``to_dict`` leaves it out on a face of one walk.
+    """
+
+    def __missing__(self, key: tuple[tuple[str, ...], int, bool]) -> str:
+        keys, depth, walks = key
+        fields = [f"{_quote(k)}: %s" for k in keys if walks or k != "walks"]
+        template = self[key] = _block(fields, depth, "{}")
+        return template
+
+
+_TEMPLATE = _Templates()
 
 
 class _EntryTemplates(dict):
@@ -200,6 +237,13 @@ class _Drawing(dict):
             and _same_rows(self["rotations"], spec.rotations, lambda rot: list(map(list, rot)))
         )
 
+    def _json(self, depth: int) -> str:
+        if self.unedited():
+            # The canonical text, one level deeper per ``depth``: indenting
+            # only adds leading spaces, and no quoted string holds a newline.
+            return self.text[:-1].replace("\n", "\n" + "  " * depth)
+        return _value(dict(self), depth)  # edited: written as it stands
+
 
 def _same_rows(section: Any, rows: tuple | dict, convert) -> bool:
     """Whether ``section`` is ``rows`` as ``to_doc`` writes it: a list of the
@@ -249,17 +293,17 @@ def _key(key: Any) -> str:
 
 
 def _value(o: Any, depth: int) -> str:
-    """``o`` as ``json.dumps(o, indent=2)`` writes it at nesting ``depth``."""
+    """``o`` as ``json.dumps(o, indent=2)`` writes it at nesting ``depth``,
+    each record in it replaced by its ``to_dict()``."""
     if isinstance(o, str):
         return _quote(o)
+    writer = _WRITERS[type(o)]
+    if writer is not None:
+        return writer(o, depth)
     if isinstance(o, (list, tuple)):
         deeper = depth + 1
         return _block([_quote(v) if type(v) is str else _value(v, deeper) for v in o], depth)
     if isinstance(o, dict):
-        if type(o) is _Drawing and o.unedited():
-            # The canonical text, one level deeper per ``depth``: indenting
-            # only adds leading spaces, and no quoted string holds a newline.
-            return o.text[:-1].replace("\n", "\n" + "  " * depth)
         deeper = depth + 1
         return _block(
             [
@@ -281,11 +325,37 @@ def _value(o: Any, depth: int) -> str:
     return _scalar(o)
 
 
+def _as_dict(o: Any, depth: int) -> str:
+    return _value(o.to_dict(), depth)
+
+
+class _Writers(dict):
+    """Type -> the function that writes its values, or None for JSON's own types.
+
+    A type with a ``_json(depth)`` method writes itself: the drawing section
+    and the bulk records of ``analyze``.  Any other type with a ``to_dict``
+    is written as that dict.  Each type's writer is found on first use.
+    """
+
+    def __missing__(self, cls: type):
+        writer = getattr(cls, "_json", None)
+        if writer is None and hasattr(cls, "to_dict"):
+            writer = _as_dict
+        self[cls] = writer
+        return writer
+
+
+_WRITERS = _Writers()
+
+
 def emit_report(doc: dict) -> str:
-    """Report text: the bytes ``json.dumps(doc, indent=2) + "\\n"`` gives.
+    """Report text: the bytes ``json.dumps(doc, indent=2) + "\\n"`` gives, with
+    every stage record in ``doc`` written as its ``to_dict()``.
 
     Written by one recursive pass with string joins, which is about twice as
-    fast as ``json``'s pure-Python indenting encoder; that call is the test
-    oracle.  Documents are trees: a cycle exhausts the recursion limit.
+    fast as ``json``'s pure-Python indenting encoder, and the bulk records of
+    ``analyze`` from their fields without building their dicts; those calls
+    are the test oracle.  Documents are trees: a cycle exhausts the recursion
+    limit.
     """
     return _value(doc, 0) + "\n"

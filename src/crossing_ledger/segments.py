@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BadArgument, InvariantError
+from .interchange import _TEMPLATE, _block, _ints, _null, _quote, _strings
 from .skeleton import SkeletonDecomposition
 
 STICK = "stick"
@@ -32,8 +33,10 @@ class CrossedRef(NamedTuple):
     edge: str
     position: int
 
+    _keys = ("crossing", "edge", "position")
+
     def to_dict(self) -> dict:
-        return {"crossing": self.crossing, "edge": self.edge, "position": self.position}
+        return dict(zip(self._keys, self, strict=True))
 
 
 class SegmentPiece(NamedTuple):
@@ -51,21 +54,49 @@ class SegmentPiece(NamedTuple):
     intra_pieces: tuple[str, ...]
     warnings: tuple[str, ...] = ()
 
+    # The keys of ``to_dict``, in order; ``index`` is left out.
+    _keys = (
+        "piece", "edge", "kind", "host_face", "emanates_from", "occurrence", "crossed",
+        "classification", "orientation", "intra_crossings", "intra_pieces", "warnings",
+    )
+
     def to_dict(self) -> dict:
-        return {
-            "piece": self.piece_id,
-            "edge": self.edge,
-            "kind": self.kind,
-            "host_face": self.host_face,
-            "emanates_from": self.emanates_from,
-            "occurrence": self.occurrence,
-            "crossed": [c.to_dict() for c in self.crossed],
-            "classification": self.classification,
-            "orientation": self.orientation,
-            "intra_crossings": list(self.intra_crossings),
-            "intra_pieces": list(self.intra_pieces),
-            "warnings": list(self.warnings),
-        }
+        return dict(zip(self._keys, (
+            self.piece_id,
+            self.edge,
+            self.kind,
+            self.host_face,
+            self.emanates_from,
+            self.occurrence,
+            [c.to_dict() for c in self.crossed],
+            self.classification,
+            self.orientation,
+            list(self.intra_crossings),
+            list(self.intra_pieces),
+            list(self.warnings),
+        ), strict=True))
+
+    def _json(self, depth: int) -> str:
+        """``to_dict()`` as the report writer writes it at ``depth``, made from the fields."""
+        deeper = depth + 1
+        crossed = _TEMPLATE[CrossedRef._keys, deeper + 1, True]
+        return _TEMPLATE[self._keys, depth, True] % (
+            _quote(self.piece_id),
+            _quote(self.edge),
+            _quote(self.kind),
+            _quote(self.host_face),
+            _null(self.emanates_from),
+            "null" if self.occurrence is None else self.occurrence,
+            _block(
+                [crossed % (_quote(c.crossing), _quote(c.edge), c.position) for c in self.crossed],
+                deeper,
+            ),
+            _quote(self.classification),
+            _null(self.orientation),
+            _strings(self.intra_crossings, deeper),
+            _strings(self.intra_pieces, deeper),
+            _strings(self.warnings, deeper),
+        )
 
 
 class FaceProfile(NamedTuple):
@@ -109,24 +140,56 @@ class FaceProfile(NamedTuple):
     def uncrossed_count(self) -> int:
         return len(self.uncrossed_non_bridges)
 
+    # The keys of ``to_dict``, in order; a face of one walk has no ``walks``.
+    _keys = (
+        "face", "size", "nodes", "edges", "walks", "type", "sticks", "middles", "passing_edges",
+        "bridges", "non_bridges", "uncrossed_non_bridges", "stick_stick_pairs",
+        "stick_middle_pairs", "warnings",
+    )
+
     def to_dict(self) -> dict:
-        return {
-            "face": self.face,
-            "size": self.size,
-            "nodes": list(self.walk_nodes),
-            "edges": list(self.walk_edges),
-            **({"walks": list(self.walks)} if len(self.walks) > 1 else {}),
-            "type": list(self.type_tuple),
-            "sticks": list(self.sticks),
-            "middles": list(self.middles),
-            "passing_edges": list(self.passing_edges),
-            "bridges": list(self.bridges),
-            "non_bridges": list(self.non_bridges),
-            "uncrossed_non_bridges": list(self.uncrossed_non_bridges),
-            "stick_stick_pairs": [list(p) for p in self.stick_stick_pairs],
-            "stick_middle_pairs": [list(p) for p in self.stick_middle_pairs],
-            "warnings": list(self.warnings),
-        }
+        doc = dict(zip(self._keys, (
+            self.face,
+            self.size,
+            list(self.walk_nodes),
+            list(self.walk_edges),
+            list(self.walks),
+            list(self.type_tuple),
+            list(self.sticks),
+            list(self.middles),
+            list(self.passing_edges),
+            list(self.bridges),
+            list(self.non_bridges),
+            list(self.uncrossed_non_bridges),
+            [list(p) for p in self.stick_stick_pairs],
+            [list(p) for p in self.stick_middle_pairs],
+            list(self.warnings),
+        ), strict=True))
+        if len(self.walks) == 1:
+            del doc["walks"]
+        return doc
+
+    def _json(self, depth: int) -> str:
+        """``to_dict()`` as the report writer writes it at ``depth``, made from the fields."""
+        deeper = depth + 1
+        walks = (_ints(self.walks, deeper),) if len(self.walks) > 1 else ()
+        return _TEMPLATE[self._keys, depth, bool(walks)] % (
+            _quote(self.face),
+            self.size,
+            _strings(self.walk_nodes, deeper),
+            _strings(self.walk_edges, deeper),
+            *walks,
+            _ints(self.type_tuple, deeper),
+            _strings(self.sticks, deeper),
+            _strings(self.middles, deeper),
+            _strings(self.passing_edges, deeper),
+            _strings(self.bridges, deeper),
+            _strings(self.non_bridges, deeper),
+            _strings(self.uncrossed_non_bridges, deeper),
+            _block([_strings(pair, deeper + 1) for pair in self.stick_stick_pairs], deeper),
+            _block([_strings(pair, deeper + 1) for pair in self.stick_middle_pairs], deeper),
+            _strings(self.warnings, deeper),
+        )
 
 
 class _Derived(tuple):

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .drawing import FaceWalk, PlanarizedMap
 from .errors import BadArgument, BudgetExceeded, InvariantError
+from .interchange import _TEMPLATE, _block, _ints, _quote, _strings
 
 DEFAULT_EXACT_BUDGET = 24
 
@@ -193,15 +194,46 @@ class SkeletonDecomposition(NamedTuple):
         """Id of the skeleton face holding the full-map face right of ``d``."""
         return self.hosts[self.full_map._dart_face[self.full_map._checked(d)]]
 
+    # The keys of ``to_dict``, in order.
+    _keys = (
+        "mode", "optimal_certificate", "skeleton_edges", "residual_edges", "skeleton_size",
+        "faces",
+    )
+
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "optimal_certificate": self.optimal_certificate,
-            "skeleton_edges": list(self.skeleton_edges),
-            "residual_edges": list(self.residual_edges),
-            "skeleton_size": len(self.skeleton_edges),
-            "faces": [f.to_dict() for f in self.faces],
-        }
+        return dict(zip(self._keys, (
+            self.mode,
+            self.optimal_certificate,
+            list(self.skeleton_edges),
+            list(self.residual_edges),
+            len(self.skeleton_edges),
+            [f.to_dict() for f in self.faces],
+        ), strict=True))
+
+    def _json(self, depth: int) -> str:
+        """``to_dict()`` as the report writer writes it at ``depth``, made from the fields."""
+        deeper = depth + 1
+        return _TEMPLATE[self._keys, depth, True] % (
+            _quote(self.mode),
+            "true" if self.optimal_certificate else "false",
+            _strings(self.skeleton_edges, deeper),
+            _strings(self.residual_edges, deeper),
+            len(self.skeleton_edges),
+            _block([_face_json(f, deeper + 1) for f in self.faces], deeper),
+        )
+
+
+def _face_json(face: FaceWalk, depth: int) -> str:
+    """``face.to_dict()`` as the report writer writes it at ``depth``."""
+    deeper = depth + 1
+    walks = (_ints(face.walks, deeper),) if len(face.walks) > 1 else ()
+    return _TEMPLATE[face._keys, depth, bool(walks)] % (
+        _quote(face.face_id),
+        len(face.darts),
+        _strings(face.nodes, deeper),
+        _strings(face.edges, deeper),
+        *walks,
+    )
 
 
 def _skeleton_faces(pmap: PlanarizedMap, kept: set[str], residual: tuple[str, ...]):

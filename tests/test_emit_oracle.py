@@ -1,8 +1,11 @@
 """The writers against ``json.dumps(..., indent=2)``, their oracle.
 
 ``emit_drawing`` is checked on drawings, ``emit_report`` on every JSON report
-the golden corpus produces, the benchmark's largest report, and hypothesis
-documents of every type ``json.dumps`` accepts.
+the golden corpus produces, the ``analyze`` reports of the tight family and
+of hypothesis drawings, the benchmark's largest report, and hypothesis
+documents of every type ``json.dumps`` accepts.  A report may hold stage
+records, which ``emit_report`` writes as their ``to_dict()``; the oracle
+reads them through ``to_dict`` first.
 """
 
 from __future__ import annotations
@@ -22,15 +25,22 @@ from test_properties import random_drawings
 
 from crossing_ledger import (
     DrawingSpec,
+    build_map,
     cli,
+    decompose,
     emit_drawing,
+    extract_skeleton,
+    face_profiles,
     generate_optimal,
     input_digest,
     parse_text,
     report_document,
 )
-from crossing_ledger import interchange
+from crossing_ledger import interchange, segments, skeleton
+from crossing_ledger.drawing import FaceWalk, Violation
 from crossing_ledger.interchange import _quote as QUOTE, emit_report
+from crossing_ledger.segments import CrossedRef, FaceProfile, SegmentPiece
+from crossing_ledger.skeleton import SkeletonDecomposition
 
 
 def _agree(spec: DrawingSpec) -> str:
@@ -104,10 +114,30 @@ JSON_CASES = [
 ]
 
 
+def _plain(o):
+    """``o`` with every record in it replaced by its ``to_dict()``."""
+    if hasattr(o, "to_dict"):
+        return o.to_dict()
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    return o
+
+
 def _agree_report(doc) -> str:
     text = emit_report(doc)
-    assert text == json.dumps(doc, indent=2) + "\n"
+    assert text == json.dumps(_plain(doc), indent=2) + "\n"
     return text
+
+
+def _analysis(spec: DrawingSpec) -> dict:
+    """The report ``analyze --skeleton --segments --format json`` writes."""
+    dec = extract_skeleton(build_map(spec), "exact")
+    pieces = decompose(dec)
+    profiles = face_profiles(dec, pieces)
+    section = {"pieces": pieces, "faces": profiles}
+    return report_document(spec, {"skeleton": dec, "segments": section})
 
 
 def _reports(argv: list[str], stdin: str, monkeypatch) -> list:
@@ -144,9 +174,60 @@ def test_render_report(monkeypatch):
     assert len(_agree_report(doc)) > 1_000_000
 
 
+@pytest.mark.parametrize("n", range(6, 60, 2))
+def test_tight_family_analysis(n, monkeypatch):
+    argv = ["analyze", "--skeleton", "--segments", "--format", "json", "-"]
+    (doc,) = _reports(argv, emit_drawing(generate_optimal(n)), monkeypatch)
+    _agree_report(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_drawings())
+def test_random_drawing_analysis(spec):
+    # Faces of several walks, middle parts, oriented sticks and intra crossings.
+    _agree_report(_analysis(spec))
+
+
+def test_analysis_with_escaped_ids():
+    text = _agree_report(_analysis(_escaped_spec()))
+    assert text.isascii() and "%" in text
+
+
+RECORDS = (SkeletonDecomposition, FaceWalk, SegmentPiece, CrossedRef, FaceProfile)
+
+
+def test_analysis_builds_no_to_dict_tree(monkeypatch):
+    # The skeleton, its faces, the pieces and the profiles write themselves.
+    argv = ["analyze", "--skeleton", "--segments", "--format", "json", "-"]
+    stdin = emit_drawing(generate_optimal(14))
+    expected = replay(argv, stdin)
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.to_dict called")
+
+    for record in RECORDS:
+        monkeypatch.setattr(record, "to_dict", refuse)
+    assert replay(argv, stdin) == expected
+
+
+def test_records_are_written_as_their_dicts():
+    # A record without a writer of its own is written as its to_dict(), and
+    # so is a piece outside its Pieces: never as the tuple it is.
+    dec = extract_skeleton(build_map(generate_optimal(6)), "exact")
+    pieces = decompose(dec)
+    violation = Violation("k-planar", ("e", "f"), "too many crossings")
+    sections = {"pieces": pieces[:1], "face": dec.faces[0], "violation": violation}
+    doc = report_document(generate_optimal(6), sections, include_drawing=False)
+    report = json.loads(_agree_report(doc))
+    assert report["pieces"] == [pieces[0].to_dict()]
+    assert "index" not in report["pieces"][0]
+    assert report["face"] == dec.faces[0].to_dict()
+    assert report["violation"] == violation.to_dict()
+
+
 # -- the report's drawing section --------------------------------------------------
 
-ESCAPED_IDS = ('a"q', "b\\s", "c\nl", "d\tt", "eé☃\U0001f600")
+ESCAPED_IDS = ('a"q%s', "b\\s", "c\nl", "d\tt%%", "eé☃\U0001f600")
 
 
 def _escaped_spec() -> DrawingSpec:
@@ -239,9 +320,12 @@ def test_report_quotes_no_drawing_string(monkeypatch):
             quoted.append(s)
             return QUOTE(s)
 
-        monkeypatch.setattr(interchange, "_quote", counting)
+        # The records that write themselves quote through their own modules' name.
+        for module in (interchange, skeleton, segments):
+            monkeypatch.setattr(module, "_quote", counting)
         emit_report(report)
-        monkeypatch.setattr(interchange, "_quote", QUOTE)
+        for module in (interchange, skeleton, segments):
+            monkeypatch.setattr(module, "_quote", QUOTE)
         counts.append(len(quoted))
     with_drawing, without = counts
     assert without > 1000

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import re
 import xml.etree.ElementTree as ET
@@ -8,12 +9,17 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from _fixtures import spec_from
-from crossing_ledger import BadHint, CrossingLedgerError, build_map, export_figure
+from crossing_ledger import BadHint, CrossingLedgerError, build_map, emit_drawing, export_figure
+from crossing_ledger.cli import run
 from crossing_ledger.generator import generate_optimal
 
 # SHA-256 of the SVG of ``generate_optimal(202)``, the drawing the ``render``
 # benchmark exports.
 BENCHMARK_SVG = "0ee9715c37b7d30029f82fab561323ccf76cb3b6916592457bbea84a2ecd2c2f"
+
+# SHA-256 of ``analyze --skeleton --segments --format json`` on the same
+# drawing, the report the ``render`` benchmark writes.
+BENCHMARK_REPORT = "707605950fcdb7dcc6a44452c1b7ba14815d6a586cd6377f55a853dc7229a5a0"
 
 
 def test_dot_triangle(triangle_spec):
@@ -68,6 +74,13 @@ def test_ids_are_escaped():
 def test_svg_of_the_benchmark_drawing_is_pinned():
     text = export_figure(build_map(generate_optimal(202)), "svg")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BENCHMARK_SVG
+
+
+def test_report_of_the_benchmark_drawing_is_pinned():
+    argv = ["analyze", "--skeleton", "--segments", "--format", "json", "-"]
+    out = io.StringIO()
+    assert run(argv, stdin=io.StringIO(emit_drawing(generate_optimal(202))), stdout=out) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == BENCHMARK_REPORT
 
 
 def test_svg_layout_runs_in_the_calling_process(monkeypatch):
