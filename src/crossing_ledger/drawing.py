@@ -64,10 +64,10 @@ def _anchor_rotation(entries: list[RotationEntry]) -> tuple[RotationEntry, ...]:
     return (*entries[pivot:], *entries[:pivot])
 
 
-def _check_ids(*groups: Iterable) -> None:
-    """Refuse an id that is not a string or an integer (a bool is not) or not ``str()``-able."""
+def _check_ids(*groups: Iterable) -> bool:
+    """Refuse an id that is not a str or int (a bool is not) or not ``str()``-able; True if all are str."""
     if {str}.issuperset(map(type, chain(*groups))):
-        return
+        return True
     for v in chain(*groups):
         if not isinstance(v, (str, int)) or isinstance(v, bool):
             raise InvariantError("id-type", f"ids are strings or integers; got {v!r}")
@@ -76,12 +76,15 @@ def _check_ids(*groups: Iterable) -> None:
         except ValueError:  # an int of too many digits
             limit = sys.get_int_max_str_digits()
             raise InvariantError("id-digits", f"integer ids have at most {limit} digits") from None
+    return False
 
 
-def _string_keys(field: Mapping, value: Callable, rule: str, what: str) -> dict:
+def _string_keys(field: Mapping, value: Callable, plain: bool, rule: str, what: str) -> dict:
     """``field`` with ``str()`` keys and ``value``-converted values; refuses keys
     that ``str()`` makes equal (``0`` and ``"0"``), where a dict would keep the
-    later one."""
+    later one.  With ``plain`` every key is a ``str`` already and none can."""
+    if plain:
+        return dict(zip(field, map(value, field.values())))
     converted = {str(k): value(v) for k, v in field.items()}
     if len(converted) != len(field):
         dup = sorted(k for k, c in Counter(map(str, field)).items() if c > 1)
@@ -149,10 +152,15 @@ class DrawingSpec(NamedTuple):
         entries = [entry for rot in rotations.values() for entry in rot]
         _check_rows(entries, 2, "rotation-entry")
         _check_rows(list(crossings.values()), 2, "crossing-pair")
-        _check_ids(vertices, *edges, chains, *chains.values(), crossings, *crossings.values(),
-                   rotations, [e for e, _ in entries])
-        verts = [str(v) for v in vertices]
-        edge_rows = [(str(e), str(a), str(b)) for e, a, b in edges]
+        # When every id and direction is a str already, the rows are copied
+        # as they are; no str() call could change them or make keys collide.
+        plain = _check_ids(
+            vertices, *edges, chains, *chains.values(), crossings, *crossings.values(),
+            rotations, [e for e, _ in entries],
+        ) and {str}.issuperset(map(type, map(itemgetter(1), entries)))
+        verts = vertices if plain else [str(v) for v in vertices]
+        edge_rows = (list(map(tuple, edges)) if plain
+                     else [(str(e), str(a), str(b)) for e, a, b in edges])
         if len(set(verts)) != len(verts):
             dup = sorted(v for v, c in Counter(verts).items() if c > 1)
             raise InvariantError("duplicate-vertex-id", f"vertex ids repeat: {dup}")
@@ -162,14 +170,16 @@ class DrawingSpec(NamedTuple):
             raise InvariantError("duplicate-edge-id", f"edge ids repeat: {dup}")
 
         chain_map = _string_keys(
-            chains, lambda cs: tuple(map(str, cs)), "duplicate-chain", "chain keys"
+            chains, tuple if plain else lambda cs: tuple(map(str, cs)), plain,
+            "duplicate-chain", "chain keys",
         )
         cross_map = _string_keys(
-            crossings, lambda pair: (str(pair[0]), str(pair[1])),
+            crossings, tuple if plain else lambda pair: (str(pair[0]), str(pair[1])), plain,
             "duplicate-crossing-id", "crossing ids",
         )
         rot_map = _string_keys(
-            rotations, lambda rot: [(str(e), str(d)) for e, d in rot],
+            rotations, (lambda rot: list(map(tuple, rot))) if plain
+            else lambda rot: [(str(e), str(d)) for e, d in rot], plain,
             "duplicate-rotation", "rotation keys",
         )
         entries = [entry for rot in rot_map.values() for entry in rot]
@@ -353,7 +363,7 @@ def _lookup(table: Mapping, key: str, what: str):
 
 
 class PlanarizedMap:
-    """Immutable planarization of a drawing, with faces computed.
+    """Immutable planarization of a drawing, with faces traced.
 
     The spec already satisfies the drawing rules (see :class:`DrawingSpec`);
     construction adds only the sphere check, raising :class:`NonSpherical`
@@ -362,7 +372,9 @@ class PlanarizedMap:
     Lists indexed by dart table its face successor, head, edge, rotation
     index, face and walk position (``_next``, ``_head``, ``_dart_edge``,
     ``_rot_index``, ``_dart_face``, ``_dart_pos``); ``_first`` and ``_last``
-    map an edge to its darts leaving ``end_a`` and ``end_b``.  The public
+    map an edge to its darts leaving ``end_a`` and ``end_b``; ``_walks``
+    holds each face's darts.  The :class:`FaceWalk` records of :attr:`faces`
+    are built on first access, which no audit stage makes.  The public
     dart queries refuse anything but a dart of the map, and the queries by id
     (``dart``, ``endpoints``, ``chain``, ``node_sequence``, ``crossing_edges``,
     ``rotation``, ``component_of``) an id the map lacks, with
@@ -370,7 +382,8 @@ class PlanarizedMap:
     unchecked.  They are never written after construction.
 
     Construction is single-threaded; built instances are safe to share
-    between threads.
+    between threads, as threads that race on the first access of
+    :attr:`faces` each build an equal tuple.
     """
 
     def __init__(self, spec: DrawingSpec):
@@ -420,23 +433,24 @@ class PlanarizedMap:
         for v in spec.vertices:
             self._rot.setdefault(v, ())
 
-        self._faces = self._trace_faces()
+        self._walks = self._trace_faces()
+        self._faces: tuple[FaceWalk, ...] | None = None
         self._components = self._compute_components()
         self._check_euler()
 
     # -- construction helpers ---------------------------------------------
 
-    def _trace_faces(self) -> tuple[FaceWalk, ...]:
-        """The face orbits; fills ``_dart_face`` and ``_dart_pos``."""
-        faces: list[FaceWalk] = []
-        nxt, head, dart_edge = self._next, self._head, self._dart_edge
+    def _trace_faces(self) -> list[list[int]]:
+        """The face orbits as dart walks; fills ``_dart_face`` and ``_dart_pos``."""
+        walks: list[list[int]] = []
+        nxt = self._next
         self._dart_face = dart_face = [-1] * len(nxt)
         self._dart_pos = dart_pos = [0] * len(nxt)
         # Walks start at darts 0, 1, 2, ...: (edge, seg, +1 before -1) order.
         for start in range(len(nxt)):
             if dart_face[start] >= 0:
                 continue
-            index = len(faces)
+            index = len(walks)
             walk = []
             d = start
             while dart_face[d] < 0:
@@ -446,16 +460,8 @@ class PlanarizedMap:
                 d = nxt[d]
             if d != start:
                 raise NonSpherical(f"face traversal re-entered dart {self.describe(d)}")
-            faces.append(
-                FaceWalk(
-                    face_id=f"f{index}",
-                    darts=tuple(walk),
-                    nodes=tuple([head[x] for x in walk]),
-                    edges=tuple([dart_edge[x] for x in walk]),
-                    walks=(len(walk),),
-                )
-            )
-        return tuple(faces)
+            walks.append(walk)
+        return walks
 
     def _compute_components(self) -> dict[str, int]:
         comp: dict[str, int] = {}
@@ -476,17 +482,12 @@ class PlanarizedMap:
         return comp
 
     def _check_euler(self) -> None:
-        v_count: Counter = Counter()
+        comp = self._components
+        v_count = Counter(comp.values())
         e_count: Counter = Counter()
-        f_count: Counter = Counter()
-        for node, c in self._components.items():
-            v_count[c] += 1
-        for e, seq in self._node_seq.items():
-            c = self._components[seq[0]]
-            e_count[c] += len(seq) - 1
-        for face in self._faces:
-            c = self._components[face.nodes[0]]
-            f_count[c] += 1
+        for seq in self._node_seq.values():
+            e_count[comp[seq[0]]] += len(seq) - 1
+        f_count = Counter([comp[self._head[walk[0]]] for walk in self._walks])
         for c in v_count:
             if e_count[c] == 0:
                 continue  # an isolated vertex trivially embeds
@@ -559,6 +560,14 @@ class PlanarizedMap:
 
     @property
     def faces(self) -> tuple[FaceWalk, ...]:
+        """One record per face walk, face ``f{i}`` at index ``i``; built on first access."""
+        if self._faces is None:
+            head, dart_edge = self._head, self._dart_edge
+            self._faces = tuple([
+                FaceWalk(f"f{i}", tuple(walk), tuple([head[d] for d in walk]),
+                         tuple([dart_edge[d] for d in walk]), (len(walk),))
+                for i, walk in enumerate(self._walks)
+            ])
         return self._faces
 
     def endpoints(self, edge: str) -> tuple[str, str]:
@@ -581,7 +590,7 @@ class PlanarizedMap:
         return self._rot_index[self._checked(d)]
 
     def face_of_dart(self, d: int) -> tuple[str, int]:
-        return (self._faces[self._dart_face[self._checked(d)]].face_id, self._dart_pos[d])
+        return (f"f{self._dart_face[self._checked(d)]}", self._dart_pos[d])
 
     def face_index_of_dart(self, d: int) -> int:
         """Index into :attr:`faces` of the face to the right of a dart."""
@@ -611,7 +620,7 @@ class PlanarizedMap:
     def __repr__(self) -> str:
         return (
             f"PlanarizedMap(n={len(self.vertices)}, edges={len(self.edge_ids)}, "
-            f"crossings={len(self.spec.crossings)}, faces={len(self._faces)})"
+            f"crossings={len(self.spec.crossings)}, faces={len(self._walks)})"
         )
 
 

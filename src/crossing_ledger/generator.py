@@ -16,7 +16,7 @@ combinatorial invariant, so any convex realization gives the same drawing.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .drawing import DrawingSpec, FaceWalk, build_map
 from .errors import BadN, NotHexagon
@@ -210,9 +210,6 @@ def hexagon_gadget(
             elif k == q:
                 vectors.append(_sub(_HEX_POINTS[p], _HEX_POINTS[q]))
                 entries.append((edge_ids[slot], "-"))
-        if not entries:
-            corner_insertions[k] = ()
-            continue
         # A convex corner spans less than a half turn, so within the wedge the
         # pairwise cross product is a total counterclockwise order.
         order = sorted(
@@ -240,24 +237,23 @@ def _relabel(template: HexGadget, corners: tuple[str, ...], prefix: str) -> HexG
     """The template gadget with its ids moved under ``prefix`` and its corners replaced.
 
     Corners map by position, so the result equals :func:`hexagon_gadget` on a
-    face whose anchored walk visits ``corners``.
+    face whose anchored walk visits ``corners``.  Each id is stamped once, so
+    the gadget's rows share their id strings.
     """
     cut = len(template.prefix)
-
-    def rename(x: str) -> str:
-        return prefix + x[cut:]
+    stamp = {x: prefix + x[cut:] for x in (*template.chains, *template.crossings)}
+    corner_of = dict(zip(template.corners, corners))
 
     def entries(rot):
-        return tuple((rename(e), d) for e, d in rot)
+        return tuple([(stamp[e], d) for e, d in rot])
 
-    corner_of = dict(zip(template.corners, corners))
     return HexGadget(
         prefix=prefix,
         corners=corners,
-        edges=tuple((rename(e), corner_of[a], corner_of[b]) for e, a, b in template.edges),
-        chains={rename(e): tuple(map(rename, cs)) for e, cs in template.chains.items()},
-        crossings={rename(c): (rename(e), rename(f)) for c, (e, f) in template.crossings.items()},
-        crossing_rotations={rename(c): entries(r) for c, r in template.crossing_rotations.items()},
+        edges=tuple([(stamp[e], corner_of[a], corner_of[b]) for e, a, b in template.edges]),
+        chains={stamp[e]: tuple([stamp[c] for c in cs]) for e, cs in template.chains.items()},
+        crossings={stamp[c]: (stamp[e], stamp[f]) for c, (e, f) in template.crossings.items()},
+        crossing_rotations={stamp[c]: entries(r) for c, r in template.crossing_rotations.items()},
         corner_insertions={k: entries(r) for k, r in template.corner_insertions.items()},
     )
 
@@ -267,11 +263,10 @@ def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
     frame = theta_frame(n, strict)
     fmap = build_map(frame)
 
-    vertices = list(frame.vertices)
-    edges = [list(row) for row in frame.edges]
-    chains: dict[str, list] = {e: list(cs) for e, cs in frame.chains.items()}
+    edges = list(frame.edges)
+    chains = dict(frame.chains)
     crossings: dict[str, tuple[str, str]] = {}
-    rotations: dict[str, list] = {node: list(rot) for node, rot in frame.rotations.items()}
+    rotations: dict[str, Sequence] = dict(frame.rotations)
     # node -> frame rotation position -> gadget entries spliced in after it.
     splices: dict[str, dict[int, tuple[tuple[str, str], ...]]] = {}
 
@@ -283,9 +278,9 @@ def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
         offset = face.nodes.index(u)
         gadget = _relabel(template, face.nodes[offset:] + face.nodes[:offset], f"G{q}")
         edges.extend(gadget.edges)
-        chains.update({e: list(cs) for e, cs in gadget.chains.items()})
+        chains.update(gadget.chains)
         crossings.update(gadget.crossings)
-        rotations.update({c: list(r) for c, r in gadget.crossing_rotations.items()})
+        rotations.update(gadget.crossing_rotations)
 
         # The walk dart arriving at corner occurrence k and the one leaving it
         # flank the corner's wedge, and the second follows the reversal of the
@@ -303,7 +298,7 @@ def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
         ]
 
     return DrawingSpec.build(
-        vertices=vertices,
+        vertices=frame.vertices,
         edges=edges,
         chains=chains,
         crossings=crossings,

@@ -162,25 +162,6 @@ class _Templates(dict):
 _TEMPLATE = _Templates()
 
 
-class _EntryTemplates(dict):
-    """Direction -> the ``%`` template of a rotation entry ``[edge, direction]``.
-
-    Entries sit at depth 3 of the interchange document, so each is written as
-    ``template % _quote(edge)``.  A spec holds only ``"+"`` and ``"-"``, but
-    the template of any direction string is made on first use, so a spec
-    built by hand is written as the generic writer would write it.
-    """
-
-    def __missing__(self, direction: str) -> str:
-        opening, separator, closing = _LAYOUT[3]
-        quoted = _quote(direction).replace("%", "%%")
-        template = self[direction] = f"[{opening}%s{separator}{quoted}{closing}]"
-        return template
-
-
-_ENTRY = _EntryTemplates()
-
-
 def emit_drawing(spec: DrawingSpec) -> str:
     """Canonical interchange text for a spec (documented key order, 2-space indent).
 
@@ -188,6 +169,10 @@ def emit_drawing(spec: DrawingSpec) -> str:
     string encoder, in the bytes ``json.dumps(spec.to_doc(), indent=2)``
     gives; that call is the test oracle.
     """
+    # A rotation is an array at depth 2 of [edge, direction] arrays at depth
+    # 3, written in one join: ``between`` closes one entry and opens the next.
+    (open2, sep2, close2), (open3, sep3, close3) = _LAYOUT[2], _LAYOUT[3]
+    between = f"{close3}]{sep2}[{open3}"
     fields = (
         _strings(spec.vertices, 1),
         _block([_strings(row, 2) for row in spec.edges], 1),
@@ -195,7 +180,9 @@ def emit_drawing(spec: DrawingSpec) -> str:
         _block([f"{_quote(c)}: {_strings(p, 2)}" for c, p in spec.crossings.items()], 1, "{}"),
         _block(
             [
-                f"{_quote(node)}: {_block([_ENTRY[d] % _quote(e) for e, d in rot], 2)}"
+                f"{_quote(node)}: [{open2}[{open3}"
+                f"{between.join([_quote(e) + sep3 + _quote(d) for e, d in rot])}"
+                f"{close3}]{close2}]" if rot else f"{_quote(node)}: []"
                 for node, rot in spec.rotations.items()
             ],
             1,

@@ -38,7 +38,7 @@ class ConflictGraph(NamedTuple):
             stack = [start]
             while stack:
                 x = stack.pop()
-                for y in sorted(self.adjacency[x]):
+                for y in self.adjacency[x]:
                     if y not in seen:
                         seen.add(y)
                         comp.append(y)
@@ -50,7 +50,7 @@ class ConflictGraph(NamedTuple):
 def conflict_graph(pmap: PlanarizedMap) -> ConflictGraph:
     adj: dict[str, set[str]] = {e: set() for e in pmap.edge_ids}
     pairs: set[tuple[str, str]] = set()
-    for _, (e, f) in sorted(pmap.spec.crossings.items()):
+    for e, f in pmap.spec.crossings.values():
         adj[e].add(f)
         adj[f].add(e)
         pairs.add((min(e, f), max(e, f)))
@@ -65,7 +65,8 @@ def conflict_graph(pmap: PlanarizedMap) -> ConflictGraph:
 #
 # Components are tiny in practice (the generated family yields 8-node
 # components), so a plain include/exclude branch on the max-degree vertex
-# with incumbent pruning is plenty.
+# with incumbent pruning is plenty.  The chosen indices depend only on a
+# component's bitmasks ``nbr``, so one call solves each distinct ``nbr`` once.
 
 
 class _MisSolver:
@@ -141,7 +142,8 @@ class _MisSolver:
             return True
         return self.max_size(mask, floor=need - 1) >= need
 
-    def lexicographically_smallest_maximum(self) -> list[str]:
+    def lexicographically_smallest_maximum(self) -> list[int]:
+        """Indices into ``ids`` of the smallest maximum independent set."""
         target = self.max_size(floor=len(self.greedy_set()))
         chosen: list[int] = []
         cand = self.full
@@ -155,7 +157,7 @@ class _MisSolver:
                 if len(chosen) == target:
                     break
         assert len(chosen) == target
-        return [self.ids[i] for i in chosen]
+        return chosen
 
 
 class SkeletonDecomposition(NamedTuple):
@@ -258,7 +260,7 @@ def _skeleton_faces(pmap: PlanarizedMap, kept: set[str], residual: tuple[str, ..
             d = nxt[d ^ 1]
         return d
 
-    parent = list(range(len(pmap.faces)))
+    parent = list(range(len(pmap._walks)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -299,11 +301,10 @@ def _skeleton_faces(pmap: PlanarizedMap, kept: set[str], residual: tuple[str, ..
         nodes = tuple([pmap._ends[e][(d & 1) ^ 1] for e, d in zip(edges, darts)])
         faces.append(FaceWalk(fid, darts, nodes, edges, tuple(len(walk) for walk in walks)))
 
-    hosts = tuple(host_of_root.get(find(i)) for i in range(len(pmap.faces)))
+    hosts = tuple(host_of_root.get(find(i)) for i in range(len(parent)))
     if None in hosts:
-        face = pmap.faces[hosts.index(None)].face_id
         raise InvariantError(
-            "decompose-hostless", f"face {face} is not bounded by any skeleton edge"
+            "decompose-hostless", f"face f{hosts.index(None)} is not bounded by any skeleton edge"
         )
     return tuple(faces), occurrences, hosts
 
@@ -346,9 +347,14 @@ def extract_skeleton(
     if mode not in ("exact", "greedy"):
         raise BadArgument(f"unknown skeleton mode {mode!r}")
     conflicts = conflict_graph(pmap)
+    return _assemble(pmap, conflicts, _independent_edges(conflicts, mode, budget), mode)
+
+
+def _independent_edges(conflicts: ConflictGraph, mode: str, budget: int) -> set[str]:
+    """The edges :func:`extract_skeleton` keeps: the uncrossed ones and a set per component."""
     kept = {e for e in conflicts.nodes if not conflicts.adjacency[e]}
-    components = [c for c in conflicts.components() if len(c) > 1]
-    for comp in components:
+    solved: dict[tuple[int, ...], list[int]] = {}
+    for comp in [c for c in conflicts.components() if len(c) > 1]:
         if mode == "exact" and len(comp) > budget:
             raise BudgetExceeded(
                 f"conflict component with {len(comp)} edges (starting at {comp[0]}) "
@@ -356,14 +362,17 @@ def extract_skeleton(
             )
         solver = _MisSolver(comp, conflicts.adjacency)
         if mode == "exact":
-            kept.update(solver.lexicographically_smallest_maximum())
+            shape = tuple(solver.nbr)
+            if shape not in solved:
+                solved[shape] = solver.lexicographically_smallest_maximum()
+            kept.update([solver.ids[i] for i in solved[shape]])
         else:
             picked = {solver.ids[i] for i in solver.greedy_set()}
             for e in solver.ids:  # maximality pass
                 if e not in picked and not (conflicts.adjacency[e] & picked):
                     picked.add(e)
             kept.update(picked)
-    return _assemble(pmap, conflicts, kept, mode)
+    return kept
 
 
 def decompose_with(pmap: PlanarizedMap, skeleton_edges) -> SkeletonDecomposition:

@@ -82,7 +82,7 @@ def _both_sides_inhabited(
     False as soon as a side runs out of faces without one.
     """
     first = pmap._first[min(curve)]
-    faces, dart_face, dart_edge = pmap.faces, pmap._dart_face, pmap._dart_edge
+    walks, head, dart_face, dart_edge = pmap._walks, pmap._head, pmap._dart_face, pmap._dart_edge
     seeds = (dart_face[first], dart_face[first + 1])
     seen = set(seeds)
     sides = [deque([f]) for f in seeds]
@@ -91,10 +91,10 @@ def _both_sides_inhabited(
         for queue in sides:
             if not queue:
                 return False
-            face = faces[queue.popleft()]
-            if any(x in vertices and x not in ends for x in face.nodes):
+            walk = walks[queue.popleft()]
+            if any(head[d] in vertices and head[d] not in ends for d in walk):
                 continue
-            for d in face.darts:
+            for d in walk:
                 if dart_edge[d] in curve:
                     continue
                 nb = dart_face[d ^ 1]

@@ -18,6 +18,10 @@ code read it as empty (a field left out still means none); and ``vertices``
 or ``edges`` that are not a list or tuple, refused as ``field-list`` by the
 first check, where the old code raised a raw ``TypeError`` or iterated a
 string.
+
+:func:`trace_faces` keeps the eager face trace that ``PlanarizedMap`` ran
+when it built every :class:`FaceWalk` record during construction; the map
+now keeps dart walks and builds the records on first access of ``faces``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from crossing_ledger.drawing import (
     MINUS,
     PLUS,
     DrawingSpec,
+    FaceWalk,
+    PlanarizedMap,
     RotationEntry,
     _check_fields,
     _check_ids,
@@ -144,3 +150,34 @@ def build(
     )
     _check_rules(spec)
     return spec
+
+
+def trace_faces(pmap: PlanarizedMap) -> tuple[tuple[FaceWalk, ...], list[tuple[str, int]]]:
+    """Every face record, and the (face id, position) of every dart, traced at once.
+
+    Walks start at darts 0, 1, 2, ... and follow ``next_dart``; face ``f{i}``
+    is the i-th walk found.
+    """
+    faces: list[FaceWalk] = []
+    place: list[tuple[str, int] | None] = [None] * (2 * pmap.segment_count())
+    for start in range(len(place)):
+        if place[start] is not None:
+            continue
+        face_id = f"f{len(faces)}"
+        walk = []
+        d = start
+        while place[d] is None:
+            place[d] = (face_id, len(walk))
+            walk.append(d)
+            d = pmap.next_dart(d)
+        assert d == start
+        faces.append(
+            FaceWalk(
+                face_id=face_id,
+                darts=tuple(walk),
+                nodes=tuple(pmap.head(x) for x in walk),
+                edges=tuple(pmap.describe(x)[0] for x in walk),
+                walks=(len(walk),),
+            )
+        )
+    return tuple(faces), place

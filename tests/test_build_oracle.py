@@ -1,7 +1,8 @@
 """``DrawingSpec.build`` against the per-entry oracle in ``_build_oracle``.
 
 Both must return the same spec, in the same order, or raise the same
-exception type with the same rule and message.
+exception type with the same rule and message.  The faces that a map builds
+on first access must equal the eager trace in ``_build_oracle``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import _fixtures
 from test_drawing import MALFORMED
 from test_mutation_fuzz import mutated_documents
 
-from crossing_ledger import DrawingSpec, emit_drawing, generate_optimal
+from crossing_ledger import (
+    CrossingLedgerError,
+    DrawingSpec,
+    build_map,
+    emit_drawing,
+    generate_optimal,
+)
+from crossing_ledger.interchange import spec_from_document
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 FIELDS = ("vertices", "edges", "chains", "crossings", "rotations")
@@ -83,6 +91,30 @@ def _golden_documents() -> dict[str, dict]:
 @pytest.mark.parametrize("doc", list(_golden_documents().values()), ids=list(_golden_documents()))
 def test_golden_input(doc):
     _agree({k: doc[k] for k in FIELDS})
+
+
+def _golden_maps() -> dict:
+    maps = {}
+    for stem, doc in _golden_documents().items():
+        try:
+            maps[stem] = build_map(spec_from_document(doc))
+        except CrossingLedgerError:
+            continue  # refused before a map exists
+    return maps
+
+
+GOLDEN_MAPS = _golden_maps()
+
+
+@pytest.mark.parametrize("pmap", list(GOLDEN_MAPS.values()), ids=list(GOLDEN_MAPS))
+def test_faces_match_eager_trace(pmap):
+    faces, place = oracle.trace_faces(pmap)
+    # face_of_dart is asked before the records exist, and again after.
+    assert [pmap.face_of_dart(d) for d in range(len(place))] == place
+    assert pmap.faces == faces
+    assert [pmap.face_of_dart(d) for d in range(len(place))] == place
+    assert [f.face_id for f in pmap.faces] == [f"f{i}" for i in range(len(faces))]
+    assert pmap.faces is pmap.faces
 
 
 def test_mutated_documents():

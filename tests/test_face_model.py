@@ -25,7 +25,9 @@ from crossing_ledger import (
     face_profiles,
     generate_optimal,
     restrict,
+    validate_drawing,
 )
+from crossing_ledger import drawing
 from crossing_ledger.audit import BOUND_TABLE, _ledger
 from crossing_ledger.segments import FAR, LONG, classify_middle, classify_stick
 
@@ -114,6 +116,24 @@ def test_golden_fixture_faces_against_restrict(name):
 def test_random_drawing_faces_against_restrict(spec):
     pmap = build_map(spec)
     _check_against_restrict(pmap, extract_skeleton(pmap, "exact"))
+
+
+def test_audit_builds_no_face_record_of_the_map(monkeypatch):
+    # The stages read the map's dart walks; only ``pmap.faces`` makes records.
+    pmap = build_map(generate_optimal(54))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FaceWalk record of the map was built")
+
+    monkeypatch.setattr(drawing, "FaceWalk", refuse)
+    assert validate_drawing(pmap, 3).ok
+    dec = extract_skeleton(pmap, "exact")
+    pieces = decompose(dec)
+    profiles = face_profiles(dec, pieces)
+    assert density_report(dec, profiles, pieces, k=3).to_dict()["triangular_faces"] > 0
+    assert pmap._faces is None
+    with pytest.raises(AssertionError, match="FaceWalk record"):
+        pmap.faces
 
 
 def test_loop_around_edge_face_has_two_walks():

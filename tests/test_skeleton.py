@@ -4,6 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import _fixtures
+from test_properties import random_drawings
 
 from crossing_ledger import (
     BudgetExceeded,
@@ -13,7 +17,14 @@ from crossing_ledger import (
     restrict,
 )
 from crossing_ledger.generator import generate_optimal
-from crossing_ledger.skeleton import _MisSolver, conflict_graph, decompose_with
+from crossing_ledger.skeleton import (
+    DEFAULT_EXACT_BUDGET,
+    ConflictGraph,
+    _independent_edges,
+    _MisSolver,
+    conflict_graph,
+    decompose_with,
+)
 
 
 def brute_force_max_independent(nodes, adjacency):
@@ -117,7 +128,7 @@ def test_exact_solver_on_random_graphs_vs_oracle():
                 adjacency[a].add(b)
                 adjacency[b].add(a)
         solver = _MisSolver(names, {v: frozenset(s) for v, s in adjacency.items()})
-        picked = solver.lexicographically_smallest_maximum()
+        picked = [solver.ids[i] for i in solver.lexicographically_smallest_maximum()]
         size, _ = brute_force_max_independent(names, adjacency)
         assert len(picked) == size
         # independence
@@ -176,3 +187,124 @@ def test_extraction_is_deterministic():
 def test_unknown_mode_is_a_typed_error(triangle_spec):
     with pytest.raises(CrossingLedgerError, match="unknown skeleton mode 'fast'"):
         extract_skeleton(build_map(triangle_spec), "fast")
+
+
+# -- one solve per component shape ---------------------------------------------
+
+
+def fresh_independent_edges(conflicts: ConflictGraph) -> set[str]:
+    """Exact mode's kept edges with a fresh solver for every component (oracle)."""
+    kept = {e for e in conflicts.nodes if not conflicts.adjacency[e]}
+    for comp in conflicts.components():
+        if len(comp) > 1:
+            solver = _MisSolver(comp, conflicts.adjacency)
+            kept.update(solver.ids[i] for i in solver.lexicographically_smallest_maximum())
+    return kept
+
+
+def _graph(adjacency: dict[str, set[str]]) -> ConflictGraph:
+    pairs = {(min(e, f), max(e, f)) for e, fs in adjacency.items() for f in fs}
+    return ConflictGraph(
+        nodes=tuple(sorted(adjacency)),
+        adjacency={e: frozenset(fs) for e, fs in adjacency.items()},
+        pairs=tuple(sorted(pairs)),
+    )
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The number of MIS searches run, counted across calls."""
+    calls = []
+    solve = _MisSolver.lexicographically_smallest_maximum
+
+    def counted(self):
+        calls.append(tuple(self.nbr))
+        return solve(self)
+
+    monkeypatch.setattr(_MisSolver, "lexicographically_smallest_maximum", counted)
+    return calls
+
+
+def test_shape_cache_on_tight_family(solves):
+    for n in range(6, 103, 2):
+        pmap = build_map(generate_optimal(n))
+        conflicts = conflict_graph(pmap)
+        want = fresh_independent_edges(conflicts)
+        del solves[:]
+        assert _independent_edges(conflicts, "exact", DEFAULT_EXACT_BUDGET) == want
+        # Every gadget's component has one shape, solved once per call.
+        assert len(solves) == 1
+        assert extract_skeleton(pmap, "exact").skeleton_edges == tuple(sorted(want))
+        assert len(solves) == 2
+
+
+@pytest.mark.parametrize("name", sorted(n for n in dir(_fixtures) if n.endswith("_spec")))
+def test_shape_cache_on_fixtures(name):
+    conflicts = conflict_graph(build_map(getattr(_fixtures, name)()))
+    try:
+        kept = _independent_edges(conflicts, "exact", DEFAULT_EXACT_BUDGET)
+    except BudgetExceeded:
+        return
+    assert kept == fresh_independent_edges(conflicts)
+
+
+@given(random_drawings())
+@settings(max_examples=150, deadline=None)
+def test_shape_cache_on_straight_line_drawings(spec):
+    conflicts = conflict_graph(build_map(spec))
+    kept = _independent_edges(conflicts, "exact", DEFAULT_EXACT_BUDGET)
+    assert kept == fresh_independent_edges(conflicts)
+
+
+@st.composite
+def repeated_components(draw):
+    """A conflict graph of a few small graphs, each copied under fresh names.
+
+    Copies keep or permute the sorted order of their names, so some share
+    a shape with the original and some do not.
+    """
+    adjacency: dict[str, set[str]] = {}
+    for g in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(2, 7))
+        pairs = list(itertools.combinations(range(size), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        for copy in range(draw(st.integers(1, 4))):
+            order = draw(st.permutations(range(size))) if draw(st.booleans()) else range(size)
+            name = {i: f"g{g}c{copy}n{rank}" for i, rank in zip(range(size), order)}
+            for i in range(size):
+                adjacency.setdefault(name[i], set())
+            for a, b in edges:
+                adjacency[name[a]].add(name[b])
+                adjacency[name[b]].add(name[a])
+    for i in range(draw(st.integers(0, 2))):
+        adjacency[f"z{i}"] = set()  # uncrossed edges
+    return _graph(adjacency)
+
+
+@given(repeated_components())
+@settings(max_examples=200, deadline=None)
+def test_shape_cache_on_repeated_and_relabelled_components(conflicts):
+    want = fresh_independent_edges(conflicts)
+    assert _independent_edges(conflicts, "exact", DEFAULT_EXACT_BUDGET) == want
+    # A second call starts with nothing solved.
+    assert _independent_edges(conflicts, "exact", DEFAULT_EXACT_BUDGET) == want
+
+
+def test_shape_cache_lives_for_one_call(solves):
+    # Two copies of a path a - b - c under names of the same sorted order.
+    conflicts = _graph({
+        "a0": {"a1"}, "a1": {"a0", "a2"}, "a2": {"a1"},
+        "b0": {"b1"}, "b1": {"b0", "b2"}, "b2": {"b1"},
+    })
+    for call in (1, 2):
+        assert _independent_edges(conflicts, "exact", 3) == {"a0", "a2", "b0", "b2"}
+        assert len(solves) == call
+
+
+def test_budget_is_checked_before_the_shape_cache(solves):
+    small = {"a0": {"a1"}, "a1": {"a0"}}
+    big = {f"b{i}": {f"b{j}" for j in range(4) if j != i} for i in range(4)}
+    copy = {"c0": {"c1"}, "c1": {"c0"}}
+    with pytest.raises(BudgetExceeded, match=r"4 edges \(starting at b0\)"):
+        _independent_edges(_graph({**small, **big, **copy}), "exact", 3)
+    assert solves == [(2, 1)]
