@@ -11,6 +11,7 @@ recorded as intra-face crossings.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import BadArgument, InvariantError
@@ -263,13 +264,16 @@ def classify_middle(entry_position: int, exit_position: int, walk_length: int | 
 # -- decomposition ---------------------------------------------------------------
 
 
-def _position(dec: SkeletonDecomposition, d: int, host: str, what: str) -> int:
-    """Position of walk dart ``d`` in face ``host``; positions index the walks concatenated."""
+def _position(dec: SkeletonDecomposition, d: int, host: str, what: str, name: str) -> int:
+    """Position of walk dart ``d`` in face ``host``; positions index the walks concatenated.
+
+    An error names the dart as ``what.format(name)``, formatted only when raised.
+    """
     face_id, pos = dec.occurrences[d]
     if face_id != host:
         raise InvariantError(
             "decompose-host-mismatch",
-            f"{what} resolves to {face_id}, but the piece lives in {host}",
+            f"{what.format(name)} resolves to {face_id}, but the piece lives in {host}",
         )
     return pos
 
@@ -293,30 +297,8 @@ def _crossed(
             f"expected a skeleton dart next to {full.describe(after)}; "
             f"found {full.describe(boundary_dart)}",
         )
-    pos = _position(dec, boundary_dart, host, f"crossed occurrence of {edge}")
-    return CrossedRef(crossing=crossing, edge=edge, position=pos)
-
-
-def _stick_occurrence(
-    dec: SkeletonDecomposition, skeleton: set[str], vertex: str, out_dart: int, host: str
-) -> int | None:
-    """Boundary occurrence of ``vertex`` whose corner wedge hosts the stick.
-
-    Scanning the full rotation clockwise from the stick's outgoing dart, in
-    place, the first skeleton dart reached is the reversal of the walk dart
-    that enters the wedge; the occurrence is that walk dart's position.
-    Returns None when the vertex lies on no skeleton edge (isolated in the
-    skeleton, floating inside the face).
-    """
-    full = dec.full_map
-    rot = full._rot[vertex]
-    i = full._rot_index[out_dart]
-    dart_edge = full._dart_edge
-    for j in range(i, i - len(rot), -1):
-        d = rot[j]
-        if dart_edge[d] in skeleton:
-            return _position(dec, d ^ 1, host, f"wedge of stick at {vertex}")
-    return None
+    pos = _position(dec, boundary_dart, host, "crossed occurrence of {}", edge)
+    return CrossedRef(crossing, edge, pos)
 
 
 def decompose(dec: SkeletonDecomposition) -> Pieces:
@@ -329,38 +311,40 @@ def decompose(dec: SkeletonDecomposition) -> Pieces:
     skeleton, not a property of the drawing.
     """
     faces = {f.face_id: f for f in dec.faces}
+    # A face of one walk: every position lies on it, so that is its walk length.
+    single = {f.face_id: f.walks[0] for f in dec.faces if len(f.walks) == 1}
     full = dec.full_map
-    hosts, dart_face = dec.hosts, full._dart_face
-    nxt, head, first = full._next, full._head, full._first
-    rot, rot_index = full._rot, full._rot_index
+    hosts, dart_face, ends = dec.hosts, full._dart_face, full._ends
+    nxt, head, first, last_dart = full._next, full._head, full._first, full._last
+    rot, rot_index, dart_edge = full._rot, full._rot_index, full._dart_edge
     chains, crossings = full.spec.chains, full.spec.crossings
     skeleton = set(dec.skeleton_edges)
+    # A residual edge is cut where it crosses a skeleton edge.
+    cut_at = {c for c, (a, b) in crossings.items() if a in skeleton or b in skeleton}
 
-    spans: list[tuple[str, int, int, int, bool]] = []  # (edge, index, lo, hi, last)
+    spans: list[tuple[str, int, str, int, int, bool]] = []  # (edge, index, id, lo, hi, last)
     piece_at_crossing: dict[tuple[str, str], str] = {}
     for e in dec.residual_edges:
         chain = chains[e]
-        cuts = [
-            i for i, c in enumerate(chain)
-            if _other_edge(crossings[c], e) in skeleton
-        ]
+        cuts = [i for i, c in enumerate(chain) if c in cut_at]
         if not cuts:
             raise InvariantError(
                 "decompose-uncut",
                 f"residual edge {e} crosses no skeleton edge; the skeleton is not maximal",
             )
-        boundaries = [-1] + cuts + [len(chain)]
+        boundaries = [-1, *cuts, len(chain)]
         for idx in range(len(boundaries) - 1):
             lo, hi = boundaries[idx], boundaries[idx + 1]
+            piece_id = f"{e}#{idx}"
             for c in chain[lo + 1:hi]:
-                piece_at_crossing[(c, e)] = f"{e}#{idx}"
-            spans.append((e, idx, lo, hi, idx == len(boundaries) - 2))
+                piece_at_crossing[c, e] = piece_id
+            spans.append((e, idx, piece_id, lo, hi, idx == len(boundaries) - 2))
 
     pieces: list[SegmentPiece] = []
-    for e, idx, lo, hi, last in spans:
-        chain = chains[e]
+    host_of: dict[str, str] = {}
+    for e, idx, piece_id, lo, hi, last in spans:
         kind = STICK if idx == 0 or last else MIDDLE
-        warnings: list[str] = []
+        warnings: tuple[str, ...] = ()
         vertex: str | None = None
         occ: int | None = None
 
@@ -368,18 +352,29 @@ def decompose(dec: SkeletonDecomposition) -> Pieces:
         f = first[e]
         if kind == STICK:
             # The stick leaves ``vertex`` along ``out_dart`` and reaches its cut along ``arrive``.
-            vertex = full._ends[e][0 if idx == 0 else 1]
-            out_dart = f if idx == 0 else full._last[e]
+            vertex = ends[e][0 if idx == 0 else 1]
+            out_dart = f if idx == 0 else last_dart[e]
             arrive = f + 2 * hi if idx == 0 else f + 2 * lo + 3
             host = hosts[dart_face[out_dart]]
             crossed = (_crossed(dec, skeleton, nxt[arrive], head[arrive], host, arrive),)
-            occ = _stick_occurrence(dec, skeleton, vertex, out_dart, host)
-            walk_len = faces[host].walk_length(occ, crossed[0].position)
-            classification, orientation = classify_stick(occ, crossed[0].position, walk_len)
+            pos = crossed[0].position
+            # The boundary occurrence of ``vertex`` whose corner wedge hosts the
+            # stick: scanning the rotation clockwise from ``out_dart``, the first
+            # skeleton dart reached is the reversal of the walk dart that enters
+            # the wedge.  None when the vertex is on no skeleton edge (it floats).
+            vertex_rot = rot[vertex]
+            i = rot_index[out_dart]
+            for j in range(i, i - len(vertex_rot), -1):
+                d = vertex_rot[j]
+                if dart_edge[d] in skeleton:
+                    occ = _position(dec, d ^ 1, host, "wedge of stick at {}", vertex)
+                    break
+            walk_len = single.get(host) or faces[host].walk_length(occ, pos)
+            classification, orientation = classify_stick(occ, pos, walk_len)
             if occ is None:
-                warnings.append(
+                warnings = (
                     f"stick of {e} emanates from {vertex}, which is not on the host "
-                    "face boundary (isolated in the skeleton)"
+                    "face boundary (isolated in the skeleton)",
                 )
         else:
             depart = f + 2 * lo + 2
@@ -391,41 +386,24 @@ def decompose(dec: SkeletonDecomposition) -> Pieces:
                 _crossed(dec, skeleton, before, head[depart ^ 1], host, depart),
                 _crossed(dec, skeleton, nxt[arrive], head[arrive], host, arrive),
             )
-            if crossed[0].edge == crossed[1].edge:
-                warnings.append(
-                    f"middle part of {e} crosses two occurrences of edge {crossed[0].edge}"
-                )
-            walk_len = faces[host].walk_length(crossed[0].position, crossed[1].position)
-            classification = classify_middle(crossed[0].position, crossed[1].position, walk_len)
+            (_, entry_edge, entry), (_, exit_edge, exit_) = crossed
+            if entry_edge == exit_edge:
+                warnings = (f"middle part of {e} crosses two occurrences of edge {entry_edge}",)
+            walk_len = single.get(host) or faces[host].walk_length(entry, exit_)
+            classification = classify_middle(entry, exit_, walk_len)
             orientation = None
 
-        pieces.append(
-            SegmentPiece(
-                piece_id=f"{e}#{idx}",
-                edge=e,
-                index=idx,
-                kind=kind,
-                host_face=host,
-                emanates_from=vertex,
-                occurrence=occ,
-                crossed=crossed,
-                classification=classification,
-                orientation=orientation,
-                intra_crossings=chain[lo + 1:hi],
-                intra_pieces=tuple(
-                    sorted(
-                        piece_at_crossing[(c, _other_edge(crossings[c], e))]
-                        for c in chain[lo + 1:hi]
-                    )
-                ),
-                warnings=tuple(warnings),
-            )
-        )
+        intra = chains[e][lo + 1:hi]
+        partners = [piece_at_crossing[c, _other_edge(crossings[c], e)] for c in intra]
+        host_of[piece_id] = host
+        pieces.append(SegmentPiece(
+            piece_id, e, idx, kind, host, vertex, occ, crossed, classification, orientation,
+            intra, tuple(sorted(partners)) if partners else (), warnings,
+        ))
 
-    by_id = {p.piece_id: p for p in pieces}
     for p in pieces:
         for q_id in p.intra_pieces:
-            if by_id[q_id].host_face != p.host_face:
+            if host_of[q_id] != p.host_face:
                 raise InvariantError(
                     "decompose-host-mismatch",
                     f"pieces {p.piece_id} and {q_id} cross but resolve to different faces",
@@ -446,68 +424,61 @@ def face_profiles(dec: SkeletonDecomposition, pieces: Pieces) -> Profiles:
     """
     _check_pieces(dec, pieces)
     by_face: dict[str, list[SegmentPiece]] = {f.face_id: [] for f in dec.faces}
+    kinds: dict[str, str] = {}
     for p in pieces:
         by_face[p.host_face].append(p)
+        kinds[p.piece_id] = p.kind
 
     occurrences = dec.occurrences
+    by_id = attrgetter("piece_id")
     profiles = []
     for face in dec.faces:
         members = by_face[face.face_id]
-        sticks = sorted((p for p in members if p.kind == STICK), key=lambda p: p.piece_id)
-        middles = sorted((p for p in members if p.kind == MIDDLE), key=lambda p: p.piece_id)
+        sticks: list[str] = []
+        middles: list[str] = []
+        passing: set[str] = set()
+        crossed_by_passing: set[str] = set()
         warnings: list[str] = []
-
-        tau = [0] * face.length
-        for p in sticks:
-            if p.occurrence is None:
-                warnings.append(f"stick {p.piece_id} floats (no boundary occurrence)")
+        tau = [0] * len(face.darts)
+        for p in sorted(members, key=by_id):
+            if p.kind == STICK:
+                sticks.append(p.piece_id)
+                if p.occurrence is None:
+                    warnings.append(f"stick {p.piece_id} floats (no boundary occurrence)")
+                else:
+                    tau[p.occurrence] += 1
             else:
-                tau[p.occurrence] += 1
+                middles.append(p.piece_id)
+                passing.add(p.edge)
+                crossed_by_passing.update([ref.edge for ref in p.crossed])
 
         edge_occurrences: dict[str, int] = {}
         for e in face.edges:
             edge_occurrences[e] = edge_occurrences.get(e, 0) + 1
-        bridges = tuple(sorted(e for e, c in edge_occurrences.items() if c == 2))
-        non_bridges = tuple(sorted(e for e, c in edge_occurrences.items() if c == 1))
-
-        crossed_by_passing = {ref.edge for p in middles for ref in p.crossed}
-        uncrossed = tuple(sorted(e for e in non_bridges if e not in crossed_by_passing))
+        face_edges = sorted(edge_occurrences)
+        bridges = tuple([e for e in face_edges if edge_occurrences[e] == 2])
+        non_bridges = tuple([e for e in face_edges if edge_occurrences[e] == 1])
+        uncrossed = tuple([e for e in non_bridges if e not in crossed_by_passing])
 
         neighbors = tuple([occurrences[d ^ 1][0] for d in face.darts])
 
+        # Each crossing pair is met from both of its pieces; it is kept from the smaller id.
         ss_pairs: set[tuple[str, str]] = set()
         sm_pairs: set[tuple[str, str]] = set()
-        kinds = {p.piece_id: p.kind for p in members}
         for p in members:
-            for q_id in p.intra_pieces:
-                a, b = sorted((p.piece_id, q_id))
-                kind_a, kind_b = kinds[a], kinds[b]
-                if kind_a == STICK and kind_b == STICK:
-                    ss_pairs.add((a, b))
-                elif STICK in (kind_a, kind_b):
-                    sm_pairs.add((a, b))
-
-        for p in members:
+            a = p.piece_id
+            for b in p.intra_pieces:
+                if a < b:
+                    if kinds[a] == STICK and kinds[b] == STICK:
+                        ss_pairs.add((a, b))
+                    elif STICK in (kinds[a], kinds[b]):
+                        sm_pairs.add((a, b))
             warnings.extend(p.warnings)
 
-        profiles.append(
-            FaceProfile(
-                face=face.face_id,
-                size=face.length,
-                walk_nodes=face.nodes,
-                walk_edges=face.edges,
-                walks=face.walks,
-                neighbors=neighbors,
-                type_tuple=tuple(tau),
-                sticks=tuple(p.piece_id for p in sticks),
-                middles=tuple(p.piece_id for p in middles),
-                passing_edges=tuple(sorted({p.edge for p in middles})),
-                bridges=bridges,
-                non_bridges=non_bridges,
-                uncrossed_non_bridges=uncrossed,
-                stick_stick_pairs=tuple(sorted(ss_pairs)),
-                stick_middle_pairs=tuple(sorted(sm_pairs)),
-                warnings=tuple(warnings),
-            )
-        )
+        profiles.append(FaceProfile(
+            face.face_id, len(face.darts), face.nodes, face.edges, face.walks, neighbors,
+            tuple(tau), tuple(sticks), tuple(middles), tuple(sorted(passing)), bridges,
+            non_bridges, uncrossed, tuple(sorted(ss_pairs)), tuple(sorted(sm_pairs)),
+            tuple(warnings),
+        ))
     return Profiles(profiles, pieces=pieces)

@@ -11,6 +11,7 @@ each bounded by one or more walks (see :class:`SkeletonDecomposition`).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .drawing import FaceWalk, PlanarizedMap
@@ -238,75 +239,72 @@ def _face_json(face: FaceWalk, depth: int) -> str:
     )
 
 
-def _skeleton_faces(pmap: PlanarizedMap, kept: set[str], residual: tuple[str, ...]):
+def _skeleton_faces(pmap: PlanarizedMap, kept: set[str]):
     """(faces, occurrences, hosts) of a :class:`SkeletonDecomposition`.
 
     Walks are the face orbits of the skeleton's rotation system, which is the
     full rotation restricted to skeleton darts, started in the order
     :func:`~crossing_ledger.drawing.restrict` traces faces.  A walk lies in the
-    region of the full face right of its first dart; regions are numbered in
-    the order of their first walk.
+    region of the full face right of its first dart: the full faces that
+    residual segments join, labelled by one flood when its first walk starts,
+    so regions are numbered in the order of their first walk.
     """
 
     nxt, dart_edge, first, last = pmap._next, pmap._dart_edge, pmap._first, pmap._last
+    map_walks, face_of = pmap._walks, pmap._dart_face
 
-    def step(d: int) -> int:
-        # Arrive at the far end, then turn to the next skeleton dart
-        # counterclockwise; the reversal of the arriving dart is one, so the
-        # turn stops there at the latest.
-        e = dart_edge[d]
-        d = nxt[first[e] + 1 if d & 1 else last[e] - 1]
-        while dart_edge[d] not in kept:
-            d = nxt[d ^ 1]
-        return d
-
-    parent = list(range(len(pmap._walks)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # Residual segments do not separate skeleton faces: union across them.
-    face_of = pmap._dart_face
-    for e in residual:
-        for d in range(first[e], last[e], 2):
-            parent[find(face_of[d])] = find(face_of[d + 1])
-
-    regions: dict[int, list[list[int]]] = {}
+    region = [-1] * len(map_walks)
+    regions: list[list[list[int]]] = []
     seen: set[int] = set()
     for e in sorted(kept):
         for d in (first[e], last[e]):
+            if d in seen:
+                continue
+            start = face_of[d]
+            if region[start] < 0:
+                # Residual segments do not separate skeleton faces: flood across them.
+                region[start] = len(regions)
+                stack = [start]
+                while stack:
+                    for x in map_walks[stack.pop()]:
+                        other = face_of[x ^ 1]
+                        if region[other] < 0 and dart_edge[x] not in kept:
+                            region[other] = len(regions)
+                            stack.append(other)
+                regions.append([])
             walk: list[int] = []
-            if d not in seen:
-                regions.setdefault(find(face_of[d]), []).append(walk)
+            regions[region[start]].append(walk)
             while d not in seen:
                 seen.add(d)
                 walk.append(d)
-                d = step(d)
+                # Arrive at the far end, then turn to the next skeleton dart
+                # counterclockwise; the reversal of the arriving dart is one,
+                # so the turn stops there at the latest.
+                x = dart_edge[d]
+                d = nxt[first[x] + 1 if d & 1 else last[x] - 1]
+                while dart_edge[d] not in kept:
+                    d = nxt[d ^ 1]
 
     # Every dart of a skeleton edge in one direction (every other dart from
     # the first of that direction) shares its walk dart's occurrence.
     occurrences: list[tuple[str, int] | None] = [None] * len(nxt)
-    faces, host_of_root = [], {}
-    for root, walks in regions.items():
-        fid = host_of_root[root] = f"f{len(faces)}"
-        darts = tuple(d for walk in walks for d in walk)
-        for pos, d in enumerate(darts):
-            e = dart_edge[d]
+    faces, ends = [], pmap._ends
+    for walks in regions:
+        fid = f"f{len(faces)}"
+        darts = tuple(chain.from_iterable(walks))
+        edges = tuple([dart_edge[d] for d in darts])
+        for pos, (d, e) in enumerate(zip(darts, edges)):
             lo = first[e] + (d & 1)
             occurrences[lo:last[e] + 1:2] = [(fid, pos)] * ((last[e] - lo) // 2 + 1)
-        edges = tuple([dart_edge[d] for d in darts])
-        nodes = tuple([pmap._ends[e][(d & 1) ^ 1] for e, d in zip(edges, darts)])
-        faces.append(FaceWalk(fid, darts, nodes, edges, tuple(len(walk) for walk in walks)))
+        nodes = tuple([ends[e][(d & 1) ^ 1] for e, d in zip(edges, darts)])
+        faces.append(FaceWalk(fid, darts, nodes, edges, tuple(map(len, walks))))
 
-    hosts = tuple(host_of_root.get(find(i)) for i in range(len(parent)))
-    if None in hosts:
+    if -1 in region:
         raise InvariantError(
-            "decompose-hostless", f"face f{hosts.index(None)} is not bounded by any skeleton edge"
+            "decompose-hostless", f"face f{region.index(-1)} is not bounded by any skeleton edge"
         )
-    return tuple(faces), occurrences, hosts
+    face_ids = [f"f{r}" for r in range(len(faces))]
+    return tuple(faces), occurrences, tuple([face_ids[r] for r in region])
 
 
 def _check_decomposition(conflicts: ConflictGraph, kept: set[str]) -> None:
@@ -327,7 +325,7 @@ def _assemble(
     skeleton = tuple(sorted(kept))
     residual = tuple(sorted(set(pmap.edge_ids) - kept))
     return SkeletonDecomposition(
-        pmap, skeleton, residual, mode, *_skeleton_faces(pmap, kept, residual)
+        pmap, skeleton, residual, mode, *_skeleton_faces(pmap, kept)
     )
 
 

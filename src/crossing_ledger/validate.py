@@ -59,12 +59,9 @@ def check_sanity(pmap: PlanarizedMap) -> ValidationReport:
     The drawing rules themselves need no check here: every map is built
     from a valid :class:`DrawingSpec`.
     """
-    warnings = []
-    for pair, count in sorted(pmap.pair_crossing_counts().items(), key=lambda kv: sorted(kv[0])):
-        if count > 1:
-            e, f = sorted(pair)
-            warnings.append(f"edges {e} and {f} cross each other {count} times")
-    return ValidationReport(None, pmap.edge_crossing_counts(), (), tuple(warnings))
+    repeated = sorted((sorted(pair), n) for pair, n in pmap.pair_crossing_counts().items() if n > 1)
+    warnings = tuple(f"edges {e} and {f} cross each other {n} times" for (e, f), n in repeated)
+    return ValidationReport(None, pmap.edge_crossing_counts(), (), warnings)
 
 
 # -- homotopy ----------------------------------------------------------------

@@ -6,18 +6,21 @@ and runs the per-entry loops only when that test fails, and anchors a
 rotation at ``entries.index(min(entries))`` once every direction is known
 to be ``+`` or ``-``.  This module keeps the code it replaced: every row
 checked on its own, every rotation anchored by ``_entry_key`` before any
-check, and every rule checked entry by entry.  ``tests/test_build_oracle.py``
-requires the same spec, or the same exception type, rule and message, from
-both.
+check, and every rule checked entry by entry, the drawing rules of
+:func:`_check_rules` too, where the library checks each group of them in
+bulk first.  ``tests/test_build_oracle.py`` requires the same spec, or the
+same exception type, rule and message, from both.
 
-Three edits since: the three collision rules (``duplicate-chain``,
+Four edits since: the three collision rules (``duplicate-chain``,
 ``duplicate-crossing-id``, ``duplicate-rotation``), which refuse two keys
 that become equal under ``str()``, where the old code kept the later one;
 a field given as None, which is refused as ``field-mapping`` where the old
-code read it as empty (a field left out still means none); and ``vertices``
+code read it as empty (a field left out still means none); ``vertices``
 or ``edges`` that are not a list or tuple, refused as ``field-list`` by the
 first check, where the old code raised a raw ``TypeError`` or iterated a
-string.
+string; and the alternation rule at a crossing, which compared only the
+edges of entries 0 and 1 and so let ``[e+, f+, f-, e-]`` and
+``[e+, f-, f+, e-]`` through.
 
 :func:`trace_faces` keeps the eager face trace that ``PlanarizedMap`` ran
 when it built every :class:`FaceWalk` record during construction; the map
@@ -39,9 +42,8 @@ from crossing_ledger.drawing import (
     RotationEntry,
     _check_fields,
     _check_ids,
-    _check_rules,
 )
-from crossing_ledger.errors import InvariantError
+from crossing_ledger.errors import DanglingCrossing, InvalidRotation, InvariantError
 
 
 def _entry_key(entry: RotationEntry) -> tuple[str, int]:
@@ -150,6 +152,56 @@ def build(
     )
     _check_rules(spec)
     return spec
+
+
+def _check_rules(spec: DrawingSpec) -> None:
+    """Raise on the first broken drawing rule, checked entry by entry.
+
+    Crossings first (two distinct edges, once on each of their chains), then
+    the rotation at every vertex (exactly the incident edge ends), then the
+    rotation at every crossing (the four ends of its two edges, with entries
+    0 and 2, and entries 1 and 3, the two ends of one edge).
+    """
+    owners: dict[str, list[str]] = {c: [] for c in spec.crossings}
+    for e, cs in spec.chains.items():
+        for c in cs:
+            owners[c].append(e)
+    for c, (e, f) in spec.crossings.items():
+        if e == f:
+            raise InvariantError("self-crossing", f"crossing {c} joins edge {e} with itself")
+        if owners[c] not in ([e, f], [f, e]):
+            raise DanglingCrossing(
+                "crossing-degree",
+                f"crossing {c} must appear once in the chains of {e} and {f}; found in {sorted(owners[c])}",
+            )
+
+    ends: dict[str, list[RotationEntry]] = {v: [] for v in spec.vertices}
+    for e, a, b in spec.edges:
+        ends[a].append((e, PLUS))
+        ends[b].append((e, MINUS))
+    for v, want in ends.items():
+        rot = spec.rotations.get(v, ())
+        if sorted(rot) != sorted(want):
+            raise InvalidRotation(
+                "rotation-at-vertex",
+                f"rotation at {v} must list exactly the incident edge ends "
+                f"{sorted(want)}; found {list(rot)}",
+            )
+
+    for c, (e, f) in spec.crossings.items():
+        rot = spec.rotations.get(c)
+        if rot is None:
+            raise InvalidRotation("rotation-at-crossing", f"crossing {c} has no rotation")
+        want = {(e, PLUS), (e, MINUS), (f, PLUS), (f, MINUS)}
+        if len(rot) != 4 or set(rot) != want:
+            raise InvalidRotation(
+                "rotation-at-crossing",
+                f"rotation at {c} must contain the four ends of {e} and {f}; found {list(rot)}",
+            )
+        if not (rot[0][0] == rot[2][0] and rot[1][0] == rot[3][0] and rot[0][0] != rot[1][0]):
+            raise InvalidRotation(
+                "rotation-alternation", f"rotation at {c} does not alternate between {e} and {f}"
+            )
 
 
 def trace_faces(pmap: PlanarizedMap) -> tuple[tuple[FaceWalk, ...], list[tuple[str, int]]]:

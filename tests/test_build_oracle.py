@@ -197,3 +197,36 @@ def edited_documents(draw):
 @given(edited_documents())
 def test_edited_documents(kwargs):
     _agree(kwargs)
+
+
+@st.composite
+def rule_edits(draw):
+    """The n=10 tight drawing with a few edits of chains, crossing pairs and crossing rotations."""
+    doc = copy.deepcopy(TIGHT)
+    edges = sorted(doc["chains"])
+    crossings = sorted(doc["crossings"])
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.sampled_from(crossings))
+        e = draw(st.sampled_from(edges))
+        edit = draw(st.sampled_from(["add", "drop", "self", "permute", "permute", "permute"]))
+        if edit == "add":
+            chain = doc["chains"][e]
+            chain.insert(draw(st.integers(0, len(chain))), c)
+        elif edit == "drop":
+            for chain in doc["chains"].values():
+                if c in chain:
+                    chain.remove(c)
+                    break
+        elif edit == "self":
+            doc["crossings"][c] = [e, e]
+        else:
+            doc["rotations"][c] = draw(st.permutations(doc["rotations"][c]))
+    return {k: doc[k] for k in FIELDS}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_edits())
+def test_rule_edits(kwargs):
+    # The bulk rule checks accept what the per-entry checks accept, and
+    # otherwise name the same first broken rule.
+    _agree(kwargs)

@@ -126,23 +126,54 @@ def test_non_simple_face_repeats_vertex():
     assert big.edges.count("p") == 2  # the pendant edge is a bridge
 
 
-def test_crossing_rotation_must_alternate():
-    with pytest.raises(InvalidRotation):
-        build_map(
-            DrawingSpec.build(
-                vertices=["v1", "v2", "v3", "v4"],
-                edges=[("e", "v1", "v2"), ("f", "v3", "v4")],
-                chains={"e": ["x"], "f": ["x"]},
-                crossings={"x": ["e", "f"]},
-                rotations={
-                    "v1": [("e", "+")],
-                    "v2": [("e", "-")],
-                    "v3": [("f", "+")],
-                    "v4": [("f", "-")],
-                    "x": [("e", "+"), ("e", "-"), ("f", "+"), ("f", "-")],
-                },
-            )
+# Entries 0 and 2, and entries 1 and 3, must be the two ends of one edge;
+# these are the four anchored orders of the four ends in which they are not.
+NON_ALTERNATING = [
+    [("e", "+"), ("e", "-"), ("f", "+"), ("f", "-")],
+    [("e", "+"), ("e", "-"), ("f", "-"), ("f", "+")],
+    [("e", "+"), ("f", "+"), ("f", "-"), ("e", "-")],
+    [("e", "+"), ("f", "-"), ("f", "+"), ("e", "-")],
+]
+
+
+def _rotation_id(rotation) -> str:
+    return "".join(e + d for e, d in rotation)
+
+
+@pytest.mark.parametrize("rotation", NON_ALTERNATING, ids=_rotation_id)
+def test_crossing_rotation_must_alternate(rotation):
+    with pytest.raises(InvalidRotation) as info:
+        DrawingSpec.build(
+            vertices=["v1", "v2", "v3", "v4"],
+            edges=[("e", "v1", "v2"), ("f", "v3", "v4")],
+            chains={"e": ["x"], "f": ["x"]},
+            crossings={"x": ["e", "f"]},
+            rotations={
+                "v1": [("e", "+")],
+                "v2": [("e", "-")],
+                "v3": [("f", "+")],
+                "v4": [("f", "-")],
+                "x": rotation,
+            },
         )
+    assert info.value.rule == "rotation-alternation"
+    assert str(info.value) == (
+        "rotation-alternation: rotation at x does not alternate between e and f"
+    )
+
+
+@pytest.mark.parametrize("rotation", NON_ALTERNATING, ids=_rotation_id)
+def test_diagonals_that_touch_are_refused_by_the_rule(square_diagonals_spec, rotation):
+    # The diagonals' crossing turned into a touching point breaks the rule
+    # before any face is traced.
+    doc = square_diagonals_spec.to_doc()
+    (x, (d1, d2)), = doc["crossings"].items()
+    names = {"e": d1, "f": d2}
+    doc["rotations"][x] = [[names[e], d] for e, d in rotation]
+    with pytest.raises(InvalidRotation) as info:
+        DrawingSpec.build(**doc)
+    assert info.value.rule == "rotation-alternation"
+    assert str(info.value).endswith(f"does not alternate between {d1} and {d2}")
 
 
 def test_dangling_crossing_rejected():
