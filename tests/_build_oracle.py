@@ -7,8 +7,8 @@ rotation at ``entries.index(min(entries))`` once every direction is known
 to be ``+`` or ``-``.  This module keeps the code it replaced: every row
 checked on its own, every rotation anchored by ``_entry_key`` before any
 check, and every rule checked entry by entry, the drawing rules of
-:func:`_check_rules` too, where the library checks each group of them in
-bulk first.  ``tests/test_build_oracle.py`` requires the same spec, or the
+:func:`_check_rules` too, where the library unpacks each crossing rotation
+once and names the broken rule only for one that fails.  ``tests/test_build_oracle.py`` requires the same spec, or the
 same exception type, rule and message, from both.
 
 Four edits since: the three collision rules (``duplicate-chain``,
