@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, deque
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadArgument,
@@ -79,15 +79,20 @@ def _check_ids(*groups: Iterable) -> bool:
     return False
 
 
-def _string_keys(field: Mapping, value: Callable, plain: bool, rule: str, what: str) -> dict:
-    """``field`` with ``str()`` keys and ``value``-converted values; refuses keys
-    that ``str()`` makes equal (``0`` and ``"0"``), where a dict would keep the
-    later one.  With ``plain`` every key is a ``str`` already and none can."""
-    if plain:
-        return dict(zip(field, map(value, field.values())))
-    converted = {str(k): value(v) for k, v in field.items()}
+def _tuples(rows: Iterable, plain: bool) -> list[tuple]:
+    """Each row as a tuple of its entries, as ``str()`` unless ``plain``."""
+    return list(map(tuple, rows)) if plain else [tuple(map(str, row)) for row in rows]
+
+
+def _string_keys(field: Mapping, plain: bool, rule: str, what: str, values=None) -> dict:
+    """``field``'s keys, as ``str()`` unless ``plain``, with ``values`` (its rows
+    as :func:`_tuples` by default); refuses keys that ``str()`` makes equal."""
+    if values is None:
+        values = _tuples(field.values(), plain)
+    keys = field if plain else list(map(str, field))
+    converted = dict(zip(keys, values))
     if len(converted) != len(field):
-        dup = sorted(k for k, c in Counter(map(str, field)).items() if c > 1)
+        dup = sorted(k for k, c in Counter(keys).items() if c > 1)
         raise InvariantError(rule, f"{what} repeat as strings: {dup}")
     return converted
 
@@ -152,15 +157,14 @@ class DrawingSpec(NamedTuple):
         entries = [entry for rot in rotations.values() for entry in rot]
         _check_rows(entries, 2, "rotation-entry")
         _check_rows(list(crossings.values()), 2, "crossing-pair")
-        # When every id and direction is a str already, the rows are copied
-        # as they are; no str() call could change them or make keys collide.
+        # When every id and direction is a str, rows are copied as they are:
+        # no str() call could change them or make keys collide.
         plain = _check_ids(
             vertices, *edges, chains, *chains.values(), crossings, *crossings.values(),
             rotations, [e for e, _ in entries],
         ) and {str}.issuperset(map(type, map(itemgetter(1), entries)))
         verts = vertices if plain else [str(v) for v in vertices]
-        edge_rows = (list(map(tuple, edges)) if plain
-                     else [(str(e), str(a), str(b)) for e, a, b in edges])
+        edge_rows = _tuples(edges, plain)
         if len(set(verts)) != len(verts):
             dup = sorted(v for v, c in Counter(verts).items() if c > 1)
             raise InvariantError("duplicate-vertex-id", f"vertex ids repeat: {dup}")
@@ -169,24 +173,18 @@ class DrawingSpec(NamedTuple):
             dup = sorted(e for e, c in Counter(edge_ids).items() if c > 1)
             raise InvariantError("duplicate-edge-id", f"edge ids repeat: {dup}")
 
-        chain_map = _string_keys(
-            chains, tuple if plain else lambda cs: tuple(map(str, cs)), plain,
-            "duplicate-chain", "chain keys",
-        )
-        cross_map = _string_keys(
-            crossings, tuple if plain else lambda pair: (str(pair[0]), str(pair[1])), plain,
-            "duplicate-crossing-id", "crossing ids",
-        )
+        chain_map = _string_keys(chains, plain, "duplicate-chain", "chain keys")
+        cross_map = _string_keys(crossings, plain, "duplicate-crossing-id", "crossing ids")
+        # All entries are converted in one pass, then cut per node.
+        entries = _tuples(entries, plain)
+        cuts = [0, *accumulate(map(len, rotations.values()))]
         rot_map = _string_keys(
-            rotations, (lambda rot: tuple(map(tuple, rot))) if plain
-            else lambda rot: tuple([(str(e), str(d)) for e, d in rot]), plain,
-            "duplicate-rotation", "rotation keys",
+            rotations, plain, "duplicate-rotation", "rotation keys",
+            [tuple(entries[i:j]) for i, j in zip(cuts, cuts[1:])],
         )
-        entries = [entry for rot in rot_map.values() for entry in rot]
 
         # Each membership rule is tested with one set operation; its loop,
-        # which finds the first offending entry for the message, runs only
-        # when that test fails.
+        # which finds the first offending entry, runs only when that fails.
         vert_set = set(verts)
         cross_set = set(cross_map)
         collision = vert_set & cross_set
@@ -284,10 +282,11 @@ def _check_rules(spec: DrawingSpec) -> None:
     for c, (e, f) in spec.crossings.items():
         if e == f:
             raise InvariantError("self-crossing", f"crossing {c} joins edge {e} with itself")
-        if owners[c] not in ([e, f], [f, e]):
+        found = owners[c]  # [e, f] or [f, e]
+        if len(found) != 2 or e not in found or f not in found:
             raise DanglingCrossing(
                 "crossing-degree",
-                f"crossing {c} must appear once in the chains of {e} and {f}; found in {sorted(owners[c])}",
+                f"crossing {c} must appear once in the chains of {e} and {f}; found in {sorted(found)}",
             )
 
     ends: dict[str, list[RotationEntry]] = {v: [] for v in spec.vertices}
@@ -304,13 +303,14 @@ def _check_rules(spec: DrawingSpec) -> None:
             )
 
     # Each rotation is unpacked once; the checks that name the broken rule
-    # run only on a rotation that fails.
-    for c, (e, f) in spec.crossings.items():
+    # run only on one that fails.  As e0 != e1, both in the pair are its edges.
+    for c, pair in spec.crossings.items():
         rot = spec.rotations.get(c, ())
         if len(rot) == 4:
             (e0, d0), (e1, d1), (e2, d2), (e3, d3) = rot
-            if e0 == e2 != e1 == e3 and d0 != d2 and d1 != d3 and (e0, e1) in ((e, f), (f, e)):
+            if e0 == e2 != e1 == e3 and d0 != d2 and d1 != d3 and e0 in pair and e1 in pair:
                 continue
+        e, f = pair
         if c not in spec.rotations:
             raise InvalidRotation("rotation-at-crossing", f"crossing {c} has no rotation")
         if len(rot) != 4 or set(rot) != {(e, PLUS), (e, MINUS), (f, PLUS), (f, MINUS)}:
@@ -371,7 +371,7 @@ def _lookup(table: Mapping, key: str, what: str):
 class PlanarizedMap:
     """Immutable planarization of a drawing, with faces traced.
 
-    The spec already satisfies the drawing rules (see :class:`DrawingSpec`);
+    The spec satisfies the drawing rules (see :class:`DrawingSpec`), so
     construction adds only the sphere check, raising :class:`NonSpherical`
     when face tracing or the per-component Euler formula fails.
 
@@ -380,12 +380,12 @@ class PlanarizedMap:
     ``_rot_index``, ``_dart_face``, ``_dart_pos``); ``_first`` and ``_last``
     map an edge to its darts leaving ``end_a`` and ``end_b``; ``_walks``
     holds each face's darts.  The :class:`FaceWalk` records of :attr:`faces`
-    are built on first access, which no audit stage makes.  The public
-    dart queries refuse anything but a dart of the map, and the queries by id
-    (``dart``, ``endpoints``, ``chain``, ``node_sequence``, ``crossing_edges``,
-    ``rotation``, ``component_of``) an id the map lacks, with
-    :class:`BadArgument`; the package's own loops read the tables directly,
-    unchecked.  They are never written after construction.
+    are built on first access, which no audit or export stage makes.  The
+    public dart queries refuse anything but a dart of the map, and the
+    queries by id (``dart``, ``endpoints``, ``chain``, ``node_sequence``,
+    ``crossing_edges``, ``rotation``, ``component_of``) an id the map lacks,
+    with :class:`BadArgument`; the package's own loops read the tables
+    unchecked.  No table is written after construction.
 
     Construction is single-threaded; built instances are safe to share
     between threads, as threads that race on the first access of

@@ -39,12 +39,16 @@ _GRID = 10  # SVG units per grid step
 
 
 def export_figure(pmap: PlanarizedMap, format: str, outer_face_hint: str | None = None) -> str:
-    if outer_face_hint is not None and outer_face_hint not in {f.face_id for f in pmap.faces}:
-        raise BadHint(f"no face named {outer_face_hint!r}")
+    outer = None
+    if outer_face_hint is not None:
+        # Face ``f{i}`` is the map's face walk ``i``.
+        outer = next((i for i in range(len(pmap._walks)) if f"f{i}" == outer_face_hint), None)
+        if outer is None:
+            raise BadHint(f"no face named {outer_face_hint!r}")
     if format == "dot":
         return _to_dot(pmap)
     if format == "svg":
-        return _to_svg(pmap, outer_face_hint)
+        return _to_svg(pmap, outer)
     raise BadArgument(f"unknown figure format {format!r}")
 
 
@@ -69,10 +73,12 @@ def _to_dot(pmap: PlanarizedMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _triangulate(pmap: PlanarizedMap, index: dict[str, int], outer_face_hint: str | None):
+def _triangulate(pmap: PlanarizedMap, index: dict[str, int], hinted: int | None):
     """Bend points, the triangulation's rotations, and each component's outer triangle.
 
-    Points ``0 .. len(index) - 1`` are the map's nodes; bends follow, then
+    Faces are the map's face walks, face ``f{i}`` at index ``i``; ``hinted``
+    is the index of the hinted outer face, if any.  Points
+    ``0 .. len(index) - 1`` are the map's nodes; bends follow, then
     hubs and rings.  Returns ``path``, ``rot`` and ``outers``: ``path[d]``
     lists the points after dart ``d``'s tail, its bends and then its head;
     ``rot[p]`` lists ``p``'s neighbours counterclockwise; and ``outers``
@@ -95,21 +101,20 @@ def _triangulate(pmap: PlanarizedMap, index: dict[str, int], outer_face_hint: st
         rot[i] = [path[d][0] for d in pmap._rot[name]]
     drawn = len(rot)  # nodes and bends: the only corners of faces
 
-    comp = pmap._components
-    by_comp: dict[int, list] = {}
-    for f in pmap.faces:
-        by_comp.setdefault(comp[f.nodes[0]], []).append(f)
+    comp, head, walks = pmap._components, pmap._head, pmap._walks
+    by_comp: dict[int, list[int]] = {}
+    for i, walk in enumerate(walks):
+        by_comp.setdefault(comp[head[walk[0]]], []).append(i)
     # ``ins[p, q]`` goes into q's rotation right after p: into the wedge of
     # the face to the right of the dart p -> q.
     ins: dict[tuple[int, int], tuple[int, ...]] = {}
     triangles = {}
     for c, faces in by_comp.items():
-        hinted = [f for f in faces if f.face_id == outer_face_hint]
-        outer = hinted[0] if hinted else max(faces, key=lambda f: (f.length, f.face_id))
+        outer = hinted if hinted in faces else max(faces, key=lambda i: (len(walks[i]), f"f{i}"))
         for f in faces:
-            corners = [p for d in f.darts for p in path[d]]
+            corners = [p for d in walks[f] for p in path[d]]
             size = len(corners)
-            if size == 3 and f is not outer:
+            if size == 3 and f != outer:
                 continue
             hub = len(rot)
             rot.append([])
@@ -128,7 +133,7 @@ def _triangulate(pmap: PlanarizedMap, index: dict[str, int], outer_face_hint: st
             # The face lies to the right of its walk, so the hub sees the
             # spokes clockwise.
             rot[hub] = spokes[::-1]
-            if f is outer:
+            if f == outer:
                 triangles[c] = (spokes[0], spokes[1], hub)
     for u in range(drawn):
         rot[u] = [p for v in rot[u] for p in (v, *ins.get((v, u), ()))]
@@ -235,9 +240,9 @@ def _shift(rot: list[list[int]], outers: list[tuple[int, ...]]) -> tuple[list[in
     return x, y
 
 
-def _to_svg(pmap: PlanarizedMap, outer_face_hint: str | None) -> str:
+def _to_svg(pmap: PlanarizedMap, hinted: int | None) -> str:
     index = {name: i for i, name in enumerate((*pmap.vertices, *pmap.crossing_ids))}
-    path, rot, outers = _triangulate(pmap, index, outer_face_hint)
+    path, rot, outers = _triangulate(pmap, index, hinted)
     x, y = _shift(rot, outers)
     drawn = len(index) + sum(len(p) - 1 for p in path[::2])  # nodes, then bends
     xs = [v * _GRID for v in x[:drawn]]

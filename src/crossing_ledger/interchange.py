@@ -11,19 +11,20 @@ canonical specs.
 exactly the bytes ``json.dumps(spec.to_doc(), indent=2) + "\n"`` gives.
 :func:`emit_report` writes a report in the bytes ``json.dumps(doc, indent=2)
 + "\n"`` gives once every stage record in it is replaced by its
-``to_dict()``.  Plain values go through one recursive writer (``_value``).
-The records of ``analyze`` (the skeleton with its faces, a piece, a face
-profile) write themselves: their ``_json`` methods fill one ``%`` template
-per key tuple and depth (``_TEMPLATE``) from their fields, and build no
-dict.  Any other record with a ``to_dict`` is written as that dict.  All of
-them quote strings with ``json``'s own ASCII encoder and lay out blocks with
-string joins; ``tests/test_emit_oracle.py`` keeps the ``to_dict`` and
-``json.dumps`` calls as their oracles.
+``to_dict()``.  One recursive writer (``_write``) appends the text's parts
+to one list, which is joined once.  The records of ``analyze`` (the
+skeleton with its faces, a piece, a face profile) write themselves: their
+``_json`` methods fill one ``%`` template per key tuple and depth
+(``_TEMPLATE``) from their fields, and build no dict.  Any other record with
+a ``to_dict`` is written as that dict.  All of them quote strings with
+``json``'s own ASCII encoder and lay out blocks with string joins;
+``tests/test_emit_oracle.py`` keeps the ``to_dict`` and ``json.dumps`` calls
+as their oracles.
 
-A report's ``drawing`` section is :func:`emit_drawing`'s text, the same text
-that ``input_digest`` hashes, written once by :func:`report_document` and
-indented one level by :func:`emit_report`: every line after the first gets
-two more spaces per level of depth.  That is exact because nesting under
+A report's ``drawing`` section is a record too: its ``to_dict()`` is
+``spec.to_doc()``, and it writes :func:`emit_drawing`'s text, the text that
+``input_digest`` hashes, indented one level per depth: every line after the
+first gets two more spaces.  That is exact because nesting under
 ``indent=2`` only adds leading spaces to each line, and the ASCII encoder
 writes a newline inside a string as ``\n``, so every newline of the text
 ends a line of the layout.
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from operator import eq
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -202,62 +202,36 @@ def input_digest(spec: DrawingSpec) -> str:
     return _digest(emit_drawing(spec))
 
 
-class _Drawing(dict):
-    """A report's ``drawing`` section: ``spec.to_doc()``, carrying the spec
-    and its canonical interchange ``text``."""
+class _Drawing:
+    """A report's ``drawing`` section: the spec and its interchange ``text``."""
 
     __slots__ = ("spec", "text")
 
-    def unedited(self) -> bool:
-        """Whether the section is still its spec's document, key order included.
+    def __init__(self, spec: DrawingSpec, text: str):
+        self.spec = spec
+        self.text = text
 
-        Compared field by field and row by row, so no second copy of the
-        document is made.
-        """
-        spec = self.spec
-        return (
-            list(self) == list(_FIELDS)
-            and self["vertices"] == list(spec.vertices)
-            and _same_rows(self["edges"], spec.edges, list)
-            and _same_rows(self["chains"], spec.chains, list)
-            and _same_rows(self["crossings"], spec.crossings, list)
-            and _same_rows(self["rotations"], spec.rotations, lambda rot: list(map(list, rot)))
-        )
+    def to_dict(self) -> dict:
+        return self.spec.to_doc()
 
     def _json(self, depth: int) -> str:
-        if self.unedited():
-            # The canonical text, one level deeper per ``depth``: indenting
-            # only adds leading spaces, and no quoted string holds a newline.
-            return self.text[:-1].replace("\n", "\n" + "  " * depth)
-        return _value(dict(self), depth)  # edited: written as it stands
-
-
-def _same_rows(section: Any, rows: tuple | dict, convert) -> bool:
-    """Whether ``section`` is ``rows`` as ``to_doc`` writes it: a list of the
-    converted rows, or a dict with the same keys in the same order and the
-    converted values."""
-    if isinstance(rows, dict):
-        if not isinstance(section, dict) or list(section) != list(rows):
-            return False
-        section, rows = section.values(), rows.values()
-    elif not isinstance(section, list) or len(section) != len(rows):
-        return False
-    return all(map(eq, section, map(convert, rows)))
+        # The canonical text, one level deeper per ``depth``: indenting only
+        # adds leading spaces, and no quoted string holds a newline.
+        return self.text[:-1].replace("\n", "\n" + "  " * depth)
 
 
 def report_document(spec: DrawingSpec, sections: dict[str, Any], include_drawing: bool = True) -> dict:
     """Assemble a report: tool version, input digest, the drawing, then sections.
 
-    The ``drawing`` section equals ``spec.to_doc()``.  It also carries the
-    text that the digest hashes, which :func:`emit_report` writes while the
-    section still equals the spec's document; an edited section is written
-    as it stands.
+    The ``drawing`` section is a record like the other sections: its
+    ``to_dict()`` is ``spec.to_doc()``, and :func:`emit_report` writes it
+    from the text that the digest hashes.  To edit the section, replace it
+    with that dict (``doc["drawing"] = doc["drawing"].to_dict()``) and edit
+    the dict, which is written as it stands.
     """
     if not include_drawing:
         return {"version": __version__, "input_digest": input_digest(spec), **sections}
-    drawing = _Drawing(spec.to_doc())
-    drawing.spec = spec
-    drawing.text = emit_drawing(spec)
+    drawing = _Drawing(spec, emit_drawing(spec))
     return {
         "version": __version__,
         "input_digest": _digest(drawing.text),
@@ -275,45 +249,58 @@ def _key(key: Any) -> str:
     if isinstance(key, str):
         return _quote(key)
     if key is None or isinstance(key, (int, float)):
-        return _quote(_value(key, 0))
+        return _quote(_text(key, 0))
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _value(o: Any, depth: int) -> str:
-    """``o`` as ``json.dumps(o, indent=2)`` writes it at nesting ``depth``,
-    each record in it replaced by its ``to_dict()``."""
+def _write(o: Any, depth: int, out: list[str]) -> None:
+    """Append to ``out`` the text of ``o`` as ``json.dumps(o, indent=2)`` writes
+    it at nesting ``depth``, each record in it replaced by its ``to_dict()``."""
     if isinstance(o, str):
-        return _quote(o)
+        out.append(_quote(o))
+        return
     writer = _WRITERS[type(o)]
     if writer is not None:
-        return writer(o, depth)
-    if isinstance(o, (list, tuple)):
-        deeper = depth + 1
-        return _block([_quote(v) if type(v) is str else _value(v, deeper) for v in o], depth)
-    if isinstance(o, dict):
-        deeper = depth + 1
-        return _block(
-            [
-                f"{_quote(k) if type(k) is str else _key(k)}: "
-                f"{_quote(v) if type(v) is str else _value(v, deeper)}"
-                for k, v in o.items()
-            ],
-            depth,
-            "{}",
-        )
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    return _scalar(o)
+        out.append(writer(o, depth))
+    elif isinstance(o, (list, tuple)):
+        if {str}.issuperset(map(type, o)):
+            out.append(_strings(o, depth))
+            return
+        opening, separator, closing = _LAYOUT[depth]
+        lead = "[" + opening
+        for v in o:
+            out.append(lead)
+            _write(v, depth + 1, out)
+            lead = separator
+        out.append(closing + "]")
+    elif isinstance(o, dict):
+        opening, separator, closing = _LAYOUT[depth]
+        lead = "{" + opening
+        for k, v in o.items():
+            k = _quote(k) if type(k) is str else _key(k)
+            if type(v) is str:
+                out.append(f"{lead}{k}: {_quote(v)}")
+            else:
+                out.append(f"{lead}{k}: ")
+                _write(v, depth + 1, out)
+            lead = separator
+        out.append(closing + "}" if o else "{}")
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    else:
+        out.append(_scalar(o))
+
+
+def _text(o: Any, depth: int) -> str:
+    out: list[str] = []
+    _write(o, depth, out)
+    return "".join(out)
 
 
 def _as_dict(o: Any, depth: int) -> str:
-    return _value(o.to_dict(), depth)
+    return _text(o.to_dict(), depth)
 
 
 class _Writers(dict):
@@ -339,10 +326,14 @@ def emit_report(doc: dict) -> str:
     """Report text: the bytes ``json.dumps(doc, indent=2) + "\\n"`` gives, with
     every stage record in ``doc`` written as its ``to_dict()``.
 
-    Written by one recursive pass with string joins, which is about twice as
+    One recursive pass appends the text's parts to one list, joined once, so
+    no section is copied into the blocks around it.  That is about twice as
     fast as ``json``'s pure-Python indenting encoder, and the bulk records of
-    ``analyze`` from their fields without building their dicts; those calls
-    are the test oracle.  Documents are trees: a cycle exhausts the recursion
-    limit.
+    ``analyze`` are written from their fields without building their dicts;
+    those calls are the test oracle.  Documents are trees: a cycle exhausts
+    the recursion limit.
     """
-    return _value(doc, 0) + "\n"
+    out: list[str] = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)

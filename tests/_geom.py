@@ -1,9 +1,11 @@
 """Straight-line drawing builder used as an independent fixture constructor.
 
 Given exact vertex coordinates and straight edges, this derives the full
-combinatorial description (crossings, chains, rotations) with rational
-arithmetic.  It shares no code with the library's own constructions, so
-tests can compare both routes.
+combinatorial description (crossings, chains, rotations) with exact
+arithmetic: integer coordinates stay ints, and a crossing's parameters along
+its two segments are made ``Fraction``s only once the segments are known to
+cross.  It shares no code with the library's own constructions, so tests can
+compare both routes.
 """
 
 from __future__ import annotations
@@ -11,15 +13,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int | Fraction, int | Fraction]
 
 
 class DegenerateGeometry(Exception):
     pass
 
 
-def _f(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _f(x) -> int | Fraction:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def _sub(p: Point, q: Point) -> Point:
@@ -62,14 +64,17 @@ def _proper_intersection(p1: Point, p2: Point, p3: Point, p4: Point):
                 return None
             raise DegenerateGeometry("collinear overlapping segments")
         return None
-    t = Fraction(_cross(qp, s), denom)
-    u = Fraction(_cross(qp, r), denom)
-    if t in (0, 1) or u in (0, 1):
-        if 0 <= t <= 1 and 0 <= u <= 1:
+    # t = tn / denom and u = un / denom, compared through their numerators
+    # over a positive denominator.
+    tn, un = _cross(qp, s), _cross(qp, r)
+    if denom < 0:
+        tn, un, denom = -tn, -un, -denom
+    if tn in (0, denom) or un in (0, denom):
+        if 0 <= tn <= denom and 0 <= un <= denom:
             raise DegenerateGeometry("segment endpoint touches another segment")
         return None
-    if 0 < t < 1 and 0 < u < 1:
-        return t, u
+    if 0 < tn < denom and 0 < un < denom:
+        return Fraction(tn, denom), Fraction(un, denom)
     return None
 
 
@@ -88,10 +93,11 @@ def drawing_doc(points: dict[str, tuple], edges: list[tuple[str, str, str]]) -> 
     location: dict[str, Point] = {}
     counter = 0
     for i, (e1, a1, b1) in enumerate(edges):
+        p1, q1 = pts[a1], pts[b1]
         for e2, a2, b2 in edges[i + 1:]:
-            if {a1, b1} & {a2, b2}:
+            if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
                 continue
-            hit = _proper_intersection(pts[a1], pts[b1], pts[a2], pts[b2])
+            hit = _proper_intersection(p1, q1, pts[a2], pts[b2])
             if hit is None:
                 continue
             t, u = hit
@@ -100,8 +106,7 @@ def drawing_doc(points: dict[str, tuple], edges: list[tuple[str, str, str]]) -> 
             crossings[cid] = (e1, e2)
             params[e1].append((t, cid))
             params[e2].append((u, cid))
-            p1, p2 = pts[a1], pts[b1]
-            location[cid] = (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+            location[cid] = (p1[0] + t * (q1[0] - p1[0]), p1[1] + t * (q1[1] - p1[1]))
 
     if len({loc for loc in location.values()}) != len(location):
         raise DegenerateGeometry("three segments meet in one point")

@@ -115,7 +115,8 @@ JSON_CASES = [
 
 
 def _plain(o):
-    """``o`` with every record in it replaced by its ``to_dict()``."""
+    """``o`` with every record in it, the drawing section too, replaced by its
+    ``to_dict()``."""
     if hasattr(o, "to_dict"):
         return o.to_dict()
     if isinstance(o, dict):
@@ -245,7 +246,7 @@ def _escaped_spec() -> DrawingSpec:
 def test_drawing_section_is_the_spec_document(make):
     spec = make()
     doc = report_document(spec, {"analysis": {"ids": list(ESCAPED_IDS)}})
-    assert doc["drawing"] == spec.to_doc()
+    assert doc["drawing"].to_dict() == spec.to_doc()
     assert list(doc) == ["version", "input_digest", "drawing", "analysis"]
     assert doc["input_digest"] == input_digest(spec)
     text = _agree_report(doc)
@@ -301,6 +302,7 @@ def _rows_as_tuples(drawing):
 def test_edited_drawing_section_is_written_as_it_stands(edit):
     spec = generate_optimal(6)
     doc = report_document(spec, {})
+    doc["drawing"] = doc["drawing"].to_dict()
     edit(doc["drawing"])
     text = _agree_report(doc)
     assert (text == emit_report(report_document(spec, {}))) == (edit is _rows_as_tuples)
@@ -362,6 +364,45 @@ documents = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(documents)
 def test_random_documents(doc):
+    _agree_report(doc)
+
+
+def _record_pool() -> list:
+    """The drawing section, the skeleton, the pieces, the profiles and two
+    crossing references, of two small drawings."""
+    pool = []
+    for spec in (generate_optimal(6), _escaped_spec()):
+        dec = extract_skeleton(build_map(spec), "exact")
+        pieces = decompose(dec)
+        crossed = [ref for piece in pieces for ref in piece.crossed]
+        pool += [report_document(spec, {})["drawing"], dec, pieces, face_profiles(dec, pieces)]
+        pool += crossed[:2]
+    return pool
+
+
+RECORD_POOL = _record_pool()
+records = st.sampled_from(RECORD_POOL)
+trees = st.recursive(
+    st.one_of(scalars, records),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.one_of(strings, records), max_size=4),
+        st.dictionaries(keys, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def test_record_pool_has_every_record_type():
+    kinds = {type(o).__name__ for o in RECORD_POOL}
+    assert kinds == {"_Drawing", "SkeletonDecomposition", "Pieces", "Profiles", "CrossedRef"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees)
+def test_random_trees_of_records(doc):
+    # Records at random depths, in lists with strings and under keys of
+    # every type json.dumps takes.
     _agree_report(doc)
 
 
