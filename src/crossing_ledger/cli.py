@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -327,16 +328,27 @@ def _run(argv: list[str], stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
 def main() -> None:  # console entry point
     """Run the command line in this process and exit with its code.
 
-    Before it exits, the process moves every surviving object into the
+    Once the output is flushed, fd 1 is pointed at ``os.devnull``, so a
+    reader of a pipe such as ``generate | audit`` sees end of file at the last
+    write instead of after this interpreter's shutdown.  If the flush fails
+    (the reader left early), stdout is left as it is and shutdown reports the
+    failure as it always has.  Then every surviving object moves into the
     collector's permanent generation (``gc.freeze``), so the collections that
-    interpreter shutdown runs skip them.  Those collections come after the
-    output is written, so they change nothing a caller sees, yet they walk
-    every loaded module's objects, and in a pipe such as ``generate | audit``
-    the next process waits for them.  ``atexit`` hooks and the flushing of
-    stdio still run.  :func:`run` itself never freezes, so library and test
-    callers keep the collector as they had it.
+    interpreter shutdown runs skip them: they would walk every loaded
+    module's objects and change nothing a caller sees.  ``atexit`` hooks and
+    the flushing of stdio still run.  :func:`run` itself never freezes, so
+    library and test callers keep the collector as they had it.
     """
     code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        fd = sys.stdout.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+    except (AttributeError, OSError, ValueError):
+        pass  # no stdout, or a failed flush, which shutdown reports
+    else:
+        os.dup2(devnull, fd)
+        os.close(devnull)
     gc.freeze()
     sys.exit(code)
 

@@ -23,8 +23,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 import sys
-from collections import Counter, deque
-from itertools import accumulate, chain
+from collections import Counter
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -97,6 +97,12 @@ def _string_keys(field: Mapping, plain: bool, rule: str, what: str, values=None)
     return converted
 
 
+def _in_order(field: dict, keys: list) -> dict:
+    """``field`` with exactly ``keys``, in their order, and () for a missing
+    key: ``field`` itself when it already is so."""
+    return field if list(field) == keys else {k: field.get(k, ()) for k in keys}
+
+
 def _check_fields(vertices, edges, chains, crossings, rotations) -> None:
     """Refuse ``vertices`` or ``edges`` that are not a list, another field that
     is not a mapping, and a chain or rotation that is not a list."""
@@ -154,33 +160,44 @@ class DrawingSpec(NamedTuple):
         _check_fields(vertices, edges, chains, crossings, rotations)
         vertices, edges = list(vertices), list(edges)
         _check_rows(edges, 3, "edge-row")
-        entries = [entry for rot in rotations.values() for entry in rot]
+        entries = list(chain.from_iterable(rotations.values()))
         _check_rows(entries, 2, "rotation-entry")
         _check_rows(list(crossings.values()), 2, "crossing-pair")
+        # The entries' edges and directions as two columns.
+        named, directions = list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries))
         # When every id and direction is a str, rows are copied as they are:
         # no str() call could change them or make keys collide.
         plain = _check_ids(
             vertices, *edges, chains, *chains.values(), crossings, *crossings.values(),
-            rotations, [e for e, _ in entries],
-        ) and {str}.issuperset(map(type, map(itemgetter(1), entries)))
+            rotations, named,
+        ) and {str}.issuperset(map(type, directions))
+        if not plain:
+            try:
+                named, directions = list(map(str, named)), list(map(str, directions))
+            except ValueError:  # a direction that is an int of too many digits
+                limit = sys.get_int_max_str_digits()
+                raise InvariantError(
+                    "rotation-direction", f"a rotation direction has more than {limit} digits"
+                ) from None
         verts = vertices if plain else [str(v) for v in vertices]
         edge_rows = _tuples(edges, plain)
         if len(set(verts)) != len(verts):
             dup = sorted(v for v, c in Counter(verts).items() if c > 1)
             raise InvariantError("duplicate-vertex-id", f"vertex ids repeat: {dup}")
-        edge_ids = [e for e, _, _ in edge_rows]
+        edge_ids, end_a, end_b = tuple(zip(*edge_rows)) or ((), (), ())
         if len(set(edge_ids)) != len(edge_ids):
             dup = sorted(e for e, c in Counter(edge_ids).items() if c > 1)
             raise InvariantError("duplicate-edge-id", f"edge ids repeat: {dup}")
 
         chain_map = _string_keys(chains, plain, "duplicate-chain", "chain keys")
         cross_map = _string_keys(crossings, plain, "duplicate-crossing-id", "crossing ids")
-        # All entries are converted in one pass, then cut per node.
-        entries = _tuples(entries, plain)
+        # All entries are converted in one pass, then cut per node; tuple()
+        # of a tuple is that tuple, so plain tuple rows are not copied.
+        entries = tuple(map(tuple, entries) if plain else zip(named, directions))
         cuts = [0, *accumulate(map(len, rotations.values()))]
         rot_map = _string_keys(
             rotations, plain, "duplicate-rotation", "rotation keys",
-            [tuple(entries[i:j]) for i, j in zip(cuts, cuts[1:])],
+            [entries[i:j] for i, j in zip(cuts, cuts[1:])],
         )
 
         # Each membership rule is tested with one set operation; its loop,
@@ -194,7 +211,7 @@ class DrawingSpec(NamedTuple):
                 f"ids used both as vertex and crossing: {sorted(collision)}",
             )
         known_edges = set(edge_ids)
-        if not vert_set.issuperset([end for row in edge_rows for end in row[1:]]):
+        if not (vert_set.issuperset(end_a) and vert_set.issuperset(end_b)):
             for e, a, b in edge_rows:
                 for end in (a, b):
                     if end not in vert_set:
@@ -218,10 +235,7 @@ class DrawingSpec(NamedTuple):
         for node in rot_map:
             if node not in vert_set and node not in cross_set:
                 raise InvariantError("unknown-node", f"rotation given for unknown node {node}")
-        if not (
-            known_edges.issuperset(map(itemgetter(0), entries))
-            and {PLUS, MINUS}.issuperset(map(itemgetter(1), entries))
-        ):
+        if not (known_edges.issuperset(named) and {PLUS, MINUS}.issuperset(directions)):
             # The first offending entry in the anchored order, with an
             # unknown direction sorting after "-".
             for node, rot in rot_map.items():
@@ -242,9 +256,9 @@ class DrawingSpec(NamedTuple):
         spec = DrawingSpec(
             vertices=tuple(sorted(verts)),
             edges=tuple(sorted(edge_rows)),
-            chains={e: chain_map.get(e, ()) for e in sorted(edge_ids)},
-            crossings={c: cross_map[c] for c in sorted(cross_map)},
-            rotations={n: _anchor_rotation(rot_map[n]) for n in sorted(rot_map)},
+            chains=_in_order(chain_map, sorted(edge_ids)),
+            crossings=_in_order(cross_map, sorted(cross_map)),
+            rotations=_in_order(rot_map, sorted(rot_map)),
         )
         _check_rules(spec)
         return spec
@@ -267,56 +281,73 @@ class DrawingSpec(NamedTuple):
 
 
 def _check_rules(spec: DrawingSpec) -> None:
-    """Raise on the first broken drawing rule of a spec whose ids all resolve.
+    """Raise on the first broken drawing rule of a spec whose ids all resolve,
+    and anchor its rotations, which ``spec.rotations`` holds as given.
 
     Crossings are checked first (each joins two distinct edges and sits once
     on each of their chains), then the rotation at every vertex (exactly the
     incident edge ends), then the rotation at every crossing (the four ends
     of its two edges, alternating: entries 0 and 2, and entries 1 and 3, are
-    the two ends of one edge).
+    the two ends of one edge).  A rotation is anchored once it passes; the
+    checks that name a broken rule run only where a quick test fails.
     """
-    owners: dict[str, list[str]] = {c: [] for c in spec.crossings}
-    for e, cs in spec.chains.items():
-        for c in cs:
-            owners[c].append(e)
-    for c, (e, f) in spec.crossings.items():
-        if e == f:
-            raise InvariantError("self-crossing", f"crossing {c} joins edge {e} with itself")
-        found = owners[c]  # [e, f] or [f, e]
-        if len(found) != 2 or e not in found or f not in found:
-            raise DanglingCrossing(
-                "crossing-degree",
-                f"crossing {c} must appear once in the chains of {e} and {f}; found in {sorted(found)}",
-            )
+    chains, rotations = spec.chains, spec.rotations
+    # With two chain entries per crossing in all, a crossing on the chains of
+    # both its edges is on each once and on no other.
+    if sum(map(len, chains.values())) != 2 * len(spec.crossings) or not all(
+        e != f and c in chains[e] and c in chains[f] for c, (e, f) in spec.crossings.items()
+    ):
+        owners: dict[str, list[str]] = {c: [] for c in spec.crossings}
+        for e, cs in chains.items():
+            for c in cs:
+                owners[c].append(e)
+        for c, (e, f) in spec.crossings.items():
+            if e == f:
+                raise InvariantError("self-crossing", f"crossing {c} joins edge {e} with itself")
+            found = owners[c]  # [e, f] or [f, e]
+            if len(found) != 2 or e not in found or f not in found:
+                raise DanglingCrossing(
+                    "crossing-degree",
+                    f"crossing {c} must appear once in the chains of {e} and {f}; "
+                    f"found in {sorted(found)}",
+                )
 
     ends: dict[str, list[RotationEntry]] = {v: [] for v in spec.vertices}
     for e, a, b in spec.edges:
         ends[a].append((e, PLUS))
         ends[b].append((e, MINUS))
+    # Edges are sorted, so each vertex's ends are listed in sorted order, and
+    # a rotation that lists them is anchored at the first.
     for v, want in ends.items():
-        rot = spec.rotations.get(v, ())
-        if sorted(rot) != sorted(want):
+        rot = rotations.get(v, ())
+        if sorted(rot) != want:
             raise InvalidRotation(
                 "rotation-at-vertex",
                 f"rotation at {v} must list exactly the incident edge ends "
-                f"{sorted(want)}; found {list(rot)}",
+                f"{want}; found {list(_anchor_rotation(rot))}",
             )
+        if rot and rot[0] != want[0]:
+            pivot = rot.index(want[0])
+            rotations[v] = (*rot[pivot:], *rot[:pivot])
 
-    # Each rotation is unpacked once; the checks that name the broken rule
-    # run only on one that fails.  As e0 != e1, both in the pair are its edges.
+    # A crossing rotation that alternates is anchored when it starts at the
+    # "+" end of the smaller edge.  As e0 != e1, both in the pair are its edges.
     for c, pair in spec.crossings.items():
-        rot = spec.rotations.get(c, ())
+        rot = rotations.get(c, ())
         if len(rot) == 4:
             (e0, d0), (e1, d1), (e2, d2), (e3, d3) = rot
             if e0 == e2 != e1 == e3 and d0 != d2 and d1 != d3 and e0 in pair and e1 in pair:
+                if d0 != PLUS or e1 < e0:
+                    rotations[c] = _anchor_rotation(rot)
                 continue
         e, f = pair
-        if c not in spec.rotations:
+        if c not in rotations:
             raise InvalidRotation("rotation-at-crossing", f"crossing {c} has no rotation")
         if len(rot) != 4 or set(rot) != {(e, PLUS), (e, MINUS), (f, PLUS), (f, MINUS)}:
             raise InvalidRotation(
                 "rotation-at-crossing",
-                f"rotation at {c} must contain the four ends of {e} and {f}; found {list(rot)}",
+                f"rotation at {c} must contain the four ends of {e} and {f}; "
+                f"found {list(_anchor_rotation(rot))}",
             )
         # All four ends are there, so their order breaks the rule.
         raise InvalidRotation(
@@ -397,47 +428,45 @@ class PlanarizedMap:
         self._ends = {e: (a, b) for e, a, b in spec.edges}
 
         # Node sequence of every edge: end_a, crossings in chain order, end_b.
-        # The dart leaving crossing c along e toward end_b is out[(c, e)];
-        # the one toward end_a is one less.
-        self._node_seq: dict[str, tuple[str, ...]] = {}
-        self._first: dict[str, int] = {}
-        self._last: dict[str, int] = {}
-        self._dart_edge: list[str] = []
-        out: dict[tuple[str, str], int] = {}
-        d = 0
-        for e, (a, b) in self._ends.items():
-            chain = spec.chains.get(e, ())
-            self._node_seq[e] = (a,) + chain + (b,)
-            first = self._first[e] = d
-            for c in chain:
-                d += 2
-                out[(c, e)] = d
-            self._last[e] = d + 1
-            d += 2
-            self._dart_edge += [e] * (d - first)
-
-        # Decode every outgoing dart o at its node.  Its twin o ^ 1 arrives
-        # there: the node is its head, and o's rotation successor its face
-        # successor.
-        crossings, first, last = spec.crossings, self._first, self._last
-        self._rot: dict[str, tuple[int, ...]] = {}
-        self._next = nxt = [0] * d
+        # Segments are numbered along them in edge order; segment s has darts
+        # 2s, leaving its first node, and 2s + 1, leaving its second.
+        chains, crossings = spec.chains, spec.crossings
+        self._node_seq = seqs = {e: (a, *chains[e], b) for e, a, b in spec.edges}
+        sizes = [2 * len(seq) - 2 for seq in seqs.values()]
+        starts = list(accumulate(sizes, initial=0))
+        self._first = first = dict(zip(seqs, starts))
+        self._last = last = dict(zip(seqs, [s - 1 for s in starts[1:]]))
+        self._dart_edge = list(chain.from_iterable(map(repeat, seqs, sizes)))
+        d = starts[-1]
         self._head = head = [""] * d
+        head[0::2] = chain.from_iterable([seq[1:] for seq in seqs.values()])
+        head[1::2] = chain.from_iterable([seq[:-1] for seq in seqs.values()])
+
+        # Decode every outgoing dart o at its node: o's rotation successor is
+        # the face successor of its twin o ^ 1.  A crossing's rotation holds
+        # one edge's ends at positions 0 and 2, the other's at 1 and 3.  The
+        # dart leaving the i-th crossing on e toward end_b is p = first[e] +
+        # 2i + 2, and the one toward end_a is p - 1, so the two sum to 2p - 1.
+        self._rot = rot = {}
+        self._next = nxt = [0] * d
         self._rot_index = rot_index = [0] * d
         for node, entries in spec.rotations.items():
             if node in crossings:
-                darts = tuple([
-                    out[(node, e)] if sign == PLUS else out[(node, e)] - 1 for e, sign in entries
-                ])
-            else:
-                darts = tuple([first[e] if sign == PLUS else last[e] for e, sign in entries])
-            self._rot[node] = darts
+                (e, x), (f, y), _, _ = entries
+                p = first[e] + 2 * chains[e].index(node) + 2
+                q = first[f] + 2 * chains[f].index(node) + 2
+                a, b = p - (x != PLUS), q - (y != PLUS)
+                c, z = 2 * p - 1 - a, 2 * q - 1 - b
+                rot[node] = (a, b, c, z)
+                rot_index[a], rot_index[b], rot_index[c], rot_index[z] = 0, 1, 2, 3
+                nxt[a ^ 1], nxt[b ^ 1], nxt[c ^ 1], nxt[z ^ 1] = b, c, z, a
+                continue
+            darts = rot[node] = tuple([first[e] if s == PLUS else last[e] for e, s in entries])
             for i, (o, s) in enumerate(zip(darts, darts[1:] + darts[:1])):
                 rot_index[o] = i
                 nxt[o ^ 1] = s
-                head[o ^ 1] = node
         for v in spec.vertices:
-            self._rot.setdefault(v, ())
+            rot.setdefault(v, ())
 
         self._walks = self._trace_faces()
         self._faces: tuple[FaceWalk, ...] | None = None
@@ -457,8 +486,9 @@ class PlanarizedMap:
             if dart_face[start] >= 0:
                 continue
             index = len(walks)
-            walk = []
-            d = start
+            walk = [start]
+            dart_face[start] = index
+            d = nxt[start]
             while dart_face[d] < 0:
                 dart_face[d] = index
                 dart_pos[d] = len(walk)
@@ -477,9 +507,9 @@ class PlanarizedMap:
             if node in comp:
                 continue
             comp[node] = n
-            queue = deque([node])
-            while queue:
-                for d in rot[queue.popleft()]:
+            queue = [node]
+            for x in queue:  # the search appends to the list it reads
+                for d in rot[x]:
                     y = head[d]
                     if y not in comp:
                         comp[y] = n
@@ -488,11 +518,17 @@ class PlanarizedMap:
         return comp
 
     def _check_euler(self) -> None:
+        # V - E + F = 2 on every component with an edge.  A component's
+        # rotation system embeds it in an orientable surface, where V - E + F
+        # = 2 - 2 * genus <= 2, so the sums over all components meet the
+        # bound only if each one does; they are tested first.
         comp = self._components
+        isolated = list(map(len, self._rot.values())).count(0)
+        components = max(comp.values(), default=-1) + 1
+        if len(comp) - len(self._next) // 2 + len(self._walks) == 2 * components - isolated:
+            return
         v_count = Counter(comp.values())
-        e_count: Counter = Counter()
-        for seq in self._node_seq.values():
-            e_count[comp[seq[0]]] += len(seq) - 1
+        e_count = Counter(map(comp.__getitem__, self._head[0::2]))  # by each segment's head
         f_count = Counter([comp[self._head[walk[0]]] for walk in self._walks])
         for c in v_count:
             if e_count[c] == 0:

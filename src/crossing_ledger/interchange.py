@@ -169,19 +169,23 @@ def emit_drawing(spec: DrawingSpec) -> str:
     string encoder, in the bytes ``json.dumps(spec.to_doc(), indent=2)``
     gives; that call is the test oracle.
     """
-    # A rotation is an array at depth 2 of [edge, direction] arrays at depth
-    # 3, written in one join: ``between`` closes one entry and opens the next.
+    # Rows of fixed length, and rotation entries, are written by one f-string
+    # each.  A rotation is an array at depth 2 of [edge, direction] arrays at
+    # depth 3, written in one join: ``between`` closes one entry and opens
+    # the next.
     (open2, sep2, close2), (open3, sep3, close3) = _LAYOUT[2], _LAYOUT[3]
     between = f"{close3}]{sep2}[{open3}"
     fields = (
         _strings(spec.vertices, 1),
-        _block([_strings(row, 2) for row in spec.edges], 1),
+        _block([f"[{open2}{_quote(e)}{sep2}{_quote(a)}{sep2}{_quote(b)}{close2}]"
+                for e, a, b in spec.edges], 1),
         _block([f"{_quote(e)}: {_strings(cs, 2)}" for e, cs in spec.chains.items()], 1, "{}"),
-        _block([f"{_quote(c)}: {_strings(p, 2)}" for c, p in spec.crossings.items()], 1, "{}"),
+        _block([f"{_quote(c)}: [{open2}{_quote(e)}{sep2}{_quote(f)}{close2}]"
+                for c, (e, f) in spec.crossings.items()], 1, "{}"),
         _block(
             [
                 f"{_quote(node)}: [{open2}[{open3}"
-                f"{between.join([_quote(e) + sep3 + _quote(d) for e, d in rot])}"
+                f"{between.join([f'{_quote(e)}{sep3}{_quote(d)}' for e, d in rot])}"
                 f"{close3}]{close2}]" if rot else f"{_quote(node)}: []"
                 for node, rot in spec.rotations.items()
             ],
@@ -189,7 +193,14 @@ def emit_drawing(spec: DrawingSpec) -> str:
             "{}",
         ),
     )
-    return _block([f"{_quote(k)}: {v}" for k, v in zip(_FIELDS, fields)], 0, "{}") + "\n"
+    # The fields are joined once, into the text itself: the text is the
+    # largest string a call makes, and is not copied again.
+    opening, separator, closing = _LAYOUT[0]
+    parts = ["{" + opening]
+    for k, v in zip(_FIELDS, fields):
+        parts += (_quote(k), ": ", v, separator)
+    parts[-1] = closing + "}\n"
+    return "".join(parts)
 
 
 def _digest(text: str) -> str:

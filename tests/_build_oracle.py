@@ -1,35 +1,44 @@
 """The per-entry ``DrawingSpec.build``, kept as a test oracle.
 
 ``crossing_ledger.drawing`` checks the form of the rows in one pass over
-their types and lengths, tests each membership rule with one set operation
-and runs the per-entry loops only when that test fails, and anchors a
-rotation at ``entries.index(min(entries))`` once every direction is known
-to be ``+`` or ``-``.  This module keeps the code it replaced: every row
-checked on its own, every rotation anchored by ``_entry_key`` before any
-check, and every rule checked entry by entry, the drawing rules of
-:func:`_check_rules` too, where the library unpacks each crossing rotation
-once and names the broken rule only for one that fails.  ``tests/test_build_oracle.py`` requires the same spec, or the
-same exception type, rule and message, from both.
+their types and lengths, splits the rotation entries into an edge column
+and a direction column, tests each membership rule with one set operation
+and runs the per-entry loops only when that test fails.  It anchors each
+rotation while it checks the drawing rules: one pass over the crossings
+tests both crossing rules and anchors their rotations, and a vertex
+rotation that lists the vertex's sorted ends is anchored at the first.
+This module keeps the code it replaced: every row checked on its own,
+every rotation anchored by ``_entry_key`` before any check, and every rule
+checked entry by entry, the drawing rules of :func:`_check_rules` too.
+``tests/test_build_oracle.py`` requires the same spec, or the same
+exception type, rule and message, from both.
 
-Four edits since: the three collision rules (``duplicate-chain``,
+Five edits since: the three collision rules (``duplicate-chain``,
 ``duplicate-crossing-id``, ``duplicate-rotation``), which refuse two keys
 that become equal under ``str()``, where the old code kept the later one;
 a field given as None, which is refused as ``field-mapping`` where the old
 code read it as empty (a field left out still means none); ``vertices``
 or ``edges`` that are not a list or tuple, refused as ``field-list`` by the
 first check, where the old code raised a raw ``TypeError`` or iterated a
-string; and the alternation rule at a crossing, which compared only the
+string; the alternation rule at a crossing, which compared only the
 edges of entries 0 and 1 and so let ``[e+, f+, f-, e-]`` and
-``[e+, f-, f+, e-]`` through.
+``[e+, f-, f+, e-]`` through; and a rotation direction that ``str()``
+refuses (an int of more digits than it converts), refused as
+``rotation-direction`` right after the id checks, with a message that does
+not write the number, where the old code raised a raw ``ValueError``.
 
 :func:`trace_faces` keeps the eager face trace that ``PlanarizedMap`` ran
 when it built every :class:`FaceWalk` record during construction; the map
 now keeps dart walks and builds the records on first access of ``faces``.
+:func:`map_tables` keeps the map's constructor as it was before it decoded
+crossing rotations two ends at a time and read heads off the node
+sequences: it builds every table dart by dart and node by node.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
+from collections import Counter, deque
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -43,7 +52,7 @@ from crossing_ledger.drawing import (
     _check_fields,
     _check_ids,
 )
-from crossing_ledger.errors import DanglingCrossing, InvalidRotation, InvariantError
+from crossing_ledger.errors import DanglingCrossing, InvalidRotation, InvariantError, NonSpherical
 
 
 def _entry_key(entry: RotationEntry) -> tuple[str, int]:
@@ -86,6 +95,14 @@ def build(
     _check_rows(list(crossings.values()), 2, "crossing-pair")
     _check_ids(vertices, *edges, chains, *chains.values(), crossings, *crossings.values(),
                rotations, [e for e, _ in entries])
+    for _, d in entries:
+        try:
+            str(d)
+        except ValueError:  # an int of too many digits
+            limit = sys.get_int_max_str_digits()
+            raise InvariantError(
+                "rotation-direction", f"a rotation direction has more than {limit} digits"
+            ) from None
     verts = [str(v) for v in vertices]
     edge_rows = [(str(e), str(a), str(b)) for e, a, b in edges]
     if len(set(verts)) != len(verts):
@@ -233,3 +250,110 @@ def trace_faces(pmap: PlanarizedMap) -> tuple[tuple[FaceWalk, ...], list[tuple[s
             )
         )
     return tuple(faces), place
+
+
+# The tables ``PlanarizedMap`` builds, by the names of its attributes.
+MAP_TABLES = (
+    "_ends", "_node_seq", "_first", "_last", "_dart_edge", "_next", "_head", "_rot",
+    "_rot_index", "_walks", "_dart_face", "_dart_pos", "_components",
+)
+
+
+def map_tables(spec: DrawingSpec) -> dict:
+    """The tables of ``PlanarizedMap(spec)``, built as its constructor built
+    them before: every rotation entry decoded on its own, through a
+    ``(crossing, edge)`` dict at a crossing, each head written from the
+    rotations, and Euler's formula counted on every component."""
+    ends = {e: (a, b) for e, a, b in spec.edges}
+    node_seq: dict[str, tuple[str, ...]] = {}
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
+    dart_edge: list[str] = []
+    out: dict[tuple[str, str], int] = {}
+    d = 0
+    for e, (a, b) in ends.items():
+        chain = spec.chains.get(e, ())
+        node_seq[e] = (a,) + chain + (b,)
+        start = first[e] = d
+        for c in chain:
+            d += 2
+            out[(c, e)] = d
+        last[e] = d + 1
+        d += 2
+        dart_edge += [e] * (d - start)
+
+    rot: dict[str, tuple[int, ...]] = {}
+    nxt = [0] * d
+    head = [""] * d
+    rot_index = [0] * d
+    for node, entries in spec.rotations.items():
+        if node in spec.crossings:
+            darts = tuple([
+                out[(node, e)] if sign == PLUS else out[(node, e)] - 1 for e, sign in entries
+            ])
+        else:
+            darts = tuple([first[e] if sign == PLUS else last[e] for e, sign in entries])
+        rot[node] = darts
+        for i, (o, s) in enumerate(zip(darts, darts[1:] + darts[:1])):
+            rot_index[o] = i
+            nxt[o ^ 1] = s
+            head[o ^ 1] = node
+    for v in spec.vertices:
+        rot.setdefault(v, ())
+
+    walks: list[list[int]] = []
+    dart_face = [-1] * d
+    dart_pos = [0] * d
+    for start in range(d):
+        if dart_face[start] >= 0:
+            continue
+        index = len(walks)
+        walk = []
+        x = start
+        while dart_face[x] < 0:
+            dart_face[x] = index
+            dart_pos[x] = len(walk)
+            walk.append(x)
+            x = nxt[x]
+        if x != start:
+            e = dart_edge[x]
+            described = (e, (x - first[e]) >> 1, -1 if x & 1 else 1)
+            raise NonSpherical(f"face traversal re-entered dart {described}")
+        walks.append(walk)
+
+    comp: dict[str, int] = {}
+    n = 0
+    for node in sorted((*spec.vertices, *spec.crossings)):
+        if node in comp:
+            continue
+        comp[node] = n
+        queue = deque([node])
+        while queue:
+            for x in rot[queue.popleft()]:
+                y = head[x]
+                if y not in comp:
+                    comp[y] = n
+                    queue.append(y)
+        n += 1
+
+    v_count = Counter(comp.values())
+    e_count: Counter = Counter()
+    for seq in node_seq.values():
+        e_count[comp[seq[0]]] += len(seq) - 1
+    f_count = Counter([comp[head[walk[0]]] for walk in walks])
+    for c in v_count:
+        if e_count[c] == 0:
+            continue
+        if v_count[c] - e_count[c] + f_count[c] != 2:
+            raise NonSpherical(
+                f"component {c}: V-E+F = "
+                f"{v_count[c]}-{e_count[c]}+{f_count[c]} != 2; "
+                "the rotation system is not a sphere embedding"
+            )
+
+    return {
+        "_ends": ends, "_node_seq": node_seq, "_first": first, "_last": last,
+        "_dart_edge": dart_edge, "_next": nxt, "_head": head, "_rot": rot,
+        "_rot_index": rot_index, "_walks": walks, "_dart_face": dart_face,
+        "_dart_pos": dart_pos, "_components": comp,
+    }

@@ -2,7 +2,9 @@
 
 Both must return the same spec, in the same order, or raise the same
 exception type with the same rule and message.  The faces that a map builds
-on first access must equal the eager trace in ``_build_oracle``.
+on first access must equal the eager trace in ``_build_oracle``, and every
+table of a map those of the constructor kept there, or the map must be
+refused with the same message.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import _build_oracle as oracle
 import _fixtures
+from _geom import drawing_doc
 from test_drawing import MALFORMED
 from test_mutation_fuzz import mutated_documents
 
@@ -29,6 +32,7 @@ from crossing_ledger import (
 from crossing_ledger.interchange import spec_from_document
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FIELDS = ("vertices", "edges", "chains", "crossings", "rotations")
 
 
@@ -93,11 +97,24 @@ def test_golden_input(doc):
     _agree({k: doc[k] for k in FIELDS})
 
 
-def _golden_maps() -> dict:
-    maps = {}
+def _golden_specs() -> dict:
+    specs = {}
     for stem, doc in _golden_documents().items():
         try:
-            maps[stem] = build_map(spec_from_document(doc))
+            specs[stem] = spec_from_document(doc)
+        except CrossingLedgerError:
+            continue  # refused before a spec exists
+    return specs
+
+
+GOLDEN_SPECS = _golden_specs()
+
+
+def _golden_maps() -> dict:
+    maps = {}
+    for stem, spec in GOLDEN_SPECS.items():
+        try:
+            maps[stem] = build_map(spec)
         except CrossingLedgerError:
             continue  # refused before a map exists
     return maps
@@ -115,6 +132,52 @@ def test_faces_match_eager_trace(pmap):
     assert [pmap.face_of_dart(d) for d in range(len(place))] == place
     assert [f.face_id for f in pmap.faces] == [f"f{i}" for i in range(len(faces))]
     assert pmap.faces is pmap.faces
+
+
+def _tables(make, spec) -> list | tuple:
+    """Every table ``make(spec)`` builds, with the key order of each dict, or
+    the exception it raises."""
+    try:
+        tables = make(spec)
+    except CrossingLedgerError as exc:  # the exception is the outcome compared
+        return (type(exc), str(exc))
+    return [(name, tables[name], list(tables[name]) if isinstance(tables[name], dict) else None)
+            for name in oracle.MAP_TABLES]
+
+
+def _same_map(spec) -> None:
+    assert _tables(lambda s: vars(build_map(s)), spec) == _tables(oracle.map_tables, spec)
+
+
+@pytest.mark.parametrize("spec", list(GOLDEN_SPECS.values()), ids=list(GOLDEN_SPECS))
+def test_map_tables_on_golden_input(spec):
+    _same_map(spec)
+
+
+@pytest.mark.parametrize("n", range(6, 803, 4))
+def test_map_tables_on_tight_family(n):
+    _same_map(generate_optimal(n))
+
+
+@pytest.mark.parametrize("loops", [["a+", "b+", "a-", "b-"], ["a+", "a-", "b+", "b-"]],
+                         ids=["torus", "sphere"])
+@pytest.mark.parametrize("lone", [[], ["z"]], ids=["connected", "isolated-vertex"])
+def test_map_tables_on_components(loops, lone):
+    # A path u - w, and a vertex v with two self-loops: interleaved, they
+    # embed v's component in the torus, and the message names component 1.
+    _same_map(DrawingSpec.build(
+        vertices=["u", "v", "w", *lone],
+        edges=[("a", "v", "v"), ("b", "v", "v"), ("p", "u", "w")],
+        rotations={"u": [("p", "+")], "v": [tuple(end) for end in loops], "w": [("p", "-")]},
+    ))
+
+
+def test_map_tables_on_geom_corpus(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from corpus import build_corpus
+
+    for text in build_corpus(1, drawing_doc):
+        _same_map(spec_from_document(json.loads(text)))
 
 
 def test_mutated_documents():
@@ -162,6 +225,17 @@ def test_integer_ids_and_directions():
     _agree({**base, "rotations": {1: [(3, "+")], 2: [(3, "-")]}})
     _agree({**base, "rotations": {1: [(3, "+")], 2: [(3, -1)]}})
     _agree({**base, "rotations": {1: [("3", "+")], "2": [(3, "-")]}})
+
+
+def test_direction_of_too_many_digits():
+    # str() refuses the direction, and so would repr(): the message leaves it out.
+    kwargs = {"vertices": ["a", "b"], "edges": [("e", "a", "b")],
+              "rotations": {"a": [("e", 10**5000)], "b": [("e", "-")]}}
+    _agree(kwargs)
+    with pytest.raises(CrossingLedgerError) as info:
+        DrawingSpec.build(**kwargs)
+    assert info.value.rule == "rotation-direction"
+    assert "digits" in str(info.value)
 
 
 TIGHT = json.loads(emit_drawing(generate_optimal(10)))
@@ -230,3 +304,20 @@ def test_rule_edits(kwargs):
     # The bulk rule checks accept what the per-entry checks accept, and
     # otherwise name the same first broken rule.
     _agree(kwargs)
+
+
+@pytest.mark.parametrize("to", ["same-edge", "third-edge"])
+def test_crossing_moved_to_another_chain(to):
+    # Two chain entries per crossing in all still: a crossing taken off one
+    # of its chains and put on its other edge's chain, or on a third edge's,
+    # breaks crossing-degree all the same.
+    doc = copy.deepcopy(TIGHT)
+    c, (e, f) = next(iter(doc["crossings"].items()))
+    doc["chains"][f].remove(c)
+    g = e if to == "same-edge" else next(x for x in doc["chains"] if x not in (e, f))
+    doc["chains"][g].append(c)
+    kwargs = {k: doc[k] for k in FIELDS}
+    _agree(kwargs)
+    with pytest.raises(CrossingLedgerError) as info:
+        DrawingSpec.build(**kwargs)
+    assert info.value.rule == "crossing-degree"

@@ -14,11 +14,19 @@ left in a cycle would then never be closed, flushed or warned about at exit.
 The cycle test is the guard for that, which is why it writes output files
 too.  Fresh processes check that ``main`` answers as ``run`` does and that it
 freezes, and ``run`` itself must never freeze.
+
+Before it freezes, ``main`` flushes stdout and points fd 1 at
+``os.devnull``, so the reader of a pipe gets end of file at the last write.
+Fresh processes check that fd 1 is on ``os.devnull`` when ``atexit`` hooks
+run, that exit codes, stdout, stderr and output files stay as ``run`` gives
+them, and that a reader that leaves early gets the answer it got before; the
+smoke test runs the real ``generate | audit`` pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import io
 import os
@@ -177,34 +185,99 @@ def test_every_subcommand_runs_clean_in_dev_mode(tmp_path):
         )
         assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), argv
 
+    # The real two-process pipe: generate hands audit its end of file at its
+    # last write, and neither process leaks a descriptor or warns at exit.
+    dev = [sys.executable, "-X", "dev", "-W", "error", "-m", "crossing_ledger.cli"]
+    gen = subprocess.Popen([*dev, "generate", "--n", "10"], stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE, env=_env())
+    aud = subprocess.Popen([*dev, "audit", "--k", "3", "-"], stdin=gen.stdout,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    gen.stdout.close()
+    out, aud_err = aud.communicate(timeout=120)
+    with gen.stderr:
+        gen_err = gen.stderr.read()
+    gen.wait(timeout=120)
+    expected = io.StringIO()
+    run(["audit", "--k", "3", "-"], stdin=io.StringIO(drawing.read_text()), stdout=expected,
+        stderr=io.StringIO())
+    assert (gen.returncode, gen_err) == (EXIT_OK, b"")
+    assert (aud.returncode, aud_err, out) == (EXIT_OK, b"", expected.getvalue().encode())
 
-# argv, stdin, exit code: each subcommand at n=10, a verdict and a usage error.
+
+# argv ("{out}" is a file in a fresh directory), stdin, exit code: each
+# subcommand at n=10, output to a file, a verdict, the version and errors.
 MAIN_CASES = {
     "generate": (["generate", "--n", "10"], "", EXIT_OK),
     "validate": (["validate", "--k", "3", "-"], "n10", EXIT_OK),
     "analyze": (["analyze", "--skeleton", "--segments", "--format", "json", "-"], "n10", EXIT_OK),
     "audit": (["audit", "--k", "3", "-"], "n10", EXIT_OK),
     "export": (["export", "--figure", "svg", "-"], "n10", EXIT_OK),
+    "generate-to-file": (["generate", "--n", "10", "-o", "{out}"], "", EXIT_OK),
     "verdict": (["validate", "--k", "3", "-"], "bigon", EXIT_VERDICT),
+    "version": (["--version"], "", EXIT_OK),
     "usage-error": (["audit", "--frobnicate"], "", EXIT_USAGE),
+    "typed-error": (["generate", "--n", "7"], "", EXIT_USAGE),
 }
 
 
 @pytest.mark.parametrize("argv, stdin, code", MAIN_CASES.values(), ids=MAIN_CASES.keys())
-def test_main_answers_as_run_does(argv, stdin, code):
+def test_main_answers_as_run_does(argv, stdin, code, tmp_path):
+    # run writes run.json, and main, in a fresh process, main.json.
     text = _stdin_text(stdin)
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     frozen = gc.get_freeze_count()
-    assert run(argv, stdin=io.StringIO(text), stdout=out, stderr=io.StringIO()) == code
+    assert run([a.replace("{out}", str(tmp_path / "run.json")) for a in argv],
+               stdin=io.StringIO(text), stdout=out, stderr=err) == code
     assert gc.get_freeze_count() == frozen  # run never freezes
     proc = subprocess.run(
-        [sys.executable, "-m", "crossing_ledger.cli", *argv],
+        [sys.executable, "-m", "crossing_ledger.cli",
+         *(a.replace("{out}", str(tmp_path / "main.json")) for a in argv)],
         input=text.encode(),
         capture_output=True,
         env=_env(),
         timeout=120,
     )
-    assert (proc.returncode, proc.stdout) == (code, out.getvalue().encode())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.getvalue().encode(), err.getvalue().encode())
+    if "{out}" in argv:
+        assert (tmp_path / "main.json").read_bytes() == (tmp_path / "run.json").read_bytes()
+
+
+def test_main_points_stdout_at_devnull_before_exit():
+    # An atexit hook runs after main's handoff; fd 1 is then os.devnull.
+    hook = (
+        "import atexit, os, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(\n"
+        "    f'devnull {os.path.samestat(os.fstat(1), os.stat(os.devnull))}\\n'))\n"
+        "runpy.run_module('crossing_ledger.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", hook, "generate", "--n", "10"],
+        capture_output=True, env=_env(), timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == emit_drawing(generate_optimal(10)).encode()
+    assert proc.stderr == b"devnull True\n"
+
+
+def test_main_keeps_the_answer_when_the_reader_leaves_early():
+    # The reader takes one byte and exits while generate still writes, so the
+    # write fails with a broken pipe, which run reports with exit code 1
+    # before any handoff.  Stdio is buffered here, as by default.
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    gen = subprocess.Popen([sys.executable, "-m", "crossing_ledger.cli", "generate", "--n", "202"],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = subprocess.Popen([sys.executable, "-c", "import os; os.write(1, os.read(0, 1))"],
+                            stdin=gen.stdout, stdout=subprocess.PIPE, env=env)
+    gen.stdout.close()
+    first, _ = head.communicate(timeout=120)
+    with gen.stderr:
+        err = gen.stderr.read()
+    gen.wait(timeout=120)
+    assert (head.returncode, first) == (EXIT_OK, b"{")
+    broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    assert (gen.returncode, err) == (EXIT_USAGE, f"error: {broken}\n".encode())
 
 
 def test_main_freezes_before_exit():
