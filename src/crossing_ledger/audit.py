@@ -163,10 +163,9 @@ def _associate(
         else:
             mapping[prof.face] = target
 
-    # Resolve pairs of triangles that claimed the same partner.  ``claimed``
-    # counts the sources mapped to each partner; before resolution several
-    # can share one, so it is a multiset and not a set.
-    claimed = Counter(mapping.values())
+    # Resolve pairs of triangles that claimed the same partner.  A partner
+    # stays ``taken`` once claimed: resolution keeps one source on it.
+    taken = set(mapping.values())
     claims: dict[str, list[str]] = {}
     for src, dst in sorted(mapping.items()):
         claims.setdefault(dst, []).append(src)
@@ -178,7 +177,6 @@ def _associate(
                                        f"{len(srcs)} triangles all claim partner {target}"))
             for s in srcs[1:]:
                 del mapping[s]
-                claimed[target] -= 1
             continue
         keep, move = sorted(srcs)
         tprof = by_id[target]
@@ -192,7 +190,7 @@ def _associate(
             cprof = by_id.get(cand)
             if (
                 cprof is not None
-                and not claimed[cand]
+                and cand not in taken
                 and cand not in mapping
                 and cprof.stick_count <= 2
                 and cand != target
@@ -204,11 +202,9 @@ def _associate(
                 (keep, move, target), "conflict",
                 f"triangles {keep} and {move} both claim {target} and no fallback partner is free"))
             del mapping[move]
-            claimed[target] -= 1
             continue
         mapping[move] = fallback
-        claimed[target] -= 1
-        claimed[fallback] += 1
+        taken.add(fallback)
         notes.append(
             f"{move} re-routed from {target} to {fallback} (both {keep} and {move} "
             f"claimed {target})"

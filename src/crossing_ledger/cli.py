@@ -5,6 +5,13 @@ Exit codes: 0 success, 1 usage or parse failure, 2 a rule-violation verdict.
 Drawings are read from a file argument or stdin (``-``), so subcommands
 compose in pipelines.
 
+Every subcommand is one staged run (``_staged``): spec, map, [validation],
+[skeleton, pieces, profiles, audit], stopping where its report ends.  A JSON
+report takes the stage records themselves as sections; a text report is
+read from the same records' fields.  One guard covers every answer and its
+write, ``--version`` and ``-h`` included: a failure, a closed pipe too, ends
+in one ``error:`` line and exit 1.
+
 The library stages are attributes of this module, named in ``_STAGES``, that
 load on first use, so each subcommand imports only the modules it runs
 (``_MODULES``).  ``run`` calls every stage through those names, so a caller
@@ -26,8 +33,8 @@ from . import __version__, _lazy
 from .errors import CrossingLedgerError, ParseError
 
 if TYPE_CHECKING:
-    from .drawing import DrawingSpec, PlanarizedMap
-    from .validate import ValidationReport
+    from .audit import AuditReport
+    from .drawing import DrawingSpec
 
 # Stage name -> the module that defines it.
 _STAGES = {
@@ -100,11 +107,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="emit a densest drawing for the given vertex count")
     p.add_argument("--n", type=int, required=True, help="vertex count (even, >= 6)")
-    p.add_argument(
-        "--strict-paper",
-        action="store_true",
-        help="additionally require n-2 divisible by 4",
-    )
+    p.add_argument("--strict-paper", action="store_true",
+                   help="additionally require n-2 divisible by 4")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
 
     p = sub.add_parser("validate", help="check sanity, homotopy, and the crossing budget")
@@ -135,6 +139,7 @@ def _build_parser() -> _Parser:
 
 
 def _read_spec(path: str, stdin: TextIO) -> DrawingSpec:
+    # The input text is freed on return, before any later stage runs.
     try:
         text = stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -142,75 +147,98 @@ def _read_spec(path: str, stdin: TextIO) -> DrawingSpec:
     return _stage.parse_text(text)
 
 
-def _write(text: str, path: str | None, stdout: TextIO) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _staged(args: argparse.Namespace, stdin: TextIO) -> tuple[str, int]:
+    """One subcommand's answer and exit code: its stages, in order, as far as its report needs."""
+    for module in _MODULES[args.command]:
+        import_module(f".{module}", __package__)
+    if args.command == "generate":
+        spec = _stage.generate_optimal(args.n, strict=args.strict_paper)
+        return _stage.emit_drawing(spec), EXIT_OK
+    spec = _read_spec(args.file, stdin)
+    pmap = _stage.build_map(spec)
+    if args.command == "export":
+        return _stage.export_figure(pmap, args.figure, args.outer_face), EXIT_OK
+    sections: dict = {}
+    if args.command != "analyze":
+        sections["validation"] = _stage.merge_reports(
+            _stage.check_sanity(pmap), _stage.check_homotopy(pmap),
+            _stage.check_k_planar(pmap, args.k),
+        )
+    if args.command != "validate":
+        dec = _stage.extract_skeleton(pmap, args.mode)
+        if args.command == "analyze":
+            sections["skeleton"] = dec
+        if args.command == "audit" or args.segments:
+            pieces = _stage.decompose(dec)
+            profiles = _stage.face_profiles(dec, pieces)
+            if args.command == "analyze":
+                sections["segments"] = {"pieces": pieces, "faces": profiles}
+            else:
+                sections["audit"] = _stage.density_report(dec, profiles, pieces, k=args.k)
+    ok = all(sections[name].ok for name in ("validation", "audit") if name in sections)
+    code = EXIT_OK if ok else EXIT_VERDICT
+    if args.format == "json":
+        doc = _stage.report_document(spec, sections, include_drawing=args.command != "audit")
+        return _stage.emit_report(doc), code
+    return "\n".join(_render(sections, ok)) + "\n", code
+
+
+def _render(sections: dict, ok: bool) -> list[str]:
+    """A text report's lines, read from the fields of its sections' records.  A
+    validation ends it, then the verdict: ``ok`` exactly when the exit is 0."""
+    if "skeleton" in sections:
+        dec = sections["skeleton"]
+        profiles = sections["segments"]["faces"] if "segments" in sections else ()
+        return [
+            f"skeleton ({dec.mode}): {len(dec.skeleton_edges)} of "
+            f"{len(dec.full_map.edge_ids)} edges",
+            "skeleton edges: " + " ".join(dec.skeleton_edges),
+            f"faces: {len(dec.faces)}",
+            *(f"face {prof.face} size {prof.size} type {list(prof.type_tuple)} "
+              f"sticks {len(prof.sticks)} middles {len(prof.middles)}" for prof in profiles),
+        ]
+    validation = sections["validation"]
+    if "audit" in sections:
+        out = _render_audit(sections["audit"])
     else:
-        stdout.write(text)
-
-
-def _validate(pmap: PlanarizedMap, k: int) -> ValidationReport:
-    # The same stages as validate_drawing, called through this module's names
-    # so that a caller can wrap each stage (the benchmark times them this way).
-    return _stage.merge_reports(
-        _stage.check_sanity(pmap), _stage.check_homotopy(pmap), _stage.check_k_planar(pmap, k)
-    )
-
-
-def _close(validation: dict, ok: bool, out: list[str]) -> None:
-    """End a text report: the validation's violations and warnings, then the
-    one verdict line.
-
-    The verdict reads ``ok`` exactly when the command exits 0.
-    """
-    for v in validation["violations"]:
-        out.append(f"VIOLATION [{v['rule']}] {', '.join(v['subjects'])}: {v['detail']}")
-    out.extend(f"warning: {w}" for w in validation["warnings"])
+        worst = max(validation.per_edge_crossings.values(), default=0)
+        out = [f"k: {validation.k}", f"max crossings per edge: {worst}"]
+    out += [f"VIOLATION [{v.rule}] {', '.join(v.subjects)}: {v.detail}"
+            for v in validation.violations]
+    out += [f"warning: {w}" for w in validation.warnings]
     out.append("verdict: " + ("ok" if ok else "violations found"))
+    return out
 
 
-def _render_validation(report: dict, out: list[str]) -> None:
-    out.append(f"k: {report['k']}")
-    worst = max(report["per_edge_crossings"].values(), default=0)
-    out.append(f"max crossings per edge: {worst}")
-    _close(report, report["ok"], out)
-
-
-def _render_audit(report: dict, validation: dict, out: list[str]) -> None:
-    out.append(f"n={report['n']}  edges={report['edges']}  skeleton={report['skeleton_edges']}")
-    out.append(
-        "skeleton connected: %s, triangulated: %s"
-        % (report["skeleton_connected"], report["skeleton_triangulated"])
-    )
-    counts = ", ".join(f"t{i}={c}" for i, c in report["triangle_counts"].items())
-    out.append(f"triangular faces: {report['triangular_faces']}")
-    out.append(f"stick counts: {counts}")
-    if report["stick_cap_violations"]:
-        out.append(f"over the stick cap: {report['stick_cap_violations']}")
-    assoc = report["association"]
-    if assoc["applicable"]:
-        out.append(f"association: {'ok' if assoc['ok'] else 'failed'} ({len(assoc['mapping'])} pairs)")
-        for note in assoc["notes"]:
-            out.append(f"  note: {note}")
-        for d in assoc["diagnoses"]:
-            out.append(f"  diagnosis [{d['kind']}] {', '.join(d['faces'])}: {d['detail']}")
-    ledger = report["ledger"]
-    for row in ledger["faces"]:
-        out.append("ledger size {size}: count {count}, charge {charge}, budget {budget}, "
-                   "slack {slack}".format(**row))
-    out.append("ledger components: skeleton {skeleton}, drawing {drawing}, "
-               "budget {budget}".format(**ledger["components"]))
-    over = ", ".join(ledger["uncertified"])
-    out.append(f"ledger verdict: {ledger['verdict']}" + (f" (over budget: {over})" if over else ""))
-    for face, verdicts in report["predicates"].items():
-        for v in verdicts:
-            if not v["holds"]:
-                out.append(f"PREDICATE FAILS [{v['name']}] on {face}: {v['detail']}")
-    out.append(
-        f"bound: {report['edges']} vs {report['bound_max_edges']} -> {report['bound_verdict']}"
-    )
-    _close(validation, report["ok"] and validation["ok"], out)
+def _render_audit(report: AuditReport) -> list[str]:
+    counts = ", ".join(f"t{i}={c}" for i, c in sorted(report.triangle_counts.items()))
+    out = [
+        f"n={report.n}  edges={report.edge_count}  skeleton={report.skeleton_edge_count}",
+        f"skeleton connected: {report.skeleton_connected}, "
+        f"triangulated: {report.skeleton_triangulated}",
+        f"triangular faces: {report.triangular_face_count}",
+        f"stick counts: {counts}",
+    ]
+    if report.stick_cap_violations:
+        out.append(f"over the stick cap: {list(report.stick_cap_violations)}")
+    assoc = report.association
+    if assoc.applicable:
+        out.append(f"association: {'ok' if assoc.ok else 'failed'} ({len(assoc.mapping)} pairs)")
+        out += [f"  note: {note}" for note in assoc.notes]
+        out += [f"  diagnosis [{d.kind}] {', '.join(d.faces)}: {d.detail}"
+                for d in assoc.diagnoses]
+    ledger = report.ledger
+    out += [f"ledger size {row.size}: count {row.count}, charge {row.charge}, "
+            f"budget {row.budget}, slack {row.slack}" for row in ledger.faces]
+    out.append(f"ledger components: skeleton {ledger.skeleton_components}, drawing "
+               f"{ledger.drawing_components}, budget {ledger.components_budget}")
+    over = ", ".join(ledger.uncertified)
+    out.append(f"ledger verdict: {ledger.verdict}" + (f" (over budget: {over})" if over else ""))
+    out += [f"PREDICATE FAILS [{v.name}] on {face}: {v.detail}"
+            for face, verdicts in sorted(report.predicates.items())
+            for v in verdicts if not v.holds]
+    out.append(f"bound: {report.edge_count} vs {report.bound_max_edges} -> {report.bound_verdict}")
+    return out
 
 
 def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
@@ -232,97 +260,22 @@ def run(argv: list[str], stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout,
 
 
 def _run(argv: list[str], stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        try:
+            args = _build_parser().parse_args(argv)
+        except _Answer as answer:
+            text, code, path = str(answer), EXIT_OK, None
+        else:
+            text, code = _staged(args, stdin)
+            path = getattr(args, "output", None)
+        if path:
+            Path(path).write_text(text, encoding="utf-8")
+        else:
+            stdout.write(text)
+        return code
+    except (_UsageError, CrossingLedgerError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except _Answer as answer:
-        stdout.write(str(answer))
-        return EXIT_OK
-
-    for module in _MODULES[args.command]:
-        import_module(f".{module}", __package__)
-
-    try:
-        if args.command == "generate":
-            spec = _stage.generate_optimal(args.n, strict=args.strict_paper)
-            _write(_stage.emit_drawing(spec), args.output, stdout)
-            return EXIT_OK
-
-        if args.command == "export":
-            spec = _read_spec(args.file, stdin)
-            text = _stage.export_figure(_stage.build_map(spec), args.figure, args.outer_face)
-            _write(text, args.output, stdout)
-            return EXIT_OK
-
-        if args.command == "validate":
-            spec = _read_spec(args.file, stdin)
-            report = _validate(_stage.build_map(spec), args.k)
-            if args.format == "json":
-                doc = _stage.report_document(spec, {"validation": report.to_dict()})
-                _write(_stage.emit_report(doc), None, stdout)
-            else:
-                lines: list[str] = []
-                _render_validation(report.to_dict(), lines)
-                _write("\n".join(lines) + "\n", None, stdout)
-            return EXIT_OK if report.ok else EXIT_VERDICT
-
-        if args.command == "analyze":
-            spec = _read_spec(args.file, stdin)
-            pmap = _stage.build_map(spec)
-            dec = _stage.extract_skeleton(pmap, args.mode)
-            sections: dict = {"skeleton": dec}
-            if args.segments:
-                pieces = _stage.decompose(dec)
-                profiles = _stage.face_profiles(dec, pieces)
-                sections["segments"] = {"pieces": pieces, "faces": profiles}
-            if args.format == "json":
-                doc = _stage.report_document(spec, sections)
-                _write(_stage.emit_report(doc), None, stdout)
-            else:
-                lines = [
-                    f"skeleton ({dec.mode}): {len(dec.skeleton_edges)} of "
-                    f"{len(pmap.edge_ids)} edges",
-                    "skeleton edges: " + " ".join(dec.skeleton_edges),
-                    f"faces: {len(dec.faces)}",
-                ]
-                if args.segments:
-                    for prof in profiles:
-                        lines.append(
-                            f"face {prof.face} size {prof.size} type {list(prof.type_tuple)} "
-                            f"sticks {len(prof.sticks)} middles {len(prof.middles)}"
-                        )
-                _write("\n".join(lines) + "\n", None, stdout)
-            return EXIT_OK
-
-        if args.command == "audit":
-            spec = _read_spec(args.file, stdin)
-            pmap = _stage.build_map(spec)
-            validation = _validate(pmap, args.k)
-            dec = _stage.extract_skeleton(pmap, args.mode)
-            pieces = _stage.decompose(dec)
-            profiles = _stage.face_profiles(dec, pieces)
-            report = _stage.density_report(dec, profiles, pieces, k=args.k)
-            if args.format == "json":
-                doc = _stage.report_document(
-                    spec,
-                    {"validation": validation.to_dict(), "audit": report.to_dict()},
-                    include_drawing=False,
-                )
-                _write(_stage.emit_report(doc), None, stdout)
-            else:
-                lines = []
-                _render_audit(report.to_dict(), validation.to_dict(), lines)
-                _write("\n".join(lines) + "\n", None, stdout)
-            return EXIT_OK if (report.ok and validation.ok) else EXIT_VERDICT
-
-    except (CrossingLedgerError, OSError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-
-    raise AssertionError("unreachable")
 
 
 def main() -> None:  # console entry point

@@ -92,16 +92,40 @@ def test_traced_cli_process_matches_cli(monkeypatch):
             assert counts["interchange.report_bytes"] == len(stdout.encode("utf-8")) > 0
 
 
+# The stages one CLI call runs, each exactly once, per subcommand and format.
+_READ = ["parse_text", "build_map"]
+_VALIDATION = ["check_sanity", "check_homotopy", "check_k_planar", "merge_reports"]
+_SEGMENTS = ["extract_skeleton", "decompose", "face_profiles"]
+_JSON = ["report_document", "emit_report"]
+STAGES_CALLED = [
+    (["generate", "--n", "6"], ["generate_optimal", "emit_drawing"]),
+    (["validate", "--k", "3", "-"], _READ + _VALIDATION),
+    (["validate", "--k", "3", "--format", "json", "-"], _READ + _VALIDATION + _JSON),
+    (["analyze", "--skeleton", "-"], _READ + ["extract_skeleton"]),
+    (["analyze", "--skeleton", "--segments", "-"], _READ + _SEGMENTS),
+    (["analyze", "--skeleton", "--format", "json", "-"], _READ + ["extract_skeleton"] + _JSON),
+    (["analyze", "--skeleton", "--segments", "--format", "json", "-"], _READ + _SEGMENTS + _JSON),
+    (["audit", "--k", "3", "-"], _READ + _VALIDATION + _SEGMENTS + ["density_report"]),
+    (
+        ["audit", "--k", "3", "--format", "json", "-"],
+        _READ + _VALIDATION + _SEGMENTS + ["density_report"] + _JSON,
+    ),
+    (["export", "--figure", "dot", "-"], _READ + ["export_figure"]),
+    (["export", "--figure", "svg", "-"], _READ + ["export_figure"]),
+]
+
+
 def test_every_layer_is_called_through_cli_names(monkeypatch):
     # perfbench/layers.py replaces these names on crossing_ledger.cli; the CLI
-    # must call the replacement, also for stages it has not loaded yet.
+    # must call the replacement, also for stages it has not loaded yet.  Each
+    # path must call exactly its own stages, each once.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
-    calls: set[str] = set()
+    calls: list[str] = []
 
     def counted(name, fn):
         def call(*args, **kwargs):
-            calls.add(name)
+            calls.append(name)
             return fn(*args, **kwargs)
 
         return call
@@ -110,11 +134,10 @@ def test_every_layer_is_called_through_cli_names(monkeypatch):
     for name in names:
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     text = _cli(["generate", "--n", "6"])
-    for argv in (
-        ["validate", "--k", "3", "--format", "json", "-"],
-        ["analyze", "--skeleton", "--segments", "--format", "json", "-"],
-        ["audit", "--k", "3", "-"],
-        ["export", "--figure", "svg", "-"],
-    ):
+    called: set[str] = set()
+    for argv, expected in STAGES_CALLED:
+        calls.clear()
         _cli(argv, text)
-    assert calls == set(names)
+        assert sorted(calls) == sorted(expected), argv
+        called.update(calls)
+    assert called == set(names)

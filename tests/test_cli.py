@@ -27,6 +27,19 @@ def test_help_is_written_to_the_given_stdout(argv):
     assert out.startswith(" ".join(["usage: crossing-ledger", *argv[:-1]]) + " [-h]")
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-h"]])
+def test_an_answer_to_a_closed_pipe_is_one_error_line(argv):
+    # --version and -h are written under the same guard as every report.
+    err = io.StringIO()
+    code = run(argv, stdin=io.StringIO(), stdout=_ClosedPipe(), stderr=err)
+    assert (code, err.getvalue()) == (1, "error: [Errno 32] Broken pipe\n")
+
+
 def test_generate_then_audit_pipeline():
     code, drawing, _ = _run(["generate", "--n", "6"])
     assert code == 0

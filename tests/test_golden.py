@@ -74,6 +74,35 @@ def test_text_verdict_line_is_the_exit_code(case_id):
         assert out.splitlines()[-1] == f"verdict: {verdict}"
 
 
+AUDIT_TWINS = [
+    case_id for case_id, case in CASES.items()
+    if case["argv"][0] == "audit" and case_id.endswith(".text")
+]
+
+
+@pytest.mark.parametrize("case_id", AUDIT_TWINS)
+def test_audit_text_and_json_agree(case_id):
+    # The text report reads the records' fields and the JSON report their
+    # to_dict() keys: both must tell the same counts, bound and verdicts.
+    code, text, err = _replay(case_id)
+    json_code, doc, json_err = _replay(case_id.removesuffix(".text") + ".json")
+    assert (json_code, json_err) == (code, err)
+    if code == 1:  # a rejected input: one error line and no report, either way
+        assert text == doc == ""
+        return
+    report = json.loads(doc)
+    audit, validation = report["audit"], report["validation"]
+    lines = text.splitlines()
+    assert lines[0].startswith(f"n={audit['n']}  edges={audit['edges']}  ")
+    bound = f"bound: {audit['edges']} vs {audit['bound_max_edges']} -> {audit['bound_verdict']}"
+    assert bound in lines
+    ledger = [line for line in lines if line.startswith("ledger verdict: ")]
+    assert ledger and ledger[0].split()[2] == audit["ledger"]["verdict"]
+    ok = audit["ok"] and validation["ok"]
+    assert lines[-1] == "verdict: " + ("ok" if ok else "violations found")
+    assert code == (0 if ok else 2)
+
+
 def _check_corpus(python: str, hash_seed: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     return subprocess.run(
