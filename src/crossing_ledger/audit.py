@@ -40,17 +40,21 @@ BOUND_TABLE: dict[int, tuple[Fraction, int]] = {
 def k_bound(n: int, k: int) -> int:
     """Maximum edge count of a drawing on ``n`` vertices with crossing budget ``k``.
 
-    The bound is stated for ``n >= 3``; fewer vertices raise
-    :class:`InvariantError` with rule ``bound-vertex-count``.  A budget below
-    1 raises :class:`BadArgument`, and one with no tabulated bound
-    :class:`UnsupportedK`.
+    The bound is stated for ``n >= 3``; fewer vertices, or an ``n`` that is
+    not an int (a bool is not), raise :class:`InvariantError` with rule
+    ``bound-vertex-count``.  A budget below 1 or not an int raises
+    :class:`BadArgument`, and one with no tabulated bound :class:`UnsupportedK`.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvariantError(
+            "bound-vertex-count", f"the edge-count bound needs an integer vertex count; got {n!r}"
+        )
     if n < 3:
         raise InvariantError(
             "bound-vertex-count", f"the edge-count bound needs at least 3 vertices; got {n}"
         )
-    if k < 1:
-        raise BadArgument(f"k must be a positive integer; got {k}")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise BadArgument(f"k must be a positive integer; got {k!r}")
     if k not in BOUND_TABLE:
         raise UnsupportedK(k, n, SQRT_COEFFICIENT * math.sqrt(k) * n)
     coefficient, constant = BOUND_TABLE[k]

@@ -8,9 +8,10 @@ compose in pipelines.
 Every subcommand is one staged run (``_staged``): spec, map, [validation],
 [skeleton, pieces, profiles, audit], stopping where its report ends.  A JSON
 report takes the stage records themselves as sections; a text report is
-read from the same records' fields.  One guard covers every answer and its
-write, ``--version`` and ``-h`` included: a failure, a closed pipe too, ends
-in one ``error:`` line and exit 1.
+read from the same records' fields.  One guard covers every answer, its
+write and its flush, ``--version`` and ``-h`` included: a failure, a closed
+pipe too, ends in one ``error:`` line and exit 1, and a short write to an
+unbuffered stdout is continued, not taken as complete.
 
 The library stages are attributes of this module, named in ``_STAGES``, that
 load on first use, so each subcommand imports only the modules it runs
@@ -22,7 +23,9 @@ timing span) sees every call.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import io
 import os
 import sys
 from importlib import import_module
@@ -271,21 +274,45 @@ def _run(argv: list[str], stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
         if path:
             Path(path).write_text(text, encoding="utf-8")
         else:
-            stdout.write(text)
+            _write(stdout, text)
         return code
     except (_UsageError, CrossingLedgerError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
 
+def _write(stream: TextIO, text: str) -> None:
+    """Write ``text`` to ``stream`` and flush it; :class:`OSError` if any of it is lost.
+
+    Under ``PYTHONUNBUFFERED`` the text layer writes straight to the raw file
+    and takes a short write, as into a pipe whose reader leaves, as complete.
+    There the text is encoded once and its bytes written to the raw file,
+    each short write continued from where it stopped, until all are written
+    or a write fails.
+    """
+    raw = getattr(stream, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        stream.write(text)
+        stream.flush()
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        written = raw.write(data)
+        if not written:  # None: a non-blocking file is full
+            raise OSError(errno.EAGAIN, f"wrote no bytes of the last {len(data)}")
+        data = data[written:]
+
+
 def main() -> None:  # console entry point
     """Run the command line in this process and exit with its code.
 
-    Once the output is flushed, fd 1 is pointed at ``os.devnull``, so a
-    reader of a pipe such as ``generate | audit`` sees end of file at the last
-    write instead of after this interpreter's shutdown.  If the flush fails
-    (the reader left early), stdout is left as it is and shutdown reports the
-    failure as it always has.  Then every surviving object moves into the
+    :func:`run` has flushed the output, or reported with an ``error:`` line
+    why it could not, so fd 1 is then pointed at ``os.devnull``: a reader of
+    a pipe such as ``generate | audit`` sees end of file at the last write
+    instead of after this interpreter's shutdown, and bytes that a failed
+    flush left in the buffer go to ``os.devnull`` at shutdown instead of
+    failing a second time.  Then every surviving object moves into the
     collector's permanent generation (``gc.freeze``), so the collections that
     interpreter shutdown runs skip them: they would walk every loaded
     module's objects and change nothing a caller sees.  ``atexit`` hooks and
@@ -294,11 +321,10 @@ def main() -> None:  # console entry point
     """
     code = run(sys.argv[1:])
     try:
-        sys.stdout.flush()
         fd = sys.stdout.fileno()
         devnull = os.open(os.devnull, os.O_WRONLY)
     except (AttributeError, OSError, ValueError):
-        pass  # no stdout, or a failed flush, which shutdown reports
+        pass  # no stdout with a file descriptor
     else:
         os.dup2(devnull, fd)
         os.close(devnull)

@@ -11,14 +11,22 @@ Gadget combinatorics are computed in exact integer arithmetic on an
 integer-coordinate convex hexagon (parameters compared by
 cross-multiplication); crossing order along convex-position chords is a
 combinatorial invariant, so any convex realization gives the same drawing.
+
+Every frame face is a hexagon, so ``generate_optimal`` computes one gadget
+and turns it into index rows in canonical order (``_indexed``).  One pass
+over the frame map's faces then stamps each face's ids straight into the
+final rows, which ``DrawingSpec.build`` validates without reordering or
+re-anchoring anything.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import NamedTuple, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
-from .drawing import DrawingSpec, FaceWalk, build_map
+from .drawing import MINUS, PLUS, DrawingSpec, FaceWalk, _anchor_rotation, build_map
 from .errors import BadN, NotHexagon
 
 # Corner coordinates in walk order (the walk runs clockwise, so the face
@@ -108,8 +116,8 @@ class HexGadget(NamedTuple):
 
 def theta_frame(n: int, strict: bool = False) -> DrawingSpec:
     """Plane frame with (n-2)/2 hexagonal faces and 3(n-2)/2 edges."""
-    if n < 6 or n % 2 != 0:
-        raise BadN(f"n must be an even integer >= 6; got {n}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 6 or n % 2 != 0:
+        raise BadN(f"n must be an even integer >= 6; got {n!r}")
     if strict and (n - 2) % 4 != 0:
         raise BadN(f"strict mode requires n-2 divisible by 4; got n={n}")
     m = (n - 2) // 2
@@ -233,74 +241,90 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _relabel(template: HexGadget, corners: tuple[str, ...], prefix: str) -> HexGadget:
-    """The template gadget with its ids moved under ``prefix`` and its corners replaced.
+def _indexed(gadget: HexGadget) -> tuple[list, ...]:
+    """The gadget's rows in canonical order, with each id and corner as its index.
 
-    Corners map by position, so the result equals :func:`hexagon_gadget` on a
-    face whose anchored walk visits ``corners``.  Each id is stamped once, so
-    the gadget's rows share their id strings.
+    Ids are numbered edges first, then crossings, each in sorted order; the
+    end ``(edge i, "+")`` is ``2i`` and ``(edge i, "-")`` is ``2i + 1``.
+    Returns the ids, the rows ``(edge, corner, corner)`` and ``(crossing,
+    edge, edge)``, and :func:`_picker` functions that take each chain from
+    the ids, and each anchored crossing rotation and each corner's spliced
+    ends from the ends.  Prefixing every id keeps this order and anchoring.
     """
-    cut = len(template.prefix)
-    stamp = {x: prefix + x[cut:] for x in (*template.chains, *template.crossings)}
-    corner_of = dict(zip(template.corners, corners))
+    edges = sorted(gadget.edges)
+    cross_ids = sorted(gadget.crossings)
+    ids = [e for e, _, _ in edges] + cross_ids
+    index = {x: i for i, x in enumerate(ids)}
+    corner = {c: k for k, c in enumerate(gadget.corners)}
 
-    def entries(rot):
-        return tuple([(stamp[e], d) for e, d in rot])
+    def ends(rot):
+        return _picker([2 * index[e] + (d == MINUS) for e, d in rot])
 
-    return HexGadget(
-        prefix=prefix,
-        corners=corners,
-        edges=tuple([(stamp[e], corner_of[a], corner_of[b]) for e, a, b in template.edges]),
-        chains={stamp[e]: tuple([stamp[c] for c in cs]) for e, cs in template.chains.items()},
-        crossings={stamp[c]: (stamp[e], stamp[f]) for c, (e, f) in template.crossings.items()},
-        crossing_rotations={stamp[c]: entries(r) for c, r in template.crossing_rotations.items()},
-        corner_insertions={k: entries(r) for k, r in template.corner_insertions.items()},
+    return (
+        ids,
+        [(index[e], corner[a], corner[b]) for e, a, b in edges],
+        [(index[c], *map(index.__getitem__, gadget.crossings[c])) for c in cross_ids],
+        [_picker([index[c] for c in gadget.chains[e]]) for e, _, _ in edges],
+        [ends(_anchor_rotation(gadget.crossing_rotations[c])) for c in cross_ids],
+        [ends(gadget.corner_insertions[k]) for k in range(len(gadget.corners))],
     )
+
+
+def _picker(row: list[int]) -> Callable[[list], tuple]:
+    """A function from a list to the tuple of its entries at the indices in ``row``."""
+    if len(row) > 1:
+        return itemgetter(*row)  # a tuple, in C
+    return lambda xs: tuple([xs[i] for i in row])
 
 
 def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
     """Drawing on n vertices with 11n/2 - 11 edges, none crossed over 3 times."""
     frame = theta_frame(n, strict)
     fmap = build_map(frame)
+    walks, head, rot_index = fmap._walks, fmap._head, fmap._rot_index
 
+    # Face f{i}'s gadget takes the prefix G{q}, q its place in face-id order,
+    # and the faces are stamped in the string order of q, the canonical order
+    # of their ids.  Both orders sort numbers as strings, so face order[q] is
+    # stamped at step q as well.
+    order = sorted(range(len(walks)), key=str)
+    u = _POLES[0]
+    walk = walks[0]
+    face = FaceWalk("f0", tuple(walk), tuple([head[d] for d in walk]),
+                    tuple([fmap._dart_edge[d] for d in walk]), (len(walk),))
+    # Every frame face is a hexagon, so one exact computation serves them all.
+    names, edge_rows, cross_rows, chain_of, rotation_of, spliced_at = _indexed(
+        hexagon_gadget(face, anchor=u, prefix="")
+    )
+    edge_count = len(edge_rows)
+
+    # The frame's rows come first, as "F" < "G", and its ids are the smallest
+    # at every vertex, so its anchored rotations stay anchored.  Each frame
+    # rotation entry gets the list of gadget ends spliced in after it.
     edges = list(frame.edges)
     chains = dict(frame.chains)
     crossings: dict[str, tuple[str, str]] = {}
-    rotations: dict[str, Sequence] = dict(frame.rotations)
-    # node -> frame rotation position -> gadget entries spliced in after it.
-    splices: dict[str, dict[int, tuple[tuple[str, str], ...]]] = {}
+    rotations: dict[str, Sequence] = {}
+    spliced = {v: [[entry] for entry in rot] for v, rot in frame.rotations.items()}
+    for q in order:
+        walk = walks[order[q]]
+        prefix = f"G{q}"
+        ids = [prefix + x for x in names]
+        ends = [(e, d) for e in ids[:edge_count] for d in (PLUS, MINUS)]
+        nodes = [head[d] for d in walk]
+        k = nodes.index(u)
+        corners, darts = nodes[k:] + nodes[:k], walk[k:] + walk[:k]
+        edges += [(ids[e], corners[a], corners[b]) for e, a, b in edge_rows]
+        chains.update(zip(ids[:edge_count], [pick(ids) for pick in chain_of]))
+        for (c, e, f), pick in zip(cross_rows, rotation_of):
+            crossings[ids[c]] = (ids[e], ids[f])
+            rotations[ids[c]] = pick(ends)
+        # The walk dart arriving at corner k and the one leaving it flank the
+        # corner's wedge, and the second follows the reversal of the first in
+        # the frame rotation; the gadget's ends at corner k go between them.
+        for corner, dart, pick in zip(corners, darts, spliced_at):
+            spliced[corner][rot_index[dart ^ 1]] += pick(ends)
+    for v, rows in spliced.items():
+        rotations[v] = list(chain.from_iterable(rows))
 
-    u = _POLES[0]
-    faces = sorted(fmap.faces, key=lambda f: f.face_id)
-    # Every frame face is a hexagon, so one exact computation serves them all.
-    template = hexagon_gadget(faces[0], anchor=u, prefix="G0")
-    for q, face in enumerate(faces):
-        offset = face.nodes.index(u)
-        gadget = _relabel(template, face.nodes[offset:] + face.nodes[:offset], f"G{q}")
-        edges.extend(gadget.edges)
-        chains.update(gadget.chains)
-        crossings.update(gadget.crossings)
-        rotations.update(gadget.crossing_rotations)
-
-        # The walk dart arriving at corner occurrence k and the one leaving it
-        # flank the corner's wedge, and the second follows the reversal of the
-        # first in the frame rotation; splice the gadget entries between them.
-        for k in range(6):
-            inserted = gadget.corner_insertions[k]
-            if not inserted:
-                continue
-            opening = fmap.twin(face.darts[(offset + k) % 6])
-            splices.setdefault(gadget.corners[k], {})[fmap._rot_index[opening]] = inserted
-
-    for node, after in splices.items():
-        rotations[node] = [
-            x for i, entry in enumerate(frame.rotations[node]) for x in (entry, *after.get(i, ()))
-        ]
-
-    return DrawingSpec.build(
-        vertices=frame.vertices,
-        edges=edges,
-        chains=chains,
-        crossings=crossings,
-        rotations=rotations,
-    )
+    return DrawingSpec.build(frame.vertices, edges, chains, crossings, rotations)

@@ -12,8 +12,10 @@ built or audited with pieces or profiles that another stage call returned,
 dart numbers that name no dart of the map or its skeleton: negative ones,
 those past the last dart, and ``(edge, seg, direction)`` tuples, the darts'
 form before they became ints; and a segment index given to ``dart`` that
-is not an int (a bool is not).  Other arguments of a wrong Python type
-are out of scope.
+is not an int (a bool is not).  A vertex count given to the generator or
+to ``k_bound``, and a budget given to ``k_bound``, that is a float, a
+string, ``None`` or a bool is refused with the typed error its range check
+raises.  Other arguments of a wrong Python type are out of scope.
 The examples are derandomised and few, so the module runs in seconds.
 """
 
@@ -52,7 +54,7 @@ from crossing_ledger import (
     restrict,
     validate_drawing,
 )
-from crossing_ledger.errors import BadArgument
+from crossing_ledger.errors import BadArgument, BadN, InvariantError
 from crossing_ledger.generator import chords_interleave, hexagon_gadget, theta_frame
 from crossing_ledger.skeleton import conflict_graph, decompose_with
 
@@ -227,10 +229,16 @@ def test_audit_functions(spec, k, data):
         density_report(dec, face_profiles(dec, decompose(dec)), pieces, 3)
 
 
+# Counts and budgets of a wrong Python type: each is refused with a typed error.
+not_ints = st.one_of(
+    st.floats(), st.sampled_from(["202", "6", "3"]), words, st.none(), st.booleans()
+)
+
+
 @ADVERSARIAL
 @given(
-    n=st.integers(-8, 40),
-    k=budgets_k,
+    n=st.one_of(st.integers(-8, 40), not_ints),
+    k=st.one_of(budgets_k, not_ints),
     strict=st.booleans(),
     ends=st.lists(st.integers(-8, 14), min_size=4, max_size=4),
 )
@@ -239,6 +247,17 @@ def test_generator_and_bound_functions(n, k, strict, ends):
         returns_or_typed(make, n, strict)
     returns_or_typed(k_bound, n, k)
     chords_interleave(*ends)
+
+
+@pytest.mark.parametrize("value", [202.0, 6.0, "202", None, True, False])
+def test_a_vertex_count_or_budget_that_is_not_an_int_is_refused(value):
+    for make in (theta_frame, generate_optimal):
+        with pytest.raises(BadN, match="must be an even integer"):
+            make(value)
+    with pytest.raises(InvariantError, match="bound-vertex-count"):
+        k_bound(value, 3)
+    with pytest.raises(BadArgument, match="k must be a positive integer"):
+        k_bound(202, value)
 
 
 @ADVERSARIAL

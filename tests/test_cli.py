@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +43,85 @@ def test_an_answer_to_a_closed_pipe_is_one_error_line(argv):
     err = io.StringIO()
     code = run(argv, stdin=io.StringIO(), stdout=_ClosedPipe(), stderr=err)
     assert (code, err.getvalue()) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw file that takes at most ``step`` bytes per write and, once it
+    holds ``limit``, would block, as a full non-blocking pipe does."""
+
+    def __init__(self, step, limit=None):
+        self.step, self.limit, self.data = step, limit, bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        if len(self.data) == self.limit:
+            return None
+        room = self.step if self.limit is None else min(self.step, self.limit - len(self.data))
+        self.data += bytes(b[:room])
+        return min(room, len(b))
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["generate", "--n", "10"]])
+def test_short_writes_under_an_unbuffered_text_layer_are_continued(argv):
+    raw = _ShortWrites(step=7)
+    code = run(argv, stdin=io.StringIO(), stdout=io.TextIOWrapper(raw, write_through=True),
+               stderr=io.StringIO())
+    assert (code, raw.data.decode()) == (0, _run(argv)[1])
+
+
+def test_a_write_that_would_block_is_one_error_line():
+    raw, err = _ShortWrites(step=7, limit=20), io.StringIO()
+    code = run(["--version"], stdin=io.StringIO(), stdout=io.TextIOWrapper(raw, write_through=True),
+               stderr=err)
+    assert code == 1
+    assert err.getvalue().startswith(f"error: [Errno {errno.EAGAIN}] wrote no bytes")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BROKEN = f"error: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}\n".encode()
+
+
+def _cli_env(unbuffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--version"], ["-h"], ["generate", "--n", "202"]])
+def test_an_answer_to_a_pipe_whose_reader_has_gone_is_one_error_line(argv, unbuffered):
+    # A fresh process whose stdout is a pipe with its read end already closed.
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "crossing_ledger.cli", *argv], stdout=w,
+                              stderr=subprocess.PIPE, env=_cli_env(unbuffered), timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, BROKEN)
+
+
+@pytest.mark.skipif(shutil.which("head") is None, reason="needs head(1)")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_generate_into_head_reports_the_lost_output(unbuffered):
+    # head -c 1 leaves while generate still writes: a short write, then a
+    # failed one, in either buffering mode.
+    gen = subprocess.Popen([sys.executable, "-m", "crossing_ledger.cli", "generate", "--n", "202"],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           env=_cli_env(unbuffered))
+    head = subprocess.Popen(["head", "-c", "1"], stdin=gen.stdout, stdout=subprocess.PIPE)
+    gen.stdout.close()
+    first, _ = head.communicate(timeout=120)
+    with gen.stderr:
+        err = gen.stderr.read()
+    gen.wait(timeout=120)
+    assert (head.returncode, first) == (0, b"{")
+    assert (gen.returncode, err) == (1, BROKEN)
 
 
 def test_generate_then_audit_pipeline():

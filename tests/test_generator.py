@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 from functools import cmp_to_key
@@ -7,24 +8,31 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _generator_oracle as oracle
 from crossing_ledger import (
     BadN,
     NotHexagon,
     build_map,
+    emit_drawing,
     extract_skeleton,
     generate_optimal,
     validate_drawing,
 )
+from crossing_ledger import generator
+from crossing_ledger.drawing import DrawingSpec
 from crossing_ledger.generator import (
     _DIAGONALS,
     _HEX_POINTS,
     _intersection_param,
     _param_order,
-    _relabel,
+    _picker,
     chords_interleave,
     hexagon_gadget,
     theta_frame,
 )
+
+# sha256 of emit_drawing(generate_optimal(202)): the benchmark's input digest.
+TIGHT_202_DIGEST = "3329c2cb0521661e050b206cf43b4cc5d77637b36cd0529f1e1680b5d0ea8bcb"
 
 # Crossing-partner sequences along each diagonal, frozen from the convex
 # hexagon: chords cross exactly when their corner indices interleave, and the
@@ -180,13 +188,51 @@ def test_param_order_is_fraction_then_id_order(rows):
 
 
 def test_relabelled_template_equals_gadget_of_every_face():
-    # generate_optimal computes the gadget of the first face only and relabels it.
+    # The oracle computes the gadget of the first face only and relabels it.
     for n in (6, 8, 10, 30, 54, 102):
         faces = sorted(build_map(theta_frame(n)).faces, key=lambda f: f.face_id)
         template = hexagon_gadget(faces[0], anchor="u", prefix="G0")
         for q, face in enumerate(faces):
             gadget = hexagon_gadget(face, anchor="u", prefix=f"G{q}")
-            assert _relabel(template, gadget.corners, f"G{q}") == gadget
+            assert oracle._relabel(template, gadget.corners, f"G{q}") == gadget
+
+
+@pytest.mark.parametrize("n", [*range(6, 103, 2), 202, 402])
+def test_stamping_pass_matches_the_face_by_face_oracle(n):
+    assert emit_drawing(generate_optimal(n)) == emit_drawing(oracle.generate_optimal(n))
+    if (n - 2) % 4 == 0:
+        want = emit_drawing(oracle.generate_optimal(n, strict=True))
+        assert emit_drawing(generate_optimal(n, strict=True)) == want
+
+
+def test_picker_gives_a_tuple_for_every_row_length():
+    xs = list("abcdef")
+    for row in ([], [4], [1, 3], [5, 0, 2]):
+        assert _picker(row)(xs) == tuple(xs[i] for i in row)
+
+
+def test_tight_202_is_the_benchmark_input():
+    text = emit_drawing(generate_optimal(202))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TIGHT_202_DIGEST
+
+
+@pytest.mark.parametrize("n", [10, 202])
+def test_one_frame_map_one_gadget_one_final_build(n, monkeypatch):
+    # A rebuild per face or per insertion shows as extra calls here.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(generator, "build_map", counted("build_map", generator.build_map))
+    monkeypatch.setattr(generator, "hexagon_gadget", counted("hexagon_gadget", hexagon_gadget))
+    monkeypatch.setattr(DrawingSpec, "build", staticmethod(counted("build", DrawingSpec.build)))
+    spec = generate_optimal(n)
+    assert calls == ["build", "build_map", "hexagon_gadget", "build"]
+    assert len(spec.edges) == 11 * n // 2 - 11
 
 
 def test_short_triple_is_independent():
@@ -224,6 +270,4 @@ def test_generated_skeleton_agrees_with_structure():
 
 
 def test_generation_is_deterministic():
-    from crossing_ledger import emit_drawing
-
     assert emit_drawing(generate_optimal(10)) == emit_drawing(generate_optimal(10))
