@@ -43,7 +43,6 @@ _EXPORTS = {
     "InvalidRotation": "errors",
     "InvariantError": "errors",
     "NonSpherical": "errors",
-    "NotHexagon": "errors",
     "ParseError": "errors",
     "UnsupportedK": "errors",
 }

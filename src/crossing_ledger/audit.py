@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .errors import BadArgument, InvariantError, UnsupportedK
 from .segments import LEFT, RIGHT, FaceProfile, Pieces, Profiles, SegmentPiece, _check_pieces
 from .skeleton import SkeletonDecomposition
+from .validate import _check_k
 
 SQRT_COEFFICIENT = 4.1208
 
@@ -53,8 +54,7 @@ def k_bound(n: int, k: int) -> int:
         raise InvariantError(
             "bound-vertex-count", f"the edge-count bound needs at least 3 vertices; got {n}"
         )
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise BadArgument(f"k must be a positive integer; got {k!r}")
+    _check_k(k)
     if k not in BOUND_TABLE:
         raise UnsupportedK(k, n, SQRT_COEFFICIENT * math.sqrt(k) * n)
     coefficient, constant = BOUND_TABLE[k]

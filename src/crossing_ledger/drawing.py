@@ -407,11 +407,11 @@ class PlanarizedMap:
     when face tracing or the per-component Euler formula fails.
 
     Lists indexed by dart table its face successor, head, edge, rotation
-    index, face and walk position (``_next``, ``_head``, ``_dart_edge``,
-    ``_rot_index``, ``_dart_face``, ``_dart_pos``); ``_first`` and ``_last``
-    map an edge to its darts leaving ``end_a`` and ``end_b``; ``_walks``
-    holds each face's darts.  The :class:`FaceWalk` records of :attr:`faces`
-    are built on first access, which no audit or export stage makes.  The
+    index and face (``_next``, ``_head``, ``_dart_edge``, ``_rot_index``,
+    ``_dart_face``); ``_first`` and ``_last`` map an edge to its darts
+    leaving ``end_a`` and ``end_b``; ``_walks`` holds each face's darts.  The
+    :class:`FaceWalk` records of :attr:`faces` are built on first access,
+    which no audit or export stage makes.  The
     public dart queries refuse anything but a dart of the map, and the
     queries by id (``dart``, ``endpoints``, ``chain``, ``node_sequence``,
     ``crossing_edges``, ``rotation``, ``component_of``) an id the map lacks,
@@ -476,11 +476,10 @@ class PlanarizedMap:
     # -- construction helpers ---------------------------------------------
 
     def _trace_faces(self) -> list[list[int]]:
-        """The face orbits as dart walks; fills ``_dart_face`` and ``_dart_pos``."""
+        """The face orbits as dart walks; fills ``_dart_face``."""
         walks: list[list[int]] = []
         nxt = self._next
         self._dart_face = dart_face = [-1] * len(nxt)
-        self._dart_pos = dart_pos = [0] * len(nxt)
         # Walks start at darts 0, 1, 2, ...: (edge, seg, +1 before -1) order.
         for start in range(len(nxt)):
             if dart_face[start] >= 0:
@@ -491,7 +490,6 @@ class PlanarizedMap:
             d = nxt[start]
             while dart_face[d] < 0:
                 dart_face[d] = index
-                dart_pos[d] = len(walk)
                 walk.append(d)
                 d = nxt[d]
             if d != start:
@@ -632,7 +630,9 @@ class PlanarizedMap:
         return self._rot_index[self._checked(d)]
 
     def face_of_dart(self, d: int) -> tuple[str, int]:
-        return (f"f{self._dart_face[self._checked(d)]}", self._dart_pos[d])
+        """The face to the right of a dart, and the dart's position in its walk."""
+        f = self._dart_face[self._checked(d)]
+        return (f"f{f}", self._walks[f].index(d))
 
     def face_index_of_dart(self, d: int) -> int:
         """Index into :attr:`faces` of the face to the right of a dart."""
@@ -668,17 +668,26 @@ def build_map(spec: DrawingSpec) -> PlanarizedMap:
     return PlanarizedMap(spec)
 
 
+def _edge_set(pmap: PlanarizedMap, edges: Iterable[str]) -> set[str]:
+    """The ids in ``edges`` as strings; :class:`BadArgument` unless each is an edge of the map."""
+    try:
+        ids = iter(edges)
+    except TypeError:
+        raise BadArgument(f"edges must be an iterable of edge ids; got {edges!r}") from None
+    kept = {str(e) for e in ids}
+    unknown = kept - set(pmap.edge_ids)
+    if unknown:
+        raise BadArgument(f"not edges of this map: {sorted(unknown)}")
+    return kept
+
+
 def restrict(pmap: PlanarizedMap, keep: Iterable[str]) -> PlanarizedMap:
     """Sub-drawing induced by a set of edges.
 
     Crossings with removed edges dissolve (the kept edge's segments merge);
     rotations at real vertices drop the removed entries; faces are recomputed.
     """
-    keep_set = {str(e) for e in keep}
-    unknown = keep_set - set(pmap.edge_ids)
-    if unknown:
-        raise BadArgument(f"not edges of this map: {sorted(unknown)}")
-
+    keep_set = _edge_set(pmap, keep)
     spec = pmap.spec
     kept_crossings = {
         c: pair for c, pair in spec.crossings.items() if pair[0] in keep_set and pair[1] in keep_set

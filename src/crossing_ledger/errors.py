@@ -58,10 +58,6 @@ class BadN(CrossingLedgerError):
     """The requested vertex count is not realizable by the construction."""
 
 
-class NotHexagon(CrossingLedgerError):
-    """The face is not a 6-walk with six distinct corner vertices."""
-
-
 class BadHint(CrossingLedgerError):
     """The outer-face hint does not name a face of the map."""
 

@@ -12,11 +12,12 @@ integer-coordinate convex hexagon (parameters compared by
 cross-multiplication); crossing order along convex-position chords is a
 combinatorial invariant, so any convex realization gives the same drawing.
 
-Every frame face is a hexagon, so ``generate_optimal`` computes one gadget
-and turns it into index rows in canonical order (``_indexed``).  One pass
-over the frame map's faces then stamps each face's ids straight into the
-final rows, which ``DrawingSpec.build`` validates without reordering or
-re-anchoring anything.
+Every frame face is a hexagon, so ``generate_optimal`` computes the gadget
+once, as index rows in canonical order read straight from ``_HEX_POINTS``
+and ``_DIAGONALS`` (``_template``): corners are walk positions and ids are
+suffixes, not names.  One pass over the frame map's faces then stamps each
+face's ids and corners straight into the final rows, which
+``DrawingSpec.build`` validates without reordering or re-anchoring anything.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 from functools import cmp_to_key
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
-from .drawing import MINUS, PLUS, DrawingSpec, FaceWalk, _anchor_rotation, build_map
-from .errors import BadN, NotHexagon
+from .drawing import MINUS, PLUS, DrawingSpec, _anchor_rotation, build_map
+from .errors import BadN
 
 # Corner coordinates in walk order (the walk runs clockwise, so the face
 # interior lies to the right of each boundary dart, matching map orientation).
@@ -58,6 +59,10 @@ def _sub(p, q):
 
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _intersection_param(p1, p2, p3, p4) -> tuple[int, int]:
@@ -97,23 +102,6 @@ def _ccw_sort(vectors: list[tuple]) -> list[int]:
     return sorted(range(len(vectors)), key=cmp_to_key(cmp))
 
 
-class HexGadget(NamedTuple):
-    """Eight diagonals for one hexagonal face, as a partial drawing.
-
-    ``corner_insertions`` lists, per corner occurrence, the rotation entries
-    to splice into that corner's wedge, in counterclockwise order from the
-    wedge's opening side.
-    """
-
-    prefix: str
-    corners: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]
-    chains: dict[str, tuple[str, ...]]
-    crossings: dict[str, tuple[str, str]]
-    crossing_rotations: dict[str, tuple[tuple[str, str], ...]]
-    corner_insertions: dict[int, tuple[tuple[str, str], ...]]
-
-
 def theta_frame(n: int, strict: bool = False) -> DrawingSpec:
     """Plane frame with (n-2)/2 hexagonal faces and 3(n-2)/2 edges."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 6 or n % 2 != 0:
@@ -136,137 +124,64 @@ def theta_frame(n: int, strict: bool = False) -> DrawingSpec:
     return DrawingSpec.build(vertices=vertices, edges=edges, rotations=rotations)
 
 
-def hexagon_gadget(
-    face: FaceWalk, anchor: str | None = None, prefix: str = "G"
-) -> HexGadget:
-    """The eight interior diagonals for one hexagonal face.
+def _template() -> tuple[list, ...]:
+    """The gadget of one hexagonal face as index rows in canonical order.
 
-    The face walk's vertex occurrences map to the corners of a convex
-    hexagon; ``anchor`` picks which occurrence plays corner 0.  Raises
-    :class:`NotHexagon` unless the face is a 6-walk over six distinct
-    vertices.
+    Corners are the positions 0-5 of the face walk, from its anchor.  Ids are
+    the suffixes ``.slot`` of the diagonals and ``.xc`` of their crossings, c
+    counting the crossing pairs in slot order; they are numbered edges first,
+    then crossings, each in sorted order (``.x10`` before ``.x2``), and the
+    end ``(edge i, "+")`` is ``2i`` and ``(edge i, "-")`` is ``2i + 1``, so
+    the ends sort as the ids do.  Returns the ids, the rows ``(edge, corner,
+    corner)`` and ``(crossing, edge, edge)``, and :func:`_picker` functions
+    that take each chain from the ids, and each anchored crossing rotation
+    and each corner's spliced ends from the ends.  Prefixing every id keeps
+    this order and anchoring.
     """
-    if face.length != 6 or len(set(face.nodes)) != 6:
-        raise NotHexagon(
-            f"face {face.face_id} is a {face.length}-walk over "
-            f"{len(set(face.nodes))} distinct vertices; need 6 over 6"
-        )
-    corners = list(face.nodes)
-    if anchor is not None:
-        if anchor not in corners:
-            raise NotHexagon(f"anchor {anchor} is not on face {face.face_id}")
-        i = corners.index(anchor)
-        corners = corners[i:] + corners[:i]
+    slots = range(len(_DIAGONALS))
+    pairs = [(i, j) for i in slots for j in slots[i + 1:]
+             if chords_interleave(*_DIAGONALS[i], *_DIAGONALS[j])]
+    names = sorted(f".{s}" for s in slots) + sorted(f".x{c}" for c in range(len(pairs)))
+    index = {x: i for i, x in enumerate(names)}
+    edge = [index[f".{s}"] for s in slots]
+    cross = [index[f".x{c}"] for c in range(len(pairs))]
+    points = [(_HEX_POINTS[p], _HEX_POINTS[q]) for p, q in _DIAGONALS]
 
-    edge_ids = [f"{prefix}.{slot}" for slot in range(len(_DIAGONALS))]
-    edges = tuple(
-        (edge_ids[slot], corners[p], corners[q]) for slot, (p, q) in enumerate(_DIAGONALS)
-    )
-
-    # Proper crossings among the diagonals, with exact positions.
-    crossing_ids: dict[tuple[int, int], str] = {}
-    params: dict[int, list] = {slot: [] for slot in range(8)}
-    counter = 0
-    for i in range(8):
-        for j in range(i + 1, 8):
-            (a, b), (c, d) = _DIAGONALS[i], _DIAGONALS[j]
-            if not chords_interleave(a, b, c, d):
-                continue
-            cid = f"{prefix}.x{counter}"
-            counter += 1
-            crossing_ids[(i, j)] = cid
-            p1, p2 = _HEX_POINTS[a], _HEX_POINTS[b]
-            p3, p4 = _HEX_POINTS[c], _HEX_POINTS[d]
-            t = _intersection_param(p1, p2, p3, p4)
-            s = _intersection_param(p3, p4, p1, p2)
-            params[i].append((t, cid))
-            params[j].append((s, cid))
-
-    chains = {
-        edge_ids[slot]: tuple(cid for _, cid in sorted(params[slot], key=cmp_to_key(_param_order)))
-        for slot in range(8)
-    }
-    crossings = {cid: (edge_ids[i], edge_ids[j]) for (i, j), cid in crossing_ids.items()}
-
-    # Rotation at each crossing: the four outgoing directions sorted
-    # counterclockwise; transversality makes them alternate automatically.
-    crossing_rotations: dict[str, tuple[tuple[str, str], ...]] = {}
-    for (i, j), cid in crossing_ids.items():
-        entries = []
+    # Proper crossings among the diagonals, with exact positions along each.
+    # The four directions leaving a crossing, sorted counterclockwise,
+    # alternate between its two diagonals by transversality.
+    along: list[list] = [[] for _ in slots]
+    rotations = []
+    for c, (i, j) in enumerate(pairs):
+        along[i].append((_intersection_param(*points[i], *points[j]), cross[c]))
+        along[j].append((_intersection_param(*points[j], *points[i]), cross[c]))
         vectors = []
-        for slot in (i, j):
-            p, q = _DIAGONALS[slot]
-            direction = _sub(_HEX_POINTS[q], _HEX_POINTS[p])
-            vectors.append(direction)
-            entries.append((edge_ids[slot], "+"))
-            vectors.append((-direction[0], -direction[1]))
-            entries.append((edge_ids[slot], "-"))
-        order = _ccw_sort(vectors)
-        crossing_rotations[cid] = tuple(entries[t] for t in order)
+        for s in (i, j):
+            v = _sub(points[s][1], points[s][0])
+            vectors += [v, (-v[0], -v[1])]
+        rot = [2 * edge[s] + t for s in (i, j) for t in (0, 1)]
+        rotations.append(_anchor_rotation([rot[t] for t in _ccw_sort(vectors)]))
 
-    # Insertions at each corner: diagonals leaving that corner, sorted
-    # counterclockwise across the interior wedge (which opens from the
-    # direction of the previous corner around to the next corner).
-    corner_insertions: dict[int, tuple[tuple[str, str], ...]] = {}
-    for k in range(6):
-        entries = []
-        vectors = []
-        for slot, (p, q) in enumerate(_DIAGONALS):
-            if k == p:
-                vectors.append(_sub(_HEX_POINTS[q], _HEX_POINTS[p]))
-                entries.append((edge_ids[slot], "+"))
-            elif k == q:
-                vectors.append(_sub(_HEX_POINTS[p], _HEX_POINTS[q]))
-                entries.append((edge_ids[slot], "-"))
-        # A convex corner spans less than a half turn, so within the wedge the
-        # pairwise cross product is a total counterclockwise order.
-        order = sorted(
-            range(len(entries)),
-            key=cmp_to_key(lambda i, j: -_sign(_cross(vectors[i], vectors[j]))),
-        )
-        corner_insertions[k] = tuple(entries[t] for t in order)
+    # The diagonals leaving each corner, sorted counterclockwise across the
+    # interior wedge (from the previous corner's direction to the next's).  A
+    # convex corner spans less than a half turn, so within the wedge the
+    # pairwise cross product is a total counterclockwise order.
+    spliced = []
+    for k, point in enumerate(_HEX_POINTS):
+        out = [(_sub(_HEX_POINTS[q if k == p else p], point), 2 * edge[s] + (k == q))
+               for s, (p, q) in enumerate(_DIAGONALS) if k in (p, q)]
+        out.sort(key=cmp_to_key(lambda a, b: -_sign(_cross(a[0], b[0]))))
+        spliced.append(_picker([end for _, end in out]))
 
-    return HexGadget(
-        prefix=prefix,
-        corners=tuple(corners),
-        edges=edges,
-        chains=chains,
-        crossings=crossings,
-        crossing_rotations=crossing_rotations,
-        corner_insertions=corner_insertions,
-    )
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _indexed(gadget: HexGadget) -> tuple[list, ...]:
-    """The gadget's rows in canonical order, with each id and corner as its index.
-
-    Ids are numbered edges first, then crossings, each in sorted order; the
-    end ``(edge i, "+")`` is ``2i`` and ``(edge i, "-")`` is ``2i + 1``.
-    Returns the ids, the rows ``(edge, corner, corner)`` and ``(crossing,
-    edge, edge)``, and :func:`_picker` functions that take each chain from
-    the ids, and each anchored crossing rotation and each corner's spliced
-    ends from the ends.  Prefixing every id keeps this order and anchoring.
-    """
-    edges = sorted(gadget.edges)
-    cross_ids = sorted(gadget.crossings)
-    ids = [e for e, _, _ in edges] + cross_ids
-    index = {x: i for i, x in enumerate(ids)}
-    corner = {c: k for k, c in enumerate(gadget.corners)}
-
-    def ends(rot):
-        return _picker([2 * index[e] + (d == MINUS) for e, d in rot])
-
+    by_edge = sorted(slots, key=edge.__getitem__)
+    by_cross = sorted(range(len(pairs)), key=cross.__getitem__)
     return (
-        ids,
-        [(index[e], corner[a], corner[b]) for e, a, b in edges],
-        [(index[c], *map(index.__getitem__, gadget.crossings[c])) for c in cross_ids],
-        [_picker([index[c] for c in gadget.chains[e]]) for e, _, _ in edges],
-        [ends(_anchor_rotation(gadget.crossing_rotations[c])) for c in cross_ids],
-        [ends(gadget.corner_insertions[k]) for k in range(len(gadget.corners))],
+        names,
+        [(edge[s], *_DIAGONALS[s]) for s in by_edge],
+        [(cross[c], edge[pairs[c][0]], edge[pairs[c][1]]) for c in by_cross],
+        [_picker([x for _, x in sorted(along[s], key=cmp_to_key(_param_order))]) for s in by_edge],
+        [_picker(rotations[c]) for c in by_cross],
+        spliced,
     )
 
 
@@ -289,13 +204,8 @@ def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
     # stamped at step q as well.
     order = sorted(range(len(walks)), key=str)
     u = _POLES[0]
-    walk = walks[0]
-    face = FaceWalk("f0", tuple(walk), tuple([head[d] for d in walk]),
-                    tuple([fmap._dart_edge[d] for d in walk]), (len(walk),))
     # Every frame face is a hexagon, so one exact computation serves them all.
-    names, edge_rows, cross_rows, chain_of, rotation_of, spliced_at = _indexed(
-        hexagon_gadget(face, anchor=u, prefix="")
-    )
+    names, edge_rows, cross_rows, chain_of, rotation_of, spliced_at = _template()
     edge_count = len(edge_rows)
 
     # The frame's rows come first, as "F" < "G", and its ids are the smallest

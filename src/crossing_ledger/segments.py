@@ -130,10 +130,6 @@ class FaceProfile(NamedTuple):
         return len(self.sticks)
 
     @property
-    def bridge_count(self) -> int:
-        return len(self.bridges)
-
-    @property
     def non_bridge_count(self) -> int:
         return len(self.non_bridges)
 

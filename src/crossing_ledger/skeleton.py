@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .drawing import FaceWalk, PlanarizedMap
+from .drawing import FaceWalk, PlanarizedMap, _edge_set
 from .errors import BadArgument, BudgetExceeded, InvariantError
 from .interchange import _TEMPLATE, _block, _ints, _quote, _strings
 
@@ -340,10 +340,14 @@ def extract_skeleton(
     exceeds ``budget`` nodes; callers must fall back to ``greedy``
     explicitly.  ``greedy`` deletes the max-conflict-degree edge (ties by
     smallest id) until no conflicts remain, then restores any deleted edge
-    that turned out conflict-free so the result is maximal.
+    that turned out conflict-free so the result is maximal.  An unknown
+    mode, or a budget that is not an int (a bool is not), raises
+    :class:`BadArgument` in either mode.
     """
     if mode not in ("exact", "greedy"):
         raise BadArgument(f"unknown skeleton mode {mode!r}")
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise BadArgument(f"budget must be an integer; got {budget!r}")
     conflicts = conflict_graph(pmap)
     return _assemble(pmap, conflicts, _independent_edges(conflicts, mode, budget), mode)
 
@@ -380,8 +384,4 @@ def decompose_with(pmap: PlanarizedMap, skeleton_edges) -> SkeletonDecomposition
     left-out edge crosses a kept one); useful for auditing a specific
     substructure rather than the computed maximum.
     """
-    kept = {str(e) for e in skeleton_edges}
-    unknown = kept - set(pmap.edge_ids)
-    if unknown:
-        raise BadArgument(f"not edges of this map: {sorted(unknown)}")
-    return _assemble(pmap, conflict_graph(pmap), kept, mode="manual")
+    return _assemble(pmap, conflict_graph(pmap), _edge_set(pmap, skeleton_edges), mode="manual")

@@ -39,10 +39,15 @@ def merge_reports(*reports: ValidationReport) -> ValidationReport:
     return ValidationReport(k, counts, violations, warnings)
 
 
+def _check_k(k: int) -> None:
+    """Refuse a crossing budget that is not a positive int (a bool is not)."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise BadArgument(f"k must be a positive integer; got {k!r}")
+
+
 def check_k_planar(pmap: PlanarizedMap, k: int) -> ValidationReport:
     """List every edge whose chain exceeds the crossing budget k."""
-    if k < 1:
-        raise BadArgument(f"k must be a positive integer; got {k}")
+    _check_k(k)
     counts = pmap.edge_crossing_counts()
     violations = tuple(
         Violation("k-planar", (e,), f"edge {e} is crossed {c} times; limit is {k}")

@@ -255,7 +255,7 @@ def trace_faces(pmap: PlanarizedMap) -> tuple[tuple[FaceWalk, ...], list[tuple[s
 # The tables ``PlanarizedMap`` builds, by the names of its attributes.
 MAP_TABLES = (
     "_ends", "_node_seq", "_first", "_last", "_dart_edge", "_next", "_head", "_rot",
-    "_rot_index", "_walks", "_dart_face", "_dart_pos", "_components",
+    "_rot_index", "_walks", "_dart_face", "_components",
 )
 
 
@@ -303,7 +303,6 @@ def map_tables(spec: DrawingSpec) -> dict:
 
     walks: list[list[int]] = []
     dart_face = [-1] * d
-    dart_pos = [0] * d
     for start in range(d):
         if dart_face[start] >= 0:
             continue
@@ -312,7 +311,6 @@ def map_tables(spec: DrawingSpec) -> dict:
         x = start
         while dart_face[x] < 0:
             dart_face[x] = index
-            dart_pos[x] = len(walk)
             walk.append(x)
             x = nxt[x]
         if x != start:
@@ -355,5 +353,5 @@ def map_tables(spec: DrawingSpec) -> dict:
         "_ends": ends, "_node_seq": node_seq, "_first": first, "_last": last,
         "_dart_edge": dart_edge, "_next": nxt, "_head": head, "_rot": rot,
         "_rot_index": rot_index, "_walks": walks, "_dart_face": dart_face,
-        "_dart_pos": dart_pos, "_components": comp,
+        "_components": comp,
     }

@@ -13,9 +13,12 @@ dart numbers that name no dart of the map or its skeleton: negative ones,
 those past the last dart, and ``(edge, seg, direction)`` tuples, the darts'
 form before they became ints; and a segment index given to ``dart`` that
 is not an int (a bool is not).  A vertex count given to the generator or
-to ``k_bound``, and a budget given to ``k_bound``, that is a float, a
-string, ``None`` or a bool is refused with the typed error its range check
-raises.  Other arguments of a wrong Python type are out of scope.
+to ``k_bound``, a crossing budget given to ``k_bound``, ``check_k_planar``
+or ``validate_drawing``, and an exact-search budget given to
+``extract_skeleton``, that is a float, a string, ``None`` or a bool is
+refused with the typed error its range check raises; so is an edge set
+given to ``restrict`` or ``decompose_with`` that is not iterable.  Other
+arguments of a wrong Python type are out of scope.
 The examples are derandomised and few, so the module runs in seconds.
 """
 
@@ -55,7 +58,7 @@ from crossing_ledger import (
     validate_drawing,
 )
 from crossing_ledger.errors import BadArgument, BadN, InvariantError
-from crossing_ledger.generator import chords_interleave, hexagon_gadget, theta_frame
+from crossing_ledger.generator import chords_interleave, theta_frame
 from crossing_ledger.skeleton import conflict_graph, decompose_with
 
 ADVERSARIAL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -78,6 +81,11 @@ json_values = st.recursive(
 )
 ids = st.one_of(words, st.integers(-2, 2), json_values)
 
+# Counts and budgets of a wrong Python type: each is refused with a typed error.
+not_ints = st.one_of(
+    st.floats(), st.sampled_from(["202", "6", "3"]), words, st.none(), st.booleans()
+)
+
 
 def returns_or_typed(call, *args):
     """Call; a ``CrossingLedgerError`` is an answer, any other exception fails."""
@@ -90,9 +98,9 @@ def returns_or_typed(call, *args):
 @ADVERSARIAL
 @given(
     spec=specs,
-    k=budgets_k,
+    k=st.one_of(budgets_k, not_ints),
     mode=st.one_of(st.sampled_from(["exact", "greedy"]), words),
-    budget=st.integers(-2, 30),
+    budget=st.one_of(st.integers(-2, 30), not_ints),
     data=st.data(),
 )
 def test_map_and_skeleton_functions(spec, k, mode, budget, data):
@@ -107,14 +115,11 @@ def test_map_and_skeleton_functions(spec, k, mode, budget, data):
         check(pmap)
     returns_or_typed(check_k_planar, pmap, k)
     returns_or_typed(validate_drawing, pmap, k)
-    for subset in (keep, []):
+    for subset in (keep, [], data.draw(not_ints)):
         returns_or_typed(restrict, pmap, subset)
         returns_or_typed(decompose_with, pmap, subset)
     returns_or_typed(extract_skeleton, pmap, mode, budget)
     returns_or_typed(export_figure, pmap, fmt, hint)
-    for face in pmap.faces:
-        anchor = data.draw(st.one_of(st.none(), st.sampled_from(face.nodes), words))
-        returns_or_typed(hexagon_gadget, face, anchor, data.draw(words))
     emit_drawing(spec)
     report_document(spec, {}, include_drawing=data.draw(st.booleans()))
     input_digest(spec)
@@ -229,12 +234,6 @@ def test_audit_functions(spec, k, data):
         density_report(dec, face_profiles(dec, decompose(dec)), pieces, 3)
 
 
-# Counts and budgets of a wrong Python type: each is refused with a typed error.
-not_ints = st.one_of(
-    st.floats(), st.sampled_from(["202", "6", "3"]), words, st.none(), st.booleans()
-)
-
-
 @ADVERSARIAL
 @given(
     n=st.one_of(st.integers(-8, 40), not_ints),
@@ -258,6 +257,30 @@ def test_a_vertex_count_or_budget_that_is_not_an_int_is_refused(value):
         k_bound(value, 3)
     with pytest.raises(BadArgument, match="k must be a positive integer"):
         k_bound(202, value)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True, False])
+def test_a_crossing_or_search_budget_that_is_not_an_int_is_refused(value):
+    # One check and one message for every function that takes k.
+    pmap = build_map(generate_optimal(6))
+    message = re.escape(f"k must be a positive integer; got {value!r}")
+    for call in (check_k_planar, validate_drawing, lambda _, k: k_bound(6, k)):
+        with pytest.raises(BadArgument, match=message):
+            call(pmap, value)
+    message = re.escape(f"budget must be an integer; got {value!r}")
+    for mode in ("exact", "greedy"):
+        with pytest.raises(BadArgument, match=message):
+            extract_skeleton(pmap, mode, value)
+
+
+@pytest.mark.parametrize("value", [None, 3, 2.5, True])
+def test_an_edge_set_that_is_not_iterable_is_refused(value):
+    pmap = build_map(generate_optimal(6))
+    for call in (restrict, decompose_with):
+        with pytest.raises(BadArgument, match=re.escape(f"edge ids; got {value!r}")):
+            call(pmap, value)
+        with pytest.raises(BadArgument, match=re.escape("not edges of this map: ['nope']")):
+            call(pmap, [*pmap.edge_ids, "nope"])
 
 
 @ADVERSARIAL

@@ -4,7 +4,9 @@ A function, class, method or module-level constant that nothing names
 except its own definition is dead code.  "Named" is a whole-word match in
 any source file under ``src/``, ``tests/`` or ``perfbench/`` or in
 README.md, so a use through a string (the lazy export tables) or a mention
-in the docs counts too.
+in the docs counts too.  Tests alone do not keep a public name (one that
+does not start with ``_``) alive: it must be named in ``src/``,
+``perfbench/`` or README.md.
 """
 
 from __future__ import annotations
@@ -39,15 +41,14 @@ def _definitions(tree: ast.Module):
                     yield target.id
 
 
-def _word_counts() -> Counter:
+def _word_counts(*tops: str) -> Counter:
     texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
-    for top in ("src", "tests", "perfbench"):
+    for top in tops:
         texts += [p.read_text(encoding="utf-8") for p in sorted((ROOT / top).rglob("*.py"))]
     return Counter(m.group() for text in texts for m in re.finditer(r"\w+", text))
 
 
-def test_every_definition_is_named_elsewhere():
-    counts = _word_counts()
+def _named_only_where_defined(counts: Counter, public_only: bool) -> list[str]:
     unused = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -55,6 +56,18 @@ def test_every_definition_is_named_elsewhere():
             # Dunder names are protocol hooks that Python itself looks up.
             if name.startswith("__") and name.endswith("__"):
                 continue
+            if public_only and name.startswith("_"):
+                continue
             if counts[name] < 2:
                 unused.append(f"{path.relative_to(ROOT)}: {name}")
+    return unused
+
+
+def test_every_definition_is_named_elsewhere():
+    unused = _named_only_where_defined(_word_counts("src", "tests", "perfbench"), False)
     assert not unused, "named only where defined:\n" + "\n".join(unused)
+
+
+def test_tests_alone_do_not_keep_a_public_name_alive():
+    unused = _named_only_where_defined(_word_counts("src", "perfbench"), True)
+    assert not unused, "public, and named only where defined or in tests:\n" + "\n".join(unused)

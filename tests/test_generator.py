@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _generator_oracle as oracle
+from _generator_oracle import hexagon_gadget
 from crossing_ledger import (
     BadN,
-    NotHexagon,
     build_map,
     emit_drawing,
     extract_skeleton,
@@ -26,8 +26,8 @@ from crossing_ledger.generator import (
     _intersection_param,
     _param_order,
     _picker,
+    _template,
     chords_interleave,
-    hexagon_gadget,
     theta_frame,
 )
 
@@ -106,6 +106,29 @@ def test_gadget_crossing_counts():
     counts = {int(e.split(".")[1]): len(cs) for e, cs in gadget.chains.items()}
     assert counts == {0: 3, 1: 2, 2: 3, 3: 3, 4: 2, 5: 3, 6: 3, 7: 3}
     assert max(counts.values()) == 3
+
+
+def _template_chains() -> dict[int, list[int]]:
+    """Each diagonal slot's crossing partners along it, read from the template's rows."""
+    names, edge_rows, cross_rows, chain_of, _, _ = _template()
+    slot = {names[e]: int(names[e][1:]) for e, _, _ in edge_rows}
+    pair = {names[c]: (names[e], names[f]) for c, e, f in cross_rows}
+    return {
+        slot[names[e]]: [slot[x] for c in pick(names) for x in pair[c] if x != names[e]]
+        for (e, _, _), pick in zip(edge_rows, chain_of)
+    }
+
+
+def test_template_rows_match_the_frozen_gadget():
+    names, edge_rows, cross_rows, *_ = _template()
+    assert [(int(names[e][1:]), (a, b)) for e, a, b in edge_rows] == list(enumerate(_DIAGONALS))
+    assert len(cross_rows) == 11
+    assert {tuple(sorted(int(names[x][1:]) for x in (e, f))) for _, e, f in cross_rows} == (
+        _oracle_pairs()
+    )
+    chains = _template_chains()
+    assert chains == EXPECTED_CHAINS
+    assert max(map(len, chains.values())) == 3
 
 
 def test_long_diagonal_partner_set():
@@ -228,10 +251,10 @@ def test_one_frame_map_one_gadget_one_final_build(n, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(generator, "build_map", counted("build_map", generator.build_map))
-    monkeypatch.setattr(generator, "hexagon_gadget", counted("hexagon_gadget", hexagon_gadget))
+    monkeypatch.setattr(generator, "_template", counted("_template", generator._template))
     monkeypatch.setattr(DrawingSpec, "build", staticmethod(counted("build", DrawingSpec.build)))
     spec = generate_optimal(n)
-    assert calls == ["build", "build_map", "hexagon_gadget", "build"]
+    assert calls == ["build", "build_map", "_template", "build"]
     assert len(spec.edges) == 11 * n // 2 - 11
 
 
@@ -239,12 +262,6 @@ def test_short_triple_is_independent():
     for i, j in itertools.combinations((0, 2, 4), 2):
         (a, b), (c, d) = _DIAGONALS[i], _DIAGONALS[j]
         assert not chords_interleave(a, b, c, d)
-
-
-def test_gadget_rejects_non_hexagons(triangle_spec):
-    pmap = build_map(triangle_spec)
-    with pytest.raises(NotHexagon):
-        hexagon_gadget(pmap.faces[0])
 
 
 def test_edge_count_formula():

@@ -62,7 +62,6 @@ ALL = [
     "InvalidRotation",
     "InvariantError",
     "NonSpherical",
-    "NotHexagon",
     "ParseError",
     "UnsupportedK",
 ]
@@ -73,7 +72,6 @@ MODULE_ONLY = {
     "conflict_graph": "skeleton",
     "decompose_with": "skeleton",
     "chords_interleave": "generator",
-    "hexagon_gadget": "generator",
     "theta_frame": "generator",
 }
 

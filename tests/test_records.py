@@ -33,7 +33,6 @@ from crossing_ledger import (
     generate_optimal,
     validate_drawing,
 )
-from crossing_ledger.generator import hexagon_gadget, theta_frame
 from crossing_ledger.skeleton import conflict_graph
 
 # SHA-256 of ``_to_dicts(_samples())``.
@@ -73,7 +72,6 @@ def _samples() -> dict[str, list]:
         "LedgerRow": [*report.ledger.faces, *far.ledger.faces],
         "Ledger": [report.ledger, four.ledger, far.ledger],
         "AuditReport": [report, mutual, far],
-        "HexGadget": [hexagon_gadget(build_map(theta_frame(6)).faces[0], anchor="u")],
     }
 
 

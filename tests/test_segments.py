@@ -120,7 +120,7 @@ def test_far_middle_fixture(far_middle_spec):
     host = next(p for p in profiles if p.face == middles[0].host_face)
     assert host.passing_edges == ("h1",)
     assert set(host.uncrossed_non_bridges) == {"c2", "c4"}
-    assert host.non_bridge_count == 4 and host.bridge_count == 0
+    assert host.non_bridge_count == 4 and host.bridges == ()
 
 
 def test_classification_rules_directly():
@@ -161,7 +161,7 @@ def test_bridge_accounting():
     profiles = face_profiles(dec, decompose(dec))
     big = next(p for p in profiles if p.size == 5)
     assert big.bridges == ("p",)
-    assert big.size == big.non_bridge_count + 2 * big.bridge_count
+    assert big.size == big.non_bridge_count + 2 * len(big.bridges)
 
 
 def test_residual_self_loop_middle_over_one_edge():
