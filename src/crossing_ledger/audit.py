@@ -485,7 +485,7 @@ def density_report(
     is raised.
     """
     if k not in (3, 4):
-        raise BadArgument(f"density audit supports crossing budgets 3 and 4; got {k}")
+        raise BadArgument(f"density audit supports crossing budgets 3 and 4; got {k!r}")
     _check_pieces(dec, pieces)
     if getattr(profiles, "pieces", None) is not pieces:
         raise BadArgument(

@@ -145,7 +145,7 @@ def _read_spec(path: str, stdin: TextIO) -> DrawingSpec:
     # The input text is freed on return, before any later stage runs.
     try:
         text = stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or a NUL in the path
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return _stage.parse_text(text)
 

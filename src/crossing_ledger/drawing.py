@@ -671,10 +671,16 @@ def build_map(spec: DrawingSpec) -> PlanarizedMap:
 def _edge_set(pmap: PlanarizedMap, edges: Iterable[str]) -> set[str]:
     """The ids in ``edges`` as strings; :class:`BadArgument` unless each is an edge of the map."""
     try:
+        if isinstance(edges, (str, bytes, bytearray)):  # one id, not an iterable of them
+            raise TypeError
         ids = iter(edges)
     except TypeError:
         raise BadArgument(f"edges must be an iterable of edge ids; got {edges!r}") from None
-    kept = {str(e) for e in ids}
+    try:
+        kept = {str(e) for e in ids}
+    except ValueError:  # an int of too many digits
+        limit = sys.get_int_max_str_digits()
+        raise BadArgument(f"integer edge ids have at most {limit} digits") from None
     unknown = kept - set(pmap.edge_ids)
     if unknown:
         raise BadArgument(f"not edges of this map: {sorted(unknown)}")

@@ -7,32 +7,23 @@ edges drawn as the diagonals of a convex hexagon (all six short ones plus
 two long ones), none crossed more than three times.  The total comes to
 3(n-2)/2 + 8(n-2)/2 = 11n/2 - 11 edges.
 
-Gadget combinatorics are computed in exact integer arithmetic on an
-integer-coordinate convex hexagon (parameters compared by
-cross-multiplication); crossing order along convex-position chords is a
-combinatorial invariant, so any convex realization gives the same drawing.
-
 Every frame face is a hexagon, so ``generate_optimal`` computes the gadget
-once, as index rows in canonical order read straight from ``_HEX_POINTS``
-and ``_DIAGONALS`` (``_template``): corners are walk positions and ids are
-suffixes, not names.  One pass over the frame map's faces then stamps each
-face's ids and corners straight into the final rows, which
-``DrawingSpec.build`` validates without reordering or re-anchoring anything.
+once, as index rows in canonical order derived from ``_DIAGONALS`` and the
+corners' cyclic order alone, with no coordinates (``_template``): corners are
+walk positions and ids are suffixes, not names.  One pass over the frame
+map's faces then stamps each face's ids and corners straight into the final
+rows, which ``DrawingSpec.build`` validates without reordering or
+re-anchoring anything.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from .drawing import MINUS, PLUS, DrawingSpec, _anchor_rotation, build_map
 from .errors import BadN
-
-# Corner coordinates in walk order (the walk runs clockwise, so the face
-# interior lies to the right of each boundary dart, matching map orientation).
-_HEX_POINTS = ((0, 4), (3, 2), (3, -2), (0, -4), (-3, -2), (-3, 2))
 
 # The frame's two poles, joined by its paths; every face's gadget is anchored
 # at the first.
@@ -51,55 +42,6 @@ def chords_interleave(a: int, b: int, c: int, d: int) -> bool:
         return (x - lo) % 6 < (hi - lo) % 6 and x != lo
 
     return inside(c, a, b) != inside(d, a, b)
-
-
-def _sub(p, q):
-    return (p[0] - q[0], p[1] - q[1])
-
-
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _intersection_param(p1, p2, p3, p4) -> tuple[int, int]:
-    """Parameter t along p1->p2 of the proper intersection with p3->p4, as
-    (numerator, positive denominator)."""
-    r = _sub(p2, p1)
-    s = _sub(p4, p3)
-    denom = _cross(r, s)
-    if denom == 0:
-        raise ValueError("segments are parallel")
-    num = _cross(_sub(p3, p1), s)
-    if denom < 0:
-        num, denom = -num, -denom
-    if not 0 < num < denom:
-        raise ValueError("segments do not properly intersect")
-    return num, denom
-
-
-def _param_order(a, b) -> int:
-    """Compare ``(parameter, crossing id)`` entries by parameter, then by id."""
-    return _sign(a[0][0] * b[0][1] - b[0][0] * a[0][1]) or (a[1] > b[1]) - (a[1] < b[1])
-
-
-def _ccw_sort(vectors: list[tuple]) -> list[int]:
-    """Indices of the vectors in counterclockwise angular order from +x."""
-
-    def half(v) -> int:
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(i: int, j: int) -> int:
-        u, v = vectors[i], vectors[j]
-        if half(u) != half(v):
-            return half(u) - half(v)
-        c = _cross(u, v)
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    return sorted(range(len(vectors)), key=cmp_to_key(cmp))
 
 
 def theta_frame(n: int, strict: bool = False) -> DrawingSpec:
@@ -137,6 +79,21 @@ def _template() -> tuple[list, ...]:
     that take each chain from the ids, and each anchored crossing rotation
     and each corner's spliced ends from the ends.  Prefixing every id keeps
     this order and anchoring.
+
+    The diagonals are chords of a convex hexagon whose walk runs clockwise,
+    so the corners' cyclic order decides everything:
+
+    - Along a diagonal a->b, each diagonal crossing it has one end on the
+      forward arc from a and one on the backward arc.  Sorted by the forward
+      distance of the first end from a, then the backward distance of the
+      second, they come in crossing order: two that do not cross each other
+      are nested.  This is exact because no two diagonals that cross a third
+      also cross each other: a hexagon's only pairwise-crossing triple is its
+      three long diagonals, and ``_DIAGONALS`` holds two of them.
+    - From any interior point the corners lie counterclockwise in decreasing
+      position, so a crossing's ends, by the corner each leads to in
+      decreasing order, are its rotation up to anchoring.
+    - At corner k the ends sort by (k - other end) mod 6, ascending.
     """
     slots = range(len(_DIAGONALS))
     pairs = [(i, j) for i in slots for j in slots[i + 1:]
@@ -145,33 +102,26 @@ def _template() -> tuple[list, ...]:
     index = {x: i for i, x in enumerate(names)}
     edge = [index[f".{s}"] for s in slots]
     cross = [index[f".x{c}"] for c in range(len(pairs))]
-    points = [(_HEX_POINTS[p], _HEX_POINTS[q]) for p, q in _DIAGONALS]
 
-    # Proper crossings among the diagonals, with exact positions along each.
-    # The four directions leaving a crossing, sorted counterclockwise,
-    # alternate between its two diagonals by transversality.
+    # Along diagonal a->b, the crossing diagonal's ends lie at forward
+    # distance `near` and backward distance 6 - far from a.  At the
+    # crossing, "+" leads to a diagonal's second corner and "-" to its first.
     along: list[list] = [[] for _ in slots]
     rotations = []
     for c, (i, j) in enumerate(pairs):
-        along[i].append((_intersection_param(*points[i], *points[j]), cross[c]))
-        along[j].append((_intersection_param(*points[j], *points[i]), cross[c]))
-        vectors = []
-        for s in (i, j):
-            v = _sub(points[s][1], points[s][0])
-            vectors += [v, (-v[0], -v[1])]
-        rot = [2 * edge[s] + t for s in (i, j) for t in (0, 1)]
-        rotations.append(_anchor_rotation([rot[t] for t in _ccw_sort(vectors)]))
+        for s, t in ((i, j), (j, i)):
+            a = _DIAGONALS[s][0]
+            near, far = sorted((x - a) % 6 for x in _DIAGONALS[t])
+            along[s].append((near, 6 - far, cross[c]))
+        leads = {2 * edge[s] + t: _DIAGONALS[s][1 - t] for s in (i, j) for t in (0, 1)}
+        rotations.append(_anchor_rotation(sorted(leads, key=leads.get, reverse=True)))
 
-    # The diagonals leaving each corner, sorted counterclockwise across the
-    # interior wedge (from the previous corner's direction to the next's).  A
-    # convex corner spans less than a half turn, so within the wedge the
-    # pairwise cross product is a total counterclockwise order.
+    # At corner k the other end of diagonal (p, q) is p + q - k.
     spliced = []
-    for k, point in enumerate(_HEX_POINTS):
-        out = [(_sub(_HEX_POINTS[q if k == p else p], point), 2 * edge[s] + (k == q))
-               for s, (p, q) in enumerate(_DIAGONALS) if k in (p, q)]
-        out.sort(key=cmp_to_key(lambda a, b: -_sign(_cross(a[0], b[0]))))
-        spliced.append(_picker([end for _, end in out]))
+    for k in range(6):
+        out = {2 * edge[s] + (k == q): (2 * k - p - q) % 6
+               for s, (p, q) in enumerate(_DIAGONALS) if k in (p, q)}
+        spliced.append(_picker(sorted(out, key=out.get)))
 
     by_edge = sorted(slots, key=edge.__getitem__)
     by_cross = sorted(range(len(pairs)), key=cross.__getitem__)
@@ -179,7 +129,7 @@ def _template() -> tuple[list, ...]:
         names,
         [(edge[s], *_DIAGONALS[s]) for s in by_edge],
         [(cross[c], edge[pairs[c][0]], edge[pairs[c][1]]) for c in by_cross],
-        [_picker([x for _, x in sorted(along[s], key=cmp_to_key(_param_order))]) for s in by_edge],
+        [_picker([x for *_, x in sorted(along[s])]) for s in by_edge],
         [_picker(rotations[c]) for c in by_cross],
         spliced,
     )

@@ -72,8 +72,12 @@ def spec_from_document(doc: Any) -> DrawingSpec:
 def parse_text(text: str) -> DrawingSpec:
     try:
         doc = json.loads(text)
+    except TypeError as exc:  # json reads only str, bytes and bytearray
+        raise ParseError(f"a document is text or bytes; got {type(text).__name__}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:  # bytes in none of the encodings JSON allows
+        raise ParseError(f"cannot decode the document: {exc}") from exc
     except ValueError as exc:  # int() refuses a number of too many digits
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"a number in the document has more than {limit} digits") from exc
@@ -85,13 +89,15 @@ def parse_text(text: str) -> DrawingSpec:
 def parse_drawing(path: str | Path) -> DrawingSpec:
     """Load an interchange file.
 
-    Raises :class:`ParseError` for an unreadable file or a malformed
-    document, and a typed :class:`InvariantError` naming the rule for a
-    drawing that breaks one (see :meth:`DrawingSpec.build`).
+    Raises :class:`ParseError` for a path of the wrong type, an unreadable
+    file or a malformed document, and a typed :class:`InvariantError` naming
+    the rule for a drawing that breaks one (see :meth:`DrawingSpec.build`).
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except TypeError as exc:  # neither a str nor an os.PathLike
+        raise ParseError(f"a path is a str or os.PathLike; got {path!r}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_text(text)
 

@@ -1,10 +1,13 @@
 """The tight family built face by face, kept as the oracle of ``generate_optimal``.
 
 :func:`hexagon_gadget` computes one face's eight diagonals with string ids,
-as the library did before it computed its index-row template directly.  Each
-frame face gets a :class:`HexGadget` of its own: the first face's gadget,
-relabelled under the face's ``G{q}`` prefix with its corners replaced, and
-then spliced into the frame.  ``DrawingSpec.build`` puts every row in
+as the library did before it computed its index-row template directly, and
+from the geometry the library's template no longer uses: integer corner
+coordinates (``_HEX_POINTS``), with crossing positions compared in exact
+integer arithmetic and directions sorted by angle.  Each frame face gets a
+:class:`HexGadget` of its own: the first face's gadget, relabelled under the
+face's ``G{q}`` prefix with its corners replaced, and then spliced into the
+frame.  ``DrawingSpec.build`` puts every row in
 canonical order and anchors every rotation.  The library's stamping pass must
 give byte-identical ``emit_drawing`` text.
 """
@@ -15,19 +18,60 @@ from functools import cmp_to_key
 from typing import NamedTuple, Sequence
 
 from crossing_ledger.drawing import DrawingSpec, FaceWalk, build_map
-from crossing_ledger.generator import (
-    _DIAGONALS,
-    _HEX_POINTS,
-    _POLES,
-    _ccw_sort,
-    _cross,
-    _intersection_param,
-    _param_order,
-    _sign,
-    _sub,
-    chords_interleave,
-    theta_frame,
-)
+from crossing_ledger.generator import _DIAGONALS, _POLES, chords_interleave, theta_frame
+
+# Corner coordinates in walk order (the walk runs clockwise, so the face
+# interior lies to the right of each boundary dart, matching map orientation).
+_HEX_POINTS = ((0, 4), (3, 2), (3, -2), (0, -4), (-3, -2), (-3, 2))
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _intersection_param(p1, p2, p3, p4) -> tuple[int, int]:
+    """Parameter t along p1->p2 of the proper intersection with p3->p4, as
+    (numerator, positive denominator)."""
+    r = _sub(p2, p1)
+    s = _sub(p4, p3)
+    denom = _cross(r, s)
+    if denom == 0:
+        raise ValueError("segments are parallel")
+    num = _cross(_sub(p3, p1), s)
+    if denom < 0:
+        num, denom = -num, -denom
+    if not 0 < num < denom:
+        raise ValueError("segments do not properly intersect")
+    return num, denom
+
+
+def _param_order(a, b) -> int:
+    """Compare ``(parameter, crossing id)`` entries by parameter, then by id."""
+    return _sign(a[0][0] * b[0][1] - b[0][0] * a[0][1]) or (a[1] > b[1]) - (a[1] < b[1])
+
+
+def _ccw_sort(vectors: list[tuple]) -> list[int]:
+    """Indices of the vectors in counterclockwise angular order from +x."""
+
+    def half(v) -> int:
+        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+    def cmp(i: int, j: int) -> int:
+        u, v = vectors[i], vectors[j]
+        if half(u) != half(v):
+            return half(u) - half(v)
+        c = _cross(u, v)
+        return -1 if c > 0 else (1 if c < 0 else 0)
+
+    return sorted(range(len(vectors)), key=cmp_to_key(cmp))
 
 
 class HexGadget(NamedTuple):

@@ -17,8 +17,12 @@ to ``k_bound``, a crossing budget given to ``k_bound``, ``check_k_planar``
 or ``validate_drawing``, and an exact-search budget given to
 ``extract_skeleton``, that is a float, a string, ``None`` or a bool is
 refused with the typed error its range check raises; so is an edge set
-given to ``restrict`` or ``decompose_with`` that is not iterable.  Other
-arguments of a wrong Python type are out of scope.
+given to ``restrict`` or ``decompose_with`` that is not iterable or is one
+id (a str or bytes), or that holds an int id too long for ``str()``; so
+is a crossing budget given to ``density_report`` that is not an int, a
+document given to ``parse_text`` that is neither text nor bytes, and a path
+given to ``parse_drawing`` that is neither a str nor an ``os.PathLike``.
+Other arguments of a wrong Python type are out of scope.
 The examples are derandomised and few, so the module runs in seconds.
 """
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -57,7 +62,7 @@ from crossing_ledger import (
     restrict,
     validate_drawing,
 )
-from crossing_ledger.errors import BadArgument, BadN, InvariantError
+from crossing_ledger.errors import BadArgument, BadN, InvariantError, ParseError
 from crossing_ledger.generator import chords_interleave, theta_frame
 from crossing_ledger.skeleton import conflict_graph, decompose_with
 
@@ -273,14 +278,53 @@ def test_a_crossing_or_search_budget_that_is_not_an_int_is_refused(value):
             extract_skeleton(pmap, mode, value)
 
 
-@pytest.mark.parametrize("value", [None, 3, 2.5, True])
+@pytest.mark.parametrize("value", [None, 3, 2.5, True, "F0.0", b"F0.0", bytearray(b"F0.0")])
 def test_an_edge_set_that_is_not_iterable_is_refused(value):
+    # A str or bytes is one id: iterating over it would give characters or bytes.
     pmap = build_map(generate_optimal(6))
     for call in (restrict, decompose_with):
         with pytest.raises(BadArgument, match=re.escape(f"edge ids; got {value!r}")):
             call(pmap, value)
         with pytest.raises(BadArgument, match=re.escape("not edges of this map: ['nope']")):
             call(pmap, [*pmap.edge_ids, "nope"])
+
+
+def test_an_int_edge_id_too_long_for_str_is_refused():
+    pmap = build_map(generate_optimal(6))
+    limit = sys.get_int_max_str_digits()
+    for call in (restrict, decompose_with):
+        with pytest.raises(BadArgument, match=f"integer edge ids have at most {limit} digits"):
+            call(pmap, [*pmap.edge_ids, 10 ** (limit + 1)])
+
+
+def test_a_density_budget_that_is_not_an_int_is_named_as_given():
+    dec = extract_skeleton(build_map(generate_optimal(6)))
+    pieces = decompose(dec)
+    profiles = face_profiles(dec, pieces)
+    with pytest.raises(BadArgument, match=re.escape("got '3'")):
+        density_report(dec, profiles, pieces, "3")
+
+
+@pytest.mark.parametrize("value", [None, 3, ["{}"], b"drawing.json"])
+def test_a_document_or_path_of_the_wrong_type_is_refused(value):
+    if not isinstance(value, bytes):
+        with pytest.raises(ParseError, match="a document is text or bytes"):
+            parse_text(value)
+    message = re.escape(f"a path is a str or os.PathLike; got {value!r}")
+    with pytest.raises(ParseError, match=message):
+        parse_drawing(value)
+
+
+def test_a_path_with_a_nul_byte_is_refused():
+    with pytest.raises(ParseError, match="cannot read .*: embedded null byte"):
+        parse_drawing("drawing\x00.json")
+
+
+def test_a_document_in_bytes_is_read_or_refused_with_a_parse_error():
+    spec = generate_optimal(6)
+    assert emit_drawing(parse_text(emit_drawing(spec).encode("utf-8"))) == emit_drawing(spec)
+    with pytest.raises(ParseError, match="cannot decode the document"):
+        parse_text(b"\xff\xff\xff")
 
 
 @ADVERSARIAL

@@ -259,6 +259,12 @@ def test_non_utf8_file_is_one_error_line(tmp_path):
     assert err.count("\n") == 1
 
 
+def test_path_with_a_nul_byte_is_one_error_line():
+    code, out, err = _run(["validate", "--k", "3", "bad\x00.json"])
+    assert (code, out) == (1, "")
+    assert err == "error: cannot read bad\x00.json: embedded null byte\n"
+
+
 def test_id_of_another_type_is_one_error_line():
     doc = {"vertices": [["a"], {"b": 1}], "edges": [], "chains": {}, "crossings": {},
            "rotations": {}}

@@ -2,11 +2,10 @@
 
 A function, class, method or module-level constant that nothing names
 except its own definition is dead code.  "Named" is a whole-word match in
-any source file under ``src/``, ``tests/`` or ``perfbench/`` or in
-README.md, so a use through a string (the lazy export tables) or a mention
-in the docs counts too.  Tests alone do not keep a public name (one that
-does not start with ``_``) alive: it must be named in ``src/``,
-``perfbench/`` or README.md.
+any source file under ``src/`` or ``perfbench/`` or in README.md, so a use
+through a string (the lazy export tables) or a mention in the docs counts
+too.  Tests alone keep no name alive, private or public: code that only a
+test calls belongs in the test's own oracle module.
 """
 
 from __future__ import annotations
@@ -41,14 +40,15 @@ def _definitions(tree: ast.Module):
                     yield target.id
 
 
-def _word_counts(*tops: str) -> Counter:
+def _word_counts() -> Counter:
     texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
-    for top in tops:
+    for top in ("src", "perfbench"):
         texts += [p.read_text(encoding="utf-8") for p in sorted((ROOT / top).rglob("*.py"))]
     return Counter(m.group() for text in texts for m in re.finditer(r"\w+", text))
 
 
-def _named_only_where_defined(counts: Counter, public_only: bool) -> list[str]:
+def test_every_definition_is_named_elsewhere():
+    counts = _word_counts()
     unused = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -56,18 +56,6 @@ def _named_only_where_defined(counts: Counter, public_only: bool) -> list[str]:
             # Dunder names are protocol hooks that Python itself looks up.
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if public_only and name.startswith("_"):
-                continue
             if counts[name] < 2:
                 unused.append(f"{path.relative_to(ROOT)}: {name}")
-    return unused
-
-
-def test_every_definition_is_named_elsewhere():
-    unused = _named_only_where_defined(_word_counts("src", "tests", "perfbench"), False)
-    assert not unused, "named only where defined:\n" + "\n".join(unused)
-
-
-def test_tests_alone_do_not_keep_a_public_name_alive():
-    unused = _named_only_where_defined(_word_counts("src", "perfbench"), True)
-    assert not unused, "public, and named only where defined or in tests:\n" + "\n".join(unused)
+    assert not unused, "named only where defined or in tests:\n" + "\n".join(unused)

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _generator_oracle as oracle
-from _generator_oracle import hexagon_gadget
+from _generator_oracle import (
+    _HEX_POINTS,
+    _intersection_param,
+    _param_order,
+    hexagon_gadget,
+)
 from crossing_ledger import (
     BadN,
     build_map,
@@ -22,9 +27,6 @@ from crossing_ledger import generator
 from crossing_ledger.drawing import DrawingSpec
 from crossing_ledger.generator import (
     _DIAGONALS,
-    _HEX_POINTS,
-    _intersection_param,
-    _param_order,
     _picker,
     _template,
     chords_interleave,
@@ -129,6 +131,17 @@ def test_template_rows_match_the_frozen_gadget():
     chains = _template_chains()
     assert chains == EXPECTED_CHAINS
     assert max(map(len, chains.values())) == 3
+
+
+def test_no_diagonal_is_crossed_by_two_that_cross_each_other():
+    # The template orders the crossings along a diagonal by the corners'
+    # cyclic order alone, which is exact only under this precondition.
+    pairs = _oracle_pairs()
+    assert len(pairs) == 11
+    for s in range(len(_DIAGONALS)):
+        crossers = [t for t in range(len(_DIAGONALS)) if tuple(sorted((s, t))) in pairs]
+        for t, u in itertools.combinations(crossers, 2):
+            assert (t, u) not in pairs, (s, t, u)
 
 
 def test_long_diagonal_partner_set():

@@ -7,7 +7,7 @@ For every drawing and outer-face hint checked:
 - drawn segments, those through bends included, meet only at a point that
   both end at (a Shamos–Hoey sweep with exact orientation tests);
 - around each node, the counterclockwise order of its drawn segments is its
-  rotation (``generator._ccw_sort``), with no two in one direction;
+  rotation (``_generator_oracle._ccw_sort``), with no two in one direction;
 - in each component, the hinted face, otherwise the longest, is the only
   face whose walk has a non-negative signed area with y pointing up.
 """
@@ -22,10 +22,10 @@ from hypothesis import given, settings
 
 import _fixtures
 from _fixtures import spec_from
+from _generator_oracle import _ccw_sort
 from test_properties import random_drawings
 
 from crossing_ledger import DrawingSpec, build_map, export_figure, generate_optimal
-from crossing_ledger.generator import _ccw_sort
 
 SVG = "{http://www.w3.org/2000/svg}"
 FIXTURES = sorted(name for name in dir(_fixtures) if name.endswith("_spec"))
