@@ -5,7 +5,9 @@ except its own definition is dead code.  "Named" is a whole-word match in
 any source file under ``src/`` or ``perfbench/`` or in README.md, so a use
 through a string (the lazy export tables) or a mention in the docs counts
 too.  Tests alone keep no name alive, private or public: code that only a
-test calls belongs in the test's own oracle module.
+test calls belongs in the test's own oracle module.  A public name (one
+that does not start with ``_``) is also checked on its own, so that a
+dead part of the package's interface is reported as such.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _word_counts() -> Counter:
     return Counter(m.group() for text in texts for m in re.finditer(r"\w+", text))
 
 
-def test_every_definition_is_named_elsewhere():
+def _named_only_where_defined(public_only: bool) -> list[str]:
     counts = _word_counts()
     unused = []
     for path in sorted(SRC.rglob("*.py")):
@@ -56,6 +58,18 @@ def test_every_definition_is_named_elsewhere():
             # Dunder names are protocol hooks that Python itself looks up.
             if name.startswith("__") and name.endswith("__"):
                 continue
+            if public_only and name.startswith("_"):
+                continue
             if counts[name] < 2:
                 unused.append(f"{path.relative_to(ROOT)}: {name}")
+    return unused
+
+
+def test_every_definition_is_named_elsewhere():
+    unused = _named_only_where_defined(public_only=False)
     assert not unused, "named only where defined or in tests:\n" + "\n".join(unused)
+
+
+def test_tests_alone_do_not_keep_a_public_name_alive():
+    unused = _named_only_where_defined(public_only=True)
+    assert not unused, "public, and named only where defined or in tests:\n" + "\n".join(unused)
