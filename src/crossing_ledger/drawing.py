@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, filterfalse, repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -64,10 +64,8 @@ def _anchor_rotation(entries: tuple[RotationEntry, ...]) -> tuple[RotationEntry,
     return (*entries[pivot:], *entries[:pivot])
 
 
-def _check_ids(*groups: Iterable) -> bool:
-    """Refuse an id that is not a str or int (a bool is not) or not ``str()``-able; True if all are str."""
-    if {str}.issuperset(map(type, chain(*groups))):
-        return True
+def _check_ids(*groups: Iterable) -> None:
+    """Refuse an id that is not a str or int (a bool is not) or not ``str()``-able."""
     for v in chain(*groups):
         if not isinstance(v, (str, int)) or isinstance(v, bool):
             raise InvariantError("id-type", f"ids are strings or integers; got {v!r}")
@@ -76,22 +74,34 @@ def _check_ids(*groups: Iterable) -> bool:
         except ValueError:  # an int of too many digits
             limit = sys.get_int_max_str_digits()
             raise InvariantError("id-digits", f"integer ids have at most {limit} digits") from None
-    return False
 
 
-def _tuples(rows: Iterable, plain: bool) -> list[tuple]:
-    """Each row as a tuple of its entries, as ``str()`` unless ``plain``."""
-    return list(map(tuple, rows)) if plain else [tuple(map(str, row)) for row in rows]
+def _check_encoding(*groups: Sequence[str]) -> None:
+    """Refuse an id that UTF-8 cannot encode, such as a lone surrogate."""
+    for ids in groups:
+        text = "".join(ids)
+        if text.isascii():
+            continue
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            for v in ids:
+                try:
+                    v.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise InvariantError("id-encoding", f"ids are UTF-8 text; got {v!r}") from None
 
 
-def _string_keys(field: Mapping, plain: bool, rule: str, what: str, values=None) -> dict:
-    """``field``'s keys, as ``str()`` unless ``plain``, with ``values`` (its rows
-    as :func:`_tuples` by default); refuses keys that ``str()`` makes equal."""
-    if values is None:
-        values = _tuples(field.values(), plain)
-    keys = field if plain else list(map(str, field))
+def _columns(rows: list, size: int) -> tuple[tuple, ...]:
+    """The ``size`` columns of rows of ``size`` entries each."""
+    return tuple(zip(*rows)) or ((),) * size
+
+
+def _string_keys(keys: list, values: list, rule: str, what: str) -> dict:
+    """``keys`` with their ``values``; refuses keys that repeat, as ``str()``
+    makes two keys of one mapping equal."""
     converted = dict(zip(keys, values))
-    if len(converted) != len(field):
+    if len(converted) != len(keys):
         dup = sorted(k for k, c in Counter(keys).items() if c > 1)
         raise InvariantError(rule, f"{what} repeat as strings: {dup}")
     return converted
@@ -120,13 +130,15 @@ def _check_fields(vertices, edges, chains, crossings, rotations) -> None:
                     raise InvariantError(rule, f"{what} {key} must be a list; got {row!r}")
 
 
-def _check_rows(rows: list, size: int, rule: str) -> None:
-    """Refuse a row that is not a list or tuple of ``size`` entries."""
-    if {list, tuple}.issuperset(map(type, rows)) and {size}.issuperset(map(len, rows)):
-        return
-    for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) != size:
-            raise InvariantError(rule, f"expected a list of {size} entries; got {row!r}")
+def _check_rows(rows: list, size: int, rule: str) -> bool:
+    """Refuse a row that is not a list or tuple of ``size`` entries; True
+    if every row is a tuple."""
+    kinds = set(map(type, rows))
+    if not ({list, tuple}.issuperset(kinds) and {size}.issuperset(map(len, rows))):
+        for row in rows:
+            if not isinstance(row, (list, tuple)) or len(row) != size:
+                raise InvariantError(rule, f"expected a list of {size} entries; got {row!r}")
+    return list not in kinds
 
 
 class DrawingSpec(NamedTuple):
@@ -157,110 +169,45 @@ class DrawingSpec(NamedTuple):
         crossings: Mapping = MappingProxyType({}),
         rotations: Mapping = MappingProxyType({}),
     ) -> "DrawingSpec":
-        _check_fields(vertices, edges, chains, crossings, rotations)
-        vertices, edges = list(vertices), list(edges)
-        _check_rows(edges, 3, "edge-row")
-        entries = list(chain.from_iterable(rotations.values()))
-        _check_rows(entries, 2, "rotation-entry")
-        _check_rows(list(crossings.values()), 2, "crossing-pair")
-        # The entries' edges and directions as two columns.
-        named, directions = list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries))
-        # When every id and direction is a str, rows are copied as they are:
-        # no str() call could change them or make keys collide.
-        plain = _check_ids(
-            vertices, *edges, chains, *chains.values(), crossings, *crossings.values(),
-            rotations, named,
-        ) and {str}.issuperset(map(type, directions))
-        if not plain:
-            try:
-                named, directions = list(map(str, named)), list(map(str, directions))
-            except ValueError:  # a direction that is an int of too many digits
-                limit = sys.get_int_max_str_digits()
-                raise InvariantError(
-                    "rotation-direction", f"a rotation direction has more than {limit} digits"
-                ) from None
-        verts = vertices if plain else [str(v) for v in vertices]
-        edge_rows = _tuples(edges, plain)
-        if len(set(verts)) != len(verts):
-            dup = sorted(v for v, c in Counter(verts).items() if c > 1)
-            raise InvariantError("duplicate-vertex-id", f"vertex ids repeat: {dup}")
-        edge_ids, end_a, end_b = tuple(zip(*edge_rows)) or ((), (), ())
-        if len(set(edge_ids)) != len(edge_ids):
-            dup = sorted(e for e, c in Counter(edge_ids).items() if c > 1)
-            raise InvariantError("duplicate-edge-id", f"edge ids repeat: {dup}")
+        """The canonical spec of a drawing, or the first broken rule raised.
 
-        chain_map = _string_keys(chains, plain, "duplicate-chain", "chain keys")
-        cross_map = _string_keys(crossings, plain, "duplicate-crossing-id", "crossing ids")
-        # All entries are converted in one pass, then cut per node; tuple()
-        # of a tuple is that tuple, so plain tuple rows are not copied.
-        entries = tuple(map(tuple, entries) if plain else zip(named, directions))
-        cuts = [0, *accumulate(map(len, rotations.values()))]
-        rot_map = _string_keys(
-            rotations, plain, "duplicate-rotation", "rotation keys",
-            [entries[i:j] for i, j in zip(cuts, cuts[1:])],
-        )
+        The checks run as passes over whole columns, in this order; a pass
+        whose quick test fails runs a loop that names the first offender.
 
-        # Each membership rule is tested with one set operation; its loop,
-        # which finds the first offending entry, runs only when that fails.
-        vert_set = set(verts)
-        cross_set = set(cross_map)
-        collision = vert_set & cross_set
-        if collision:
-            raise InvariantError(
-                "node-id-collision",
-                f"ids used both as vertex and crossing: {sorted(collision)}",
-            )
-        known_edges = set(edge_ids)
-        if not (vert_set.issuperset(end_a) and vert_set.issuperset(end_b)):
-            for e, a, b in edge_rows:
-                for end in (a, b):
-                    if end not in vert_set:
-                        raise InvariantError("unknown-vertex", f"edge {e} endpoint {end} undeclared")
-        if not known_edges.issuperset(chain_map):
-            for e in chain_map:
-                if e not in known_edges:
-                    raise InvariantError("unknown-edge", f"chain given for unknown edge {e}")
-        if not known_edges.issuperset(chain.from_iterable(cross_map.values())):
-            for c, (e, f) in cross_map.items():
-                for x in (e, f):
-                    if x not in known_edges:
-                        raise InvariantError("unknown-edge", f"crossing {c} names unknown edge {x}")
-        if not cross_set.issuperset(chain.from_iterable(chain_map.values())):
-            for e, cs in chain_map.items():
-                for c in cs:
-                    if c not in cross_set:
-                        raise InvariantError(
-                            "unknown-crossing", f"chain of {e} names unknown crossing {c}"
-                        )
-        for node in rot_map:
-            if node not in vert_set and node not in cross_set:
-                raise InvariantError("unknown-node", f"rotation given for unknown node {node}")
-        if not (known_edges.issuperset(named) and {PLUS, MINUS}.issuperset(directions)):
-            # The first offending entry in the anchored order, with an
-            # unknown direction sorting after "-".
-            for node, rot in rot_map.items():
-                pivot = min(
-                    range(len(rot)), key=lambda i: (rot[i][0], rot[i][1] != PLUS), default=0
-                )
-                for e, d in rot[pivot:] + rot[:pivot]:
-                    if e not in known_edges:
-                        raise InvariantError(
-                            "unknown-edge", f"rotation at {node} names unknown edge {e}"
-                        )
-                    if d not in (PLUS, MINUS):
-                        raise InvariantError(
-                            "rotation-direction", f"rotation at {node} has direction {d!r}"
-                        )
-
-        # Canonical order everywhere; every edge gets a chain entry.
-        spec = DrawingSpec(
-            vertices=tuple(sorted(verts)),
-            edges=tuple(sorted(edge_rows)),
-            chains=_in_order(chain_map, sorted(edge_ids)),
-            crossings=_in_order(cross_map, sorted(cross_map)),
-            rotations=_in_order(rot_map, sorted(rot_map)),
-        )
-        _check_rules(spec)
+        1. Fields and rows: ``field-list``, ``field-mapping``, ``chain-list``
+           and ``rotation-list``, then ``edge-row``, ``rotation-entry`` and
+           ``crossing-pair`` from the types and lengths of the rows.
+        2. Types: one pass over the type of each defining id (vertex, edge
+           id, crossing, chain key and rotation key), then one set
+           operation per column of references (edge ends, crossing pairs,
+           chain entries, rotation entries and their directions): an int
+           or None never equals a str, so a reference that resolves is a
+           str (a str subclass is kept as given) equal to a checked id.
+           When both hold, rows are kept as they are (tuple rows are not
+           copied).  Otherwise every id and
+           direction has its type tested: ``id-type`` and ``id-digits``
+           name the first id that is neither a str nor an int of at most
+           the digits ``str()`` converts, ``rotation-direction`` a direction
+           ``str()`` refuses, and unless all are str, every id and
+           direction is converted with ``str()``.
+        3. Encoding: ``id-encoding``, an id of a vertex, edge, crossing,
+           chain or rotation that UTF-8 cannot encode.
+        4. Uniqueness, one set or dict per field: ``duplicate-vertex-id``,
+           ``duplicate-edge-id``, then ``duplicate-chain``,
+           ``duplicate-crossing-id`` and ``duplicate-rotation`` for keys
+           that ``str()`` makes equal.
+        5. References, one set operation each: ``node-id-collision``,
+           ``unknown-vertex`` (edge ends), ``unknown-edge`` (chain keys,
+           then crossing pairs), ``unknown-crossing`` (chain entries),
+           ``unknown-node`` (rotation keys), then ``unknown-edge`` or
+           ``rotation-direction``, whichever a rotation entry breaks first
+           in the anchored order.  Those on references run only where a
+           reference did not resolve in pass 2.
+        6. The drawing rules on the canonical spec, by :func:`_check_rules`.
+        """
+        # Two calls, so that the columns of the first are freed before the rules run.
+        spec, edge_columns = _canonical(vertices, edges, chains, crossings, rotations)
+        _check_rules(spec, *edge_columns)
         return spec
 
     # -- views -------------------------------------------------------------
@@ -280,28 +227,193 @@ class DrawingSpec(NamedTuple):
         }
 
 
-def _check_rules(spec: DrawingSpec) -> None:
+def _canonical(vertices, edges, chains, crossings, rotations) -> tuple[DrawingSpec, tuple]:
+    """Passes 1 to 5 of :meth:`DrawingSpec.build`: the spec in canonical
+    order, its rotations as given, and the columns of its edges."""
+    _check_fields(vertices, edges, chains, crossings, rotations)
+    vertices, edges = list(vertices), list(edges)
+    _check_rows(edges, 3, "edge-row")
+    rot_given = list(rotations.values())
+    entries = list(chain.from_iterable(rot_given))
+    tuple_entries = _check_rows(entries, 2, "rotation-entry")
+    pairs = list(crossings.values())
+    _check_rows(pairs, 2, "crossing-pair")
+
+    # Every column of ids and directions, each taken in one pass.
+    edge_ids, end_a, end_b = _columns(edges, 3)
+    firsts, seconds = _columns(pairs, 2)
+    stops = list(chain.from_iterable(chains.values()))
+    named, directions = list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries))
+    del entries  # only its columns are needed now; freeing it lowers build's peak memory
+    # Pass 2: a reference resolves when it is in the set of its ids.
+    resolved = False
+    if {str}.issuperset(map(type, chain(vertices, edge_ids, chains, crossings, rotations))):
+        vert_set, known_edges, cross_set = set(vertices), set(edge_ids), set(crossings)
+        try:
+            resolved = (
+                vert_set.issuperset(end_a) and vert_set.issuperset(end_b)
+                and known_edges.issuperset(firsts) and known_edges.issuperset(seconds)
+                and cross_set.issuperset(stops) and known_edges.issuperset(named)
+                and {PLUS, MINUS}.issuperset(directions)
+            )
+        except TypeError:  # an unhashable reference
+            pass
+    plain = resolved or {str}.issuperset(map(type, chain(
+        vertices, edge_ids, chains, crossings, rotations,
+        end_a, end_b, stops, firsts, seconds, named, directions,
+    )))
+    if plain:
+        verts, edge_rows = vertices, list(map(tuple, edges))
+        chain_keys, cross_keys, rot_keys = list(chains), list(crossings), list(rotations)
+        chain_rows, pair_rows = list(map(tuple, chains.values())), list(map(tuple, pairs))
+    else:
+        _check_ids(
+            vertices, *edges, chains, *chains.values(), crossings, *pairs, rotations, named,
+        )
+        try:
+            named, directions = list(map(str, named)), list(map(str, directions))
+        except ValueError:  # a direction that is an int of too many digits
+            limit = sys.get_int_max_str_digits()
+            raise InvariantError(
+                "rotation-direction", f"a rotation direction has more than {limit} digits"
+            ) from None
+        verts = list(map(str, vertices))
+        edge_rows = [tuple(map(str, row)) for row in edges]
+        chain_keys, cross_keys, rot_keys = (
+            list(map(str, f)) for f in (chains, crossings, rotations)
+        )
+        chain_rows = [tuple(map(str, row)) for row in chains.values()]
+        pair_rows = [tuple(map(str, row)) for row in pairs]
+        edge_ids, end_a, end_b = _columns(edge_rows, 3)
+        firsts, seconds = _columns(pair_rows, 2)
+        stops = list(chain.from_iterable(chain_rows))
+        vert_set, known_edges, cross_set = set(verts), set(edge_ids), set(cross_keys)
+    _check_encoding(verts, edge_ids, chain_keys, cross_keys, rot_keys)
+
+    if len(vert_set) != len(verts):
+        dup = sorted(v for v, c in Counter(verts).items() if c > 1)
+        raise InvariantError("duplicate-vertex-id", f"vertex ids repeat: {dup}")
+    if len(known_edges) != len(edge_ids):
+        dup = sorted(e for e, c in Counter(edge_ids).items() if c > 1)
+        raise InvariantError("duplicate-edge-id", f"edge ids repeat: {dup}")
+    chain_map = _string_keys(chain_keys, chain_rows, "duplicate-chain", "chain keys")
+    cross_map = _string_keys(cross_keys, pair_rows, "duplicate-crossing-id", "crossing ids")
+    if plain and tuple_entries:
+        rot_rows = list(map(tuple, rot_given))  # a tuple row is kept, not copied
+    else:
+        # All entries are made tuples in one pass, then cut per node.
+        flat = tuple(zip(named, directions))
+        cuts = [0, *accumulate(map(len, rot_given))]
+        rot_rows = [flat[i:j] for i, j in zip(cuts, cuts[1:])]
+    rot_map = _string_keys(rot_keys, rot_rows, "duplicate-rotation", "rotation keys")
+
+    # Each membership rule is tested with one set operation, the
+    # references' all at once when they resolved above; a loop, which
+    # finds the first offending entry, runs only when that fails.
+    collision = vert_set & cross_set
+    if collision:
+        raise InvariantError(
+            "node-id-collision",
+            f"ids used both as vertex and crossing: {sorted(collision)}",
+        )
+    if not (resolved or vert_set.issuperset(end_a) and vert_set.issuperset(end_b)):
+        for e, a, b in edge_rows:
+            for end in (a, b):
+                if end not in vert_set:
+                    raise InvariantError("unknown-vertex", f"edge {e} endpoint {end} undeclared")
+    if not known_edges.issuperset(chain_map):
+        for e in chain_map:
+            if e not in known_edges:
+                raise InvariantError("unknown-edge", f"chain given for unknown edge {e}")
+    if not (resolved or known_edges.issuperset(firsts) and known_edges.issuperset(seconds)):
+        for c, (e, f) in cross_map.items():
+            for x in (e, f):
+                if x not in known_edges:
+                    raise InvariantError("unknown-edge", f"crossing {c} names unknown edge {x}")
+    if not (resolved or cross_set.issuperset(stops)):
+        for e, cs in chain_map.items():
+            for c in cs:
+                if c not in cross_set:
+                    raise InvariantError(
+                        "unknown-crossing", f"chain of {e} names unknown crossing {c}"
+                    )
+    if not vert_set.issuperset(filterfalse(cross_set.__contains__, rot_map)):
+        for node in rot_map:
+            if node not in vert_set and node not in cross_set:
+                raise InvariantError("unknown-node", f"rotation given for unknown node {node}")
+    if not (resolved or known_edges.issuperset(named) and {PLUS, MINUS}.issuperset(directions)):
+        # The first offending entry in the anchored order, with an
+        # unknown direction sorting after "-".
+        for node, rot in rot_map.items():
+            pivot = min(
+                range(len(rot)), key=lambda i: (rot[i][0], rot[i][1] != PLUS), default=0
+            )
+            for e, d in rot[pivot:] + rot[:pivot]:
+                if e not in known_edges:
+                    raise InvariantError(
+                        "unknown-edge", f"rotation at {node} names unknown edge {e}"
+                    )
+                if d not in (PLUS, MINUS):
+                    raise InvariantError(
+                        "rotation-direction", f"rotation at {node} has direction {d!r}"
+                    )
+
+    # Canonical order everywhere; every edge gets a chain entry.
+    spec = DrawingSpec(
+        vertices=tuple(sorted(verts)),
+        edges=tuple(sorted(edge_rows)),
+        chains=_in_order(chain_map, sorted(edge_ids)),
+        crossings=_in_order(cross_map, sorted(cross_map)),
+        rotations=_in_order(rot_map, sorted(rot_map)),
+    )
+    return spec, (edge_ids, end_a, end_b)
+
+
+def _check_rules(spec: DrawingSpec, edge_ids: Sequence[str], end_a: Sequence[str],
+                 end_b: Sequence[str]) -> None:
     """Raise on the first broken drawing rule of a spec whose ids all resolve,
-    and anchor its rotations, which ``spec.rotations`` holds as given.
+    and anchor its rotations, which ``spec.rotations`` holds as given;
+    ``edge_ids``, ``end_a`` and ``end_b`` are the columns of its edges, in
+    any one order.
 
     Crossings are checked first (each joins two distinct edges and sits once
     on each of their chains), then the rotation at every vertex (exactly the
     incident edge ends), then the rotation at every crossing (the four ends
     of its two edges, alternating: entries 0 and 2, and entries 1 and 3, are
-    the two ends of one edge).  A rotation is anchored once it passes; the
-    checks that name a broken rule run only where a quick test fails.
+    the two ends of one edge).  One pass over the crossings tests the first
+    and the third rule and anchors the rotations that pass, and one pass over
+    the vertices tests the second; the loops that name a broken rule run
+    only where a pass fails, in the order above.
     """
-    chains, rotations = spec.chains, spec.rotations
+    chains, rotations, crossings = spec.chains, spec.rotations, spec.crossings
     # With two chain entries per crossing in all, a crossing on the chains of
-    # both its edges is on each once and on no other.
-    if sum(map(len, chains.values())) != 2 * len(spec.crossings) or not all(
-        e != f and c in chains[e] and c in chains[f] for c, (e, f) in spec.crossings.items()
-    ):
-        owners: dict[str, list[str]] = {c: [] for c in spec.crossings}
+    # both its edges is on each once and on no other.  A rotation alternates
+    # when entries 0 and 2 are the ends of one edge of the pair and entries 1
+    # and 3 of the other; it is anchored when it starts at the "+" end of the
+    # smaller edge.
+    on_chains = sum(map(len, chains.values())) == 2 * len(crossings)
+    alternate = True
+    if on_chains:
+        for c, (e, f) in crossings.items():
+            if e == f or c not in chains[e] or c not in chains[f]:
+                on_chains = False
+                break
+            rot = rotations.get(c, ())
+            if len(rot) == 4:
+                (e0, d0), (e1, d1), (e2, d2), (e3, d3) = rot
+                if e0 == e2 and e1 == e3 and d0 != d2 and d1 != d3 and (
+                    e0 == e and e1 == f or e0 == f and e1 == e
+                ):
+                    if d0 != PLUS or e1 < e0:
+                        rotations[c] = _anchor_rotation(rot)
+                    continue
+            alternate = False
+    if not on_chains:
+        owners: dict[str, list[str]] = {c: [] for c in crossings}
         for e, cs in chains.items():
             for c in cs:
                 owners[c].append(e)
-        for c, (e, f) in spec.crossings.items():
+        for c, (e, f) in crossings.items():
             if e == f:
                 raise InvariantError("self-crossing", f"crossing {c} joins edge {e} with itself")
             found = owners[c]  # [e, f] or [f, e]
@@ -312,47 +424,55 @@ def _check_rules(spec: DrawingSpec) -> None:
                     f"found in {sorted(found)}",
                 )
 
-    ends: dict[str, list[RotationEntry]] = {v: [] for v in spec.vertices}
-    for e, a, b in spec.edges:
-        ends[a].append((e, PLUS))
-        ends[b].append((e, MINUS))
-    # Edges are sorted, so each vertex's ends are listed in sorted order, and
-    # a rotation that lists them is anchored at the first.
-    for v, want in ends.items():
+    # The vertex rotations list exactly the incident edge ends iff they hold
+    # two entries per edge in all and put each edge's "+" end at its end_a
+    # and its "-" end at its end_b: the ends then are distinct and all there.
+    # A rotation of distinct ends is anchored at the smallest.
+    at_a: dict[str, str] = {}
+    at_b: dict[str, str] = {}
+    count = 0
+    for v in spec.vertices:
         rot = rotations.get(v, ())
-        if sorted(rot) != want:
-            raise InvalidRotation(
-                "rotation-at-vertex",
-                f"rotation at {v} must list exactly the incident edge ends "
-                f"{want}; found {list(_anchor_rotation(rot))}",
-            )
-        if rot and rot[0] != want[0]:
-            pivot = rot.index(want[0])
-            rotations[v] = (*rot[pivot:], *rot[:pivot])
+        count += len(rot)
+        for e, d in rot:
+            if d == PLUS:
+                at_a[e] = v
+            else:
+                at_b[e] = v
+        if rot and rot[0] != min(rot):
+            rotations[v] = _anchor_rotation(rot)
+    if not (count == 2 * len(edge_ids) and tuple(map(at_a.get, edge_ids)) == end_a
+            and tuple(map(at_b.get, edge_ids)) == end_b):
+        ends: dict[str, list[RotationEntry]] = {v: [] for v in spec.vertices}
+        for e, a, b in spec.edges:
+            ends[a].append((e, PLUS))
+            ends[b].append((e, MINUS))
+        for v, want in ends.items():
+            rot = rotations.get(v, ())
+            if sorted(rot) != want:
+                raise InvalidRotation(
+                    "rotation-at-vertex",
+                    f"rotation at {v} must list exactly the incident edge ends "
+                    f"{want}; found {list(rot)}",
+                )
 
-    # A crossing rotation that alternates is anchored when it starts at the
-    # "+" end of the smaller edge.  As e0 != e1, both in the pair are its edges.
-    for c, pair in spec.crossings.items():
-        rot = rotations.get(c, ())
-        if len(rot) == 4:
-            (e0, d0), (e1, d1), (e2, d2), (e3, d3) = rot
-            if e0 == e2 != e1 == e3 and d0 != d2 and d1 != d3 and e0 in pair and e1 in pair:
-                if d0 != PLUS or e1 < e0:
-                    rotations[c] = _anchor_rotation(rot)
-                continue
-        e, f = pair
-        if c not in rotations:
-            raise InvalidRotation("rotation-at-crossing", f"crossing {c} has no rotation")
-        if len(rot) != 4 or set(rot) != {(e, PLUS), (e, MINUS), (f, PLUS), (f, MINUS)}:
-            raise InvalidRotation(
-                "rotation-at-crossing",
-                f"rotation at {c} must contain the four ends of {e} and {f}; "
-                f"found {list(_anchor_rotation(rot))}",
-            )
-        # All four ends are there, so their order breaks the rule.
-        raise InvalidRotation(
-            "rotation-alternation", f"rotation at {c} does not alternate between {e} and {f}"
-        )
+    if not alternate:
+        for c, (e, f) in crossings.items():
+            rot = rotations.get(c, ())
+            if c not in rotations:
+                raise InvalidRotation("rotation-at-crossing", f"crossing {c} has no rotation")
+            if len(rot) != 4 or set(rot) != {(e, PLUS), (e, MINUS), (f, PLUS), (f, MINUS)}:
+                raise InvalidRotation(
+                    "rotation-at-crossing",
+                    f"rotation at {c} must contain the four ends of {e} and {f}; "
+                    f"found {list(_anchor_rotation(rot))}",
+                )
+            (e0, _), (e1, _), (e2, _), (e3, _) = rot
+            if not e0 == e2 != e1 == e3:
+                raise InvalidRotation(
+                    "rotation-alternation",
+                    f"rotation at {c} does not alternate between {e} and {f}",
+                )
 
 
 class FaceWalk(NamedTuple):

@@ -37,6 +37,15 @@ from .errors import BadArgument, BadHint
 
 _GRID = 10  # SVG units per grid step
 
+# A vertex label as SVG text: markup characters as entities, and the
+# characters XML 1.0 forbids (controls other than tab, newline and carriage
+# return, U+FFFE and U+FFFF) as visible ``\uXXXX`` text.  Ids hold no
+# surrogate, which ``DrawingSpec.build`` refuses.
+_LABEL = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;",
+    **{chr(c): f"\\u{c:04x}" for c in (*range(0x20), 0xFFFE, 0xFFFF) if c not in (9, 10, 13)},
+})
+
 
 def export_figure(pmap: PlanarizedMap, format: str, outer_face_hint: str | None = None) -> str:
     outer = None
@@ -268,7 +277,7 @@ def _to_svg(pmap: PlanarizedMap, hinted: int | None) -> str:
         lines.append(f'  <circle cx="{xs[p]}" cy="{ys[p]}" r="3" fill="black"/>')
         lines.append(
             f'  <text x="{xs[p] + 4}" y="{ys[p] - 4}" font-size="8">'
-            f'{v.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")}</text>'
+            f'{v.translate(_LABEL)}</text>'
         )
     for c in pmap.crossing_ids:
         p = index[c]

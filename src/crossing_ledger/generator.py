@@ -156,7 +156,11 @@ def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
     u = _POLES[0]
     # Every frame face is a hexagon, so one exact computation serves them all.
     names, edge_rows, cross_rows, chain_of, rotation_of, spliced_at = _template()
-    edge_count = len(edge_rows)
+    # The ends "+" and "-" of every edge, in the order of the ends' indices.
+    edge_twice = _picker([i for i in range(len(edge_rows)) for _ in (PLUS, MINUS)])
+    signs = (PLUS, MINUS) * len(edge_rows)
+    # A face walk turned to start at position k.
+    turns = [_picker([(k + i) % 6 for i in range(6)]) for k in range(6)]
 
     # The frame's rows come first, as "F" < "G", and its ids are the smallest
     # at every vertex, so its anchored rotations stay anchored.  Each frame
@@ -168,14 +172,15 @@ def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
     spliced = {v: [[entry] for entry in rot] for v, rot in frame.rotations.items()}
     for q in order:
         walk = walks[order[q]]
+        nodes = list(map(head.__getitem__, walk))
+        turn = turns[nodes.index(u)]
+        corners, darts = turn(nodes), turn(walk)
         prefix = f"G{q}"
         ids = [prefix + x for x in names]
-        ends = [(e, d) for e in ids[:edge_count] for d in (PLUS, MINUS)]
-        nodes = [head[d] for d in walk]
-        k = nodes.index(u)
-        corners, darts = nodes[k:] + nodes[:k], walk[k:] + walk[:k]
+        ends = list(zip(edge_twice(ids), signs))
         edges += [(ids[e], corners[a], corners[b]) for e, a, b in edge_rows]
-        chains.update(zip(ids[:edge_count], [pick(ids) for pick in chain_of]))
+        # zip stops after the edges, which are the first ids.
+        chains.update(zip(ids, [pick(ids) for pick in chain_of]))
         for (c, e, f), pick in zip(cross_rows, rotation_of):
             crossings[ids[c]] = (ids[e], ids[f])
             rotations[ids[c]] = pick(ends)
@@ -185,6 +190,6 @@ def generate_optimal(n: int, strict: bool = False) -> DrawingSpec:
         for corner, dart, pick in zip(corners, darts, spliced_at):
             spliced[corner][rot_index[dart ^ 1]] += pick(ends)
     for v, rows in spliced.items():
-        rotations[v] = list(chain.from_iterable(rows))
+        rotations[v] = tuple(chain.from_iterable(rows))
 
     return DrawingSpec.build(frame.vertices, edges, chains, crossings, rotations)

@@ -69,9 +69,43 @@ def spec_from_document(doc: Any) -> DrawingSpec:
     )
 
 
+def _place(doc: Any, target: dict) -> str | None:
+    """Where the object ``target`` sits in ``doc``, as the keys and indices
+    that lead to it; None if it is not there (a repeated key dropped it)."""
+    stack = [(doc, "")]
+    while stack:
+        node, path = stack.pop()
+        if node is target:
+            return f"the object at {path}" if path else "the document root"
+        if isinstance(node, dict):
+            stack += [(v, f"{path}[{json.dumps(k)}]") for k, v in node.items()]
+        elif isinstance(node, list):
+            stack += [(v, f"{path}[{i}]") for i, v in enumerate(node)]
+    return None
+
+
 def parse_text(text: str) -> DrawingSpec:
+    """Parse an interchange document and build its spec.
+
+    Raises :class:`ParseError` for text that is not JSON, and for an object
+    that names one key twice, which ``json`` would read as its last value;
+    otherwise as :func:`spec_from_document`.
+    """
+    repeats: list[tuple[dict, str]] = []  # each object that repeats a key, with the key
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    repeats.append((obj, key))
+                    break
+                seen.add(key)
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique)
     except TypeError as exc:  # json reads only str, bytes and bytearray
         raise ParseError(f"a document is text or bytes; got {type(text).__name__}") from exc
     except json.JSONDecodeError as exc:
@@ -83,6 +117,10 @@ def parse_text(text: str) -> DrawingSpec:
         raise ParseError(f"a number in the document has more than {limit} digits") from exc
     except RecursionError as exc:  # json's decoder recurses once per nested array or object
         raise ParseError("document nests too deeply to parse") from exc
+    for obj, key in repeats:
+        where = _place(doc, obj)
+        if where is not None:
+            raise ParseError(f"{where} repeats the key {json.dumps(key)}")
     return spec_from_document(doc)
 
 

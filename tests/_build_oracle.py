@@ -1,19 +1,20 @@
 """The per-entry ``DrawingSpec.build``, kept as a test oracle.
 
 ``crossing_ledger.drawing`` checks the form of the rows in one pass over
-their types and lengths, splits the rotation entries into an edge column
-and a direction column, tests each membership rule with one set operation
-and runs the per-entry loops only when that test fails.  It anchors each
-rotation while it checks the drawing rules: one pass over the crossings
-tests both crossing rules and anchors their rotations, and a vertex
-rotation that lists the vertex's sorted ends is anchored at the first.
+their types and lengths, takes the rows' columns (the rotation entries'
+edges and directions among them), tests the type of each defining id once
+and every reference with one set operation per column, and runs the
+per-entry loops only when a test fails.  It anchors each rotation while it
+checks the drawing rules: one pass over the crossings tests both crossing
+rules and anchors their rotations, and one pass over the vertices notes
+where each edge end sits and anchors each rotation at its smallest entry.
 This module keeps the code it replaced: every row checked on its own,
 every rotation anchored by ``_entry_key`` before any check, and every rule
 checked entry by entry, the drawing rules of :func:`_check_rules` too.
 ``tests/test_build_oracle.py`` requires the same spec, or the same
 exception type, rule and message, from both.
 
-Five edits since: the three collision rules (``duplicate-chain``,
+Six edits since: the three collision rules (``duplicate-chain``,
 ``duplicate-crossing-id``, ``duplicate-rotation``), which refuse two keys
 that become equal under ``str()``, where the old code kept the later one;
 a field given as None, which is refused as ``field-mapping`` where the old
@@ -25,7 +26,10 @@ edges of entries 0 and 1 and so let ``[e+, f+, f-, e-]`` and
 ``[e+, f-, f+, e-]`` through; and a rotation direction that ``str()``
 refuses (an int of more digits than it converts), refused as
 ``rotation-direction`` right after the id checks, with a message that does
-not write the number, where the old code raised a raw ``ValueError``.
+not write the number, where the old code raised a raw ``ValueError``; and
+an id of a vertex, edge, chain, crossing or rotation that UTF-8 cannot
+encode (a lone surrogate), refused as ``id-encoding`` next, where the old
+code accepted it and the CLI then failed to write it.
 
 :func:`trace_faces` keeps the eager face trace that ``PlanarizedMap`` ran
 when it built every :class:`FaceWalk` record during construction; the map
@@ -103,6 +107,11 @@ def build(
             raise InvariantError(
                 "rotation-direction", f"a rotation direction has more than {limit} digits"
             ) from None
+    for v in [*vertices, *(e for e, _, _ in edges), *chains, *crossings, *rotations]:
+        try:
+            str(v).encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvariantError("id-encoding", f"ids are UTF-8 text; got {str(v)!r}") from None
     verts = [str(v) for v in vertices]
     edge_rows = [(str(e), str(a), str(b)) for e, a, b in edges]
     if len(set(verts)) != len(verts):

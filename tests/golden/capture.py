@@ -100,7 +100,8 @@ ALTERNATING = (("e", "+"), ("f", "+"), ("e", "-"), ("f", "-"))
 
 
 def rejected_documents() -> dict[str, str]:
-    """One document per semantic rule, a torus rotation, and malformed JSON."""
+    """One document per semantic rule, a torus rotation, malformed JSON, a
+    repeated key and an id that UTF-8 cannot encode."""
     triangle = _fixtures.triangle_spec().to_doc()
     triangle["rotations"]["v1"] = [["a", "+"]]  # drops the c entry
     docs = {
@@ -127,6 +128,11 @@ def rejected_documents() -> dict[str, str]:
     }
     texts = {name: json.dumps(doc, indent=2) + "\n" for name, doc in docs.items()}
     texts["malformed-json"] = '{"vertices": ["v1", "v2"],\n  "edges": [\n'
+    plain = json.dumps(_fixtures.triangle_spec().to_doc(), indent=2) + "\n"
+    # Rotations that name v1 twice, first with no entries: JSON keeps the last.
+    texts["repeated-key"] = plain.replace('"rotations": {', '"rotations": {\n    "v1": [],', 1)
+    # Edge a renamed to a lone surrogate, which UTF-8 cannot encode.
+    texts["id-encoding"] = plain.replace('"a"', '"\\ud800"')
     return texts
 
 

@@ -320,6 +320,27 @@ def test_a_path_with_a_nul_byte_is_refused():
         parse_drawing("drawing\x00.json")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"a": 1, "a": 2}', 'the document root repeats the key "a"'),
+    ('{"vertices": [{"x": 1, "x": 2}]}', 'the object at ["vertices"][0] repeats the key "x"'),
+    ('{"chains": {"7": [], "7": ["x"]}}', 'the object at ["chains"] repeats the key "7"'),
+    # The first object that repeats a key goes with the later value of "a".
+    ('{"a": {"x": 1, "x": 2}, "a": 3}', 'the document root repeats the key "a"'),
+])
+def test_a_repeated_key_is_refused(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_text(text)
+    assert str(info.value) == message
+
+
+def test_a_rotation_given_twice_is_refused():
+    # JSON keeps the last value, so the empty rotation given first went unseen.
+    text = emit_drawing(generate_optimal(6))
+    repeated = text.replace('"rotations": {', '"rotations": {\n    "a0": [],', 1)
+    with pytest.raises(ParseError, match=re.escape('["rotations"] repeats the key "a0"')):
+        parse_text(repeated)
+
+
 def test_a_document_in_bytes_is_read_or_refused_with_a_parse_error():
     spec = generate_optimal(6)
     assert emit_drawing(parse_text(emit_drawing(spec).encode("utf-8"))) == emit_drawing(spec)

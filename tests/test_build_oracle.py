@@ -77,6 +77,49 @@ def test_fixture(kwargs):
     _agree(kwargs)
 
 
+def _generator_arguments() -> list[tuple[str, dict]]:
+    """The arguments ``generate_optimal`` passes to ``DrawingSpec.build``: the
+    frame's, then the drawing's, with its tuple rows and the entry tuples
+    that its vertex and crossing rotations share."""
+    calls = []
+    build = DrawingSpec.build
+
+    def record(*args, **kwargs):
+        calls.append(copy.deepcopy(dict(zip(FIELDS, args), **kwargs)))
+        return build(*args, **kwargs)
+
+    cases = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DrawingSpec, "build", record)
+        for n, strict in [(n, False) for n in (6, 8, 10, 12, 54, 100, 202)] + [
+            (n, True) for n in (6, 10, 54, 202)
+        ]:
+            del calls[:]
+            generate_optimal(n, strict)
+            cases += [(f"n{n}{'-strict' if strict else ''}-{what}", kwargs)
+                      for what, kwargs in zip(("frame", "drawing"), calls, strict=True)]
+    return cases
+
+
+GENERATOR_ARGUMENTS = _generator_arguments()
+
+
+def test_generator_arguments_have_tuple_rows_and_shared_entries():
+    kwargs = dict(GENERATOR_ARGUMENTS)["n54-drawing"]
+    rotations = kwargs["rotations"]
+    assert {type(row) for field in ("edges", "chains", "crossings", "rotations")
+            for row in (kwargs[field] if field == "edges" else kwargs[field].values())} == {tuple}
+    # Each end is one tuple, in the rotation at its vertex and at each crossing on its edge.
+    entries = [entry for rot in rotations.values() for entry in rot]
+    assert len({id(entry) for entry in entries}) == len(set(entries)) < len(entries)
+
+
+@pytest.mark.parametrize("kwargs", [kw for _, kw in GENERATOR_ARGUMENTS],
+                         ids=[name for name, _ in GENERATOR_ARGUMENTS])
+def test_generator_arguments(kwargs):
+    _agree(kwargs)
+
+
 @pytest.mark.parametrize("kwargs, rule", MALFORMED)
 def test_malformed(kwargs, rule):
     _agree(kwargs)
@@ -321,3 +364,90 @@ def test_crossing_moved_to_another_chain(to):
     with pytest.raises(CrossingLedgerError) as info:
         DrawingSpec.build(**kwargs)
     assert info.value.rule == "crossing-degree"
+
+
+def _rows(kwargs: dict) -> list:
+    """The objects of the arguments down to the rotation entries: each field,
+    each edge row, each row of a mapping, and each rotation entry."""
+    edges, chains, crossings, rotations = (kwargs.get(k, {}) for k in FIELDS[1:])
+    return [*(kwargs[k] for k in FIELDS if k in kwargs), *edges, *chains.values(),
+            *crossings.values(), *rotations.values(),
+            *(entry for rot in rotations.values() for entry in rot)]
+
+
+PARSED_DOCUMENTS = [(stem, {k: doc[k] for k in FIELDS})
+                    for stem, doc in _golden_documents().items()] + [
+    ("n202", json.loads(emit_drawing(generate_optimal(202)))),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [kw for _, kw in FIXTURE_ARGUMENTS + GENERATOR_ARGUMENTS + PARSED_DOCUMENTS],
+    ids=[name for name, _ in FIXTURE_ARGUMENTS + GENERATOR_ARGUMENTS + PARSED_DOCUMENTS],
+)
+def test_build_leaves_its_arguments_unchanged(kwargs):
+    kwargs = copy.deepcopy(kwargs)
+    before, rows = repr(kwargs), _rows(kwargs)
+    try:
+        DrawingSpec.build(**kwargs)
+    except CrossingLedgerError:
+        pass  # a refused document is left unchanged too
+    assert repr(kwargs) == before
+    assert all(a is b for a, b in zip(_rows(kwargs), rows, strict=True))
+
+
+class Name(str):
+    """A str subclass, as a caller may pass for an id."""
+
+
+@pytest.mark.parametrize("where", ["vertex", "edge", "crossing", "end", "chain", "pair",
+                                   "entry", "direction", "rotation key"])
+def test_an_id_of_a_str_subclass(where):
+    # Defining ids of a subclass make every id go through str(); references
+    # of a subclass resolve as the strs they equal.  Either way the spec is
+    # the one of plain strs.
+    doc = copy.deepcopy(TIGHT)
+    c, (e, f) = next(iter(doc["crossings"].items()))
+    v = doc["edges"][0][1]
+    if where == "vertex":
+        doc["vertices"] = [Name(x) if x == v else x for x in doc["vertices"]]
+    elif where == "edge":
+        doc["edges"] = [[Name(row[0]), *row[1:]] if row[0] == e else row for row in doc["edges"]]
+    elif where == "crossing":
+        doc["crossings"] = {Name(k) if k == c else k: p for k, p in doc["crossings"].items()}
+    elif where == "end":
+        doc["edges"][0][1] = Name(v)
+    elif where == "chain":
+        doc["chains"][e] = [Name(x) for x in doc["chains"][e]]
+    elif where == "pair":
+        doc["crossings"][c] = [Name(e), f]
+    elif where == "entry":
+        entry = doc["rotations"][c][0]
+        entry[0] = Name(entry[0])
+    elif where == "direction":
+        entry = doc["rotations"][c][0]
+        entry[1] = Name(entry[1])
+    else:
+        doc["rotations"] = {Name(k) if k == c else k: r for k, r in doc["rotations"].items()}
+    kwargs = {k: doc[k] for k in FIELDS}
+    _agree(kwargs)
+    assert DrawingSpec.build(**kwargs) == DrawingSpec.build(**{k: TIGHT[k] for k in FIELDS})
+
+
+@pytest.mark.parametrize("old", ["a0", "F0.1", "G0.3", "G0.x1", "G0.x10"])
+@pytest.mark.parametrize("new, refused", [("\ud800", True), ("x\udfff", True),
+                                          ("é", False), ("\U0001f600", False)],
+                         ids=["high", "low", "latin", "astral"])
+def test_ids_that_utf8_cannot_encode(old, new, refused):
+    # A lone surrogate is refused as id-encoding wherever the id is defined;
+    # other text outside ASCII is an id as any other.
+    kwargs = json.loads(json.dumps({k: TIGHT[k] for k in FIELDS}).replace(
+        json.dumps(old), json.dumps(new)))
+    _agree(kwargs)
+    if refused:
+        with pytest.raises(CrossingLedgerError) as info:
+            DrawingSpec.build(**kwargs)
+        assert info.value.rule == "id-encoding"
+    else:
+        DrawingSpec.build(**kwargs)

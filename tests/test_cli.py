@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from crossing_ledger import emit_drawing
+from crossing_ledger import emit_drawing, generate_optimal
 from crossing_ledger.cli import run
 
 
@@ -271,6 +271,17 @@ def test_id_of_another_type_is_one_error_line():
     code, out, err = _run(["validate", "--k", "3", "-"], stdin_text=json.dumps(doc))
     assert (code, out) == (1, "")
     assert err == "error: id-type: ids are strings or integers; got ['a']\n"
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--format", "text"], ["export", "--figure", "dot"],
+                                  ["export", "--figure", "svg"]])
+@pytest.mark.parametrize("old", ["a0", "G0.3"], ids=["vertex", "edge"])
+def test_id_that_utf8_cannot_encode_is_one_error_line(argv, old):
+    # Before, the drawing was read and writing its ids to a UTF-8 stdout failed.
+    text = emit_drawing(generate_optimal(6)).replace(f'"{old}"', '"\\ud800"')
+    code, out, err = _run(argv + ["-"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err == "error: id-encoding: ids are UTF-8 text; got '\\ud800'\n"
 
 
 def test_number_of_too_many_digits_is_one_error_line():

@@ -71,6 +71,17 @@ def test_ids_are_escaped():
     assert names == {*ids, *pmap.edge_ids}
 
 
+def test_characters_xml_forbids_are_written_visibly():
+    # A control character in a vertex id made an SVG that XML parsers refuse.
+    ids = ["v\x01", "w\x1f\t", "x\uffff", "y\ufffe&"]
+    spec = spec_from(dict(zip(ids, [(0, 0), (4, 0), (2, 3), (2, 1)])),
+                     [("e1", ids[0], ids[1]), ("e2", ids[1], ids[2]), ("e3", ids[2], ids[0]),
+                      ("e4", ids[3], ids[0])])
+    root = ET.fromstring(export_figure(build_map(spec), "svg"))
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == [
+        "v\\u0001", "w\\u001f\t", "x\\uffff", "y\\ufffe&"]
+
+
 def test_svg_of_the_benchmark_drawing_is_pinned():
     text = export_figure(build_map(generate_optimal(202)), "svg")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BENCHMARK_SVG
